@@ -126,17 +126,6 @@ def q_preimages(t: Angle, d: int) -> list[Angle]:
     return [Angle((t.value + m) / d) for m in range(d)]
 
 
-def orbit(t: Angle, d: int) -> list[Angle]:
-    """Forward orbit of t until the first repeat (repeat excluded)."""
-    seen: dict[Angle, int] = {}
-    out = []
-    cur = t
-    while cur not in seen:
-        seen[cur] = len(out)
-        out.append(cur)
-        cur = q_apply(cur, d)
-    return out
-
 def orbit_signature(t: Angle, d: int) -> OrbitSignature:
     """Iterate t under the d-fold map and report (preperiod, period)."""
     seen: dict[Angle, int] = {}

@@ -14,28 +14,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import mapspec, parameterize, spectral
-from .errors import (
-    LaminationError,
-    MapfileError,
-    ParameterizationError,
-    PortraitError,
-    SpectralError,
-    UnmatingError,
-    ValidationFailure,
+from . import mapspec
+from .errors import MapfileError, UnmatingError, ValidationFailure
+from .pipeline import (
+    PipelineResult,
+    certified_lengths,
+    lamination_for_side,
+    marker_parameters,
+    matrix_json,
+    parameters_json,
+    run_pipeline,
 )
-from .pipeline import PipelineResult, frac_str, lamination_for_side, run_pipeline
 from .svg import SvgScene, render_svg, write_svg
-
-STAGE_EXIT = {
-    ValidationFailure: 3,
-    SpectralError: 4,
-    ParameterizationError: 5,
-    PortraitError: 6,
-    LaminationError: 7,
-}
 
 
 def _emit(obj) -> None:
@@ -57,6 +48,17 @@ def _check_branch(spec: mapspec.MapSpec, branch: int) -> None:
         )
 
 
+def _depth(text: str) -> int:
+    """Type of --depth: an integer >= 1 (argparse turns the errors into exit 2)."""
+    try:
+        depth = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {depth}")
+    return depth
+
+
 def cmd_validate(args) -> int:
     spec = _load(args.mapfile)
     report = mapspec.validate(spec)
@@ -66,42 +68,31 @@ def cmd_validate(args) -> int:
 
 def cmd_matrix(args) -> int:
     spec = _load(args.mapfile)
-    mapspec.validate_or_raise(spec)
-    matrix = spectral.transition_matrix(spec)
-    lengths = spectral.certify_perron(matrix, spec.degree)
-    _emit(
-        {
-            "matrix": [list(row) for row in matrix.entries],
-            "eigenvector": [frac_str(Fraction(x)) for x in lengths.eigenvector],
-            "lengths": [frac_str(l) for l in lengths.lengths],
-        }
-    )
+    _, matrix, lengths = certified_lengths(spec)
+    _emit(matrix_json(matrix, lengths))
     return 0
 
 
 def cmd_parameters(args) -> int:
     spec = _load(args.mapfile)
     _check_branch(spec, args.branch)
-    mapspec.validate_or_raise(spec)
-    matrix = spectral.transition_matrix(spec)
-    lengths = spectral.certify_perron(matrix, spec.degree)
-    params = parameterize.solve_for_spec(spec, lengths, branch=args.branch)
-    pullback = parameterize.pullback_parameters(params, spec)
-    labels = [f"{spec.marker_post(i)}#{i}" for i in range(spec.k)]
-    _emit(
-        {
-            "t": {label: frac_str(t) for label, t in zip(labels, params.t)},
-            "s": [frac_str(s) for s in pullback.s],
-            "branch": args.branch,
-        }
-    )
+    _, _, lengths = certified_lengths(spec)
+    params, pullback = marker_parameters(spec, lengths, args.branch)
+    _emit(parameters_json(spec, params, pullback, args.branch))
     return 0
 
 
 def _run(args) -> PipelineResult:
     spec = _load(args.mapfile)
-    _check_branch(spec, getattr(args, "branch", 0))
-    return run_pipeline(spec, branch=getattr(args, "branch", 0), depth=getattr(args, "depth", 3))
+    _check_branch(spec, args.branch)
+    return run_pipeline(spec, branch=args.branch, depth=args.depth)
+
+
+def _scene(result: PipelineResult, side: str) -> SvgScene:
+    """Chords of one side; "join" overlays the white and black sides."""
+    if side == "join":
+        return SvgScene.from_classes([result.lamination_white, result.lamination_black])
+    return SvgScene.from_classes([lamination_for_side(result, side)])
 
 
 def cmd_unmate(args) -> int:
@@ -110,36 +101,23 @@ def cmd_unmate(args) -> int:
     if args.svg:
         # the requested path gets the two-sided overlay, plus one file per side
         base = args.svg[:-4] if args.svg.endswith(".svg") else args.svg
-        write_svg(
-            SvgScene.from_classes([result.lamination_white, result.lamination_black]),
-            args.svg,
-        )
-        write_svg(SvgScene.from_classes([result.lamination_white]), f"{base}.white.svg")
-        write_svg(SvgScene.from_classes([result.lamination_black]), f"{base}.black.svg")
+        write_svg(_scene(result, "join"), args.svg)
+        write_svg(_scene(result, "w"), f"{base}.white.svg")
+        write_svg(_scene(result, "b"), f"{base}.black.svg")
     return 0
 
 
 def cmd_lamination(args) -> int:
     result = _run(args)
-    classes = lamination_for_side(result, args.side)
-    _emit(result.lamination_json(classes))
+    _emit(result.lamination_json(lamination_for_side(result, args.side)))
     if args.svg:
-        if args.side == "join":
-            scene = SvgScene.from_classes(
-                [result.lamination_white, result.lamination_black]
-            )
-        else:
-            scene = SvgScene.from_classes([classes])
-        write_svg(scene, args.svg)
+        write_svg(_scene(result, args.side), args.svg)
     return 0
 
 
 def cmd_render(args) -> int:
     result = _run(args)
-    if args.side == "join":
-        scene = SvgScene.from_classes([result.lamination_white, result.lamination_black])
-    else:
-        scene = SvgScene.from_classes([lamination_for_side(result, args.side)])
+    scene = _scene(result, args.side)
     if args.svg:
         write_svg(scene, args.svg)
     else:
@@ -160,12 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
         if branch:
             p.add_argument("--branch", type=int, default=0)
         if depth:
-            p.add_argument("--depth", type=int, default=3)
+            p.add_argument("--depth", type=_depth, default=3)
         if side:
             p.add_argument("--side", choices=["w", "b", "join"], default="join")
         if svg:
             p.add_argument("--svg", default=None)
-        p.add_argument("--format", choices=["json"], default="json")
         p.set_defaults(fn=fn)
         return p
 
@@ -182,22 +159,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except MapfileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValidationFailure as e:
-        _emit(e.report.to_json())
-        print("error: validation failed (stage: complex)", file=sys.stderr)
-        return 3 if args.command != "validate" else 1
     except UnmatingError as e:
-        stage = {
-            SpectralError: "spectral",
-            ParameterizationError: "parameterize",
-            PortraitError: "portraits",
-            LaminationError: "laminations",
-        }.get(type(e), "pipeline")
-        print(f"error: {e} (stage: {stage})", file=sys.stderr)
-        return STAGE_EXIT.get(type(e), 1)
+        detail = str(e)
+        if isinstance(e, ValidationFailure):
+            _emit(e.report.to_json())
+            detail = "validation failed"
+        stage = f" (stage: {e.stage})" if e.stage else ""
+        print(f"error: {detail}{stage}", file=sys.stderr)
+        return e.exit_code
 
 
 if __name__ == "__main__":

@@ -1,16 +1,27 @@
-"""Exception types, one per pipeline stage."""
+"""Exception types, one per pipeline stage.
+
+Each class names its stage and the CLI exit code for a failure there; the
+command line reads both from the caught error.
+"""
 
 
 class UnmatingError(Exception):
-    pass
+    stage = "pipeline"
+    exit_code = 1
 
 
 class MapfileError(UnmatingError):
     """Structurally malformed input file (bad syntax, references, arity)."""
 
+    stage = None
+    exit_code = 2
+
 
 class ValidationFailure(UnmatingError):
     """Semantic validation failed; carries the report."""
+
+    stage = "complex"
+    exit_code = 3
 
     def __init__(self, report):
         self.report = report
@@ -18,16 +29,20 @@ class ValidationFailure(UnmatingError):
 
 
 class SpectralError(UnmatingError):
-    pass
+    stage = "spectral"
+    exit_code = 4
 
 
 class ParameterizationError(UnmatingError):
-    pass
+    stage = "parameterize"
+    exit_code = 5
 
 
 class PortraitError(UnmatingError):
-    pass
+    stage = "portraits"
+    exit_code = 6
 
 
 class LaminationError(UnmatingError):
-    pass
+    stage = "laminations"
+    exit_code = 7

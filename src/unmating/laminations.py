@@ -35,12 +35,6 @@ class AngleClasses:
     classes: tuple[AngleSet, ...]
     sides: Optional[tuple[tuple[str, ...], ...]] = None  # per class, join only
 
-    def angle_sets(self) -> list[set[Angle]]:
-        return [set(c) for c in self.classes]
-
-    def all_angles(self) -> set[Angle]:
-        return {a for c in self.classes for a in c}
-
 
 @dataclass(frozen=True)
 class LeafSet:
@@ -118,19 +112,33 @@ def _in_closed_sector(x: Angle, sec: Sectors, label: int) -> bool:
     return False
 
 
-def _merge_overlapping(sets: list[set[Angle]]) -> list[set[Angle]]:
-    merged: list[set[Angle]] = []
-    for s in sets:
-        bucket = set(s)
-        keep = []
-        for m in merged:
-            if m & bucket:
-                bucket |= m
-            else:
-                keep.append(m)
-        keep.append(bucket)
-        merged = keep
-    return merged
+def merge_tagged(tagged: Iterable[tuple[Iterable[Angle], str]]) -> list[tuple[set[Angle], set[str]]]:
+    """Connected components of non-empty angle sets, two sets being connected
+    when they share an angle, each with the tags of its member sets.
+
+    Union-find over the angles (Tarjan 1975); component order is unspecified.
+    """
+    tagged = [(tuple(angles), tag) for angles, tag in tagged]
+    parent: dict[Angle, Angle] = {}
+
+    def find(x: Angle) -> Angle:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for angles, _ in tagged:
+        for a in angles:
+            parent.setdefault(a, a)
+        root = find(angles[0])
+        for a in angles[1:]:
+            parent[find(a)] = root
+    components: dict[Angle, tuple[set[Angle], set[str]]] = {}
+    for angles, tag in tagged:
+        members, tags = components.setdefault(find(angles[0]), (set(), set()))
+        members.update(angles)
+        tags.add(tag)
+    return list(components.values())
 
 
 def pullback_step(
@@ -169,8 +177,7 @@ def pullback_step(
                     candidates.append(hits)
 
     candidates.extend(set(c) for c in classes.classes)
-    merged = _merge_overlapping(candidates)
-    out = _canon(merged)
+    out = _canon(angles for angles, _ in merge_tagged((c, classes.color) for c in candidates))
 
     crossing = check_planar(out)
     if crossing is not None:
@@ -196,28 +203,14 @@ def pullback_to_depth(
 
 def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
     """Smallest common refinement: merge classes across colors through shared
-    angles (union-find via repeated merging)."""
+    angles; each joined class records the sides it came from."""
     if white.depth != black.depth:
         raise LaminationError(
             f"join needs equal depths, got {white.depth} and {black.depth}"
         )
-    tagged: list[tuple[set[Angle], set[str]]] = [
-        (set(c), {WHITE}) for c in white.classes
-    ] + [(set(c), {BLACK}) for c in black.classes]
-
-    merged: list[tuple[set[Angle], set[str]]] = []
-    for angles, side in tagged:
-        bucket, bside = set(angles), set(side)
-        keep = []
-        for m_angles, m_side in merged:
-            if m_angles & bucket:
-                bucket |= m_angles
-                bside |= m_side
-            else:
-                keep.append((m_angles, m_side))
-        keep.append((bucket, bside))
-        merged = keep
-
+    merged = merge_tagged(
+        [(c, WHITE) for c in white.classes] + [(c, BLACK) for c in black.classes]
+    )
     order = sorted(merged, key=lambda pair: (min(pair[0]), len(pair[0])))
     return AngleClasses(
         depth=white.depth,

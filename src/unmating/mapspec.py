@@ -70,9 +70,6 @@ class MapSpec:
         """Post name of gamma0 marker i (start of edge i = end of edge i-1)."""
         return self.word0[(i - 1) % self.k].to
 
-    def edge_start0(self, pos: int) -> str:
-        return self.marker_post(pos)
-
     def visit_vertex(self, j: int) -> str:
         """1-vertex id at gamma1 visit j (start of word1 position j)."""
         return self.word1[(j - 1) % self.n1].to
@@ -132,7 +129,7 @@ def parse(data: bytes | str | dict) -> MapSpec:
         rotation1 = {str(k): [(int(p), str(e)) for p, e in v] for k, v in raw["rotation1"].items()}
         markers = [int(m) for m in raw["markers"]]
         anchor = (int(raw["white_anchor"][0]), str(raw["white_anchor"][1]))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as e:
         raise MapfileError(f"malformed mapfile: {e}") from None
 
     if degree < 2:
@@ -227,10 +224,7 @@ class LevelMap:
 
     level: int
     n_edges: int
-    vertices: tuple[str, ...]
     rotations: dict[str, tuple[Dart, ...]]
-    edge_start: dict[int, str]
-    edge_end: dict[int, str]
     faces: list[tuple[Dart, ...]]          # orbits of the face permutation
     face_of: dict[Dart, int]
     colors: Optional[list[str]]            # per face, once coloring succeeds
@@ -253,19 +247,20 @@ def _alpha(d: Dart) -> Dart:
     return (pos, OUT if end == IN else IN)
 
 
-def _build_level(spec: MapSpec, level: int) -> LevelMap:
+def _edge_ends(spec: MapSpec, level: int) -> list[tuple[str, str]]:
+    """(start vertex, end vertex) of each edge of the level-0 or level-1 curve."""
     if level == 0:
-        n = spec.k
-        rotations = spec.rotation0
-        vertices = tuple(rotations.keys())
-        edge_start = {i: spec.edge_start0(i) for i in range(n)}
-        edge_end = {i: spec.word0[i].to for i in range(n)}
-    else:
-        n = spec.n1
-        rotations = spec.rotation1
-        vertices = tuple(rotations.keys())
-        edge_start = {j: spec.visit_vertex(j) for j in range(n)}
-        edge_end = {j: spec.word1[j].to for j in range(n)}
+        return [(spec.marker_post(i), w.to) for i, w in enumerate(spec.word0)]
+    return [(spec.visit_vertex(j), w.to) for j, w in enumerate(spec.word1)]
+
+
+def _rotations(spec: MapSpec, level: int) -> dict[str, tuple[Dart, ...]]:
+    return spec.rotation0 if level == 0 else spec.rotation1
+
+
+def _build_level(spec: MapSpec, level: int) -> LevelMap:
+    n = spec.k if level == 0 else spec.n1
+    rotations = _rotations(spec, level)
 
     # sigma: next dart counterclockwise around its vertex
     sigma: dict[Dart, Dart] = {}
@@ -296,10 +291,7 @@ def _build_level(spec: MapSpec, level: int) -> LevelMap:
     return LevelMap(
         level=level,
         n_edges=n,
-        vertices=vertices,
         rotations=rotations,
-        edge_start=edge_start,
-        edge_end=edge_end,
         faces=faces,
         face_of=face_of,
         colors=None,
@@ -308,22 +300,15 @@ def _build_level(spec: MapSpec, level: int) -> LevelMap:
 
 def _check_rotations(spec: MapSpec, level: int, report: ValidationReport) -> bool:
     """Every edge-end incidence listed exactly once at its vertex."""
-    if level == 0:
-        rotations, n = spec.rotation0, spec.k
-        start = {i: spec.edge_start0(i) for i in range(n)}
-        end = {i: spec.word0[i].to for i in range(n)}
-        used = set(start.values()) | set(end.values())
-    else:
-        rotations, n = spec.rotation1, spec.n1
-        start = {j: spec.visit_vertex(j) for j in range(n)}
-        end = {j: spec.word1[j].to for j in range(n)}
-        used = set(spec.vertices1.keys())
+    rotations = _rotations(spec, level)
+    edges = _edge_ends(spec, level)
+    used = set(spec.vertices1) if level else {v for pair in edges for v in pair}
 
     ok = True
     expected: dict[str, set[Dart]] = {v: set() for v in used}
-    for pos in range(n):
-        expected[start[pos]].add((pos, OUT))
-        expected[end[pos]].add((pos, IN))
+    for pos, (start, end) in enumerate(edges):
+        expected[start].add((pos, OUT))
+        expected[end].add((pos, IN))
     for v, ends in expected.items():
         got = rotations.get(v)
         if got is None:
@@ -353,23 +338,23 @@ class Passage:
 
 
 def _passages_at(spec: MapSpec, vertex: str, level: int) -> list[Passage]:
-    if level == 0:
-        n = spec.k
-        visits = [i for i in range(n) if spec.marker_post(i) == vertex]
-    else:
-        n = spec.n1
-        visits = spec.visits_at(vertex)
-    return [Passage(j, ((j - 1) % n, IN), (j, OUT)) for j in visits]
+    ends = _edge_ends(spec, level)
+    n = len(ends)
+    return [
+        Passage(j, ((j - 1) % n, IN), (j, OUT))
+        for j, (start, _) in enumerate(ends)
+        if start == vertex
+    ]
 
 
-def _chords_cross(slots: list[Dart], passages: list[Passage]) -> Optional[tuple[int, int]]:
-    """Return indices of a crossing pair of passage chords, if any."""
+def _chord_spans(slots: list[Dart], passages: list[Passage]) -> list[tuple[int, int]]:
+    """(lower, upper) rotation slot index of each passage's two ends."""
     index = {d: i for i, d in enumerate(slots)}
-    n = len(slots)
-    spans = []
-    for p in passages:
-        a, b = sorted((index[p.in_dart], index[p.out_dart]))
-        spans.append((a, b))
+    return [tuple(sorted((index[p.in_dart], index[p.out_dart]))) for p in passages]
+
+
+def _chords_cross(spans: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
+    """Return indices of a crossing pair of passage chords, if any."""
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
             a, b = spans[i]
@@ -402,13 +387,13 @@ class ChordCrossingError(ValueError):
 def chord_diagram(spec: MapSpec, vertex: str, level: int, lm: Optional[LevelMap] = None) -> ChordDiagram:
     """Disk model of the curve near a vertex: boundary slots, passage chords,
     complementary regions with their tile colors."""
-    rotations = spec.rotation0 if level == 0 else spec.rotation1
-    rot = rotations.get(vertex)
+    rot = _rotations(spec, level).get(vertex)
     if rot is None:
         raise KeyError(f"no vertex {vertex!r} at level {level}")
     slots = list(rot)
     passages = _passages_at(spec, vertex, level)
-    cross = _chords_cross(slots, passages)
+    spans = _chord_spans(slots, passages)
+    cross = _chords_cross(spans)
     if cross is not None:
         raise ChordCrossingError(
             f"unlacing does not exist at vertex {vertex!r} (level {level}): "
@@ -418,11 +403,6 @@ def chord_diagram(spec: MapSpec, vertex: str, level: int, lm: Optional[LevelMap]
         lm = faces(spec, level).level_map
 
     n = len(slots)
-    index = {d: i for i, d in enumerate(slots)}
-    spans = []
-    for p in passages:
-        a, b = sorted((index[p.in_dart], index[p.out_dart]))
-        spans.append((a, b))
 
     # corner s (the gap after slot s) gets a side signature per chord
     def signature(corner: int) -> tuple[bool, ...]:
@@ -472,17 +452,14 @@ class TileComplex:
     def euler(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
 
-    def color_of_face(self, fid: int) -> str:
-        return self.level_map.colors[fid]
-
     def side_color(self, pos: int, side: str) -> str:
         fid = self.level_map.left_face(pos) if side == "left" else self.level_map.right_face(pos)
         return self.level_map.colors[fid]
 
 
-def _two_color(lm: LevelMap, anchor_face: int) -> list[str]:
-    """Checkerboard coloring with anchor_face white; raises on odd cycles."""
-    colors: dict[int, str] = {anchor_face: WHITE}
+def _two_color(lm: LevelMap, anchor_face: int, anchor_color: str) -> list[str]:
+    """Checkerboard coloring from anchor_face's color; raises on odd cycles."""
+    colors: dict[int, str] = {anchor_face: anchor_color}
     queue = [anchor_face]
     while queue:
         f = queue.pop()
@@ -501,30 +478,31 @@ def _two_color(lm: LevelMap, anchor_face: int) -> list[str]:
     if len(colors) != len(lm.faces):
         # disconnected complex; color remaining components arbitrarily but fail Euler elsewhere
         for f in range(len(lm.faces)):
-            colors.setdefault(f, WHITE)
+            colors.setdefault(f, anchor_color)
     return [colors[f] for f in range(len(lm.faces))]
+
+
+def _color_level(spec: MapSpec, lm: LevelMap, lm0: Optional[LevelMap]) -> None:
+    """Color lm from the white anchor; level 1 inherits it through the colored
+    level-0 map lm0.  Raises ValueError when no coloring exists."""
+    if lm.level == 0:
+        pos, side = spec.white_anchor
+        anchor = lm.left_face(pos) if side == "left" else lm.right_face(pos)
+        lm.colors = _two_color(lm, anchor, WHITE)
+        return
+    if lm0 is None or lm0.colors is None:
+        raise ValueError("level 0 has no coloring to inherit")
+    # the left side of 1-edge j covers the left side of 0-edge j mod k,
+    # so position 0 pins the level-1 coloring
+    lm.colors = _two_color(lm, lm.left_face(0), lm0.colors[lm0.left_face(0)])
 
 
 def faces(spec: MapSpec, level: int) -> TileComplex:
     """Trace the tiles of the level-0 or level-1 complex and checkerboard-color
     them from the white anchor (level 1 inherits the anchor through the map)."""
     lm = _build_level(spec, level)
-    pos0, side0 = spec.white_anchor
-    if level == 0:
-        anchor = lm.left_face(pos0) if side0 == "left" else lm.right_face(pos0)
-        lm.colors = _two_color(lm, anchor)
-    else:
-        lm0 = _build_level(spec, 0)
-        a0 = lm0.left_face(pos0) if side0 == "left" else lm0.right_face(pos0)
-        lm0.colors = _two_color(lm0, a0)
-        # the left side of 1-edge j covers the left side of 0-edge j mod k,
-        # so position 0 pins the level-1 coloring
-        want = lm0.colors[lm0.left_face(0)]
-        lm.colors = _two_color(lm, lm.left_face(0))
-        if want == BLACK:
-            lm.colors = [BLACK if c == WHITE else WHITE for c in lm.colors]
-    n_vertices = len(lm.rotations)
-    return TileComplex(level=level, level_map=lm, n_vertices=n_vertices, n_edges=lm.n_edges)
+    _color_level(spec, lm, faces(spec, 0).level_map if level else None)
+    return TileComplex(level=level, level_map=lm, n_vertices=len(lm.rotations), n_edges=lm.n_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +608,7 @@ def validate(spec: MapSpec) -> ValidationReport:
     except ValueError as e:
         report.add("local degree not integral", str(e))
 
+    lm0 = None
     for level in (0, 1):
         if not _check_rotations(spec, level, report):
             continue
@@ -640,14 +619,14 @@ def validate(spec: MapSpec) -> ValidationReport:
                 "Euler formula violated",
                 f"level {level}: V-E+F = {n_vertices}-{lm.n_edges}+{len(lm.faces)}",
             )
-        for v in lm.rotations:
-            cross = _chords_cross(list(lm.rotations[v]), _passages_at(spec, v, level))
-            if cross is not None:
+        for v, rot in lm.rotations.items():
+            if _chords_cross(_chord_spans(list(rot), _passages_at(spec, v, level))) is not None:
                 report.add("curve not oriented", f"crossing chords at vertex {v!r} (level {level})")
         try:
-            faces(spec, level)
+            _color_level(spec, lm, lm0)
         except ValueError:
             report.add("not checkerboard-colorable", f"level {level} tiles admit no 2-coloring")
+        lm0 = lm
 
     return report
 

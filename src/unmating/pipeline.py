@@ -23,6 +23,29 @@ def frac_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def matrix_json(matrix: spectral.TransitionMatrix, lengths: spectral.LengthVector) -> dict:
+    return {
+        "matrix": [list(row) for row in matrix.entries],
+        "eigenvector": [frac_str(Fraction(x)) for x in lengths.eigenvector],
+        "lengths": [frac_str(l) for l in lengths.lengths],
+    }
+
+
+def parameters_json(
+    spec: MapSpec,
+    params: parameterize.MarkerParameters,
+    pullback: parameterize.PullbackParameters,
+    branch: int,
+) -> dict:
+    # one label per marker: post name tagged with the marker index
+    labels = [f"{spec.marker_post(i)}#{i}" for i in range(spec.k)]
+    return {
+        "t": {label: frac_str(t) for label, t in zip(labels, params.t)},
+        "s": [frac_str(s) for s in pullback.s],
+        "branch": branch,
+    }
+
+
 @dataclass
 class PipelineResult:
     spec: MapSpec
@@ -43,27 +66,6 @@ class PipelineResult:
     depth: int
     branch: int
 
-    def marker_labels(self) -> list[str]:
-        """One label per marker: post name tagged with the marker index."""
-        return [f"{self.spec.marker_post(i)}#{i}" for i in range(self.spec.k)]
-
-    def matrix_json(self) -> dict:
-        return {
-            "matrix": [list(row) for row in self.matrix.entries],
-            "eigenvector": [frac_str(Fraction(x)) for x in self.lengths.eigenvector],
-            "lengths": [frac_str(l) for l in self.lengths.lengths],
-        }
-
-    def parameters_json(self) -> dict:
-        return {
-            "t": {
-                label: frac_str(t)
-                for label, t in zip(self.marker_labels(), self.params.t)
-            },
-            "s": [frac_str(s) for s in self.pullback.s],
-            "branch": self.branch,
-        }
-
     def portrait_json(self, portrait: portraits.CriticalPortrait) -> dict:
         return {
             "sets": [[frac_str(a) for a in s.angles] for s in portrait.sets],
@@ -79,8 +81,8 @@ class PipelineResult:
     def to_json(self) -> dict:
         return {
             "validation": self.report.to_json(),
-            "matrix": self.matrix_json(),
-            "parameters": self.parameters_json(),
+            "matrix": matrix_json(self.matrix, self.lengths),
+            "parameters": parameters_json(self.spec, self.params, self.pullback, self.branch),
             "criticals": [
                 {
                     "vertex": cv.vertex,
@@ -101,15 +103,27 @@ class PipelineResult:
         }
 
 
+def certified_lengths(
+    spec: MapSpec,
+) -> tuple[mapspec.ValidationReport, spectral.TransitionMatrix, spectral.LengthVector]:
+    """Validate, build the transition matrix and certify its Perron vector."""
+    report = mapspec.validate_or_raise(spec)
+    matrix = spectral.transition_matrix(spec)
+    return report, matrix, spectral.certify_perron(matrix, spec.degree)
+
+
+def marker_parameters(
+    spec: MapSpec, lengths: spectral.LengthVector, branch: int
+) -> tuple[parameterize.MarkerParameters, parameterize.PullbackParameters]:
+    """Circle parameters of the markers and of every pullback position."""
+    params = parameterize.solve_for_spec(spec, lengths, base=0, branch=branch)
+    return params, parameterize.pullback_parameters(params, spec)
+
+
 def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResult:
     """Run every stage on a parsed spec; raises the stage's error type."""
-    report = mapspec.validate_or_raise(spec)
-
-    matrix = spectral.transition_matrix(spec)
-    lengths = spectral.certify_perron(matrix, spec.degree)
-
-    params = parameterize.solve_for_spec(spec, lengths, base=0, branch=branch)
-    pullback = parameterize.pullback_parameters(params, spec)
+    report, matrix, lengths = certified_lengths(spec)
+    params, pullback = marker_parameters(spec, lengths, branch)
 
     tiles1 = mapspec.faces(spec, 1)
     criticals = mapspec.critical_vertices(spec, tiles1)

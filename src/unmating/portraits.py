@@ -66,9 +66,6 @@ class CriticalPortrait:
             out.update(s.angles)
         return sorted(out)
 
-    def angle_sets(self) -> list[tuple[Angle, ...]]:
-        return [s.angles for s in self.sets]
-
 
 # ---------------------------------------------------------------------------
 # marking procedure

@@ -11,7 +11,7 @@ from itertools import product
 import numpy as np
 
 from unmating.circle import Angle, Leaf, q_apply, q_preimages
-from unmating.laminations import AngleClasses, _merge_overlapping, check_planar
+from unmating.laminations import AngleClasses, check_planar
 from unmating.portraits import Sectors
 
 
@@ -43,6 +43,22 @@ def power_iteration(matrix, iterations: int = 20000, tol: float = 1e-13) -> np.n
     return v
 
 
+def merge_overlapping(sets: list[set[Angle]]) -> list[set[Angle]]:
+    """Repeated pairwise merging of sets that share an angle, until none do."""
+    merged: list[set[Angle]] = []
+    for s in sets:
+        bucket = set(s)
+        keep = []
+        for m in merged:
+            if m & bucket:
+                bucket |= m
+            else:
+                keep.append(m)
+        keep.append(bucket)
+        merged = keep
+    return merged
+
+
 def _in_closed_sector(x: Angle, sec: Sectors, label: int) -> bool:
     for lo, hi in sec.arcs_of(label):
         span = (hi.value - lo.value) % 1
@@ -66,7 +82,7 @@ def brute_force_pullback(classes: AngleClasses, sec: Sectors, d: int) -> AngleCl
             if a2 != b2 and _common_sector((a2, b2), sec):
                 candidates.append({a2, b2})
     candidates.extend(set(c) for c in classes.classes)
-    merged = _merge_overlapping(candidates)
+    merged = merge_overlapping(candidates)
     out = tuple(sorted({tuple(sorted(s)) for s in merged}, key=lambda s: (s[0], len(s), s)))
     assert check_planar(out) is None, "oracle produced a crossing"
     return AngleClasses(depth=classes.depth + 1, color=classes.color, classes=out)

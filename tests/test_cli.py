@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from unmating.cli import main
 from unmating.laminations import pullback_to_depth
 from unmating.svg import SvgScene, render_svg
@@ -93,6 +95,13 @@ class TestUnmateCommand:
         # one overlay plus one file per side
         assert (tmp_path / "jordan.white.svg").exists()
         assert (tmp_path / "jordan.black.svg").exists()
+
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_depth_below_one_is_usage_error(self, capsys, depth):
+        with pytest.raises(SystemExit) as exc:
+            main(["unmate", str(MEYER), "--depth", depth])
+        assert exc.value.code == 2
+        assert "--depth: must be >= 1" in capsys.readouterr().err
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "unmate", MEYER, "--depth", "4")

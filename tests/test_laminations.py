@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unmating.circle import Angle, q_apply
 from unmating.errors import LaminationError
@@ -10,13 +12,14 @@ from unmating.laminations import (
     check_planar,
     depth1,
     join,
+    merge_tagged,
     moore_check,
     pullback_step,
     pullback_to_depth,
 )
 from unmating.portraits import CriticalPortrait, PreargumentSet, sectors
 
-from .oracles import brute_force_pullback
+from .oracles import brute_force_pullback, merge_overlapping
 
 A = Angle.of
 
@@ -152,6 +155,48 @@ class TestJoin:
         joined = join(w2, b2)
         merged = [c for c in joined.classes if len(c) > 2]
         assert merged == [(A(1, 8), A(3, 8), A(5, 8), A(7, 8))]
+
+
+# small angle pool so random sets overlap often; sizes from singletons up
+tagged_families = st.lists(
+    st.tuples(
+        st.frozensets(st.builds(lambda n: A(n, 16), st.integers(0, 15)), min_size=1, max_size=4),
+        st.sampled_from(["white", "black"]),
+    ),
+    max_size=10,
+)
+
+
+def naive_components(tagged) -> dict[frozenset, frozenset]:
+    """Oracle components with the tags of the sets inside each."""
+    return {
+        frozenset(m): frozenset(tag for angles, tag in tagged if set(angles) <= m)
+        for m in merge_overlapping([set(angles) for angles, _ in tagged])
+    }
+
+
+class TestMergeOracle:
+    @given(tagged_families)
+    def test_merge_tagged_matches_naive(self, tagged):
+        got = {frozenset(m): frozenset(tags) for m, tags in merge_tagged(tagged)}
+        assert got == naive_components(tagged)
+
+    @given(tagged_families)
+    def test_join_matches_naive(self, tagged):
+        white = AngleClasses(1, "white", tuple(tuple(sorted(a)) for a, t in tagged if t == "white"))
+        black = AngleClasses(1, "black", tuple(tuple(sorted(a)) for a, t in tagged if t == "black"))
+        joined = join(white, black)
+        got = {frozenset(c): frozenset(s) for c, s in zip(joined.classes, joined.sides)}
+        assert got == naive_components(tagged)
+        assert list(joined.classes) == sorted(joined.classes, key=lambda c: (c[0], len(c)))
+
+    def test_chain_in_reverse_order_is_one_component(self):
+        links = [(A(i, 16), A(i + 1, 16)) for i in range(8)][::-1]
+        merged = merge_tagged([(pair, "white") for pair in links] + [((A(15, 16),), "black")])
+        assert sorted((sorted(m), sorted(t)) for m, t in merged) == [
+            ([A(i, 16) for i in range(9)], ["white"]),
+            ([A(15, 16)], ["black"]),
+        ]
 
 
 class TestMoore:

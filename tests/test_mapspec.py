@@ -58,6 +58,14 @@ class TestParse:
         with pytest.raises(MapfileError, match="increasing"):
             parse(raw)
 
+    @pytest.mark.parametrize("key", ["rotation0", "rotation1"])
+    @pytest.mark.parametrize("value", [[], "x", 5])
+    def test_rotation_not_an_object(self, key, value):
+        raw = meyer_raw()
+        raw[key] = value
+        with pytest.raises(MapfileError, match="malformed"):
+            parse(raw)
+
 
 class TestValidate:
     def test_meyer_fixture_passes(self, meyer_spec):
@@ -264,6 +272,13 @@ class TestRobustness:
                 assert isinstance(report.passed, bool)
                 scrambled += 1
         assert scrambled > 0
+
+    def test_missing_level0_rotation_is_reported(self):
+        # the level-1 coloring inherits its anchor from level 0, so it fails too
+        for vertex in ("p1", "p2", "p3", "p0"):
+            report = validate(spec_with(lambda raw: raw["rotation0"].pop(vertex)))
+            checks = [f.check for f in report.findings]
+            assert checks == ["rotation system incomplete", "not checkerboard-colorable"]
 
     def test_word_rewrites_never_crash(self):
         import json as _json
