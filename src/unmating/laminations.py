@@ -9,14 +9,17 @@ every output is checked planar.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import pairwise
+from math import lcm
+from typing import Iterable, Optional, Sequence
 
-from .circle import Angle, Leaf, q_preimages, sets_linked
+from .circle import Angle, Leaf, q_preimages
 from .errors import LaminationError
 from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec, TileComplex, chord_diagram, critical_vertices, faces
 from .parameterize import PullbackParameters
-from .portraits import CriticalPortrait, Sectors, sectors
+from .portraits import CriticalPortrait, sectors
 
 JOIN = "join"
 
@@ -58,14 +61,57 @@ class LeafSet:
         return len(self.leaves)
 
 
+def linked_pairs(classes: Sequence[AngleSet]) -> list[tuple[int, int]]:
+    """Sorted index pairs i < j of classes whose hulls cross.
+
+    The classes must be pairwise disjoint.  Cut the circle at 0 and give a
+    class with angles e_0 < ... < e_m the chords (e_t, e_t+1).  Two disjoint
+    hulls cross exactly when a chord of one strictly crosses a chord of the
+    other: an angle of one class strictly inside (e_0, e_m) of the other lies
+    in a gap (e_t, e_t+1), so the closing chord (e_0, e_m) is never needed.
+    One sweep over the chords by left end reports every crossing pair
+    (Bentley and Ottmann 1979).  The open chords are kept sorted by right
+    end; once those ending at or before a are dropped, a chord (a, b) crosses
+    exactly the open chords with right end in (a, b), so each step costs the
+    crossings it finds.
+    """
+    owner: dict[Angle, int] = {}
+    for i, c in enumerate(classes):
+        for x in c:
+            if owner.setdefault(x, i) != i:
+                raise LaminationError(
+                    f"classes {owner[x]} and {i} share the angle {x}; "
+                    "the crossing sweep needs disjoint classes"
+                )
+    # exact integer positions on a common denominator
+    scale = lcm(*(x.value.denominator for x in owner))
+    pos = {x: x.value.numerator * (scale // x.value.denominator) for x in owner}
+    chords = sorted(
+        (a, b, i)
+        for i, c in enumerate(classes)
+        for a, b in pairwise(sorted(pos[x] for x in c))
+    )
+
+    pairs: set[tuple[int, int]] = set()
+    open_chords: list[tuple[int, int]] = []  # (right end, class), sorted
+    for a, b, i in chords:
+        del open_chords[: bisect_right(open_chords, (a, len(classes)))]
+        for right, j in open_chords:
+            if right >= b:
+                break
+            pairs.add((j, i) if j < i else (i, j))
+        insort(open_chords, (b, i))
+    return sorted(pairs)
+
+
 def check_planar(classes: Iterable[AngleSet]) -> Optional[tuple[AngleSet, AngleSet]]:
     """First pair of classes with crossing hulls, or None."""
     cl = list(classes)
-    for i in range(len(cl)):
-        for j in range(i + 1, len(cl)):
-            if sets_linked(cl[i], cl[j]):
-                return (cl[i], cl[j])
-    return None
+    pairs = linked_pairs(cl)
+    if not pairs:
+        return None
+    i, j = pairs[0]
+    return (cl[i], cl[j])
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +148,6 @@ def depth1(
 
 # ---------------------------------------------------------------------------
 # pullback of classes through portrait sectors
-
-def _in_closed_sector(x: Angle, sec: Sectors, label: int) -> bool:
-    for lo, hi in sec.arcs_of(label):
-        span = (hi.value - lo.value) % 1
-        off = (x.value - lo.value) % 1
-        if off <= span:
-            return True
-    return False
-
 
 def merge_tagged(tagged: Iterable[tuple[Iterable[Angle], str]]) -> list[tuple[set[Angle], set[str]]]:
     """Connected components of non-empty angle sets, two sets being connected
@@ -157,26 +194,22 @@ def pullback_step(
             f"cannot lift {classes.color} classes through a {portrait.color} portrait"
         )
     sec = sectors(portrait, d)
-    candidates: list[set[Angle]] = []
+    candidates = [set(c) for c in classes.classes]
     for cls in classes.classes:
-        preimages = {u: q_preimages(u, d) for u in cls}
-        for label in range(sec.count):
-            lift = {
-                x
-                for u in cls
-                for x in preimages[u]
-                if _in_closed_sector(x, sec, label)
-            }
-            if len(lift) >= 2:
-                candidates.append(lift)
-        # preimage sets of single angles of a class, when a sector holds several
+        # closed sector s holds x iff s is x's left or right label
+        lifts: dict[int, set[Angle]] = {}
         for u in cls:
-            for label in range(sec.count):
-                hits = {x for x in preimages[u] if _in_closed_sector(x, sec, label)}
-                if len(hits) >= 2:
-                    candidates.append(hits)
+            hits: dict[int, set[Angle]] = {}
+            for x in q_preimages(u, d):
+                for label in {sec.label_of(x, "left"), sec.label_of(x, "right")}:
+                    hits.setdefault(label, set()).add(x)
+            for label, xs in hits.items():
+                lifts.setdefault(label, set()).update(xs)
+                # preimage sets of single angles, when a sector holds several
+                if len(xs) >= 2:
+                    candidates.append(xs)
+        candidates.extend(xs for xs in lifts.values() if len(xs) >= 2)
 
-    candidates.extend(set(c) for c in classes.classes)
     out = _canon(angles for angles, _ in merge_tagged((c, classes.color) for c in candidates))
 
     crossing = check_planar(out)
@@ -227,22 +260,19 @@ def moore_check(joined: AngleClasses) -> dict:
     sides = joined.sides or tuple((joined.color,) for _ in joined.classes)
     violations = []
     informational = []
-    cl = joined.classes
-    for i in range(len(cl)):
-        for j in range(i + 1, len(cl)):
-            if not sets_linked(cl[i], cl[j]):
-                continue
-            entry = {
-                "a": [str(x) for x in cl[i]],
-                "b": [str(x) for x in cl[j]],
-                "sides": sorted(set(sides[i]) | set(sides[j])),
-            }
-            same_side = sides[i] == sides[j] and len(sides[i]) == 1
-            if same_side:
-                violations.append(entry)
-            else:
-                entry["note"] = "two-sided crossing (informational)"
-                informational.append(entry)
+    text = [[str(x) for x in c] for c in joined.classes]
+    for i, j in linked_pairs(joined.classes):
+        entry = {
+            "a": list(text[i]),
+            "b": list(text[j]),
+            "sides": sorted(set(sides[i]) | set(sides[j])),
+        }
+        same_side = sides[i] == sides[j] and len(sides[i]) == 1
+        if same_side:
+            violations.append(entry)
+        else:
+            entry["note"] = "two-sided crossing (informational)"
+            informational.append(entry)
     return {
         "passed": not violations,
         "violations": violations,

@@ -135,6 +135,9 @@ def parse(data: bytes | str | dict) -> MapSpec:
     if degree < 2:
         raise MapfileError(f"degree must be >= 2, got {degree}")
     for name, items in (("post", post), ("edges0", edges0)):
+        for item in items:
+            if not isinstance(item, str):
+                raise MapfileError(f"malformed mapfile: {name} id {item!r} is not a string")
         if len(set(items)) != len(items):
             raise MapfileError(f"duplicate ids in {name}")
     ids = [v for v, _ in vertices1_items]

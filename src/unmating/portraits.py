@@ -10,6 +10,7 @@ families are empty here, so the conditions touching them hold vacuously.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -186,35 +187,15 @@ class Sectors:
     def arcs_of(self, label: int) -> list[tuple[Angle, Angle]]:
         return [arc for arc, s in zip(self.arcs, self.sector_of_arc) if s == label]
 
-    def _arc_index_left(self, t: Angle) -> int:
-        """Arc containing t, boundary angles resolved to the arc ending at t."""
-        b = self.boundary
-        n = len(b)
-        if t in b:
-            i = b.index(t)
-            return (i - 1) % n
-        return self._arc_index_interior(t)
-
-    def _arc_index_right(self, t: Angle) -> int:
-        b = self.boundary
-        if t in b:
-            return b.index(t)
-        return self._arc_index_interior(t)
-
-    def _arc_index_interior(self, t: Angle) -> int:
-        b = self.boundary
-        n = len(b)
-        for i in range(n):
-            lo, hi = b[i], b[(i + 1) % n]
-            span = (hi.value - lo.value) % 1
-            off = (t.value - lo.value) % 1
-            if 0 < off < span:
-                return i
-        raise ValueError(f"angle {t} not located in any arc")
-
     def label_of(self, t: Angle, side: str = "left") -> int:
-        idx = self._arc_index_left(t) if side == "left" else self._arc_index_right(t)
-        return self.sector_of_arc[idx]
+        """Sector of the arc holding t.  A boundary angle lies on the arc
+        ending at it from the left and on the arc starting at it from the
+        right."""
+        b = self.boundary
+        i = bisect_left(b, t)
+        if side != "left" and i < len(b) and b[i] == t:
+            return self.sector_of_arc[i]
+        return self.sector_of_arc[i - 1]  # index -1 is the arc through 0
 
 
 def _gap_index(sorted_angles: Sequence[Angle], x: Fraction) -> int:

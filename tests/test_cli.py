@@ -44,6 +44,18 @@ class TestValidateCommand:
         assert "curve not oriented" in [f["check"] for f in json.loads(out)["findings"]]
 
 
+    @pytest.mark.parametrize("key, index, value", [("post", 1, ["x"]), ("edges0", 0, None)])
+    def test_non_string_id_exit_two(self, capsys, tmp_path, key, index, value):
+        raw = meyer_raw()
+        raw[key][index] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "validate", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed mapfile:") and "is not a string" in err
+
+
 class TestMatrixCommand:
     def test_meyer_output(self, capsys):
         code, out, _ = run(capsys, "matrix", MEYER)

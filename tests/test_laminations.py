@@ -12,14 +12,16 @@ from unmating.laminations import (
     check_planar,
     depth1,
     join,
+    linked_pairs,
     merge_tagged,
     moore_check,
     pullback_step,
     pullback_to_depth,
 )
+from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, sectors
 
-from .oracles import brute_force_pullback, merge_overlapping
+from .oracles import brute_force_pullback, linked_pairs_by_scan, merge_overlapping, moore_by_scan
 
 A = Angle.of
 
@@ -112,6 +114,12 @@ class TestPullbackStep:
         start = classes(1, "white", [A(0), A(1, 2)])
         step = pullback_step(start, p, 2)
         assert step.classes == ((A(0), A(1, 4), A(1, 2), A(3, 4)),)
+
+    def test_boundary_preimages_lie_in_both_sectors(self):
+        # 0 and 1/2 bound both closed sectors, so both lifts of {0, 1/3} hold them
+        p = portrait("white", 2, [A(0), A(1, 2)])
+        step = pullback_step(classes(1, "white", [A(0), A(1, 3)]), p, 2)
+        assert step.classes == ((A(0), A(1, 6), A(1, 3), A(1, 2), A(2, 3)),)
 
     def test_color_mismatch_rejected(self, meyer_result):
         with pytest.raises(LaminationError, match="cannot lift"):
@@ -226,6 +234,66 @@ class TestMoore:
         report = moore_check(joined)
         assert not report["passed"]
         assert len(report["violations"]) == 1
+
+
+@st.composite
+def disjoint_families(draw):
+    """Pairwise-disjoint classes of 1-5 angles on the 1/48 grid, in any order;
+    most classes straddle 0, where the sweep cuts the circle."""
+    pool = draw(st.permutations(range(48)))
+    sizes = draw(st.lists(st.integers(1, 5), max_size=14))
+    family, used = [], 0
+    for size in sizes:
+        if used + size > len(pool):
+            break
+        family.append(tuple(sorted(A(n, 48) for n in pool[used : used + size])))
+        used += size
+    return family
+
+
+side_tags = st.sampled_from([("white",), ("black",), ("black", "white")])
+
+
+class TestLinkedPairs:
+    @given(disjoint_families())
+    def test_matches_scan(self, family):
+        assert linked_pairs(family) == linked_pairs_by_scan(family)
+
+    @given(disjoint_families())
+    def test_check_planar_is_first_scanned_pair(self, family):
+        scan = linked_pairs_by_scan(family)
+        expected = (family[scan[0][0]], family[scan[0][1]]) if scan else None
+        assert check_planar(family) == expected
+
+    @given(disjoint_families().flatmap(
+        lambda f: st.tuples(st.just(f), st.lists(side_tags, min_size=len(f), max_size=len(f)))
+    ))
+    def test_moore_matches_scan(self, family_sides):
+        family, sides = family_sides
+        joined = AngleClasses(1, "join", tuple(family), tuple(sides))
+        assert moore_check(joined) == moore_by_scan(joined)
+
+    def test_shared_angle_refused(self):
+        with pytest.raises(LaminationError, match="share the angle 1/4"):
+            linked_pairs([(A(0), A(1, 4)), (A(1, 4), A(1, 2))])
+
+    def test_fixtures_at_depth_seven_match_scan(self, meyer_spec, jordan_spec):
+        for spec in (meyer_spec, jordan_spec):
+            result = run_pipeline(spec, depth=7)
+            for lam in (result.lamination_white, result.lamination_black, result.lamination_join):
+                assert linked_pairs(lam.classes) == linked_pairs_by_scan(lam.classes), lam.color
+
+
+class TestDepthNine:
+    """The counts the benchmark's output check pins for both fixtures."""
+
+    @pytest.mark.parametrize("fixture, crossings", [("meyer_spec", 5455), ("jordan_spec", 15468)])
+    def test_classes_and_moore(self, request, fixture, crossings):
+        result = run_pipeline(request.getfixturevalue(fixture), depth=9)
+        assert len(result.lamination_white.classes) == 511
+        assert len(result.lamination_black.classes) == 511
+        assert result.moore["passed"] and result.moore["violations"] == []
+        assert len(result.moore["informational"]) == crossings
 
 
 class TestLeafSet:

@@ -66,6 +66,15 @@ class TestParse:
         with pytest.raises(MapfileError, match="malformed"):
             parse(raw)
 
+    @pytest.mark.parametrize(
+        "key, index, value", [("post", 1, ["x"]), ("edges0", 0, None)]
+    )
+    def test_non_string_id(self, key, index, value):
+        raw = meyer_raw()
+        raw[key][index] = value
+        with pytest.raises(MapfileError, match=f"{key} id .* is not a string"):
+            parse(raw)
+
 
 class TestValidate:
     def test_meyer_fixture_passes(self, meyer_spec):

@@ -17,7 +17,7 @@ from unmating.portraits import (
     sectors,
 )
 
-from .oracles import itinerary_equal_to_horizon
+from .oracles import _in_closed_sector, itinerary_equal_to_horizon, label_by_scan
 
 A = Angle.of
 
@@ -32,6 +32,8 @@ def portrait(color, d, *angle_sets) -> CriticalPortrait:
 
 MEYER_WHITE = portrait("white", 2, [A(5, 24), A(17, 24)])
 MEYER_BLACK = portrait("black", 2, [A(1, 24), A(13, 24)])
+# degree 3, nested sets: one sector is a union of two arcs, 0 is a boundary angle
+TOY_DEGREE3 = portrait("white", 3, [A(0), A(1, 3)], [A(1, 2), A(5, 6)])
 
 
 class TestExtraction:
@@ -123,12 +125,37 @@ class TestSectors:
 
     def test_multi_set_sector_arcs(self):
         # degree 3, nested sets: middle sector is a union of two arcs
-        p = portrait("white", 3, [A(0), A(1, 3)], [A(1, 2), A(5, 6)])
-        sec = sectors(p, 3)
+        sec = sectors(TOY_DEGREE3, 3)
         assert sec.count == 3
         arcs_per_sector = [len(sec.arcs_of(s)) for s in range(sec.count)]
         assert sorted(arcs_per_sector) == [1, 1, 2]
         assert all((l * 3).denominator == 1 for l in sec.lengths)
+
+
+class TestSectorLabels:
+    """Bisected labels against the arc-by-arc scan on a 1/(48 d) grid, which
+    holds every boundary angle of these portraits."""
+
+    def cases(self, meyer_result, jordan_result):
+        for result in (meyer_result, jordan_result):
+            for p in (result.white, result.black):
+                yield sectors(p, 2), 2
+        yield sectors(TOY_DEGREE3, 3), 3
+
+    def test_label_of_matches_scan(self, meyer_result, jordan_result):
+        for sec, d in self.cases(meyer_result, jordan_result):
+            grid = [A(n, 48 * d) for n in range(48 * d)]
+            assert set(sec.boundary) <= set(grid)
+            for x in grid:
+                for side in ("left", "right"):
+                    assert sec.label_of(x, side) == label_by_scan(x, sec, side), (x, side)
+
+    def test_two_sides_give_closed_sectors(self, meyer_result, jordan_result):
+        for sec, d in self.cases(meyer_result, jordan_result):
+            for n in range(48 * d):
+                x = A(n, 48 * d)
+                closed = {s for s in range(sec.count) if _in_closed_sector(x, sec, s)}
+                assert {sec.label_of(x, "left"), sec.label_of(x, "right")} == closed, x
 
 
 class TestItinerary:
