@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as quote
 
 from . import mapspec
 from .errors import MapfileError, UnmatingError, ValidationFailure
@@ -29,8 +30,64 @@ from .pipeline import (
 from .svg import SvgScene, render_svg, write_svg
 
 
+def _dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``: ASCII-escaped, keys in dict
+    order, tuples as lists.  Dict keys must be ``str``.
+
+    Built as one list of parts joined once.  A list of strings renders with
+    one join and is memoized per call: the Moore report repeats each joined
+    class's angle list once per crossing.
+    """
+    parts: list[str] = []
+    pads = ["\n"]  # pads[level] = newline + indentation at that level
+    rendered: dict[tuple, str] = {}
+
+    def write(o, level: int) -> None:
+        if isinstance(o, str):
+            parts.append(quote(o))
+            return
+        if type(o) is int:
+            parts.append(repr(o))
+            return
+        if type(o) is bool:
+            parts.append("true" if o else "false")
+            return
+        if not isinstance(o, (dict, list, tuple)):
+            parts.append(json.dumps(o))  # json's spelling of floats and null, and its errors
+            return
+        if not o:
+            parts.append("{}" if isinstance(o, dict) else "[]")
+            return
+        if len(pads) == level + 1:
+            pads.append(pads[level] + "  ")
+        inner = pads[level + 1]
+        if isinstance(o, dict):
+            sep = "{" + inner
+            for key, value in o.items():
+                parts.append(sep + quote(key) + ": ")
+                write(value, level + 1)
+                sep = "," + inner
+            parts.append(pads[level] + "}")
+        elif all(isinstance(x, str) for x in o):
+            key = (level, tuple(o))
+            if key not in rendered:
+                rendered[key] = "[" + inner + ("," + inner).join(map(quote, o)) + pads[level] + "]"
+            parts.append(rendered[key])
+        else:
+            sep = "[" + inner
+            for x in o:
+                parts.append(sep)
+                write(x, level + 1)
+                sep = "," + inner
+            parts.append(pads[level] + "]")
+
+    write(obj, 0)
+    return "".join(parts)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2, sort_keys=False) + "\n")
+    sys.stdout.write(_dumps(obj))
+    sys.stdout.write("\n")  # a separate write: text + "\n" would copy a report of megabytes
 
 
 def _load(path: str) -> mapspec.MapSpec:

@@ -108,36 +108,73 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # parsing
 
+_KIND = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def _typed(value, kind: type, key: str):
+    """`value` if its type is exactly `kind` (so a bool is not an integer),
+    else a MapfileError naming `key`; nothing is coerced."""
+    if type(value) is not kind:
+        raise MapfileError(f"malformed mapfile: {key} {value!r} is not {_KIND[kind]}")
+    return value
+
+
+def _array(value, key: str, kind: type, item: str) -> list:
+    """`value` if it is an array whose items all have type `kind`; `item` names them."""
+    if not set(map(type, _typed(value, list, key))) <= {kind}:
+        _typed(next(x for x in value if type(x) is not kind), kind, item)  # raises
+    return value
+
+
+def _rows(raw: dict, key: str, fields: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The string fields of each object in the array raw[key]."""
+    items = _array(raw[key], key, dict, f"{key} entry")
+    columns = [_array([x[f] for x in items], key, str, f"{key} id") for f in fields]
+    return list(zip(*columns))
+
+
+def _pairs(items: list, key: str) -> list[tuple[int, str]]:
+    """Items that are [integer, string] arrays: rotation darts or the white anchor."""
+    for p in items:
+        if type(p) is not list or len(p) != 2 or type(p[0]) is not int or type(p[1]) is not str:
+            raise MapfileError(f"malformed mapfile: {key} {p!r} is not an [integer, string] pair")
+    return [(pos, label) for pos, label in items]
+
+
+def _rotation(raw: dict, key: str) -> dict[str, list[Dart]]:
+    rotation = _typed(raw[key], dict, key)
+    _array(list(rotation), key, str, f"{key} id")
+    return {v: _pairs(_typed(darts, list, key), f"{key} dart") for v, darts in rotation.items()}
+
+
 def parse(data: bytes | str | dict) -> MapSpec:
     """Build a MapSpec from mapfile JSON; structural checks only."""
     if isinstance(data, (bytes, str)):
         try:
             raw = json.loads(data)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # bad syntax or encoding; nesting too deep
             raise MapfileError(f"malformed JSON: {e}") from None
     else:
         raw = data
 
     try:
-        degree = int(raw["degree"])
-        post = list(raw["post"])
-        edges0 = list(raw["edges0"])
-        word0 = [Word0Entry(str(w["edge"]), str(w["to"])) for w in raw["word0"]]
-        vertices1_items = [(str(v["id"]), str(v["image"])) for v in raw["vertices1"]]
-        word1 = [Word1Entry(str(w["image_edge"]), str(w["to"])) for w in raw["word1"]]
-        rotation0 = {str(k): [(int(p), str(e)) for p, e in v] for k, v in raw["rotation0"].items()}
-        rotation1 = {str(k): [(int(p), str(e)) for p, e in v] for k, v in raw["rotation1"].items()}
-        markers = [int(m) for m in raw["markers"]]
-        anchor = (int(raw["white_anchor"][0]), str(raw["white_anchor"][1]))
-    except (AttributeError, KeyError, TypeError, ValueError, IndexError) as e:
-        raise MapfileError(f"malformed mapfile: {e}") from None
+        _typed(raw, dict, "mapfile")
+        degree = _typed(raw["degree"], int, "degree")
+        post = _array(raw["post"], "post", str, "post id")
+        edges0 = _array(raw["edges0"], "edges0", str, "edges0 id")
+        word0 = [Word0Entry(*row) for row in _rows(raw, "word0", ("edge", "to"))]
+        vertices1_items = _rows(raw, "vertices1", ("id", "image"))
+        word1 = [Word1Entry(*row) for row in _rows(raw, "word1", ("image_edge", "to"))]
+        rotation0 = _rotation(raw, "rotation0")
+        rotation1 = _rotation(raw, "rotation1")
+        markers = _array(raw["markers"], "markers", int, "markers item")
+        (anchor,) = _pairs([raw["white_anchor"]], "white_anchor")
+    except KeyError as e:
+        raise MapfileError(f"malformed mapfile: missing key {e}") from None
 
     if degree < 2:
         raise MapfileError(f"degree must be >= 2, got {degree}")
     for name, items in (("post", post), ("edges0", edges0)):
-        for item in items:
-            if not isinstance(item, str):
-                raise MapfileError(f"malformed mapfile: {name} id {item!r} is not a string")
         if len(set(items)) != len(items):
             raise MapfileError(f"duplicate ids in {name}")
     ids = [v for v, _ in vertices1_items]

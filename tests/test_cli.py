@@ -1,14 +1,27 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from unmating.cli import main
+from unmating.cli import _dumps, main
 from unmating.laminations import pullback_to_depth
+from unmating.pipeline import run_pipeline
 from unmating.svg import SvgScene, render_svg
 
 from .conftest import JORDAN, MEYER, REVERSED, meyer_raw
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -54,6 +67,16 @@ class TestValidateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed mapfile:") and "is not a string" in err
+
+    def test_wrong_json_type_exit_two(self, capsys, tmp_path):
+        raw = meyer_raw()
+        raw["degree"] = 2.7
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        code, out, err = run(capsys, "validate", path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: malformed mapfile: degree 2.7 is not an integer\n"
 
 
 class TestMatrixCommand:
@@ -179,3 +202,123 @@ class TestSvgScene:
         scene = SvgScene.from_classes([meyer_result.depth1_white])
         data = render_svg(scene).decode()
         assert ">5/24</text>" in data and ">17/24</text>" in data
+
+
+# JSON trees of the kinds json.dumps accepts; text covers non-ASCII and control characters
+json_text = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600", '"\\/\t\n'])
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+    | json_text
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids, max_size=5)
+    | st.lists(kids, max_size=5).map(tuple)
+    | st.dictionaries(json_text, kids, max_size=5),
+    max_leaves=40,
+)
+
+
+class TestDumps:
+    """cli._dumps against its oracle, json.dumps(indent=2)."""
+
+    @given(json_trees)
+    def test_matches_json_dumps(self, tree):
+        assert _dumps(tree) == json.dumps(tree, indent=2)
+
+    @given(st.lists(json_text, min_size=1, max_size=4))
+    def test_string_list_at_several_levels(self, words):
+        tree = [words, [words, [words, {"k": words}]], tuple(words), {"k": [words]}]
+        assert _dumps(tree) == json.dumps(tree, indent=2)
+
+    def test_deep_jordan_report(self, jordan_spec):
+        report = run_pipeline(jordan_spec, depth=9).to_json()
+        same = _dumps(report) == json.dumps(report, indent=2)
+        assert same  # not the texts themselves: pytest would diff 5.9 MB
+
+
+@pytest.mark.parametrize(
+    "fixture, sha256",
+    [
+        (MEYER, "b3510c6e273f3e6bd1e7e413360b06239d6c5ce8c1debd677c89806ac407705e"),
+        (JORDAN, "91b05f32dc9de748dac4a06d68d3b261a947c12bd6ced4ac5bad5be9af3def7e"),
+    ],
+    ids=["meyer", "jordan"],
+)
+def test_depth9_stdout_bytes(fixture, sha256):
+    """The bytes a real process writes to stdout, at a depth the golden file does not reach."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-m", "unmating.cli", "unmate", str(fixture), "--depth", "9"],
+        cwd=ROOT, env=env, capture_output=True, check=True, timeout=120,
+    ).stdout
+    assert hashlib.sha256(out).hexdigest() == sha256
+
+
+# mapfile fuzz: mutate a fixture, run it through the CLI, expect an exit code and no traceback
+
+WRONG_TYPED = st.sampled_from([None, True, 2.5, -1, 10**20, "x", "", [], {}, [1, "in"], {"a": 1}])
+
+
+def _locations(node, path=()):
+    """Path of every value below the root of a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _locations(child, path + (key,))
+
+
+def _at(raw, path):
+    for key in path:
+        raw = raw[key]
+    return raw
+
+
+# which (parent, value) locations each kind of mutation applies to
+MUTATIONS = {
+    "retype": lambda parent, value: True,
+    "delete": lambda parent, value: isinstance(parent, list),
+    "swap": lambda parent, value: len(parent) > 1,
+    "tweak": lambda parent, value: isinstance(value, (int, str)) and not isinstance(value, bool),
+}
+
+
+@st.composite
+def mutated_mapfiles(draw) -> dict:
+    """A fixture with one or two values retyped, list items deleted, siblings
+    swapped, or ints and names changed (to a name used elsewhere in the file)."""
+    raw = json.loads(draw(st.sampled_from([MEYER, JORDAN])).read_text())
+    values = [_at(raw, p) for p in _locations(raw)]
+    names = sorted({v for v in values if isinstance(v, str)})
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(sorted(MUTATIONS)))
+        fits = MUTATIONS[kind]
+        path = draw(st.sampled_from(
+            [p for p in _locations(raw) if fits(_at(raw, p[:-1]), _at(raw, p))]
+        ))
+        parent, key = _at(raw, path[:-1]), path[-1]
+        if kind == "retype":
+            parent[key] = draw(WRONG_TYPED)
+        elif kind == "delete":
+            del parent[key]
+        elif kind == "swap":
+            other = draw(st.sampled_from(list(parent) if isinstance(parent, dict) else range(len(parent))))
+            parent[key], parent[other] = parent[other], parent[key]
+        elif isinstance(parent[key], int):
+            parent[key] += draw(st.integers(-3, 3))
+        else:
+            parent[key] = draw(st.sampled_from(names + ["zz"]))
+    return raw
+
+
+@given(mutated_mapfiles())
+@settings(max_examples=200, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_mapfiles_exit_cleanly(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.json"
+        path.write_text(json.dumps(raw))
+        for argv in (["validate", str(path)], ["unmate", str(path), "--depth", "2"]):
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in range(8), argv

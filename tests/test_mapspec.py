@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from unmating.errors import MapfileError
@@ -15,6 +17,13 @@ from unmating.mapspec import (
 )
 
 from .conftest import meyer_raw, spec_with
+
+
+def _container(raw, path):
+    """The dict or list that holds the value at `path`."""
+    for key in path[:-1]:
+        raw = raw[key]
+    return raw
 
 
 class TestParse:
@@ -74,6 +83,41 @@ class TestParse:
         raw[key][index] = value
         with pytest.raises(MapfileError, match=f"{key} id .* is not a string"):
             parse(raw)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("degree",), 2.7, "degree 2.7 is not an integer"),
+            (("degree",), "2", "degree '2' is not an integer"),
+            (("markers",), [1.9, 2, 4, 5, 8, 10], "markers item 1.9 is not an integer"),
+            (("markers",), [True, 2, 4, 5, 8, 10], "markers item True is not an integer"),
+            (("white_anchor",), [0.5, "left"], "white_anchor [0.5, 'left'] is not an [integer, string] pair"),
+            (("white_anchor",), [0, "left", 1], "white_anchor [0, 'left', 1] is not an [integer, string] pair"),
+            (("post",), "p1p2p3p0", "post 'p1p2p3p0' is not an array"),
+            (("rotation1", "p0"), [[3.0, "in"], [4, "out"], [7, "in"], [8, "out"]],
+             "rotation1 dart [3.0, 'in'] is not an [integer, string] pair"),
+            (("rotation0", "p1"), [[2, "in"], [3, 0]], "rotation0 dart [3, 0] is not an [integer, string] pair"),
+            (("word0", 0, "to"), 5, "word0 id 5 is not a string"),
+            (("vertices1", 4), ["c1", "p1"], "vertices1 entry ['c1', 'p1'] is not an object"),
+        ],
+    )
+    def test_wrong_json_type(self, path, value, message):
+        raw = meyer_raw()
+        _container(raw, path)[path[-1]] = value
+        with pytest.raises(MapfileError, match=re.escape(f"malformed mapfile: {message}")):
+            parse(raw)
+
+    @pytest.mark.parametrize("path", [("markers",), ("word1", 3, "to")], ids=["top", "entry"])
+    def test_missing_key(self, path):
+        raw = meyer_raw()
+        del _container(raw, path)[path[-1]]
+        with pytest.raises(MapfileError, match=f"malformed mapfile: missing key '{path[-1]}'"):
+            parse(raw)
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe\x00", b"[" * 100_000], ids=["encoding", "nesting"])
+    def test_undecodable_json(self, data):
+        with pytest.raises(MapfileError, match="malformed JSON"):
+            parse(data)
 
 
 class TestValidate:
