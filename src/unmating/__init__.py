@@ -20,8 +20,8 @@ from .laminations import AngleClasses, LeafSet, depth1, join, moore_check, pullb
 from .mapspec import (
     ChordDiagram,
     CriticalVertex,
+    LevelMap,
     MapSpec,
-    TileComplex,
     ValidationReport,
     chord_diagram,
     critical_vertices,

@@ -82,6 +82,7 @@ def _dumps(obj) -> str:
             parts.append(pads[level] + "]")
 
     write(obj, 0)
+    del write  # break write's self-reference, so parts and the memo are freed on return
     return "".join(parts)
 
 
@@ -95,6 +96,13 @@ def _load(path: str) -> mapspec.MapSpec:
         return mapspec.parse_file(path)
     except OSError as e:
         raise MapfileError(f"cannot read {path}: {e}") from None
+
+
+def _write_svg(scene: SvgScene, path: str) -> None:
+    try:
+        write_svg(scene, path)
+    except OSError as e:
+        raise MapfileError(f"cannot write {path}: {e}") from None
 
 
 def _check_branch(spec: mapspec.MapSpec, branch: int) -> None:
@@ -158,9 +166,9 @@ def cmd_unmate(args) -> int:
     if args.svg:
         # the requested path gets the two-sided overlay, plus one file per side
         base = args.svg[:-4] if args.svg.endswith(".svg") else args.svg
-        write_svg(_scene(result, "join"), args.svg)
-        write_svg(_scene(result, "w"), f"{base}.white.svg")
-        write_svg(_scene(result, "b"), f"{base}.black.svg")
+        _write_svg(_scene(result, "join"), args.svg)
+        _write_svg(_scene(result, "w"), f"{base}.white.svg")
+        _write_svg(_scene(result, "b"), f"{base}.black.svg")
     return 0
 
 
@@ -168,7 +176,7 @@ def cmd_lamination(args) -> int:
     result = _run(args)
     _emit(result.lamination_json(lamination_for_side(result, args.side)))
     if args.svg:
-        write_svg(_scene(result, args.side), args.svg)
+        _write_svg(_scene(result, args.side), args.svg)
     return 0
 
 
@@ -176,7 +184,7 @@ def cmd_render(args) -> int:
     result = _run(args)
     scene = _scene(result, args.side)
     if args.svg:
-        write_svg(scene, args.svg)
+        _write_svg(scene, args.svg)
     else:
         sys.stdout.write(render_svg(scene).decode("utf-8"))
     return 0

@@ -11,7 +11,8 @@ class UnmatingError(Exception):
 
 
 class MapfileError(UnmatingError):
-    """Structurally malformed input file (bad syntax, references, arity)."""
+    """Malformed input file (bad syntax, references, arity), or a path that
+    cannot be read or written."""
 
     stage = None
     exit_code = 2

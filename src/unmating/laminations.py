@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .circle import Angle, Leaf, q_preimages
 from .errors import LaminationError
-from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec, TileComplex, chord_diagram, critical_vertices, faces
+from .mapspec import BLACK, WHITE, CriticalVertex
 from .parameterize import PullbackParameters
 from .portraits import CriticalPortrait, sectors
 
@@ -118,10 +118,7 @@ def check_planar(classes: Iterable[AngleSet]) -> Optional[tuple[AngleSet, AngleS
 # depth 1: connection classes at critical vertices
 
 def depth1(
-    spec: MapSpec,
-    pullback: PullbackParameters,
-    criticals: Optional[list[CriticalVertex]] = None,
-    tiles1: Optional[TileComplex] = None,
+    pullback: PullbackParameters, criticals: list[CriticalVertex]
 ) -> tuple[AngleClasses, AngleClasses]:
     """White and black depth-1 classes from connections at critical vertices.
 
@@ -129,18 +126,10 @@ def depth1(
     own depth-0 identifications; the new identifications, the ones generating
     the portraits, happen where the map folds.
     """
-    if tiles1 is None:
-        tiles1 = faces(spec, 1)
-    if criticals is None:
-        criticals = critical_vertices(spec, tiles1)
     out: dict[str, list[set[Angle]]] = {WHITE: [], BLACK: []}
     for cv in criticals:
-        diagram = chord_diagram(spec, cv.vertex, 1, tiles1.level_map)
-        for region in diagram.regions:
-            if len(region.passages) < 2:
-                continue
-            angles = {pullback.s[diagram.passages[p].visit] for p in region.passages}
-            out[region.color].append(angles)
+        for color, visits in cv.connections:
+            out[color].append({pullback.s[j] for j in visits})
     white = AngleClasses(depth=1, color=WHITE, classes=_canon(out[WHITE]))
     black = AngleClasses(depth=1, color=BLACK, classes=_canon(out[BLACK]))
     return white, black
@@ -260,11 +249,11 @@ def moore_check(joined: AngleClasses) -> dict:
     sides = joined.sides or tuple((joined.color,) for _ in joined.classes)
     violations = []
     informational = []
-    text = [[str(x) for x in c] for c in joined.classes]
+    text = [[str(x) for x in c] for c in joined.classes]  # one list per class, shared by its entries
     for i, j in linked_pairs(joined.classes):
         entry = {
-            "a": list(text[i]),
-            "b": list(text[j]),
+            "a": text[i],
+            "b": text[j],
             "sides": sorted(set(sides[i]) | set(sides[j])),
         }
         same_side = sides[i] == sides[j] and len(sides[i]) == 1

@@ -90,6 +90,7 @@ class Finding:
 @dataclass
 class ValidationReport:
     findings: list[Finding] = field(default_factory=list)
+    levels: dict[int, LevelMap] = field(default_factory=dict)  # each level once it is colored
 
     @property
     def passed(self) -> bool:
@@ -302,16 +303,12 @@ def _build_level(spec: MapSpec, level: int) -> LevelMap:
     n = spec.k if level == 0 else spec.n1
     rotations = _rotations(spec, level)
 
-    # sigma: next dart counterclockwise around its vertex
-    sigma: dict[Dart, Dart] = {}
+    # sigma: next dart counterclockwise around its vertex; only its inverse is used
     sigma_inv: dict[Dart, Dart] = {}
-    based_at: dict[Dart, str] = {}
-    for v, rot in rotations.items():
+    for rot in rotations.values():
         for idx, dart in enumerate(rot):
             nxt = rot[(idx + 1) % len(rot)]
-            sigma[dart] = nxt
             sigma_inv[nxt] = dart
-            based_at[dart] = v
 
     # face permutation phi = sigma^{-1} o alpha; orbits are the tiles
     darts = [(pos, end) for pos in range(n) for end in (OUT, IN)]
@@ -387,21 +384,19 @@ def _passages_at(spec: MapSpec, vertex: str, level: int) -> list[Passage]:
     ]
 
 
-def _chord_spans(slots: list[Dart], passages: list[Passage]) -> list[tuple[int, int]]:
+def _chord_spans(slots: tuple[Dart, ...], passages: list[Passage]) -> list[tuple[int, int]]:
     """(lower, upper) rotation slot index of each passage's two ends."""
     index = {d: i for i, d in enumerate(slots)}
     return [tuple(sorted((index[p.in_dart], index[p.out_dart]))) for p in passages]
 
 
-def _chords_cross(spans: list[tuple[int, int]]) -> Optional[tuple[int, int]]:
-    """Return indices of a crossing pair of passage chords, if any."""
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            a, b = spans[i]
-            c, d = spans[j]
+def _chords_cross(spans: list[tuple[int, int]]) -> bool:
+    """Whether two passage chords cross."""
+    for i, (a, b) in enumerate(spans):
+        for c, d in spans[i + 1:]:
             if (a < c < b) != (a < d < b):
-                return (i, j)
-    return None
+                return True
+    return False
 
 
 @dataclass
@@ -420,28 +415,13 @@ class ChordDiagram:
     regions: list[Region]
 
 
-class ChordCrossingError(ValueError):
-    pass
-
-
-def chord_diagram(spec: MapSpec, vertex: str, level: int, lm: Optional[LevelMap] = None) -> ChordDiagram:
-    """Disk model of the curve near a vertex: boundary slots, passage chords,
-    complementary regions with their tile colors."""
-    rot = _rotations(spec, level).get(vertex)
-    if rot is None:
-        raise KeyError(f"no vertex {vertex!r} at level {level}")
-    slots = list(rot)
-    passages = _passages_at(spec, vertex, level)
+def chord_diagram(spec: MapSpec, vertex: str, lm: LevelMap) -> ChordDiagram:
+    """Disk model of the curve near a vertex of the validated, colored level
+    map lm: boundary slots, passage chords, complementary regions with their
+    tile colors."""
+    slots = lm.rotations[vertex]
+    passages = _passages_at(spec, vertex, lm.level)
     spans = _chord_spans(slots, passages)
-    cross = _chords_cross(spans)
-    if cross is not None:
-        raise ChordCrossingError(
-            f"unlacing does not exist at vertex {vertex!r} (level {level}): "
-            f"passages {cross[0]} and {cross[1]} cross"
-        )
-    if lm is None:
-        lm = faces(spec, level).level_map
-
     n = len(slots)
 
     # corner s (the gap after slot s) gets a side signature per chord
@@ -455,7 +435,7 @@ def chord_diagram(spec: MapSpec, vertex: str, level: int, lm: Optional[LevelMap]
     regions = []
     for sig in sorted(groups, key=lambda s: groups[s][0]):
         corners = groups[sig]
-        colors = {lm.colors[lm.corner_face(vertex, c)] for c in corners} if lm.colors else set()
+        colors = {lm.colors[lm.corner_face(vertex, c)] for c in corners}
         if len(colors) > 1:
             raise ValueError(f"inconsistent corner colors at {vertex!r}: {colors}")
         # a chord borders the region holding a corner adjacent to one of its slots
@@ -467,35 +447,15 @@ def chord_diagram(spec: MapSpec, vertex: str, level: int, lm: Optional[LevelMap]
         regions.append(
             Region(
                 corners=tuple(corners),
-                color=colors.pop() if colors else "",
+                color=colors.pop(),
                 passages=tuple(border),
             )
         )
-    return ChordDiagram(vertex=vertex, level=level, slots=tuple(slots), passages=passages, regions=regions)
+    return ChordDiagram(vertex=vertex, level=lm.level, slots=slots, passages=passages, regions=regions)
 
 
 # ---------------------------------------------------------------------------
-# faces and coloring
-
-@dataclass
-class TileComplex:
-    level: int
-    level_map: LevelMap
-    n_vertices: int
-    n_edges: int
-
-    @property
-    def n_faces(self) -> int:
-        return len(self.level_map.faces)
-
-    @property
-    def euler(self) -> int:
-        return self.n_vertices - self.n_edges + self.n_faces
-
-    def side_color(self, pos: int, side: str) -> str:
-        fid = self.level_map.left_face(pos) if side == "left" else self.level_map.right_face(pos)
-        return self.level_map.colors[fid]
-
+# coloring
 
 def _two_color(lm: LevelMap, anchor_face: int, anchor_color: str) -> list[str]:
     """Checkerboard coloring from anchor_face's color; raises on odd cycles."""
@@ -515,10 +475,7 @@ def _two_color(lm: LevelMap, anchor_face: int, anchor_color: str) -> list[str]:
             else:
                 colors[other] = want
                 queue.append(other)
-    if len(colors) != len(lm.faces):
-        # disconnected complex; color remaining components arbitrarily but fail Euler elsewhere
-        for f in range(len(lm.faces)):
-            colors.setdefault(f, anchor_color)
+    # one closed walk covers every edge, so the map is connected and each face was reached
     return [colors[f] for f in range(len(lm.faces))]
 
 
@@ -530,19 +487,11 @@ def _color_level(spec: MapSpec, lm: LevelMap, lm0: Optional[LevelMap]) -> None:
         anchor = lm.left_face(pos) if side == "left" else lm.right_face(pos)
         lm.colors = _two_color(lm, anchor, WHITE)
         return
-    if lm0 is None or lm0.colors is None:
+    if lm0 is None:
         raise ValueError("level 0 has no coloring to inherit")
     # the left side of 1-edge j covers the left side of 0-edge j mod k,
     # so position 0 pins the level-1 coloring
     lm.colors = _two_color(lm, lm.left_face(0), lm0.colors[lm0.left_face(0)])
-
-
-def faces(spec: MapSpec, level: int) -> TileComplex:
-    """Trace the tiles of the level-0 or level-1 complex and checkerboard-color
-    them from the white anchor (level 1 inherits the anchor through the map)."""
-    lm = _build_level(spec, level)
-    _color_level(spec, lm, faces(spec, 0).level_map if level else None)
-    return TileComplex(level=level, level_map=lm, n_vertices=len(lm.rotations), n_edges=lm.n_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +501,13 @@ def faces(spec: MapSpec, level: int) -> TileComplex:
 class CriticalVertex:
     vertex: str
     local_degree: int
-    colors: tuple[str, ...]
     visits: tuple[int, ...]
+    # (color, passage visits) of each chord-diagram region that two or more passages border
+    connections: tuple[tuple[str, tuple[int, ...]], ...]
+
+    @property
+    def colors(self) -> tuple[str, ...]:
+        return tuple(sorted({color for color, _ in self.connections}))
 
 
 def local_degree(spec: MapSpec, vertex: str) -> int:
@@ -567,24 +521,26 @@ def local_degree(spec: MapSpec, vertex: str) -> int:
     return len(visits) // len(below)
 
 
-def critical_vertices(spec: MapSpec, tiles1: Optional[TileComplex] = None) -> list[CriticalVertex]:
-    """All 1-vertices of local degree >= 2, colored by the chord-diagram
-    regions that at least two passages border."""
-    if tiles1 is None:
-        tiles1 = faces(spec, 1)
+def critical_vertices(spec: MapSpec, lm1: LevelMap) -> list[CriticalVertex]:
+    """All 1-vertices of local degree >= 2, with the connections of their
+    chord diagrams on the colored level-1 map lm1."""
     out = []
     for v in spec.vertex_order:
         deg = local_degree(spec, v)
         if deg < 2:
             continue
-        diagram = chord_diagram(spec, v, 1, tiles1.level_map)
-        colors = sorted({r.color for r in diagram.regions if len(r.passages) >= 2})
+        diagram = chord_diagram(spec, v, lm1)
+        connections = tuple(
+            (r.color, tuple(diagram.passages[p].visit for p in r.passages))
+            for r in diagram.regions
+            if len(r.passages) >= 2
+        )
         out.append(
             CriticalVertex(
                 vertex=v,
                 local_degree=deg,
-                colors=tuple(colors),
                 visits=tuple(spec.visits_at(v)),
+                connections=connections,
             )
         )
     return out
@@ -648,7 +604,6 @@ def validate(spec: MapSpec) -> ValidationReport:
     except ValueError as e:
         report.add("local degree not integral", str(e))
 
-    lm0 = None
     for level in (0, 1):
         if not _check_rotations(spec, level, report):
             continue
@@ -660,13 +615,14 @@ def validate(spec: MapSpec) -> ValidationReport:
                 f"level {level}: V-E+F = {n_vertices}-{lm.n_edges}+{len(lm.faces)}",
             )
         for v, rot in lm.rotations.items():
-            if _chords_cross(_chord_spans(list(rot), _passages_at(spec, v, level))) is not None:
+            if _chords_cross(_chord_spans(rot, _passages_at(spec, v, level))):
                 report.add("curve not oriented", f"crossing chords at vertex {v!r} (level {level})")
         try:
-            _color_level(spec, lm, lm0)
+            _color_level(spec, lm, report.levels.get(0))
         except ValueError:
             report.add("not checkerboard-colorable", f"level {level} tiles admit no 2-coloring")
-        lm0 = lm
+        else:
+            report.levels[level] = lm
 
     return report
 
@@ -676,3 +632,9 @@ def validate_or_raise(spec: MapSpec) -> ValidationReport:
     if not report.passed:
         raise ValidationFailure(report)
     return report
+
+
+def faces(spec: MapSpec, level: int) -> LevelMap:
+    """The checkerboard-colored tile complex of the level-0 or level-1 curve,
+    as validation built it; raises ValidationFailure on an invalid spec."""
+    return validate_or_raise(spec).levels[level]

@@ -125,13 +125,12 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
     report, matrix, lengths = certified_lengths(spec)
     params, pullback = marker_parameters(spec, lengths, branch)
 
-    tiles1 = mapspec.faces(spec, 1)
-    criticals = mapspec.critical_vertices(spec, tiles1)
+    criticals = mapspec.critical_vertices(spec, report.levels[1])
     white, black = portraits.extract_portraits(spec, pullback, criticals)
     portraits.certify_portrait(white, spec.degree)
     portraits.certify_portrait(black, spec.degree)
 
-    d1w, d1b = lam.depth1(spec, pullback, criticals, tiles1)
+    d1w, d1b = lam.depth1(pullback, criticals)
 
     # cross-stage consistency: depth-1 classes are exactly the portrait sets
     if {frozenset(c) for c in d1w.classes} != {frozenset(s.angles) for s in white.sets}:

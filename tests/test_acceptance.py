@@ -15,6 +15,7 @@ import pytest
 from unmating import parse_file, validate
 from unmating.circle import Angle, q_apply
 from unmating.laminations import LeafSet, check_planar, depth1, pullback_step
+from unmating.mapspec import critical_vertices, faces
 from unmating.parameterize import pullback_parameters, solve_for_spec
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, certify, sectors
@@ -126,7 +127,7 @@ class TestAcceptance:
         for path in VALID_FIXTURES:
             spec = parse_file(path)
             result = run_pipeline(spec)
-            white, black = depth1(spec, result.pullback)
+            white, black = depth1(result.pullback, critical_vertices(spec, faces(spec, 1)))
             assert {frozenset(c) for c in white.classes} == {
                 frozenset(s.angles) for s in result.white.sets
             }, path.name

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
@@ -182,6 +183,16 @@ class TestRenderCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["unmate", "lamination", "render"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_svg_path_exit_two(capsys, tmp_path, command, target):
+    path = tmp_path / "missing" / "x.svg" if target == "missing_dir" else tmp_path
+    code, _, err = run(capsys, command, MEYER, "--depth", "1", "--svg", path)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestSvgScene:
     def test_empty_scene_outline_only(self):
         from unmating.laminations import AngleClasses
@@ -230,6 +241,16 @@ class TestDumps:
     def test_string_list_at_several_levels(self, words):
         tree = [words, [words, [words, {"k": words}]], tuple(words), {"k": [words]}]
         assert _dumps(tree) == json.dumps(tree, indent=2)
+
+    def test_leaves_no_reference_cycle(self):
+        # the parts list and the memo must be freed on return, not at a later gc pass
+        gc.collect()
+        gc.disable()
+        try:
+            _dumps({"a": [["1/2", "1/3"], ["1/2", "1/3"]], "b": [1, True, None, 0.5]})
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_deep_jordan_report(self, jordan_spec):
         report = run_pipeline(jordan_spec, depth=9).to_json()

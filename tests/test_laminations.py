@@ -18,6 +18,7 @@ from unmating.laminations import (
     pullback_step,
     pullback_to_depth,
 )
+from unmating.mapspec import critical_vertices, faces
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, sectors
 
@@ -42,12 +43,14 @@ MEYER_WHITE = portrait("white", 2, [A(5, 24), A(17, 24)])
 
 class TestDepth1:
     def test_meyer_matches_portraits(self, meyer_spec, meyer_result):
-        white, black = depth1(meyer_spec, meyer_result.pullback)
+        criticals = critical_vertices(meyer_spec, faces(meyer_spec, 1))
+        white, black = depth1(meyer_result.pullback, criticals)
         assert white.classes == ((A(5, 24), A(17, 24)),)
         assert black.classes == ((A(1, 24), A(13, 24)),)
 
     def test_jordan_matches_portraits(self, jordan_spec, jordan_result):
-        white, black = depth1(jordan_spec, jordan_result.pullback)
+        criticals = critical_vertices(jordan_spec, faces(jordan_spec, 1))
+        white, black = depth1(jordan_result.pullback, criticals)
         assert white.classes == ((A(1, 4), A(3, 4)),)
         assert black.classes == ((A(1, 8), A(5, 8)),)
 

@@ -4,17 +4,18 @@ import re
 
 import pytest
 
-from unmating.errors import MapfileError
+from unmating import mapspec
+from unmating.errors import MapfileError, ValidationFailure
 from unmating.mapspec import (
     BLACK,
     WHITE,
-    ChordCrossingError,
     chord_diagram,
     critical_vertices,
     faces,
     parse,
     validate,
 )
+from unmating.pipeline import run_pipeline
 
 from .conftest import meyer_raw, spec_with
 
@@ -154,59 +155,84 @@ class TestValidate:
 
     def test_riemann_hurwitz(self, meyer_spec):
         # two simple critical vertices: sum of (deg - 1) = 2 = 2d - 2
-        crits = critical_vertices(meyer_spec)
+        crits = critical_vertices(meyer_spec, faces(meyer_spec, 1))
         assert sum(c.local_degree - 1 for c in crits) == 2
+
+
+def _left(lm, pos):
+    return lm.colors[lm.left_face(pos)]
+
+
+def _right(lm, pos):
+    return lm.colors[lm.right_face(pos)]
 
 
 class TestFaces:
     def test_meyer_level0_euler(self, meyer_spec):
-        tiles = faces(meyer_spec, 0)
-        assert tiles.n_vertices == 4
-        assert tiles.n_edges == 6
-        assert tiles.n_faces == 4
-        assert tiles.euler == 2
+        lm = faces(meyer_spec, 0)
+        assert len(lm.rotations) == 4
+        assert lm.n_edges == 6
+        assert len(lm.faces) == 4
+        assert len(lm.rotations) - lm.n_edges + len(lm.faces) == 2
 
     def test_meyer_level0_colors(self, meyer_spec):
-        tiles = faces(meyer_spec, 0)
-        colors = [tiles.level_map.colors[f] for f in range(tiles.n_faces)]
-        assert colors.count(WHITE) == 3 and colors.count(BLACK) == 1
+        lm = faces(meyer_spec, 0)
+        assert lm.colors.count(WHITE) == 3 and lm.colors.count(BLACK) == 1
         # anchor: white on the left of edge position 0
-        assert tiles.side_color(0, "left") == WHITE
+        assert _left(lm, 0) == WHITE
 
     def test_meyer_level1_euler_and_checkerboard(self, meyer_spec):
-        tiles = faces(meyer_spec, 1)
-        assert (tiles.n_vertices, tiles.n_edges, tiles.n_faces) == (6, 12, 8)
+        lm = faces(meyer_spec, 1)
+        assert (len(lm.rotations), lm.n_edges, len(lm.faces)) == (6, 12, 8)
         for pos in range(12):
-            sides = {tiles.side_color(pos, "left"), tiles.side_color(pos, "right")}
-            assert sides == {WHITE, BLACK}
+            assert {_left(lm, pos), _right(lm, pos)} == {WHITE, BLACK}
 
     def test_jordan_level0_two_faces(self, jordan_spec):
-        tiles = faces(jordan_spec, 0)
-        assert tiles.n_faces == 2
-        assert {tiles.side_color(0, "left"), tiles.side_color(0, "right")} == {WHITE, BLACK}
+        lm = faces(jordan_spec, 0)
+        assert len(lm.faces) == 2
+        assert {_left(lm, 0), _right(lm, 0)} == {WHITE, BLACK}
 
     def test_level1_left_sides_cover_level0_left_sides(self, meyer_spec):
-        t0, t1 = faces(meyer_spec, 0), faces(meyer_spec, 1)
+        lm0, lm1 = faces(meyer_spec, 0), faces(meyer_spec, 1)
         for j in range(meyer_spec.n1):
-            assert t1.side_color(j, "left") == t0.side_color(j % meyer_spec.k, "left")
+            assert _left(lm1, j) == _left(lm0, j % meyer_spec.k)
+
+    @pytest.mark.parametrize("fixture", ["meyer_spec", "jordan_spec"])
+    def test_pipeline_builds_and_colors_each_level_once(self, monkeypatch, request, fixture):
+        calls = {"_build_level": 0, "_two_color": 0, "chord_diagram": 0}
+        for name in calls:
+            original = getattr(mapspec, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(mapspec, name, counted)
+        run_pipeline(request.getfixturevalue(fixture), depth=2)
+        # both fixtures have two critical vertices: one chord diagram each
+        assert calls == {"_build_level": 2, "_two_color": 2, "chord_diagram": 2}
+
+    def test_invalid_spec_has_no_faces(self, reversed_spec):
+        with pytest.raises(ValidationFailure, match="fully invariant condition violated"):
+            faces(reversed_spec, 0)
 
 
 class TestChordDiagram:
     def test_simple_vertex(self, meyer_spec):
-        d = chord_diagram(meyer_spec, "p2", 0)
+        d = chord_diagram(meyer_spec, "p2", faces(meyer_spec, 0))
         assert len(d.passages) == 1
         assert len(d.regions) == 2
         assert sorted(r.color for r in d.regions) == [BLACK, WHITE]
 
     def test_white_critical_vertex(self, meyer_spec):
-        d = chord_diagram(meyer_spec, "c1", 1)
+        d = chord_diagram(meyer_spec, "c1", faces(meyer_spec, 1))
         assert len(d.passages) == 2
         assert len(d.regions) == 3
         shared = [r for r in d.regions if len(r.passages) >= 2]
         assert len(shared) == 1 and shared[0].color == WHITE
 
     def test_black_critical_vertex(self, meyer_spec):
-        d = chord_diagram(meyer_spec, "c2", 1)
+        d = chord_diagram(meyer_spec, "c2", faces(meyer_spec, 1))
         shared = [r for r in d.regions if len(r.passages) >= 2]
         assert len(shared) == 1 and shared[0].color == BLACK
         # the other two regions each border only one passage
@@ -214,45 +240,39 @@ class TestChordDiagram:
         assert len(singles) == 2 and all(r.color == WHITE for r in singles)
 
     def test_regions_count(self, meyer_spec):
+        lm = faces(meyer_spec, 1)
         for v in ("p2", "p3", "p0", "p1", "c1", "c2"):
-            d = chord_diagram(meyer_spec, v, 1)
+            d = chord_diagram(meyer_spec, v, lm)
             assert len(d.regions) == len(d.passages) + 1
-
-    def test_crossing_chords_error(self):
-        spec = spec_with(
-            lambda raw: raw["rotation1"].__setitem__(
-                "p0", [[3, "in"], [7, "in"], [4, "out"], [8, "out"]]
-            )
-        )
-        with pytest.raises(ChordCrossingError, match="unlacing does not exist"):
-            chord_diagram(spec, "p0", 1)
 
     def test_nested_visits_share_black_region(self, meyer_spec):
         # c2's passages meet through the exterior: black connection, no white one
-        d = chord_diagram(meyer_spec, "c2", 1)
+        d = chord_diagram(meyer_spec, "c2", faces(meyer_spec, 1))
         colors = {r.color for r in d.regions if len(r.passages) >= 2}
         assert colors == {BLACK}
 
 
 class TestCriticalVertices:
     def test_meyer_criticals(self, meyer_spec):
-        crits = {c.vertex: c for c in critical_vertices(meyer_spec)}
+        crits = {c.vertex: c for c in critical_vertices(meyer_spec, faces(meyer_spec, 1))}
         assert set(crits) == {"c1", "c2"}
         assert crits["c1"].colors == (WHITE,)
         assert crits["c2"].colors == (BLACK,)
         assert crits["c1"].local_degree == crits["c2"].local_degree == 2
         assert crits["c1"].visits == (3, 9)
         assert crits["c2"].visits == (0, 6)
+        assert crits["c1"].connections == ((WHITE, (3, 9)),)
+        assert crits["c2"].connections == ((BLACK, (0, 6)),)
 
     def test_jordan_criticals(self, jordan_spec):
-        crits = {c.vertex: c for c in critical_vertices(jordan_spec)}
+        crits = {c.vertex: c for c in critical_vertices(jordan_spec, faces(jordan_spec, 1))}
         assert set(crits) == {"o", "b"}
         assert crits["b"].colors == (WHITE,)
         assert crits["o"].colors == (BLACK,)
 
     def test_degree_two_forces_simple_criticals(self, meyer_spec, jordan_spec):
         for spec in (meyer_spec, jordan_spec):
-            for c in critical_vertices(spec):
+            for c in critical_vertices(spec, faces(spec, 1)):
                 assert c.local_degree == 2
 
     def test_non_integral_local_degree_flagged(self):
