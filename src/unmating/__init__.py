@@ -6,7 +6,7 @@ for the white and black polynomials of the mating, and finite-depth
 lamination approximations with validity certificates.
 """
 
-from .circle import Angle, Leaf, OrbitSignature, arc_sum, is_linked, orbit_signature, q_apply, q_preimages
+from .circle import Angle, OrbitSignature, arc_sum, orbit_signature, q_apply, q_preimages
 from .errors import (
     LaminationError,
     MapfileError,
@@ -16,7 +16,7 @@ from .errors import (
     UnmatingError,
     ValidationFailure,
 )
-from .laminations import AngleClasses, LeafSet, depth1, join, moore_check, pullback_step
+from .laminations import AngleClasses, depth1, join, moore_check, pullback_step
 from .mapspec import (
     ChordDiagram,
     CriticalVertex,
@@ -40,12 +40,10 @@ from .parameterize import (
 from .pipeline import PipelineResult, run_pipeline
 from .portraits import (
     CriticalPortrait,
-    Itinerary,
     PreargumentSet,
     Sectors,
     certify,
     extract_portraits,
-    itinerary,
     sectors,
 )
 from .spectral import LengthVector, TransitionMatrix, certify_perron, deformation_words, transition_matrix

@@ -33,10 +33,6 @@ class Angle:
     def of(cls, numerator, denominator=1) -> "Angle":
         return cls(Fraction(numerator, denominator))
 
-    @classmethod
-    def parse(cls, text: str) -> "Angle":
-        return cls(Fraction(text))
-
     def __str__(self) -> str:
         return f"{self.value.numerator}/{self.value.denominator}"
 
@@ -63,37 +59,11 @@ class Angle:
     def __add__(self, other) -> "Angle":
         return Angle(self.value + _as_fraction(other))
 
-    def __sub__(self, other) -> "Angle":
-        return Angle(self.value - _as_fraction(other))
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Angle):
         return x.value
     return Fraction(x)
-
-
-@dataclass(frozen=True)
-class Leaf:
-    """An unordered pair of distinct angles, stored with the smaller first."""
-
-    a: Angle
-    b: Angle
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"leaf endpoints must be distinct, got {self.a} twice")
-        if self.b < self.a:
-            a, b = self.a, self.b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "b", a)
-
-    @property
-    def endpoints(self) -> tuple[Angle, Angle]:
-        return (self.a, self.b)
-
-    def __str__(self) -> str:
-        return f"{{{self.a}, {self.b}}}"
 
 
 @dataclass(frozen=True)
@@ -137,29 +107,6 @@ def orbit_signature(t: Angle, d: int) -> OrbitSignature:
         step += 1
     first = seen[cur]
     return OrbitSignature(preperiod=first, period=step - first)
-
-
-def in_open_arc(x: Angle, start: Angle, end: Angle) -> bool:
-    """True iff x lies strictly inside the positively-oriented arc (start, end)."""
-    if start == end:
-        return False
-    span = (end.value - start.value) % 1
-    offset = (x.value - start.value) % 1
-    return 0 < offset < span
-
-
-def is_linked(a: Leaf, b: Leaf) -> bool:
-    """Whether the chords of a and b cross inside the disk.
-
-    Exactly one endpoint of b strictly inside one open arc of a means the
-    endpoint pairs alternate on the circle.  Shared endpoints never link.
-    """
-    pts_a = set(a.endpoints)
-    pts_b = set(b.endpoints)
-    if pts_a & pts_b:
-        return False
-    inside = sum(1 for x in b.endpoints if in_open_arc(x, a.a, a.b))
-    return inside == 1
 
 
 def sets_linked(xs: Iterable[Angle], ys: Iterable[Angle]) -> bool:

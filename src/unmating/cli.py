@@ -162,21 +162,21 @@ def _scene(result: PipelineResult, side: str) -> SvgScene:
 
 def cmd_unmate(args) -> int:
     result = _run(args)
-    _emit(result.to_json())
-    if args.svg:
+    if args.svg:  # before the report, so a failed write leaves stdout empty
         # the requested path gets the two-sided overlay, plus one file per side
         base = args.svg[:-4] if args.svg.endswith(".svg") else args.svg
         _write_svg(_scene(result, "join"), args.svg)
         _write_svg(_scene(result, "w"), f"{base}.white.svg")
         _write_svg(_scene(result, "b"), f"{base}.black.svg")
+    _emit(result.to_json())
     return 0
 
 
 def cmd_lamination(args) -> int:
     result = _run(args)
-    _emit(result.lamination_json(lamination_for_side(result, args.side)))
-    if args.svg:
+    if args.svg:  # before the report, so a failed write leaves stdout empty
         _write_svg(_scene(result, args.side), args.svg)
+    _emit(result.lamination_json(lamination_for_side(result, args.side)))
     return 0
 
 

@@ -10,12 +10,12 @@ every output is checked planar.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import pairwise
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .circle import Angle, Leaf, q_preimages
+from .circle import Angle
 from .errors import LaminationError
 from .mapspec import BLACK, WHITE, CriticalVertex
 from .parameterize import PullbackParameters
@@ -23,45 +23,58 @@ from .portraits import CriticalPortrait, sectors
 
 JOIN = "join"
 
-AngleSet = tuple[Angle, ...]
+AngleSet = tuple[int, ...]  # sorted; x stands for the angle x/grid
 
 
-def _canon(sets: Iterable[Iterable[Angle]]) -> tuple[AngleSet, ...]:
+def frac(x: int, grid: int) -> str:
+    """The angle x/grid as a reduced "p/q" string."""
+    g = gcd(x, grid)
+    return f"{x // g}/{grid // g}"
+
+
+def _canon(sets: Iterable[Iterable]) -> tuple[tuple, ...]:
     uniq = {tuple(sorted(set(s))) for s in sets}
     return tuple(sorted(uniq, key=lambda s: (s[0], len(s), s)))
 
 
 @dataclass(frozen=True)
 class AngleClasses:
+    """Classes of angles x/grid, each a sorted tuple of the integers x.
+
+    Every depth-n angle of a degree-d pullback lies on the grid
+    1/(D*d^(n-1)), D the least common denominator of the depth-1 angles.
+    """
+
     depth: int
     color: str
+    grid: int
     classes: tuple[AngleSet, ...]
     sides: Optional[tuple[tuple[str, ...], ...]] = None  # per class, join only
 
-
-@dataclass(frozen=True)
-class LeafSet:
-    leaves: tuple[Leaf, ...]
-
     @classmethod
-    def from_classes(cls, classes: AngleClasses) -> "LeafSet":
-        leaves = set()
-        for c in classes.classes:
-            m = len(c)
-            if m < 2:
-                continue
-            if m == 2:
-                leaves.add(Leaf(c[0], c[1]))
-                continue
-            for i in range(m):
-                leaves.add(Leaf(c[i], c[(i + 1) % m]))
-        return cls(leaves=tuple(sorted(leaves, key=lambda l: (l.a, l.b))))
+    def of(
+        cls, depth: int, color: str, angle_sets: Iterable[Iterable[Angle]], grid: int
+    ) -> "AngleClasses":
+        """Canonical classes from sets of angles, each a multiple of 1/grid."""
+        ints = []
+        for s in angle_sets:
+            xs = set()
+            for a in s:
+                x = a.value * grid
+                if x.denominator != 1:
+                    raise LaminationError(f"angle {a} is not on the grid 1/{grid}")
+                xs.add(x.numerator)
+            ints.append(xs)
+        return cls(depth=depth, color=color, grid=grid, classes=_canon(ints))
 
-    def __len__(self) -> int:
-        return len(self.leaves)
+    def angles(self) -> tuple[tuple[Angle, ...], ...]:
+        return tuple(tuple(Angle.of(x, self.grid) for x in c) for c in self.classes)
+
+    def text(self) -> list[list[str]]:
+        return [[frac(x, self.grid) for x in c] for c in self.classes]
 
 
-def linked_pairs(classes: Sequence[AngleSet]) -> list[tuple[int, int]]:
+def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
     """Sorted index pairs i < j of classes whose hulls cross.
 
     The classes must be pairwise disjoint.  Cut the circle at 0 and give a
@@ -75,7 +88,7 @@ def linked_pairs(classes: Sequence[AngleSet]) -> list[tuple[int, int]]:
     exactly the open chords with right end in (a, b), so each step costs the
     crossings it finds.
     """
-    owner: dict[Angle, int] = {}
+    owner: dict = {}
     for i, c in enumerate(classes):
         for x in c:
             if owner.setdefault(x, i) != i:
@@ -83,14 +96,7 @@ def linked_pairs(classes: Sequence[AngleSet]) -> list[tuple[int, int]]:
                     f"classes {owner[x]} and {i} share the angle {x}; "
                     "the crossing sweep needs disjoint classes"
                 )
-    # exact integer positions on a common denominator
-    scale = lcm(*(x.value.denominator for x in owner))
-    pos = {x: x.value.numerator * (scale // x.value.denominator) for x in owner}
-    chords = sorted(
-        (a, b, i)
-        for i, c in enumerate(classes)
-        for a, b in pairwise(sorted(pos[x] for x in c))
-    )
+    chords = sorted((a, b, i) for i, c in enumerate(classes) for a, b in pairwise(sorted(c)))
 
     pairs: set[tuple[int, int]] = set()
     open_chords: list[tuple[int, int]] = []  # (right end, class), sorted
@@ -130,24 +136,26 @@ def depth1(
     for cv in criticals:
         for color, visits in cv.connections:
             out[color].append({pullback.s[j] for j in visits})
-    white = AngleClasses(depth=1, color=WHITE, classes=_canon(out[WHITE]))
-    black = AngleClasses(depth=1, color=BLACK, classes=_canon(out[BLACK]))
-    return white, black
+    grid = lcm(*(s.value.denominator for s in pullback.s))  # shared by both colors
+    return (
+        AngleClasses.of(1, WHITE, out[WHITE], grid),
+        AngleClasses.of(1, BLACK, out[BLACK], grid),
+    )
 
 
 # ---------------------------------------------------------------------------
 # pullback of classes through portrait sectors
 
-def merge_tagged(tagged: Iterable[tuple[Iterable[Angle], str]]) -> list[tuple[set[Angle], set[str]]]:
+def merge_tagged(tagged: Iterable[tuple[Iterable, str]]) -> list[tuple[set, set[str]]]:
     """Connected components of non-empty angle sets, two sets being connected
     when they share an angle, each with the tags of its member sets.
 
     Union-find over the angles (Tarjan 1975); component order is unspecified.
     """
     tagged = [(tuple(angles), tag) for angles, tag in tagged]
-    parent: dict[Angle, Angle] = {}
+    parent: dict = {}
 
-    def find(x: Angle) -> Angle:
+    def find(x):
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -159,7 +167,7 @@ def merge_tagged(tagged: Iterable[tuple[Iterable[Angle], str]]) -> list[tuple[se
         root = find(angles[0])
         for a in angles[1:]:
             parent[find(a)] = root
-    components: dict[Angle, tuple[set[Angle], set[str]]] = {}
+    components: dict = {}
     for angles, tag in tagged:
         members, tags = components.setdefault(find(angles[0]), (set(), set()))
         members.update(angles)
@@ -183,13 +191,19 @@ def pullback_step(
             f"cannot lift {classes.color} classes through a {portrait.color} portrait"
         )
     sec = sectors(portrait, d)
-    candidates = [set(c) for c in classes.classes]
+    # one finer grid holds the preimages (u/grid + m)/d and the sector boundary
+    grid = lcm(d * classes.grid, *(b.value.denominator for b in sec.boundary))
+    k = grid // (d * classes.grid)
+    boundary = tuple(b.value.numerator * (grid // b.value.denominator) for b in sec.boundary)
+    sec = replace(sec, boundary=boundary)  # label_of bisects the ints as it does Angles
+    candidates = [{u * d * k for u in c} for c in classes.classes]  # lower depths, retained
     for cls in classes.classes:
         # closed sector s holds x iff s is x's left or right label
-        lifts: dict[int, set[Angle]] = {}
+        lifts: dict[int, set[int]] = {}
         for u in cls:
-            hits: dict[int, set[Angle]] = {}
-            for x in q_preimages(u, d):
+            hits: dict[int, set[int]] = {}
+            for m in range(d):
+                x = (u + m * classes.grid) * k
                 for label in {sec.label_of(x, "left"), sec.label_of(x, "right")}:
                     hits.setdefault(label, set()).add(x)
             for label, xs in hits.items():
@@ -203,12 +217,9 @@ def pullback_step(
 
     crossing = check_planar(out)
     if crossing is not None:
-        a, b = crossing
-        raise LaminationError(
-            "pullback produced crossing: "
-            f"{{{', '.join(map(str, a))}}} links {{{', '.join(map(str, b))}}}"
-        )
-    return AngleClasses(depth=classes.depth + 1, color=classes.color, classes=out)
+        a, b = (", ".join(frac(x, grid) for x in c) for c in crossing)
+        raise LaminationError(f"pullback produced crossing: {{{a}}} links {{{b}}}")
+    return AngleClasses(depth=classes.depth + 1, color=classes.color, grid=grid, classes=out)
 
 
 def pullback_to_depth(
@@ -226,9 +237,10 @@ def pullback_to_depth(
 def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
     """Smallest common refinement: merge classes across colors through shared
     angles; each joined class records the sides it came from."""
-    if white.depth != black.depth:
+    if (white.depth, white.grid) != (black.depth, black.grid):
         raise LaminationError(
-            f"join needs equal depths, got {white.depth} and {black.depth}"
+            "join needs equal depths and grids, got depth "
+            f"{white.depth} on 1/{white.grid} and depth {black.depth} on 1/{black.grid}"
         )
     merged = merge_tagged(
         [(c, WHITE) for c in white.classes] + [(c, BLACK) for c in black.classes]
@@ -237,6 +249,7 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
     return AngleClasses(
         depth=white.depth,
         color=JOIN,
+        grid=white.grid,
         classes=tuple(tuple(sorted(a)) for a, _ in order),
         sides=tuple(tuple(sorted(s)) for _, s in order),
     )
@@ -249,7 +262,7 @@ def moore_check(joined: AngleClasses) -> dict:
     sides = joined.sides or tuple((joined.color,) for _ in joined.classes)
     violations = []
     informational = []
-    text = [[str(x) for x in c] for c in joined.classes]  # one list per class, shared by its entries
+    text = joined.text()  # one list per class, shared by its entries
     for i, j in linked_pairs(joined.classes):
         entry = {
             "a": text[i],

@@ -435,9 +435,8 @@ def chord_diagram(spec: MapSpec, vertex: str, lm: LevelMap) -> ChordDiagram:
     regions = []
     for sig in sorted(groups, key=lambda s: groups[s][0]):
         corners = groups[sig]
-        colors = {lm.colors[lm.corner_face(vertex, c)] for c in corners}
-        if len(colors) > 1:
-            raise ValueError(f"inconsistent corner colors at {vertex!r}: {colors}")
+        # the corners of a region lie on one side of every chord, so they share a color
+        color = lm.colors[lm.corner_face(vertex, corners[0])]
         # a chord borders the region holding a corner adjacent to one of its slots
         border = []
         for pi, (a, b) in enumerate(spans):
@@ -447,7 +446,7 @@ def chord_diagram(spec: MapSpec, vertex: str, lm: LevelMap) -> ChordDiagram:
         regions.append(
             Region(
                 corners=tuple(corners),
-                color=colors.pop(),
+                color=color,
                 passages=tuple(border),
             )
         )

@@ -75,7 +75,7 @@ class PipelineResult:
     def lamination_json(self, classes: lam.AngleClasses) -> dict:
         return {
             "depth": classes.depth,
-            "classes": [[frac_str(a) for a in c] for c in classes.classes],
+            "classes": classes.text(),
         }
 
     def to_json(self) -> dict:
@@ -127,16 +127,24 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
 
     criticals = mapspec.critical_vertices(spec, report.levels[1])
     white, black = portraits.extract_portraits(spec, pullback, criticals)
-    portraits.certify_portrait(white, spec.degree)
-    portraits.certify_portrait(black, spec.degree)
+    for portrait in (white, black):
+        cert = portraits.certify_portrait(portrait, spec.degree).certificate
+        if not cert["valid"]:
+            failed = "; ".join(
+                f"{name} ({c['detail']})"
+                for name, c in cert.items()
+                if name != "valid" and not c["passed"]
+            )
+            raise PortraitError(f"{portrait.color} portrait certificate failed: {failed}")
 
     d1w, d1b = lam.depth1(pullback, criticals)
 
     # cross-stage consistency: depth-1 classes are exactly the portrait sets
-    if {frozenset(c) for c in d1w.classes} != {frozenset(s.angles) for s in white.sets}:
-        raise LaminationError("depth-1 white classes disagree with the white portrait")
-    if {frozenset(c) for c in d1b.classes} != {frozenset(s.angles) for s in black.sets}:
-        raise LaminationError("depth-1 black classes disagree with the black portrait")
+    for classes, portrait in ((d1w, white), (d1b, black)):
+        if {frozenset(c) for c in classes.angles()} != {frozenset(s.angles) for s in portrait.sets}:
+            raise LaminationError(
+                f"depth-1 {portrait.color} classes disagree with the {portrait.color} portrait"
+            )
     s_set = set(pullback.s)
     for p in (white, black):
         for ps in p.sets:

@@ -184,9 +184,6 @@ class Sectors:
     def count(self) -> int:
         return len(self.lengths)
 
-    def arcs_of(self, label: int) -> list[tuple[Angle, Angle]]:
-        return [arc for arc, s in zip(self.arcs, self.sector_of_arc) if s == label]
-
     def label_of(self, t: Angle, side: str = "left") -> int:
         """Sector of the arc holding t.  A boundary angle lies on the arc
         ending at it from the left and on the arc starting at it from the
@@ -257,22 +254,6 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
         sector_of_arc=sector_of_arc,
         lengths=tuple(lengths),
     )
-
-
-@dataclass(frozen=True)
-class Itinerary:
-    symbols: tuple[int, ...]
-    side: str
-
-
-def itinerary(t: Angle, sec: Sectors, d: int, depth: int, side: str = "left") -> Itinerary:
-    """Sector symbols of t, q(t), ..., q^(depth-1)(t), one-sided at boundaries."""
-    out = []
-    cur = t
-    for _ in range(depth):
-        out.append(sec.label_of(cur, side))
-        cur = q_apply(cur, d)
-    return Itinerary(symbols=tuple(out), side=side)
 
 
 def _same_left_sequence(u: Angle, v: Angle, sec: Sectors, d: int) -> bool:

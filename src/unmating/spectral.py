@@ -28,10 +28,6 @@ class TransitionMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def column_sums(self) -> list[int]:
-        n = self.size
-        return [sum(self.entries[i][j] for i in range(n)) for j in range(n)]
-
 
 @dataclass(frozen=True)
 class LengthVector:

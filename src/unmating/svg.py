@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circle import Angle, Leaf
-from .laminations import BLACK, WHITE, AngleClasses, LeafSet
+from .laminations import BLACK, WHITE, AngleClasses, frac
 
 _STYLES = {
     WHITE: 'stroke="#b03030" stroke-width="0.010"',
@@ -22,26 +21,32 @@ _STYLES = {
 
 @dataclass
 class SvgScene:
-    chords: list[tuple[Leaf, str]] = field(default_factory=list)   # (leaf, side)
-    labels: list[Angle] = field(default_factory=list)
+    """Chords and labelled endpoints, the angles given as integers x meaning x/grid."""
+
+    grid: int
+    chords: list[tuple[int, int, str]] = field(default_factory=list)  # (a, b, side), a < b
+    labels: list[int] = field(default_factory=list)
 
     @classmethod
     def from_classes(cls, class_sets: list[AngleClasses]) -> "SvgScene":
-        scene = cls()
-        seen = set()
+        """The chords of each class: consecutive angles, and the closing chord
+        of a polygon."""
+        grid = math.lcm(*(classes.grid for classes in class_sets))
+        chords = set()
         for classes in class_sets:
-            side = classes.color
-            for leaf in LeafSet.from_classes(classes).leaves:
-                if (leaf, side) not in seen:
-                    seen.add((leaf, side))
-                    scene.chords.append((leaf, side))
-        scene.chords.sort(key=lambda cs: (cs[0].a, cs[0].b, cs[1]))
-        scene.labels = sorted({a for leaf, _ in scene.chords for a in leaf.endpoints})
-        return scene
+            side, k = classes.color, grid // classes.grid
+            for c in classes.classes:
+                xs = [x * k for x in c]
+                chords.update((a, b, side) for a, b in zip(xs, xs[1:]))
+                if len(xs) >= 3:
+                    chords.add((xs[0], xs[-1], side))
+        chords = sorted(chords)
+        labels = sorted({x for a, b, _ in chords for x in (a, b)})
+        return cls(grid=grid, chords=chords, labels=labels)
 
 
-def _point(t: Angle) -> tuple[float, float]:
-    theta = 2 * math.pi * float(t.value)
+def _point(x: int, grid: int) -> tuple[float, float]:
+    theta = 2 * math.pi * (x / grid)  # x / grid rounds once, as float(Fraction(x, grid)) does
     return (math.cos(theta), math.sin(theta))
 
 
@@ -57,19 +62,19 @@ def render_svg(scene: SvgScene) -> bytes:
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">',
         '  <circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.006"/>',
     ]
-    for leaf, side in scene.chords:
-        (x1, y1), (x2, y2) = _point(leaf.a), _point(leaf.b)
+    for a, b, side in scene.chords:
+        (x1, y1), (x2, y2) = _point(a, scene.grid), _point(b, scene.grid)
         style = _STYLES.get(side, _STYLES["join"])
         lines.append(
             f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
         )
     for t in scene.labels:
-        x, y = _point(t)
+        x, y = _point(t, scene.grid)
         lx, ly = 1.10 * x, 1.10 * y
         anchor = "middle"
         lines.append(
             f'  <text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="0.07" text-anchor="{anchor}" '
-            f'dominant-baseline="middle" fill="#222222">{t}</text>'
+            f'dominant-baseline="middle" fill="#222222">{frac(t, scene.grid)}</text>'
         )
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -10,24 +10,9 @@ from itertools import product
 
 import numpy as np
 
-from unmating.circle import Angle, Leaf, q_apply, q_preimages, sets_linked
+from unmating.circle import Angle, q_apply, q_preimages, sets_linked
 from unmating.laminations import AngleClasses
 from unmating.portraits import Sectors
-
-
-def linked_by_walk(a: Leaf, b: Leaf) -> bool:
-    """Walk the <=4 endpoints in circular order and test strict alternation."""
-    pts = sorted(set(a.endpoints) | set(b.endpoints))
-    if len(pts) < 4:
-        return False
-    tags = []
-    for p in pts:
-        in_a = p in a.endpoints
-        in_b = p in b.endpoints
-        if in_a and in_b:
-            return False
-        tags.append("a" if in_a else "b")
-    return tags in (["a", "b", "a", "b"], ["b", "a", "b", "a"])
 
 
 def power_iteration(matrix, iterations: int = 20000, tol: float = 1e-13) -> np.ndarray:
@@ -77,8 +62,8 @@ def moore_by_scan(joined: AngleClasses) -> dict:
     report = {"passed": True, "violations": [], "informational": []}
     for i, j in linked_pairs_by_scan(cl):
         entry = {
-            "a": [str(x) for x in cl[i]],
-            "b": [str(x) for x in cl[j]],
+            "a": [str(Angle.of(x, joined.grid)) for x in cl[i]],
+            "b": [str(Angle.of(x, joined.grid)) for x in cl[j]],
             "sides": sorted(set(sides[i]) | set(sides[j])),
         }
         if sides[i] == sides[j] and len(sides[i]) == 1:
@@ -104,8 +89,22 @@ def label_by_scan(t: Angle, sec: Sectors, side: str) -> int:
     raise AssertionError(f"angle {t} not located in any arc")
 
 
+def arcs_of(sec: Sectors, label: int) -> list[tuple[Angle, Angle]]:
+    """The boundary arcs making up one sector."""
+    return [arc for arc, s in zip(sec.arcs, sec.sector_of_arc) if s == label]
+
+
+def itinerary(t: Angle, sec: Sectors, d: int, depth: int, side: str = "left") -> tuple[int, ...]:
+    """Sector symbols of t, q(t), ..., q^(depth-1)(t), one-sided at boundaries."""
+    out = []
+    for _ in range(depth):
+        out.append(sec.label_of(t, side))
+        t = q_apply(t, d)
+    return tuple(out)
+
+
 def _in_closed_sector(x: Angle, sec: Sectors, label: int) -> bool:
-    for lo, hi in sec.arcs_of(label):
+    for lo, hi in arcs_of(sec, label):
         span = (hi.value - lo.value) % 1
         if (x.value - lo.value) % 1 <= span:
             return True
@@ -116,21 +115,23 @@ def _common_sector(xs, sec: Sectors) -> bool:
     return any(all(_in_closed_sector(x, sec, s) for x in xs) for s in range(sec.count))
 
 
-def brute_force_pullback(classes: AngleClasses, sec: Sectors, d: int) -> AngleClasses:
+def brute_force_pullback(
+    classes: AngleClasses, sec: Sectors, d: int
+) -> tuple[tuple[Angle, ...], ...]:
     """All endpoint-lift combinations of size-2 classes, filtered by sector
-    consistency, merged, and checked planar."""
+    consistency, merged, and checked planar; the classes as Angle tuples."""
     candidates = []
-    for cls in classes.classes:
+    for cls in classes.angles():
         assert len(cls) == 2, "oracle only handles leaves"
         a, b = cls
         for a2, b2 in product(q_preimages(a, d), q_preimages(b, d)):
             if a2 != b2 and _common_sector((a2, b2), sec):
                 candidates.append({a2, b2})
-    candidates.extend(set(c) for c in classes.classes)
+    candidates.extend(set(c) for c in classes.angles())
     merged = merge_overlapping(candidates)
     out = tuple(sorted({tuple(sorted(s)) for s in merged}, key=lambda s: (s[0], len(s), s)))
     assert not linked_pairs_by_scan(out), "oracle produced a crossing"
-    return AngleClasses(depth=classes.depth + 1, color=classes.color, classes=out)
+    return out
 
 
 def itinerary_equal_to_horizon(u: Angle, v: Angle, sec: Sectors, d: int, horizon: int) -> bool:

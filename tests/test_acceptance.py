@@ -14,12 +14,13 @@ import pytest
 
 from unmating import parse_file, validate
 from unmating.circle import Angle, q_apply
-from unmating.laminations import LeafSet, check_planar, depth1, pullback_step
+from unmating.laminations import check_planar, depth1, pullback_step
 from unmating.mapspec import critical_vertices, faces
 from unmating.parameterize import pullback_parameters, solve_for_spec
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, certify, sectors
 from unmating.spectral import certify_perron, transition_matrix
+from unmating.svg import SvgScene
 
 from .conftest import MEYER, REVERSED, VALID_FIXTURES, meyer_raw
 from .oracles import brute_force_pullback, power_iteration
@@ -128,10 +129,10 @@ class TestAcceptance:
             spec = parse_file(path)
             result = run_pipeline(spec)
             white, black = depth1(result.pullback, critical_vertices(spec, faces(spec, 1)))
-            assert {frozenset(c) for c in white.classes} == {
+            assert {frozenset(c) for c in white.angles()} == {
                 frozenset(s.angles) for s in result.white.sets
             }, path.name
-            assert {frozenset(c) for c in black.classes} == {
+            assert {frozenset(c) for c in black.angles()} == {
                 frozenset(s.angles) for s in result.black.sets
             }, path.name
         report(5, "depth-1 classes equal extracted portrait sets on all fixtures")
@@ -145,13 +146,13 @@ class TestAcceptance:
         ):
             sec = sectors(portrait, 2)
             cur = cls
-            leaf_counts = [len(LeafSet.from_classes(cur))]
+            leaf_counts = [len(SvgScene.from_classes([cur]).chords)]
             for depth in range(2, 7):
                 nxt = pullback_step(cur, portrait, 2)
                 oracle = brute_force_pullback(cur, sec, 2)
-                assert nxt.classes == oracle.classes, (portrait.color, depth)
+                assert nxt.angles() == oracle, (portrait.color, depth)
                 assert check_planar(nxt.classes) is None
-                leaf_counts.append(len(LeafSet.from_classes(nxt)))
+                leaf_counts.append(len(SvgScene.from_classes([nxt]).chords))
                 cur = nxt
             assert leaf_counts == sorted(leaf_counts)
         report(6, "depths 2-6 match brute-force lift enumeration; planar; counts nondecreasing")

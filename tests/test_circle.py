@@ -3,21 +3,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from unmating.circle import (
     Angle,
-    Leaf,
     arc_sum,
-    in_open_arc,
-    is_linked,
     orbit_signature,
     q_apply,
     q_preimages,
 )
-
-from .oracles import linked_by_walk
 
 A = Angle.of
 
@@ -90,38 +85,6 @@ class TestOrbitSignature:
         assert u == v
 
 
-class TestLinking:
-    def test_alternating(self):
-        assert is_linked(Leaf(A(1, 24), A(13, 24)), Leaf(A(5, 24), A(17, 24)))
-
-    def test_nested(self):
-        assert not is_linked(Leaf(A(5, 24), A(17, 24)), Leaf(A(1, 3), A(2, 3)))
-
-    def test_shared_endpoint(self):
-        assert not is_linked(Leaf(A(0), A(1, 2)), Leaf(A(0), A(1, 4)))
-
-    def test_leaf_canonical_order(self):
-        leaf = Leaf(A(3, 4), A(1, 4))
-        assert leaf.endpoints == (A(1, 4), A(3, 4))
-        with pytest.raises(ValueError):
-            Leaf(A(1, 2), A(1, 2))
-
-    @given(angles, angles, angles, angles)
-    def test_matches_brute_force_walk(self, a, b, c, d):
-        if a == b or c == d:
-            return
-        l1, l2 = Leaf(a, b), Leaf(c, d)
-        assert is_linked(l1, l2) == linked_by_walk(l1, l2)
-
-    @given(angles, angles, angles, angles)
-    def test_symmetric_irreflexive(self, a, b, c, d):
-        if a == b or c == d:
-            return
-        l1, l2 = Leaf(a, b), Leaf(c, d)
-        assert is_linked(l1, l2) == is_linked(l2, l1)
-        assert not is_linked(l1, l1)
-
-
 class TestArcSum:
     def test_meyer_p2_to_p1(self):
         # p2 marker is index 0, p1 marker is index 3: crosses l1+l2+l3
@@ -140,11 +103,3 @@ class TestArcSum:
         with pytest.raises(IndexError):
             arc_sum(MEYER_LENGTHS, 0, 6)
 
-
-class TestOpenArc:
-    @given(angles, angles, angles)
-    @settings(max_examples=50)
-    def test_complementary(self, x, a, b):
-        if a == b or x in (a, b):
-            return
-        assert in_open_arc(x, a, b) != in_open_arc(x, b, a)

@@ -120,6 +120,23 @@ class TestUnmateCommand:
         assert code == 3
         assert "complex" in err
 
+    def test_failed_certificate_exit_six(self, capsys, monkeypatch):
+        from unmating import portraits
+
+        certify = portraits.certify
+
+        def failing_c5(portrait, d):
+            cert = certify(portrait, d)
+            cert["c5"] = {"passed": False, "detail": "periodic participants: 1/3"}
+            cert["valid"] = False
+            return cert
+
+        monkeypatch.setattr(portraits, "certify", failing_c5)
+        code, out, err = run(capsys, "unmate", MEYER)
+        assert code == 6
+        assert out == ""
+        assert "c5 (periodic participants: 1/3)" in err and "(stage: portraits)" in err
+
     def test_jordan_certified_with_svg(self, capsys, tmp_path):
         svg = tmp_path / "jordan.svg"
         code, out, _ = run(capsys, "unmate", JORDAN, "--depth", "3", "--svg", svg)
@@ -168,13 +185,14 @@ class TestRenderCommand:
         assert svg.read_text().count("<line") == 2
 
     def test_chord_count_matches_leafset(self, capsys, tmp_path, meyer_result):
+        # one leaf per two-angle class: the chords are not counted from the scene itself
         lam4 = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 4)
-        from unmating.laminations import LeafSet
+        assert all(len(c) == 2 for c in lam4.classes)
 
         svg = tmp_path / "w4.svg"
         code, _, _ = run(capsys, "render", MEYER, "--depth", "4", "--side", "w", "--svg", svg)
         assert code == 0
-        assert svg.read_text().count("<line") == len(LeafSet.from_classes(lam4))
+        assert svg.read_text().count("<line") == len(lam4.classes)
 
     def test_byte_identical_renders(self, capsys, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -187,8 +205,9 @@ class TestRenderCommand:
 @pytest.mark.parametrize("target", ["missing_dir", "directory"])
 def test_unwritable_svg_path_exit_two(capsys, tmp_path, command, target):
     path = tmp_path / "missing" / "x.svg" if target == "missing_dir" else tmp_path
-    code, _, err = run(capsys, command, MEYER, "--depth", "1", "--svg", path)
+    code, out, err = run(capsys, command, MEYER, "--depth", "1", "--svg", path)
     assert code == 2
+    assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
@@ -197,7 +216,7 @@ class TestSvgScene:
     def test_empty_scene_outline_only(self):
         from unmating.laminations import AngleClasses
 
-        empty = AngleClasses(depth=1, color="white", classes=())
+        empty = AngleClasses(depth=1, color="white", grid=1, classes=())
         data = render_svg(SvgScene.from_classes([empty]))
         assert data.count(b"<line") == 0
         assert data.count(b"<circle") == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import lcm
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from unmating.circle import Angle, q_apply
 from unmating.errors import LaminationError
 from unmating.laminations import (
     AngleClasses,
-    LeafSet,
     check_planar,
     depth1,
     join,
@@ -21,15 +22,22 @@ from unmating.laminations import (
 from unmating.mapspec import critical_vertices, faces
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, sectors
+from unmating.svg import SvgScene
 
 from .oracles import brute_force_pullback, linked_pairs_by_scan, merge_overlapping, moore_by_scan
 
 A = Angle.of
 
 
-def classes(depth, color, *sets) -> AngleClasses:
-    canon = tuple(sorted((tuple(sorted(s)) for s in sets), key=lambda c: (c[0], len(c), c)))
-    return AngleClasses(depth=depth, color=color, classes=canon)
+def classes(depth, color, *sets, grid=None) -> AngleClasses:
+    """Classes of the given angles, on their least common grid unless one is given."""
+    if grid is None:
+        grid = lcm(*(a.value.denominator for s in sets for a in s))
+    return AngleClasses.of(depth, color, sets, grid)
+
+
+def chord_count(lam: AngleClasses) -> int:
+    return len(SvgScene.from_classes([lam]).chords)
 
 
 def portrait(color, d, *angle_sets) -> CriticalPortrait:
@@ -41,24 +49,66 @@ def portrait(color, d, *angle_sets) -> CriticalPortrait:
 MEYER_WHITE = portrait("white", 2, [A(5, 24), A(17, 24)])
 
 
+class TestAngleClasses:
+    @given(
+        st.integers(1, 200).flatmap(
+            lambda grid: st.tuples(
+                st.just(grid),
+                st.lists(st.frozensets(st.integers(0, grid - 1), min_size=1, max_size=5), max_size=6),
+            )
+        )
+    )
+    def test_round_trip_and_text(self, grid_sets):
+        grid, sets = grid_sets
+        angle_sets = [{A(x, grid) for x in s} for s in sets]
+        lam = AngleClasses.of(1, "white", angle_sets, grid)
+        expected = {tuple(sorted(s)) for s in angle_sets}
+        assert set(lam.angles()) == expected and len(lam.angles()) == len(expected)
+        assert list(lam.angles()) == sorted(lam.angles(), key=lambda c: (c[0], len(c), c))
+        assert lam.text() == [[str(a) for a in c] for c in lam.angles()]
+
+    def test_off_grid_angle_refused(self):
+        with pytest.raises(LaminationError, match="not on the grid 1/4"):
+            AngleClasses.of(1, "white", [[A(1, 3)]], 4)
+
+    @pytest.mark.parametrize("fixture", ["meyer_result", "jordan_result"])
+    def test_lifting_builds_no_angle(self, request, monkeypatch, fixture):
+        result = request.getfixturevalue(fixture)
+        built = []
+        post_init = Angle.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(Angle, "__post_init__", counting)
+        white = pullback_to_depth(result.depth1_white, result.white, 2, 6)
+        black = pullback_to_depth(result.depth1_black, result.black, 2, 6)
+        moore_check(join(white, black))
+        assert len(built) == 0
+
+
 class TestDepth1:
     def test_meyer_matches_portraits(self, meyer_spec, meyer_result):
         criticals = critical_vertices(meyer_spec, faces(meyer_spec, 1))
         white, black = depth1(meyer_result.pullback, criticals)
-        assert white.classes == ((A(5, 24), A(17, 24)),)
-        assert black.classes == ((A(1, 24), A(13, 24)),)
+        assert white.angles() == ((A(5, 24), A(17, 24)),)
+        assert black.angles() == ((A(1, 24), A(13, 24)),)
+        assert white.grid == black.grid == 24
 
     def test_jordan_matches_portraits(self, jordan_spec, jordan_result):
         criticals = critical_vertices(jordan_spec, faces(jordan_spec, 1))
         white, black = depth1(jordan_result.pullback, criticals)
-        assert white.classes == ((A(1, 4), A(3, 4)),)
-        assert black.classes == ((A(1, 8), A(5, 8)),)
+        assert white.angles() == ((A(1, 4), A(3, 4)),)
+        assert black.angles() == ((A(1, 8), A(5, 8)),)
+        assert white.grid == black.grid == 8
 
 
 class TestPullbackStep:
     def test_meyer_depth2_white(self, meyer_result):
         step = pullback_step(meyer_result.depth1_white, meyer_result.white, 2)
-        assert step.classes == (
+        assert step.grid == 48
+        assert step.angles() == (
             (A(5, 48), A(41, 48)),
             (A(5, 24), A(17, 24)),
             (A(17, 48), A(29, 48)),
@@ -68,6 +118,7 @@ class TestPullbackStep:
         empty = classes(1, "white")
         step = pullback_step(empty, MEYER_WHITE, 2)
         assert step.classes == ()
+        assert step.grid == 24  # the portrait's boundary is finer than 1/(2*1)
         assert step.depth == 2
 
     def test_matches_brute_force_to_depth_six(self, meyer_result, jordan_result):
@@ -81,7 +132,7 @@ class TestPullbackStep:
                 for _ in range(5):  # depths 2..6
                     nxt = pullback_step(cur, p, 2)
                     oracle = brute_force_pullback(cur, sec, 2)
-                    assert nxt.classes == oracle.classes, (p.color, cur.depth)
+                    assert nxt.angles() == oracle, (p.color, cur.depth)
                     cur = nxt
 
     def test_planar_at_all_depths(self, meyer_result):
@@ -94,9 +145,9 @@ class TestPullbackStep:
         counts = []
         cur = meyer_result.depth1_white
         for _ in range(5):
-            counts.append(len(LeafSet.from_classes(cur)))
+            counts.append(chord_count(cur))
             cur = pullback_step(cur, meyer_result.white, 2)
-        counts.append(len(LeafSet.from_classes(cur)))
+        counts.append(chord_count(cur))
         assert counts == sorted(counts)
 
     def test_forward_compatibility(self, meyer_result):
@@ -104,8 +155,8 @@ class TestPullbackStep:
         prev = meyer_result.depth1_white
         for _ in range(5):
             cur = pullback_step(prev, meyer_result.white, 2)
-            prev_sets = [set(c) for c in prev.classes]
-            for c in cur.classes:
+            prev_sets = [set(c) for c in prev.angles()]
+            for c in cur.angles():
                 image = {q_apply(a, 2) for a in c}
                 ok = len(image) == 1 or any(image <= s for s in prev_sets)
                 assert ok, (prev.depth, c)
@@ -116,13 +167,13 @@ class TestPullbackStep:
         p = portrait("white", 2, [A(0), A(1, 2)])
         start = classes(1, "white", [A(0), A(1, 2)])
         step = pullback_step(start, p, 2)
-        assert step.classes == ((A(0), A(1, 4), A(1, 2), A(3, 4)),)
+        assert step.angles() == ((A(0), A(1, 4), A(1, 2), A(3, 4)),)
 
     def test_boundary_preimages_lie_in_both_sectors(self):
         # 0 and 1/2 bound both closed sectors, so both lifts of {0, 1/3} hold them
         p = portrait("white", 2, [A(0), A(1, 2)])
         step = pullback_step(classes(1, "white", [A(0), A(1, 3)]), p, 2)
-        assert step.classes == ((A(0), A(1, 6), A(1, 3), A(1, 2), A(2, 3)),)
+        assert step.angles() == ((A(0), A(1, 6), A(1, 3), A(1, 2), A(2, 3)),)
 
     def test_color_mismatch_rejected(self, meyer_result):
         with pytest.raises(LaminationError, match="cannot lift"):
@@ -146,11 +197,11 @@ class TestJoin:
         white = classes(1, "white", [A(1, 8), A(3, 8)])
         black = classes(1, "black", [A(3, 8), A(7, 8)])
         joined = join(white, black)
-        assert joined.classes == ((A(1, 8), A(3, 8), A(7, 8)),)
+        assert joined.angles() == ((A(1, 8), A(3, 8), A(7, 8)),)
         assert joined.sides == (("black", "white"),)
 
     def test_join_with_empty_is_identity(self, meyer_result):
-        empty = classes(1, "black")
+        empty = classes(1, "black", grid=meyer_result.depth1_white.grid)
         joined = join(meyer_result.depth1_white, empty)
         assert joined.classes == meyer_result.depth1_white.classes
 
@@ -159,12 +210,18 @@ class TestJoin:
         with pytest.raises(LaminationError, match="equal depths"):
             join(meyer_result.depth1_white, deeper)
 
+    def test_grid_mismatch(self):
+        white = classes(1, "white", [A(1, 4), A(3, 4)])
+        black = classes(1, "black", [A(1, 8), A(5, 8)])
+        with pytest.raises(LaminationError, match="equal depths and grids"):
+            join(white, black)
+
     def test_jordan_depth2_cross_side_merge(self, jordan_result):
         # 1/8 and 5/8 appear on both sides at depth 2: the join fuses them
         w2 = pullback_step(jordan_result.depth1_white, jordan_result.white, 2)
         b2 = pullback_step(jordan_result.depth1_black, jordan_result.black, 2)
         joined = join(w2, b2)
-        merged = [c for c in joined.classes if len(c) > 2]
+        merged = [c for c in joined.angles() if len(c) > 2]
         assert merged == [(A(1, 8), A(3, 8), A(5, 8), A(7, 8))]
 
 
@@ -194,10 +251,10 @@ class TestMergeOracle:
 
     @given(tagged_families)
     def test_join_matches_naive(self, tagged):
-        white = AngleClasses(1, "white", tuple(tuple(sorted(a)) for a, t in tagged if t == "white"))
-        black = AngleClasses(1, "black", tuple(tuple(sorted(a)) for a, t in tagged if t == "black"))
+        white = AngleClasses.of(1, "white", [a for a, t in tagged if t == "white"], 16)
+        black = AngleClasses.of(1, "black", [a for a, t in tagged if t == "black"], 16)
         joined = join(white, black)
-        got = {frozenset(c): frozenset(s) for c, s in zip(joined.classes, joined.sides)}
+        got = {frozenset(c): frozenset(s) for c, s in zip(joined.angles(), joined.sides)}
         assert got == naive_components(tagged)
         assert list(joined.classes) == sorted(joined.classes, key=lambda c: (c[0], len(c)))
 
@@ -223,7 +280,7 @@ class TestMoore:
 
     def test_single_class_passes(self):
         joined = AngleClasses(
-            depth=1, color="join", classes=((A(0), A(1, 2)),), sides=(("white",),)
+            depth=1, color="join", grid=4, classes=((0, 2),), sides=(("white",),)
         )
         assert moore_check(joined)["passed"]
 
@@ -231,25 +288,27 @@ class TestMoore:
         joined = AngleClasses(
             depth=1,
             color="join",
-            classes=((A(0), A(1, 2)), (A(1, 4), A(3, 4))),
+            grid=4,
+            classes=((0, 2), (1, 3)),
             sides=(("white",), ("white",)),
         )
         report = moore_check(joined)
         assert not report["passed"]
         assert len(report["violations"]) == 1
+        assert report["violations"][0]["a"] == ["0/1", "1/2"]
 
 
 @st.composite
 def disjoint_families(draw):
-    """Pairwise-disjoint classes of 1-5 angles on the 1/48 grid, in any order;
-    most classes straddle 0, where the sweep cuts the circle."""
+    """Pairwise-disjoint classes of 1-5 angles x/48, given as the integers x,
+    in any order; most classes straddle 0, where the sweep cuts the circle."""
     pool = draw(st.permutations(range(48)))
     sizes = draw(st.lists(st.integers(1, 5), max_size=14))
     family, used = [], 0
     for size in sizes:
         if used + size > len(pool):
             break
-        family.append(tuple(sorted(A(n, 48) for n in pool[used : used + size])))
+        family.append(tuple(sorted(pool[used : used + size])))
         used += size
     return family
 
@@ -273,7 +332,7 @@ class TestLinkedPairs:
     ))
     def test_moore_matches_scan(self, family_sides):
         family, sides = family_sides
-        joined = AngleClasses(1, "join", tuple(family), tuple(sides))
+        joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
         assert moore_check(joined) == moore_by_scan(joined)
 
     def test_shared_angle_refused(self):
@@ -300,14 +359,14 @@ class TestDepthNine:
 
 
 class TestLeafSet:
+    """The leaves of a class, as the SVG scene draws them."""
+
     def test_pair_class_single_leaf(self):
-        ls = LeafSet.from_classes(classes(1, "white", [A(0), A(1, 2)]))
-        assert len(ls) == 1
+        assert chord_count(classes(1, "white", [A(0), A(1, 2)])) == 1
 
     def test_polygon_class_cycle(self):
-        ls = LeafSet.from_classes(classes(2, "white", [A(0), A(1, 4), A(1, 2), A(3, 4)]))
-        assert len(ls) == 4
+        assert chord_count(classes(2, "white", [A(0), A(1, 4), A(1, 2), A(3, 4)])) == 4
 
     def test_depth_matches_class_count_for_leaves(self, meyer_result):
         lam = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 4)
-        assert len(LeafSet.from_classes(lam)) == len(lam.classes)
+        assert chord_count(lam) == len(lam.classes)
