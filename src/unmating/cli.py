@@ -35,12 +35,19 @@ def _dumps(obj) -> str:
     order, tuples as lists.  Dict keys must be ``str``.
 
     Built as one list of parts joined once.  A list of strings renders with
-    one join and is memoized per call: the Moore report repeats each joined
-    class's angle list once per crossing.
+    one join, memoized per call by its level and ``id``: the Moore report
+    shares each joined class's angle list, and each distinct sides list,
+    across its crossings, so a repeat costs one dict lookup.  Keying by
+    ``id`` is sound because ``obj`` keeps every sub-object alive until the
+    call returns, so no id is reused for another object meanwhile; two equal
+    lists that are distinct objects render separately, to the same text.
+    Each dict key's head (separator, padding, quoted key, ``": "``) is
+    memoized per level and key.
     """
     parts: list[str] = []
     pads = ["\n"]  # pads[level] = newline + indentation at that level
-    rendered: dict[tuple, str] = {}
+    rendered: list[dict[int, str]] = [{}]  # rendered[level][id of a string list] = its text
+    heads: list[dict[str, str]] = [{}]  # heads[level][key] = "," + padding + quoted key + ": "
 
     def write(o, level: int) -> None:
         if isinstance(o, str):
@@ -60,19 +67,35 @@ def _dumps(obj) -> str:
             return
         if len(pads) == level + 1:
             pads.append(pads[level] + "  ")
+            rendered.append({})
+            heads.append({})
         inner = pads[level + 1]
         if isinstance(o, dict):
-            sep = "{" + inner
+            first = len(parts)
+            known, below = heads[level], rendered[level + 1]
             for key, value in o.items():
-                parts.append(sep + quote(key) + ": ")
-                write(value, level + 1)
-                sep = "," + inner
+                head = known.get(key)
+                if head is None:
+                    head = known[key] = "," + inner + quote(key) + ": "
+                parts.append(head)
+                if type(value) is str:
+                    parts.append(quote(value))
+                else:
+                    text = below.get(id(value))
+                    if text is None:
+                        write(value, level + 1)
+                    else:
+                        parts.append(text)
+            parts[first] = "{" + parts[first][1:]  # the first head opens the dict
             parts.append(pads[level] + "}")
-        elif all(isinstance(x, str) for x in o):
-            key = (level, tuple(o))
-            if key not in rendered:
-                rendered[key] = "[" + inner + ("," + inner).join(map(quote, o)) + pads[level] + "]"
-            parts.append(rendered[key])
+            return
+        text = rendered[level].get(id(o))
+        if text is None and all(isinstance(x, str) for x in o):
+            text = rendered[level][id(o)] = (
+                "[" + inner + ("," + inner).join(map(quote, o)) + pads[level] + "]"
+            )
+        if text is not None:
+            parts.append(text)
         else:
             sep = "[" + inner
             for x in o:
@@ -162,7 +185,7 @@ def _scene(result: PipelineResult, side: str) -> SvgScene:
 
 def cmd_unmate(args) -> int:
     result = _run(args)
-    if args.svg:  # before the report, so a failed write leaves stdout empty
+    if args.svg is not None:  # before the report, so a failed write leaves stdout empty
         # the requested path gets the two-sided overlay, plus one file per side
         base = args.svg[:-4] if args.svg.endswith(".svg") else args.svg
         _write_svg(_scene(result, "join"), args.svg)
@@ -174,7 +197,7 @@ def cmd_unmate(args) -> int:
 
 def cmd_lamination(args) -> int:
     result = _run(args)
-    if args.svg:  # before the report, so a failed write leaves stdout empty
+    if args.svg is not None:  # before the report, so a failed write leaves stdout empty
         _write_svg(_scene(result, args.side), args.svg)
     _emit(result.lamination_json(lamination_for_side(result, args.side)))
     return 0
@@ -183,7 +206,7 @@ def cmd_lamination(args) -> int:
 def cmd_render(args) -> int:
     result = _run(args)
     scene = _scene(result, args.side)
-    if args.svg:
+    if args.svg is not None:
         _write_svg(scene, args.svg)
     else:
         sys.stdout.write(render_svg(scene).decode("utf-8"))

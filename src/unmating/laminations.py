@@ -263,12 +263,16 @@ def moore_check(joined: AngleClasses) -> dict:
     violations = []
     informational = []
     text = joined.text()  # one list per class, shared by its entries
+    # one sides list per distinct value, shared likewise; found once per pair of class sides
+    lists: dict[tuple[str, ...], list[str]] = {}
+    union: dict[tuple, list[str]] = {}
     for i, j in linked_pairs(joined.classes):
-        entry = {
-            "a": text[i],
-            "b": text[j],
-            "sides": sorted(set(sides[i]) | set(sides[j])),
-        }
+        pair = (sides[i], sides[j])
+        both = union.get(pair)
+        if both is None:
+            value = sorted(set(sides[i]) | set(sides[j]))
+            both = union[pair] = lists.setdefault(tuple(value), value)
+        entry = {"a": text[i], "b": text[j], "sides": both}
         same_side = sides[i] == sides[j] and len(sides[i]) == 1
         if same_side:
             violations.append(entry)

@@ -71,9 +71,8 @@ def render_svg(scene: SvgScene) -> bytes:
     for t in scene.labels:
         x, y = _point(t, scene.grid)
         lx, ly = 1.10 * x, 1.10 * y
-        anchor = "middle"
         lines.append(
-            f'  <text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="0.07" text-anchor="{anchor}" '
+            f'  <text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="0.07" text-anchor="middle" '
             f'dominant-baseline="middle" fill="#222222">{frac(t, scene.grid)}</text>'
         )
     lines.append("</svg>")

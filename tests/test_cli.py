@@ -12,9 +12,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from unmating import cli
 from unmating.cli import _dumps, main
 from unmating.laminations import pullback_to_depth
 from unmating.pipeline import run_pipeline
@@ -202,9 +203,9 @@ class TestRenderCommand:
 
 
 @pytest.mark.parametrize("command", ["unmate", "lamination", "render"])
-@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+@pytest.mark.parametrize("target", ["missing_dir", "directory", "empty"])
 def test_unwritable_svg_path_exit_two(capsys, tmp_path, command, target):
-    path = tmp_path / "missing" / "x.svg" if target == "missing_dir" else tmp_path
+    path = {"missing_dir": tmp_path / "missing" / "x.svg", "directory": tmp_path, "empty": ""}[target]
     code, out, err = run(capsys, command, MEYER, "--depth", "1", "--svg", path)
     assert code == 2
     assert out == ""
@@ -249,6 +250,30 @@ json_trees = st.recursive(
 )
 
 
+def _aliasing(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),  # the objects themselves, not copies
+        lambda kids: st.lists(kids, min_size=1, max_size=3)
+        | st.dictionaries(st.sampled_from(["k", "sides"]), kids, min_size=1),
+        max_leaves=8,
+    )
+
+
+@st.composite
+def aliased_trees(draw):
+    """A tree in which a few list and tuple objects recur as dict values and
+    list items at several levels, one shared list nested in another, beside
+    distinct lists of equal contents; dict keys recur at several levels."""
+    words = draw(st.lists(json_text, min_size=1, max_size=3))
+    shared = [words, tuple(words), list(words), draw(st.lists(json_text, min_size=1, max_size=3))]
+    nested = draw(_aliasing(shared))
+    return draw(_aliasing(shared + [nested]))
+
+
+_WORDS = ["1/3", "2/3"]
+_NODE = [_WORDS, {"k": _WORDS}]
+
+
 class TestDumps:
     """cli._dumps against its oracle, json.dumps(indent=2)."""
 
@@ -259,6 +284,11 @@ class TestDumps:
     @given(st.lists(json_text, min_size=1, max_size=4))
     def test_string_list_at_several_levels(self, words):
         tree = [words, [words, [words, {"k": words}]], tuple(words), {"k": [words]}]
+        assert _dumps(tree) == json.dumps(tree, indent=2)
+
+    @given(aliased_trees())
+    @example({"k": _WORDS, "x": [_WORDS, {"k": _WORDS}, _NODE, {"k": _NODE}, list(_WORDS)]})
+    def test_shared_objects(self, tree):
         assert _dumps(tree) == json.dumps(tree, indent=2)
 
     def test_leaves_no_reference_cycle(self):
@@ -275,6 +305,47 @@ class TestDumps:
         report = run_pipeline(jordan_spec, depth=9).to_json()
         same = _dumps(report) == json.dumps(report, indent=2)
         assert same  # not the texts themselves: pytest would diff 5.9 MB
+
+    def test_moore_report_written_by_identity(self, jordan_spec, monkeypatch):
+        """Moore entries share one sides list per value, and the writer quotes
+        each string list once per level and each dict key once per level."""
+        report = run_pipeline(jordan_spec, depth=6).to_json()
+        moore = report["laminations"]["moore"]
+        entries = moore["violations"] + moore["informational"]
+        assert len(entries) > 2
+        assert len({id(e["sides"]) for e in entries}) <= len({tuple(e["sides"]) for e in entries})
+
+        keys, lists, scalars = set(), {}, 0
+
+        def walk(o, level):
+            nonlocal scalars
+            if isinstance(o, str):
+                scalars += 1
+            elif isinstance(o, dict):
+                for key, value in o.items():
+                    keys.add((level, key))
+                    walk(value, level + 1)
+            elif isinstance(o, (list, tuple)):
+                if o and all(isinstance(x, str) for x in o):
+                    lists[level, id(o)] = len(o)
+                else:
+                    for x in o:
+                        walk(x, level + 1)
+
+        walk(report, 0)
+        calls = 0
+        real = cli.quote
+
+        def counting(s):
+            nonlocal calls
+            calls += 1
+            return real(s)
+
+        monkeypatch.setattr(cli, "quote", counting)
+        text = _dumps(report)
+        monkeypatch.undo()
+        assert text == json.dumps(report, indent=2)
+        assert calls <= len(keys) + sum(lists.values()) + scalars
 
 
 @pytest.mark.parametrize(
