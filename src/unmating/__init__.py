@@ -6,7 +6,7 @@ for the white and black polynomials of the mating, and finite-depth
 lamination approximations with validity certificates.
 """
 
-from .circle import Angle, OrbitSignature, arc_sum, orbit_signature, q_apply, q_preimages
+from .circle import OrbitSignature, arc_sum, frac, orbit_signature, q_apply
 from .errors import (
     LaminationError,
     MapfileError,

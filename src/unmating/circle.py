@@ -1,7 +1,11 @@
 """Exact arithmetic on the circle R/Z and the dynamics of the d-fold cover.
 
-Angles are exact rationals in [0, 1), stored reduced.  Everything here is
-pure and allocation-light; no floating point enters any stored value.
+From the pullback parameters on, an angle is an integer x with 0 <= x < grid,
+standing for x/grid turns: `parameterize.pullback_parameters` fixes the grid
+once, the d-fold map keeps every angle on it, and `frac` spells x/grid as a
+reduced "p/q" string only when it is printed.  Arc lengths and the marker
+parameters, upstream of that grid, stay exact Fractions.  No floating point
+enters any stored value.
 """
 
 from __future__ import annotations
@@ -9,61 +13,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True, eq=False)
-class Angle:
-    """A point of R/Z as a reduced rational number of turns, 0 <= value < 1.
-
-    Hashing and ordering work on the reduced integer pair directly; the
-    generic Fraction protocol is too slow for the hot linking loops.
-    """
-
-    value: Fraction
-
-    def __post_init__(self):
-        v = Fraction(self.value) % 1
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "_n", v.numerator)
-        object.__setattr__(self, "_d", v.denominator)
-        object.__setattr__(self, "_hash", hash((v.numerator, v.denominator)))
-
-    @classmethod
-    def of(cls, numerator, denominator=1) -> "Angle":
-        return cls(Fraction(numerator, denominator))
-
-    def __str__(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}"
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, Angle):
-            return NotImplemented
-        return self._n == other._n and self._d == other._d
-
-    def __lt__(self, other):
-        return self._n * other._d < other._n * self._d
-
-    def __le__(self, other):
-        return self._n * other._d <= other._n * self._d
-
-    def __gt__(self, other):
-        return self._n * other._d > other._n * self._d
-
-    def __ge__(self, other):
-        return self._n * other._d >= other._n * self._d
-
-    def __add__(self, other) -> "Angle":
-        return Angle(self.value + _as_fraction(other))
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Angle):
-        return x.value
-    return Fraction(x)
+def frac(x: int, grid: int) -> str:
+    """The angle x/grid as a reduced "p/q" string; zero is "0/1"."""
+    g = gcd(x, grid)
+    return f"{x // g}/{grid // g}"
 
 
 @dataclass(frozen=True)
@@ -82,34 +39,26 @@ class OrbitSignature:
         return self.preperiod == 0
 
 
-def q_apply(t: Angle, d: int) -> Angle:
-    """The d-fold map t -> d*t mod 1."""
+def q_apply(x: int, d: int, grid: int) -> int:
+    """The d-fold map t -> d*t mod 1 on the angle x/grid."""
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
-    return Angle(d * t.value)
+    return d * x % grid
 
 
-def q_preimages(t: Angle, d: int) -> list[Angle]:
-    """The d preimages (t + m)/d for m = 0..d-1, in increasing order."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    return [Angle((t.value + m) / d) for m in range(d)]
-
-
-def orbit_signature(t: Angle, d: int) -> OrbitSignature:
-    """Iterate t under the d-fold map and report (preperiod, period)."""
-    seen: dict[Angle, int] = {}
-    cur = t
+def orbit_signature(x: int, d: int, grid: int) -> OrbitSignature:
+    """Iterate x/grid under the d-fold map and report (preperiod, period)."""
+    seen: dict[int, int] = {}
     step = 0
-    while cur not in seen:
-        seen[cur] = step
-        cur = q_apply(cur, d)
+    while x not in seen:
+        seen[x] = step
+        x = q_apply(x, d, grid)
         step += 1
-    first = seen[cur]
+    first = seen[x]
     return OrbitSignature(preperiod=first, period=step - first)
 
 
-def sets_linked(xs: Iterable[Angle], ys: Iterable[Angle]) -> bool:
+def sets_linked(xs: Iterable, ys: Iterable) -> bool:
     """Whether the convex hulls of two angle sets cross.
 
     Unlinked means every angle of ys (shared angles aside) falls in a single

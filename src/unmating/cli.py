@@ -5,14 +5,16 @@ All JSON output is deterministic; exit codes partition the failure modes:
 
     0  success                     4  spectral certification failed
     1  validation failed           5  parameterization failed
-    2  parse/usage failure         6  portrait extraction failed
-    3  validation failed (unmate)  7  lamination failed
+    2  parse/usage failure, or an  6  portrait extraction failed
+       unwritable --svg or stdout  7  lamination failed
+    3  validation failed (unmate)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii as quote
 
@@ -246,15 +248,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except UnmatingError as e:
-        detail = str(e)
-        if isinstance(e, ValidationFailure):
-            _emit(e.report.to_json())
-            detail = "validation failed"
-        stage = f" (stage: {e.stage})" if e.stage else ""
-        print(f"error: {detail}{stage}", file=sys.stderr)
-        return e.exit_code
+        try:
+            code = args.fn(args)
+        except UnmatingError as e:
+            detail = str(e)
+            if isinstance(e, ValidationFailure):
+                _emit(e.report.to_json())
+                detail = "validation failed"
+            stage = f" (stage: {e.stage})" if e.stage else ""
+            print(f"error: {detail}{stage}", file=sys.stderr)
+            code = e.exit_code
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError as e:
+        # the reader closed stdout: point it at devnull so the interpreter's
+        # final flush stays quiet (Python's signal docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

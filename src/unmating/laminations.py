@@ -12,10 +12,10 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
 from itertools import pairwise
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .circle import Angle
+from .circle import frac
 from .errors import LaminationError
 from .mapspec import BLACK, WHITE, CriticalVertex
 from .parameterize import PullbackParameters
@@ -24,12 +24,6 @@ from .portraits import CriticalPortrait, sectors
 JOIN = "join"
 
 AngleSet = tuple[int, ...]  # sorted; x stands for the angle x/grid
-
-
-def frac(x: int, grid: int) -> str:
-    """The angle x/grid as a reduced "p/q" string."""
-    g = gcd(x, grid)
-    return f"{x // g}/{grid // g}"
 
 
 def _canon(sets: Iterable[Iterable]) -> tuple[tuple, ...]:
@@ -42,7 +36,7 @@ class AngleClasses:
     """Classes of angles x/grid, each a sorted tuple of the integers x.
 
     Every depth-n angle of a degree-d pullback lies on the grid
-    1/(D*d^(n-1)), D the least common denominator of the depth-1 angles.
+    1/(D*d^(n-1)), D the grid of the pullback parameters.
     """
 
     depth: int
@@ -50,25 +44,6 @@ class AngleClasses:
     grid: int
     classes: tuple[AngleSet, ...]
     sides: Optional[tuple[tuple[str, ...], ...]] = None  # per class, join only
-
-    @classmethod
-    def of(
-        cls, depth: int, color: str, angle_sets: Iterable[Iterable[Angle]], grid: int
-    ) -> "AngleClasses":
-        """Canonical classes from sets of angles, each a multiple of 1/grid."""
-        ints = []
-        for s in angle_sets:
-            xs = set()
-            for a in s:
-                x = a.value * grid
-                if x.denominator != 1:
-                    raise LaminationError(f"angle {a} is not on the grid 1/{grid}")
-                xs.add(x.numerator)
-            ints.append(xs)
-        return cls(depth=depth, color=color, grid=grid, classes=_canon(ints))
-
-    def angles(self) -> tuple[tuple[Angle, ...], ...]:
-        return tuple(tuple(Angle.of(x, self.grid) for x in c) for c in self.classes)
 
     def text(self) -> list[list[str]]:
         return [[frac(x, self.grid) for x in c] for c in self.classes]
@@ -132,14 +107,13 @@ def depth1(
     own depth-0 identifications; the new identifications, the ones generating
     the portraits, happen where the map folds.
     """
-    out: dict[str, list[set[Angle]]] = {WHITE: [], BLACK: []}
+    out: dict[str, list[set[int]]] = {WHITE: [], BLACK: []}
     for cv in criticals:
         for color, visits in cv.connections:
             out[color].append({pullback.s[j] for j in visits})
-    grid = lcm(*(s.value.denominator for s in pullback.s))  # shared by both colors
     return (
-        AngleClasses.of(1, WHITE, out[WHITE], grid),
-        AngleClasses.of(1, BLACK, out[BLACK], grid),
+        AngleClasses(1, WHITE, pullback.grid, _canon(out[WHITE])),
+        AngleClasses(1, BLACK, pullback.grid, _canon(out[BLACK])),
     )
 
 
@@ -192,10 +166,10 @@ def pullback_step(
         )
     sec = sectors(portrait, d)
     # one finer grid holds the preimages (u/grid + m)/d and the sector boundary
-    grid = lcm(d * classes.grid, *(b.value.denominator for b in sec.boundary))
+    grid = lcm(d * classes.grid, portrait.grid)
     k = grid // (d * classes.grid)
-    boundary = tuple(b.value.numerator * (grid // b.value.denominator) for b in sec.boundary)
-    sec = replace(sec, boundary=boundary)  # label_of bisects the ints as it does Angles
+    scale = grid // portrait.grid
+    sec = replace(sec, boundary=tuple(b * scale for b in sec.boundary))
     candidates = [{u * d * k for u in c} for c in classes.classes]  # lower depths, retained
     for cls in classes.classes:
         # closed sector s holds x iff s is x's left or right label
@@ -258,8 +232,9 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
 def moore_check(joined: AngleClasses) -> dict:
     """Flag linked class hulls: same-side links are violations of the finite
     Moore criterion, links across the two sides are expected and reported as
-    informational."""
-    sides = joined.sides or tuple((joined.color,) for _ in joined.classes)
+    informational.  The classes must come from `join`, which records their
+    sides."""
+    sides = joined.sides
     violations = []
     informational = []
     text = joined.text()  # one list per class, shared by its entries

@@ -5,16 +5,19 @@ the certified interval lengths.  The parameter of the base marker comes from
 equating the two routes to its image parameter: multiplying by the degree,
 or walking the intervening arc.  The pullback curve inherits parameters by
 lifting: matched visits keep their gamma0 parameter and successive visits
-advance by the lengths scaled down by the degree.
+advance by the lengths scaled down by the degree.  The pullback parameters
+are where the rationals end: every later stage reads them as integers on
+their least common grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .circle import Angle, arc_sum, q_apply
+from .circle import arc_sum, frac
 from .errors import ParameterizationError
 from .mapspec import MapSpec
 from .spectral import LengthVector
@@ -22,7 +25,7 @@ from .spectral import LengthVector
 
 @dataclass(frozen=True)
 class MarkerParameters:
-    t: tuple[Angle, ...]
+    t: tuple[Fraction, ...]  # each in [0, 1)
     image: tuple[int, ...]
     lengths: tuple[Fraction, ...]
     degree: int
@@ -31,7 +34,11 @@ class MarkerParameters:
 
 @dataclass(frozen=True)
 class PullbackParameters:
-    s: tuple[Angle, ...]
+    """The parameter of word position j is the angle s[j]/grid, grid being
+    the least common denominator of all of them."""
+
+    grid: int
+    s: tuple[int, ...]
 
 
 def marker_images(spec: MapSpec) -> list[int]:
@@ -65,18 +72,19 @@ def solve_parameters(
         raise ParameterizationError(f"lengths must sum to 1, got {total}")
 
     big_l = arc_sum(lengths, base, image[base])
-    t = [Angle.of(0)] * k
-    t[base] = Angle(Fraction(big_l + branch, d - 1))
+    t = [Fraction(0)] * k
+    t[base] = Fraction(big_l + branch, d - 1) % 1
     for step in range(1, k):
         i = (base + step) % k
         prev = (base + step - 1) % k
-        t[i] = t[prev] + lengths[prev]
+        t[i] = (t[prev] + lengths[prev]) % 1
 
     for i in range(k):
-        if q_apply(t[i], d) != t[image[i]]:
+        got, want = d * t[i] % 1, t[image[i]]
+        if got != want:
             raise ParameterizationError(
-                f"parameterization inconsistent: q_d(t[{i}]) = {q_apply(t[i], d)} "
-                f"but t[image[{i}]] = {t[image[i]]}"
+                f"parameterization inconsistent: q_d(t[{i}]) = {frac(*got.as_integer_ratio())} "
+                f"but t[image[{i}]] = {frac(*want.as_integer_ratio())}"
             )
     return MarkerParameters(
         t=tuple(t), image=tuple(image), lengths=tuple(lengths), degree=d, branch=branch
@@ -95,7 +103,8 @@ def pullback_parameters(params: MarkerParameters, spec: MapSpec) -> PullbackPara
     The visit matched to gamma0 marker 0 keeps the parameter t[0]; successive
     visits advance by length/degree.  Matched positions must land exactly on
     the marker parameters, or the file's marker data does not describe a lift
-    of the parameterized curve.
+    of the parameterized curve.  This is the one place where rationals become
+    grid angles.
     """
     k, d, n1 = spec.k, spec.degree, spec.n1
     lengths = params.lengths
@@ -105,19 +114,17 @@ def pullback_parameters(params: MarkerParameters, spec: MapSpec) -> PullbackPara
     for j in range(n1):
         cum[j + 1] = cum[j] + lengths[j % k]
 
-    s = [
-        Angle(params.t[0].value + Fraction(cum[j] - cum[m0], d))
-        for j in range(n1)
-    ]
+    s = [(params.t[0] + (cum[j] - cum[m0]) / d) % 1 for j in range(n1)]
     for i, m in enumerate(spec.markers):
         if s[m] != params.t[i]:
             raise ParameterizationError(
-                f"parameterization inconsistent: matched visit {m} carries {s[m]}, "
-                f"marker {i} has {params.t[i]}"
+                f"parameterization inconsistent: matched visit {m} carries "
+                f"{frac(*s[m].as_integer_ratio())}, marker {i} has {frac(*params.t[i].as_integer_ratio())}"
             )
     for j in range(n1):
-        if q_apply(s[j], d) != params.t[j % k]:
+        if d * s[j] % 1 != params.t[j % k]:
             raise ParameterizationError(
                 f"parameterization inconsistent: q_d(s[{j}]) != t[{j % k}]"
             )
-    return PullbackParameters(s=tuple(s))
+    grid = lcm(*(x.denominator for x in s))
+    return PullbackParameters(grid=grid, s=tuple(x.numerator * (grid // x.denominator) for x in s))

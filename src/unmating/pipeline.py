@@ -2,8 +2,8 @@
 
 Stages run in order: validate, transition matrix and Perron certificate,
 marker parameters, pullback parameters, critical vertices and portraits,
-laminations.  All rationals serialize as "p/q" strings; nothing downstream
-inherits rounding.
+laminations.  All rationals serialize as reduced "p/q" strings through
+`circle.frac`; nothing downstream inherits rounding.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from fractions import Fraction
 
 from . import laminations as lam
 from . import mapspec, parameterize, portraits, spectral
-from .circle import Angle
+from .circle import frac
 from .errors import LaminationError, PortraitError
-from .mapspec import BLACK, WHITE, MapSpec
+from .mapspec import MapSpec
 
 
 def frac_str(x) -> str:
-    f = x.value if isinstance(x, Angle) else Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    return frac(*Fraction(x).as_integer_ratio())
 
 
 def matrix_json(matrix: spectral.TransitionMatrix, lengths: spectral.LengthVector) -> dict:
@@ -41,7 +40,7 @@ def parameters_json(
     labels = [f"{spec.marker_post(i)}#{i}" for i in range(spec.k)]
     return {
         "t": {label: frac_str(t) for label, t in zip(labels, params.t)},
-        "s": [frac_str(s) for s in pullback.s],
+        "s": [frac(s, pullback.grid) for s in pullback.s],
         "branch": branch,
     }
 
@@ -68,7 +67,7 @@ class PipelineResult:
 
     def portrait_json(self, portrait: portraits.CriticalPortrait) -> dict:
         return {
-            "sets": [[frac_str(a) for a in s.angles] for s in portrait.sets],
+            "sets": [[frac(a, portrait.grid) for a in s.angles] for s in portrait.sets],
             "certificate": portrait.certificate,
         }
 
@@ -88,7 +87,7 @@ class PipelineResult:
                     "vertex": cv.vertex,
                     "local_degree": cv.local_degree,
                     "colors": list(cv.colors),
-                    "parameters": [frac_str(self.pullback.s[j]) for j in cv.visits],
+                    "parameters": [frac(self.pullback.s[j], self.pullback.grid) for j in cv.visits],
                 }
                 for cv in self.criticals
             ],
@@ -141,7 +140,7 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
 
     # cross-stage consistency: depth-1 classes are exactly the portrait sets
     for classes, portrait in ((d1w, white), (d1b, black)):
-        if {frozenset(c) for c in classes.angles()} != {frozenset(s.angles) for s in portrait.sets}:
+        if set(classes.classes) != {s.angles for s in portrait.sets}:
             raise LaminationError(
                 f"depth-1 {portrait.color} classes disagree with the {portrait.color} portrait"
             )
@@ -178,8 +177,9 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
 
 
 def lamination_for_side(result: PipelineResult, side: str) -> lam.AngleClasses:
-    if side in ("w", WHITE):
+    """The classes of one --side choice: "w", "b" or "join"."""
+    if side == "w":
         return result.lamination_white
-    if side in ("b", BLACK):
+    if side == "b":
         return result.lamination_black
     return result.lamination_join

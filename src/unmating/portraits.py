@@ -10,12 +10,11 @@ families are empty here, so the conditions touching them hold vacuously.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .circle import Angle, orbit_signature, q_apply, q_preimages, sets_linked
+from .circle import frac, orbit_signature, q_apply, sets_linked
 from .errors import PortraitError
 from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec
 from .parameterize import PullbackParameters
@@ -23,46 +22,31 @@ from .parameterize import PullbackParameters
 
 @dataclass(frozen=True)
 class PreargumentSet:
-    """A finite angle set meant to map to a single angle under the d-fold map.
+    """A finite set of angles, each x standing for x/grid on its portrait's
+    grid, meant to map to a single angle under the d-fold map.
 
-    Structural validity is recorded, not enforced, so that certification can
-    report on deliberately broken portraits.
+    Structural validity is recorded by `certify`, not enforced, so that
+    certification can report on deliberately broken portraits.
     """
 
-    angles: tuple[Angle, ...]
-    degree: int
-    preferred: Optional[Angle] = None
+    angles: tuple[int, ...]  # sorted
+    preferred: Optional[int] = None
 
     @classmethod
-    def of(cls, angles: Iterable[Angle], degree: int, preferred: Optional[Angle] = None):
-        return cls(angles=tuple(sorted(set(angles))), degree=degree, preferred=preferred)
-
-    @property
-    def images(self) -> tuple[Angle, ...]:
-        return tuple(sorted({q_apply(a, self.degree) for a in self.angles}))
-
-    @property
-    def is_preargument(self) -> bool:
-        return len(self.angles) >= 2 and len(self.images) == 1
-
-    @property
-    def image(self) -> Optional[Angle]:
-        imgs = self.images
-        return imgs[0] if len(imgs) == 1 else None
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(str(a) for a in self.angles) + "}"
+    def of(cls, angles: Iterable[int], preferred: Optional[int] = None):
+        return cls(angles=tuple(sorted(set(angles))), preferred=preferred)
 
 
 @dataclass
 class CriticalPortrait:
     color: str
     degree: int
+    grid: int  # every angle x of the sets stands for x/grid
     sets: list[PreargumentSet]
     certificate: Optional[dict] = None
 
-    def participants(self) -> list[Angle]:
-        out: set[Angle] = set()
+    def participants(self) -> list[int]:
+        out: set[int] = set()
         for s in self.sets:
             out.update(s.angles)
         return sorted(out)
@@ -71,20 +55,22 @@ class CriticalPortrait:
 # ---------------------------------------------------------------------------
 # marking procedure
 
-def _reaches(params: Sequence[Angle], target: set[Angle], d: int) -> Optional[tuple[Angle, int]]:
+def _reaches(
+    params: Sequence[int], target: set[int], d: int, grid: int
+) -> Optional[tuple[int, int]]:
     """First (start angle, iterate count >= 1) whose orbit under q_d hits target."""
     for a in params:
-        sig = orbit_signature(a, d)
+        sig = orbit_signature(a, d, grid)
         cur = a
         for i in range(1, sig.preperiod + sig.period + 1):
-            cur = q_apply(cur, d)
+            cur = q_apply(cur, d, grid)
             if cur in target:
                 return (a, i)
     return None
 
 
 def _mark_color(
-    crits: list[tuple[str, tuple[Angle, ...]]], d: int
+    crits: list[tuple[str, tuple[int, ...]]], d: int, grid: int
 ) -> list[tuple[str, PreargumentSet]]:
     """Run the marking procedure for one color.
 
@@ -94,11 +80,13 @@ def _mark_color(
     params = {v: set(p) for v, p in crits}
     remaining = [v for v, _ in crits]
     marked: list[tuple[str, PreargumentSet]] = []
-    noted: set[Angle] = set()
+    noted: set[int] = set()
 
-    def mark(vertex: str, alpha: Angle):
-        pre = set(q_preimages(q_apply(alpha, d), d)) & params[vertex]
-        marked.append((vertex, PreargumentSet.of(pre, d, preferred=alpha)))
+    def mark(vertex: str, alpha: int):
+        # the parameters at the vertex that share alpha's image
+        image = q_apply(alpha, d, grid)
+        pre = {x for x in params[vertex] if q_apply(x, d, grid) == image}
+        marked.append((vertex, PreargumentSet.of(pre, preferred=alpha)))
         noted.update(pre)
         noted.add(alpha)
         remaining.remove(vertex)
@@ -108,7 +96,7 @@ def _mark_color(
         start = None
         for v in remaining:
             others = [w for w in remaining if w != v]
-            if not any(_reaches(sorted(params[w]), params[v], d) for w in others):
+            if not any(_reaches(sorted(params[w]), params[v], d, grid) for w in others):
                 start = v
                 break
         if start is None:
@@ -121,10 +109,10 @@ def _mark_color(
         while progress and remaining:
             progress = False
             # follow the forward orbit of the marked parameter
-            sig = orbit_signature(alpha, d)
+            sig = orbit_signature(alpha, d, grid)
             cur = alpha
             for _ in range(sig.preperiod + sig.period):
-                cur = q_apply(cur, d)
+                cur = q_apply(cur, d, grid)
                 hit = next((v for v in remaining if cur in params[v]), None)
                 if hit is not None:
                     alpha = cur
@@ -135,7 +123,7 @@ def _mark_color(
                 continue
             # otherwise take a vertex whose parameter falls into the noted orbit
             for v in list(remaining):
-                found = _reaches(sorted(params[v]), noted, d)
+                found = _reaches(sorted(params[v]), noted, d, grid)
                 if found is not None:
                     alpha = found[0]
                     mark(v, alpha)
@@ -149,7 +137,8 @@ def extract_portraits(
     pullback: PullbackParameters,
     criticals: list[CriticalVertex],
 ) -> tuple[CriticalPortrait, CriticalPortrait]:
-    """White and black critical portraits from the marked pullback parameters."""
+    """White and black critical portraits from the marked pullback parameters,
+    on the pullback grid."""
     portraits = {}
     for color in (WHITE, BLACK):
         crits = [
@@ -157,9 +146,12 @@ def extract_portraits(
             for cv in criticals
             if color in cv.colors
         ]
-        marked = _mark_color(crits, spec.degree)
+        marked = _mark_color(crits, spec.degree, pullback.grid)
         portraits[color] = CriticalPortrait(
-            color=color, degree=spec.degree, sets=[ps for _, ps in marked]
+            color=color,
+            degree=spec.degree,
+            grid=pullback.grid,
+            sets=[ps for _, ps in marked],
         )
     return portraits[WHITE], portraits[BLACK]
 
@@ -171,20 +163,21 @@ def extract_portraits(
 class Sectors:
     """The partition of the circle cut out by the portrait's hulls.
 
-    Each sector is a union of boundary arcs; labels follow the cyclic order
-    of the least boundary angle in each sector.
+    Angles and lengths are integers on the portrait's grid.  Arc i runs from
+    boundary[i] to the next boundary angle; each sector is a union of arcs,
+    and labels follow the cyclic order of the least boundary angle in each
+    sector.
     """
 
-    boundary: tuple[Angle, ...]
-    arcs: tuple[tuple[Angle, Angle], ...]
+    boundary: tuple[int, ...]
     sector_of_arc: tuple[int, ...]
-    lengths: tuple[Fraction, ...]          # total length per sector
+    lengths: tuple[int, ...]  # total length per sector
 
     @property
     def count(self) -> int:
         return len(self.lengths)
 
-    def label_of(self, t: Angle, side: str = "left") -> int:
+    def label_of(self, t: int, side: str = "left") -> int:
         """Sector of the arc holding t.  A boundary angle lies on the arc
         ending at it from the left and on the arc starting at it from the
         right."""
@@ -195,25 +188,15 @@ class Sectors:
         return self.sector_of_arc[i - 1]  # index -1 is the arc through 0
 
 
-def _gap_index(sorted_angles: Sequence[Angle], x: Fraction) -> int:
-    """Index of the gap (theta_g, theta_{g+1}) of the cyclically sorted angles
-    containing the point x (given strictly inside some gap)."""
-    n = len(sorted_angles)
-    for g in range(n):
-        lo = sorted_angles[g].value
-        hi = sorted_angles[(g + 1) % n].value
-        span = (hi - lo) % 1
-        if span == 0:
-            span = 1
-        off = (x - lo) % 1
-        if 0 < off < span:
-            return g
-    raise ValueError("point lies on a hull vertex")
-
-
 def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
-    """Cut the circle along the portrait hulls and group the arcs into sectors."""
-    hulls = [s.angles for s in portrait.sets if len(s.angles) >= 1]
+    """Cut the circle along the portrait hulls and group the arcs into sectors.
+
+    Two arcs share a sector when they lie in the same gap of every hull; the
+    arc starting at boundary angle lo lies in gap (bisect_right(h, lo) - 1)
+    mod |h| of hull h, the gap after h's last angle at or before lo.
+    """
+    grid = portrait.grid
+    hulls = [s.angles for s in portrait.sets if s.angles]
     boundary = sorted({a for h in hulls for a in h})
     if len(boundary) < 2:
         raise PortraitError("portrait has fewer than two marked angles; no sectors")
@@ -222,41 +205,27 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
             if sets_linked(hulls[i], hulls[j]):
                 raise PortraitError("portrait not unlinked")
 
-    n = len(boundary)
-    arcs = [(boundary[i], boundary[(i + 1) % n]) for i in range(n)]
-    signatures = []
-    for lo, hi in arcs:
-        span = (hi.value - lo.value) % 1
-        if span == 0:
-            span = Fraction(1)
-        mid = (lo.value + span / 2) % 1
-        signatures.append(tuple(_gap_index(h, mid) for h in hulls))
-
+    signatures = [tuple((bisect_right(h, lo) - 1) % len(h) for h in hulls) for lo in boundary]
     order: dict[tuple, int] = {}
     for sig in signatures:
         if sig not in order:
             order[sig] = len(order)
     sector_of_arc = tuple(order[sig] for sig in signatures)
 
-    lengths = [Fraction(0)] * len(order)
-    for (lo, hi), s in zip(arcs, sector_of_arc):
-        span = (hi.value - lo.value) % 1
-        lengths[s] += span if span else Fraction(1)
+    n = len(boundary)
+    lengths = [0] * len(order)
+    for i, s in enumerate(sector_of_arc):
+        lengths[s] += (boundary[(i + 1) % n] - boundary[i]) % grid
     for s, total in enumerate(lengths):
-        if (total * d).denominator != 1:
+        if total * d % grid:
             raise PortraitError(
-                f"sector {s} has length {total}, not a multiple of 1/{d}"
+                f"sector {s} has length {frac(total, grid)}, not a multiple of 1/{d}"
             )
 
-    return Sectors(
-        boundary=tuple(boundary),
-        arcs=tuple(arcs),
-        sector_of_arc=sector_of_arc,
-        lengths=tuple(lengths),
-    )
+    return Sectors(boundary=tuple(boundary), sector_of_arc=sector_of_arc, lengths=tuple(lengths))
 
 
-def _same_left_sequence(u: Angle, v: Angle, sec: Sectors, d: int) -> bool:
+def _same_left_sequence(u: int, v: int, sec: Sectors, d: int, grid: int) -> bool:
     """Whether u and v have identical infinite left symbol sequences.
 
     The pair orbit of rational angles is finite, so equality is decidable:
@@ -269,20 +238,12 @@ def _same_left_sequence(u: Angle, v: Angle, sec: Sectors, d: int) -> bool:
         a, b = cur
         if sec.label_of(a, "left") != sec.label_of(b, "left"):
             return False
-        cur = (q_apply(a, d), q_apply(b, d))
+        cur = (q_apply(a, d, grid), q_apply(b, d, grid))
     return True
 
 
 # ---------------------------------------------------------------------------
 # certification
-
-def _horizon(angles: Iterable[Angle], d: int) -> int:
-    h = 0
-    for a in angles:
-        sig = orbit_signature(a, d)
-        h = max(h, sig.preperiod + sig.period)
-    return h + 1
-
 
 def certify(portrait: CriticalPortrait, d: int) -> dict:
     """Evaluate the portrait conditions in the preperiodic specialization.
@@ -291,10 +252,15 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
     vacuous; the certificate records them as such.  Structural findings
     (preargument sets, unlinkedness) are reported alongside.
     """
+    grid = portrait.grid
     cert: dict[str, dict] = {}
     participants = portrait.participants()
+    signatures = {a: orbit_signature(a, d, grid) for a in participants}
 
-    structural = all(s.is_preargument for s in portrait.sets)
+    structural = all(
+        len(s.angles) >= 2 and len({q_apply(a, d, grid) for a in s.angles}) == 1
+        for s in portrait.sets
+    )
     cert["preargument"] = {
         "passed": structural,
         "detail": "every set maps to a single angle"
@@ -311,12 +277,12 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
     for name in ("c2", "c4", "c6"):
         cert[name] = {"passed": True, "vacuous": True, "detail": "no periodic family"}
 
-    periodic = [a for a in participants if orbit_signature(a, d).is_periodic]
+    periodic = [a for a in participants if signatures[a].is_periodic]
     cert["c5"] = {
         "passed": not periodic,
         "detail": "no participating angle is periodic"
         if not periodic
-        else "periodic participants: " + ", ".join(map(str, periodic)),
+        else "periodic participants: " + ", ".join(frac(a, grid) for a in periodic),
     }
 
     sec = None
@@ -329,7 +295,7 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
     if unlinked:
         cert["unlinked"] = {"passed": True, "detail": "hulls pairwise unlinked"}
 
-    horizon = _horizon(participants, d) if participants else 0
+    horizon = max((sig.preperiod + sig.period for sig in signatures.values()), default=-1) + 1
 
     # hierarchic: inbound orbit hits on a set all land on one element
     c3_ok, c3_detail = True, "no inter-set orbit landings"
@@ -342,13 +308,13 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
             for a in source.angles:
                 cur = a
                 for _ in range(horizon):
-                    cur = q_apply(cur, d)
+                    cur = q_apply(cur, d, grid)
                     if cur in tset:
                         landings.add(cur)
         if len(landings) > 1:
             c3_ok = False
             c3_detail = f"set {m} entered at several elements: " + ", ".join(
-                map(str, sorted(landings))
+                frac(x, grid) for x in sorted(landings)
             )
             break
         if landings and target.preferred is not None and landings != {target.preferred}:
@@ -367,15 +333,16 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
             cur = a
             for i in range(horizon + 1):
                 for t in participants:
-                    if cur != t and _same_left_sequence(cur, t, sec, d):
+                    if cur != t and _same_left_sequence(cur, t, sec, d, grid):
                         c7_ok = False
                         c7_detail = (
-                            f"q^{i}({a}) = {cur} and {t} share a left symbol sequence"
+                            f"q^{i}({frac(a, grid)}) = {frac(cur, grid)} and "
+                            f"{frac(t, grid)} share a left symbol sequence"
                         )
                         break
                 if not c7_ok:
                     break
-                cur = q_apply(cur, d)
+                cur = q_apply(cur, d, grid)
             if not c7_ok:
                 break
         cert["c7"] = {"passed": c7_ok, "detail": c7_detail}

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .laminations import BLACK, WHITE, AngleClasses, frac
+from .circle import frac
+from .laminations import BLACK, WHITE, AngleClasses
 
 _STYLES = {
     WHITE: 'stroke="#b03030" stroke-width="0.010"',

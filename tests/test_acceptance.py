@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from unmating import parse_file, validate
-from unmating.circle import Angle, q_apply
+from unmating.circle import frac
 from unmating.laminations import check_planar, depth1, pullback_step
 from unmating.mapspec import critical_vertices, faces
 from unmating.parameterize import pullback_parameters, solve_for_spec
@@ -23,9 +23,9 @@ from unmating.spectral import certify_perron, transition_matrix
 from unmating.svg import SvgScene
 
 from .conftest import MEYER, REVERSED, VALID_FIXTURES, meyer_raw
-from .oracles import brute_force_pullback, power_iteration
+from .oracles import as_fractions, brute_force_pullback, power_iteration
 
-A = Angle.of
+F = Fraction
 
 MEYER_MATRIX = [
     [0, 1, 0, 0, 0, 0],
@@ -54,10 +54,10 @@ class TestAcceptance:
             Fraction(*nd) for nd in [(1, 12), (1, 6), (1, 12), (1, 4), (1, 6), (1, 4)]
         )
         assert set(result.params.t) == {
-            A(1, 12), A(1, 6), A(1, 3), A(5, 12), A(2, 3), A(5, 6),
+            F(1, 12), F(1, 6), F(1, 3), F(5, 12), F(2, 3), F(5, 6),
         }
-        assert [s.angles for s in result.white.sets] == [(A(5, 24), A(17, 24))]
-        assert [s.angles for s in result.black.sets] == [(A(1, 24), A(13, 24))]
+        for p, expected in ((result.white, ["5/24", "17/24"]), (result.black, ["1/24", "13/24"])):
+            assert [[frac(a, p.grid) for a in s.angles] for s in p.sets] == [expected]
         assert elapsed < 1.0
         report(1, f"worked example reproduced exactly in {elapsed:.3f}s")
 
@@ -91,10 +91,10 @@ class TestAcceptance:
             for branch in range(max(1, d - 1)):
                 params = solve_for_spec(spec, lengths, base=0, branch=branch)
                 for i, t in enumerate(params.t):
-                    assert q_apply(t, d) == params.t[params.image[i]]
+                    assert d * t % 1 == params.t[params.image[i]]
                 assert sum(params.lengths) == 1
                 t_set = set(params.t)
-                assert {q_apply(t, d) for t in t_set} <= t_set
+                assert {d * t % 1 for t in t_set} <= t_set
                 pullback_parameters(params, spec)
                 # base independence over all k bases
                 for base in range(spec.k):
@@ -114,12 +114,13 @@ class TestAcceptance:
         with_periodic = CriticalPortrait(
             color="white",
             degree=2,
-            sets=[PreargumentSet.of([A(5, 24), A(17, 24), A(1, 3)], 2)],
+            grid=24,
+            sets=[PreargumentSet.of([5, 17, 8])],  # 5/24, 17/24, 1/3
         )
         assert not certify(with_periodic, 2)["c5"]["passed"]
 
         with_deleted = CriticalPortrait(
-            color="white", degree=2, sets=[PreargumentSet.of([A(5, 24)], 2)]
+            color="white", degree=2, grid=24, sets=[PreargumentSet.of([5])]
         )
         assert not certify(with_deleted, 2)["c1"]["passed"]
         report(4, "c1/c3/c5/c7 pass, c2/c4/c6 vacuous; 1/3 breaks c5; deletion breaks c1")
@@ -129,12 +130,10 @@ class TestAcceptance:
             spec = parse_file(path)
             result = run_pipeline(spec)
             white, black = depth1(result.pullback, critical_vertices(spec, faces(spec, 1)))
-            assert {frozenset(c) for c in white.angles()} == {
-                frozenset(s.angles) for s in result.white.sets
-            }, path.name
-            assert {frozenset(c) for c in black.angles()} == {
-                frozenset(s.angles) for s in result.black.sets
-            }, path.name
+            for classes, portrait in ((white, result.white), (black, result.black)):
+                assert {frozenset(c) for c in as_fractions(classes)} == {
+                    frozenset(F(a, portrait.grid) for a in s.angles) for s in portrait.sets
+                }, path.name
         report(5, "depth-1 classes equal extracted portrait sets on all fixtures")
 
     def test_criterion_6_pullback_oracle_equivalence(self):
@@ -149,8 +148,8 @@ class TestAcceptance:
             leaf_counts = [len(SvgScene.from_classes([cur]).chords)]
             for depth in range(2, 7):
                 nxt = pullback_step(cur, portrait, 2)
-                oracle = brute_force_pullback(cur, sec, 2)
-                assert nxt.angles() == oracle, (portrait.color, depth)
+                oracle = brute_force_pullback(cur, sec, portrait.grid, 2)
+                assert as_fractions(nxt) == oracle, (portrait.color, depth)
                 assert check_planar(nxt.classes) is None
                 leaf_counts.append(len(SvgScene.from_classes([nxt]).chords))
                 cur = nxt

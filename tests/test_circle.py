@@ -7,21 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unmating.circle import (
-    Angle,
     arc_sum,
+    frac,
     orbit_signature,
     q_apply,
-    q_preimages,
 )
-
-A = Angle.of
 
 MEYER_LENGTHS = [Fraction(1, 12), Fraction(1, 6), Fraction(1, 12), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4)]
 
-angles = st.builds(
-    lambda n, d: Angle.of(n % d, d),
-    st.integers(min_value=0, max_value=400),
-    st.integers(min_value=1, max_value=97),
+# (x, grid): the angle x/grid
+angles = st.integers(min_value=1, max_value=97).flatmap(
+    lambda grid: st.tuples(st.integers(min_value=0, max_value=grid - 1), st.just(grid))
 )
 degrees = st.integers(min_value=2, max_value=6)
 
@@ -29,60 +25,85 @@ degrees = st.integers(min_value=2, max_value=6)
 class TestQApply:
     def test_meyer_doubling_identity(self):
         # inverse direction of the q_2^{-1}(5/12) step
-        assert q_apply(A(5, 24), 2) == A(5, 12)
+        assert q_apply(5, 2, 24) == 10
 
     def test_fixed_point(self):
-        assert q_apply(A(0), 7) == A(0)
+        assert q_apply(0, 7, 1) == 0
 
     def test_wraps(self):
-        assert q_apply(A(2, 3), 2) == A(1, 3)
+        assert q_apply(2, 2, 3) == 1
 
     def test_rejects_degree_one(self):
         with pytest.raises(ValueError):
-            q_apply(A(1, 2), 1)
+            q_apply(1, 1, 2)
 
 
 class TestQPreimages:
+    """Preimages on the grid: the angles q_d maps onto x/grid are the lifts
+    (x + m*grid)/(d*grid), m = 0..d-1, which the marking step and the
+    pullback select with q_apply."""
+
+    @staticmethod
+    def preimages(x, d, grid):
+        return [y for y in range(d * grid) if q_apply(y, d, d * grid) == d * x]
+
     def test_white_portrait_preimages(self):
-        assert q_preimages(A(5, 12), 2) == [A(5, 24), A(17, 24)]
+        assert self.preimages(10, 2, 24) == [10, 34]  # 5/12 -> 5/24, 17/24
 
     def test_black_portrait_preimages(self):
-        assert q_preimages(A(1, 12), 2) == [A(1, 24), A(13, 24)]
+        assert self.preimages(2, 2, 24) == [2, 26]  # 1/12 -> 1/24, 13/24
 
     def test_zero_degree_three(self):
-        assert q_preimages(A(0), 3) == [A(0), A(1, 3), A(2, 3)]
+        assert self.preimages(0, 3, 1) == [0, 1, 2]  # 0 -> 0, 1/3, 2/3
 
     @given(angles, degrees)
     def test_roundtrip_and_distinct(self, t, d):
-        pres = q_preimages(t, d)
-        assert len(set(pres)) == d
-        assert all(q_apply(p, d) == t for p in pres)
-        assert pres == sorted(pres)
+        x, grid = t
+        pres = self.preimages(x, d, grid)
+        assert pres == [x + m * grid for m in range(d)]
+        assert {Fraction(p, d * grid) for p in pres} == {(Fraction(x, grid) + m) / d for m in range(d)}
 
 
 class TestOrbitSignature:
     def test_preperiodic(self):
-        sig = orbit_signature(A(5, 24), 2)
+        sig = orbit_signature(5, 2, 24)
         assert (sig.preperiod, sig.period) == (3, 2)
         assert not sig.is_periodic
 
     def test_fixed(self):
-        assert (orbit_signature(A(0), 2).preperiod, orbit_signature(A(0), 2).period) == (0, 1)
+        assert (orbit_signature(0, 2, 1).preperiod, orbit_signature(0, 2, 1).period) == (0, 1)
 
     def test_periodic_cycle(self):
-        sig = orbit_signature(A(1, 7), 2)
+        sig = orbit_signature(1, 2, 7)
         assert (sig.preperiod, sig.period) == (0, 3)
 
     @given(angles, degrees)
     def test_orbit_closes(self, t, d):
-        sig = orbit_signature(t, d)
-        u = t
+        x, grid = t
+        sig = orbit_signature(x, d, grid)
+        u = Fraction(x, grid)
         for _ in range(sig.preperiod):
-            u = q_apply(u, d)
+            u = d * u % 1
         v = u
         for _ in range(sig.period):
-            v = q_apply(v, d)
+            v = d * v % 1
         assert u == v
+
+    @given(angles, degrees, st.integers(min_value=2, max_value=5))
+    def test_grid_independent(self, t, d, m):
+        x, grid = t
+        assert orbit_signature(x, d, grid) == orbit_signature(m * x, d, m * grid)
+
+
+class TestFrac:
+    def test_zero(self):
+        assert frac(0, 24) == "0/1"
+
+    @given(angles, st.integers(min_value=1, max_value=5))
+    def test_reduced_on_any_grid(self, t, m):
+        x, grid = t
+        f = Fraction(x, grid)
+        assert frac(m * x, m * grid) == f"{f.numerator}/{f.denominator}"
 
 
 class TestArcSum:
@@ -102,4 +123,3 @@ class TestArcSum:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             arc_sum(MEYER_LENGTHS, 0, 6)
-

@@ -366,6 +366,21 @@ def test_depth9_stdout_bytes(fixture, sha256):
     assert hashlib.sha256(out).hexdigest() == sha256
 
 
+def test_closed_stdout_exit_two():
+    """A reader that closes stdout early gets exit 2 and one error line, not a traceback."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "unmating.cli", "unmate", str(JORDAN), "--depth", "8"],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()  # several MB are still to come
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+
 # mapfile fuzz: mutate a fixture, run it through the CLI, expect an exit code and no traceback
 
 WRONG_TYPED = st.sampled_from([None, True, 2.5, -1, 10**20, "x", "", [], {}, [1, "in"], {"a": 1}])

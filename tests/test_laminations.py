@@ -1,15 +1,16 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unmating.circle import Angle, q_apply
 from unmating.errors import LaminationError
 from unmating.laminations import (
     AngleClasses,
+    _canon,
     check_planar,
     depth1,
     join,
@@ -24,29 +25,41 @@ from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, sectors
 from unmating.svg import SvgScene
 
-from .oracles import brute_force_pullback, linked_pairs_by_scan, merge_overlapping, moore_by_scan
+from .oracles import (
+    as_fractions,
+    brute_force_pullback,
+    linked_pairs_by_scan,
+    merge_overlapping,
+    moore_by_scan,
+    p_q,
+)
 
-A = Angle.of
+F = Fraction
 
 
 def classes(depth, color, *sets, grid=None) -> AngleClasses:
-    """Classes of the given angles, on their least common grid unless one is given."""
+    """Classes of the given Fractions, on their least common grid unless one is given."""
     if grid is None:
-        grid = lcm(*(a.value.denominator for s in sets for a in s))
-    return AngleClasses.of(depth, color, sets, grid)
+        grid = lcm(*(a.denominator for s in sets for a in s))
+    return AngleClasses(depth, color, grid, _canon({int(a * grid) for a in s} for s in sets))
 
 
 def chord_count(lam: AngleClasses) -> int:
     return len(SvgScene.from_classes([lam]).chords)
 
 
-def portrait(color, d, *angle_sets) -> CriticalPortrait:
+def portrait(color, d, grid, *angle_sets) -> CriticalPortrait:
+    """A portrait whose sets hold the angles x/grid, given as the integers x."""
     return CriticalPortrait(
-        color=color, degree=d, sets=[PreargumentSet.of(s, d) for s in angle_sets]
+        color=color, degree=d, grid=grid, sets=[PreargumentSet.of(s) for s in angle_sets]
     )
 
 
-MEYER_WHITE = portrait("white", 2, [A(5, 24), A(17, 24)])
+def brute_force(classes: AngleClasses, p: CriticalPortrait, d: int):
+    return brute_force_pullback(classes, sectors(p, d), p.grid, d)
+
+
+MEYER_WHITE = portrait("white", 2, 24, [5, 17])
 
 
 class TestAngleClasses:
@@ -60,31 +73,28 @@ class TestAngleClasses:
     )
     def test_round_trip_and_text(self, grid_sets):
         grid, sets = grid_sets
-        angle_sets = [{A(x, grid) for x in s} for s in sets]
-        lam = AngleClasses.of(1, "white", angle_sets, grid)
-        expected = {tuple(sorted(s)) for s in angle_sets}
-        assert set(lam.angles()) == expected and len(lam.angles()) == len(expected)
-        assert list(lam.angles()) == sorted(lam.angles(), key=lambda c: (c[0], len(c), c))
-        assert lam.text() == [[str(a) for a in c] for c in lam.angles()]
-
-    def test_off_grid_angle_refused(self):
-        with pytest.raises(LaminationError, match="not on the grid 1/4"):
-            AngleClasses.of(1, "white", [[A(1, 3)]], 4)
+        lam = AngleClasses(1, "white", grid, _canon(sets))
+        expected = {tuple(sorted(s)) for s in sets}
+        assert set(lam.classes) == expected and len(lam.classes) == len(expected)
+        fractions = as_fractions(lam)
+        assert list(fractions) == sorted(fractions, key=lambda c: (c[0], len(c), c))
+        assert lam.text() == [[p_q(f) for f in c] for c in fractions]
 
     @pytest.mark.parametrize("fixture", ["meyer_result", "jordan_result"])
-    def test_lifting_builds_no_angle(self, request, monkeypatch, fixture):
+    def test_lifting_builds_no_fraction(self, request, monkeypatch, fixture):
         result = request.getfixturevalue(fixture)
         built = []
-        post_init = Angle.__post_init__
+        new = Fraction.__new__
 
-        def counting(self):
+        def counting(cls, *args, **kwargs):
             built.append(1)
-            post_init(self)
+            return new(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Angle, "__post_init__", counting)
+        monkeypatch.setattr(Fraction, "__new__", counting)
         white = pullback_to_depth(result.depth1_white, result.white, 2, 6)
         black = pullback_to_depth(result.depth1_black, result.black, 2, 6)
         moore_check(join(white, black))
+        monkeypatch.undo()
         assert len(built) == 0
 
 
@@ -92,15 +102,15 @@ class TestDepth1:
     def test_meyer_matches_portraits(self, meyer_spec, meyer_result):
         criticals = critical_vertices(meyer_spec, faces(meyer_spec, 1))
         white, black = depth1(meyer_result.pullback, criticals)
-        assert white.angles() == ((A(5, 24), A(17, 24)),)
-        assert black.angles() == ((A(1, 24), A(13, 24)),)
+        assert white.classes == ((5, 17),)
+        assert black.classes == ((1, 13),)
         assert white.grid == black.grid == 24
 
     def test_jordan_matches_portraits(self, jordan_spec, jordan_result):
         criticals = critical_vertices(jordan_spec, faces(jordan_spec, 1))
         white, black = depth1(jordan_result.pullback, criticals)
-        assert white.angles() == ((A(1, 4), A(3, 4)),)
-        assert black.angles() == ((A(1, 8), A(5, 8)),)
+        assert as_fractions(white) == ((F(1, 4), F(3, 4)),)
+        assert as_fractions(black) == ((F(1, 8), F(5, 8)),)
         assert white.grid == black.grid == 8
 
 
@@ -108,17 +118,13 @@ class TestPullbackStep:
     def test_meyer_depth2_white(self, meyer_result):
         step = pullback_step(meyer_result.depth1_white, meyer_result.white, 2)
         assert step.grid == 48
-        assert step.angles() == (
-            (A(5, 48), A(41, 48)),
-            (A(5, 24), A(17, 24)),
-            (A(17, 48), A(29, 48)),
-        )
+        assert step.classes == ((5, 41), (10, 34), (17, 29))
 
     def test_empty_fixed_point(self):
         empty = classes(1, "white")
         step = pullback_step(empty, MEYER_WHITE, 2)
         assert step.classes == ()
-        assert step.grid == 24  # the portrait's boundary is finer than 1/(2*1)
+        assert step.grid == 24  # the portrait's grid is finer than 1/(2*1)
         assert step.depth == 2
 
     def test_matches_brute_force_to_depth_six(self, meyer_result, jordan_result):
@@ -127,12 +133,10 @@ class TestPullbackStep:
                 (result.depth1_white, result.white),
                 (result.depth1_black, result.black),
             ):
-                sec = sectors(p, 2)
                 cur = cls
                 for _ in range(5):  # depths 2..6
                     nxt = pullback_step(cur, p, 2)
-                    oracle = brute_force_pullback(cur, sec, 2)
-                    assert nxt.angles() == oracle, (p.color, cur.depth)
+                    assert as_fractions(nxt) == brute_force(cur, p, 2), (p.color, cur.depth)
                     cur = nxt
 
     def test_planar_at_all_depths(self, meyer_result):
@@ -155,25 +159,25 @@ class TestPullbackStep:
         prev = meyer_result.depth1_white
         for _ in range(5):
             cur = pullback_step(prev, meyer_result.white, 2)
-            prev_sets = [set(c) for c in prev.angles()]
-            for c in cur.angles():
-                image = {q_apply(a, 2) for a in c}
+            prev_sets = [set(c) for c in as_fractions(prev)]
+            for c in as_fractions(cur):
+                image = {2 * a % 1 for a in c}
                 ok = len(image) == 1 or any(image <= s for s in prev_sets)
                 assert ok, (prev.depth, c)
             prev = cur
 
     def test_critical_value_lift_merges_to_polygon(self):
         # a class through the critical value lifts to the full preimage square
-        p = portrait("white", 2, [A(0), A(1, 2)])
-        start = classes(1, "white", [A(0), A(1, 2)])
+        p = portrait("white", 2, 2, [0, 1])
+        start = classes(1, "white", [F(0), F(1, 2)])
         step = pullback_step(start, p, 2)
-        assert step.angles() == ((A(0), A(1, 4), A(1, 2), A(3, 4)),)
+        assert as_fractions(step) == ((F(0), F(1, 4), F(1, 2), F(3, 4)),)
 
     def test_boundary_preimages_lie_in_both_sectors(self):
         # 0 and 1/2 bound both closed sectors, so both lifts of {0, 1/3} hold them
-        p = portrait("white", 2, [A(0), A(1, 2)])
-        step = pullback_step(classes(1, "white", [A(0), A(1, 3)]), p, 2)
-        assert step.angles() == ((A(0), A(1, 6), A(1, 3), A(1, 2), A(2, 3)),)
+        p = portrait("white", 2, 2, [0, 1])
+        step = pullback_step(classes(1, "white", [F(0), F(1, 3)]), p, 2)
+        assert as_fractions(step) == ((F(0), F(1, 6), F(1, 3), F(1, 2), F(2, 3)),)
 
     def test_color_mismatch_rejected(self, meyer_result):
         with pytest.raises(LaminationError, match="cannot lift"):
@@ -194,10 +198,10 @@ class TestJoin:
         assert joined.sides == (("black",), ("white",))
 
     def test_transitive_merge(self):
-        white = classes(1, "white", [A(1, 8), A(3, 8)])
-        black = classes(1, "black", [A(3, 8), A(7, 8)])
+        white = classes(1, "white", [F(1, 8), F(3, 8)])
+        black = classes(1, "black", [F(3, 8), F(7, 8)])
         joined = join(white, black)
-        assert joined.angles() == ((A(1, 8), A(3, 8), A(7, 8)),)
+        assert as_fractions(joined) == ((F(1, 8), F(3, 8), F(7, 8)),)
         assert joined.sides == (("black", "white"),)
 
     def test_join_with_empty_is_identity(self, meyer_result):
@@ -211,8 +215,8 @@ class TestJoin:
             join(meyer_result.depth1_white, deeper)
 
     def test_grid_mismatch(self):
-        white = classes(1, "white", [A(1, 4), A(3, 4)])
-        black = classes(1, "black", [A(1, 8), A(5, 8)])
+        white = classes(1, "white", [F(1, 4), F(3, 4)])
+        black = classes(1, "black", [F(1, 8), F(5, 8)])
         with pytest.raises(LaminationError, match="equal depths and grids"):
             join(white, black)
 
@@ -221,14 +225,14 @@ class TestJoin:
         w2 = pullback_step(jordan_result.depth1_white, jordan_result.white, 2)
         b2 = pullback_step(jordan_result.depth1_black, jordan_result.black, 2)
         joined = join(w2, b2)
-        merged = [c for c in joined.angles() if len(c) > 2]
-        assert merged == [(A(1, 8), A(3, 8), A(5, 8), A(7, 8))]
+        merged = [c for c in as_fractions(joined) if len(c) > 2]
+        assert merged == [(F(1, 8), F(3, 8), F(5, 8), F(7, 8))]
 
 
 # small angle pool so random sets overlap often; sizes from singletons up
 tagged_families = st.lists(
     st.tuples(
-        st.frozensets(st.builds(lambda n: A(n, 16), st.integers(0, 15)), min_size=1, max_size=4),
+        st.frozensets(st.integers(0, 15), min_size=1, max_size=4),  # angles x/16
         st.sampled_from(["white", "black"]),
     ),
     max_size=10,
@@ -251,19 +255,19 @@ class TestMergeOracle:
 
     @given(tagged_families)
     def test_join_matches_naive(self, tagged):
-        white = AngleClasses.of(1, "white", [a for a, t in tagged if t == "white"], 16)
-        black = AngleClasses.of(1, "black", [a for a, t in tagged if t == "black"], 16)
+        white = AngleClasses(1, "white", 16, _canon(a for a, t in tagged if t == "white"))
+        black = AngleClasses(1, "black", 16, _canon(a for a, t in tagged if t == "black"))
         joined = join(white, black)
-        got = {frozenset(c): frozenset(s) for c, s in zip(joined.angles(), joined.sides)}
+        got = {frozenset(c): frozenset(s) for c, s in zip(joined.classes, joined.sides)}
         assert got == naive_components(tagged)
         assert list(joined.classes) == sorted(joined.classes, key=lambda c: (c[0], len(c)))
 
     def test_chain_in_reverse_order_is_one_component(self):
-        links = [(A(i, 16), A(i + 1, 16)) for i in range(8)][::-1]
-        merged = merge_tagged([(pair, "white") for pair in links] + [((A(15, 16),), "black")])
+        links = [(i, i + 1) for i in range(8)][::-1]
+        merged = merge_tagged([(pair, "white") for pair in links] + [((15,), "black")])
         assert sorted((sorted(m), sorted(t)) for m, t in merged) == [
-            ([A(i, 16) for i in range(9)], ["white"]),
-            ([A(15, 16)], ["black"]),
+            (list(range(9)), ["white"]),
+            ([15], ["black"]),
         ]
 
 
@@ -337,7 +341,7 @@ class TestLinkedPairs:
 
     def test_shared_angle_refused(self):
         with pytest.raises(LaminationError, match="share the angle 1/4"):
-            linked_pairs([(A(0), A(1, 4)), (A(1, 4), A(1, 2))])
+            linked_pairs([(F(0), F(1, 4)), (F(1, 4), F(1, 2))])
 
     def test_fixtures_at_depth_seven_match_scan(self, meyer_spec, jordan_spec):
         for spec in (meyer_spec, jordan_spec):
@@ -362,10 +366,10 @@ class TestLeafSet:
     """The leaves of a class, as the SVG scene draws them."""
 
     def test_pair_class_single_leaf(self):
-        assert chord_count(classes(1, "white", [A(0), A(1, 2)])) == 1
+        assert chord_count(classes(1, "white", [F(0), F(1, 2)])) == 1
 
     def test_polygon_class_cycle(self):
-        assert chord_count(classes(2, "white", [A(0), A(1, 4), A(1, 2), A(3, 4)])) == 4
+        assert chord_count(classes(2, "white", [F(0), F(1, 4), F(1, 2), F(3, 4)])) == 4
 
     def test_depth_matches_class_count_for_leaves(self, meyer_result):
         lam = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 4)

@@ -319,8 +319,9 @@ class TestAnchorSymmetry:
         assert validate(flipped).passed
         result = run_pipeline(flipped)
         # the roles of the two polynomials swap with the orientation choice
-        assert [[str(a) for a in s.angles] for s in result.white.sets] == [["1/24", "13/24"]]
-        assert [[str(a) for a in s.angles] for s in result.black.sets] == [["5/24", "17/24"]]
+        white, black = result.to_json()["white"], result.to_json()["black"]
+        assert white["sets"] == [["1/24", "13/24"]]
+        assert black["sets"] == [["5/24", "17/24"]]
         assert result.white.certificate["valid"] and result.black.certificate["valid"]
 
 

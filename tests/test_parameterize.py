@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unmating.circle import Angle, q_apply
+from unmating.circle import frac
 from unmating.errors import ParameterizationError
 from unmating.parameterize import (
     marker_images,
@@ -13,7 +13,6 @@ from unmating.parameterize import (
     solve_parameters,
 )
 
-A = Angle.of
 HALF = [Fraction(1, 2), Fraction(1, 2)]
 
 
@@ -37,6 +36,7 @@ class TestMarkerImages:
 
 class TestSolveParameters:
     def test_meyer_parameters(self, meyer_result):
+        assert meyer_result.params.t == tuple(Fraction(*nd) for nd in [(1, 12), (1, 6), (1, 3), (5, 12), (2, 3), (5, 6)])
         assert [str(t) for t in meyer_result.params.t] == [
             "1/12", "1/6", "1/3", "5/12", "2/3", "5/6",
         ]
@@ -44,14 +44,14 @@ class TestSolveParameters:
     def test_two_marker_toy_fixed_base(self):
         # fixed marker: L = 0, so t[0] = 0 and t = {0, 1/2}
         params = solve_parameters(HALF, [0, 0], d=2)
-        assert params.t == (A(0), A(1, 2))
+        assert params.t == (Fraction(0), Fraction(1, 2))
 
     def test_consistency_holds_everywhere(self, meyer_result, jordan_result):
         for result in (meyer_result, jordan_result):
             params = result.params
             d = params.degree
             for i, t in enumerate(params.t):
-                assert q_apply(t, d) == params.t[params.image[i]]
+                assert d * t % 1 == params.t[params.image[i]]
             assert sum(params.lengths) == 1
 
     def test_base_independence(self, meyer_spec, meyer_result):
@@ -69,10 +69,10 @@ class TestSolveParameters:
         base0 = solve_parameters(HALF, [0, 1], d=3, branch=0)
         base1 = solve_parameters(HALF, [0, 1], d=3, branch=1)
         rot = Fraction(1, 2)  # branch/(d-1)
-        assert [t.value for t in base1.t] == [(t.value + rot) % 1 for t in base0.t]
+        assert list(base1.t) == [(t + rot) % 1 for t in base0.t]
         # pairwise gaps preserved
-        gaps0 = [(base0.t[(i + 1) % 2].value - base0.t[i].value) % 1 for i in range(2)]
-        gaps1 = [(base1.t[(i + 1) % 2].value - base1.t[i].value) % 1 for i in range(2)]
+        gaps0 = [(base0.t[(i + 1) % 2] - base0.t[i]) % 1 for i in range(2)]
+        gaps1 = [(base1.t[(i + 1) % 2] - base1.t[i]) % 1 for i in range(2)]
         assert gaps0 == gaps1
 
     def test_inconsistent_image_map(self):
@@ -87,37 +87,40 @@ class TestSolveParameters:
 
 class TestPullbackParameters:
     def test_meyer_values(self, meyer_result):
-        assert [str(s) for s in meyer_result.pullback.s] == [
+        pullback = meyer_result.pullback
+        assert pullback.grid == 24
+        assert [frac(s, pullback.grid) for s in pullback.s] == [
             "1/24", "1/12", "1/6", "5/24", "1/3", "5/12",
             "13/24", "7/12", "2/3", "17/24", "5/6", "11/12",
         ]
 
     def test_critical_vertex_parameters(self, meyer_spec, meyer_result):
-        s = meyer_result.pullback.s
+        pullback = meyer_result.pullback
         c1_visits = meyer_spec.visits_at("c1")
-        assert sorted(str(s[j]) for j in c1_visits) == ["17/24", "5/24"]
+        assert sorted(frac(pullback.s[j], pullback.grid) for j in c1_visits) == ["17/24", "5/24"]
 
     def test_preimage_set_equality(self, meyer_result, jordan_result):
-        from unmating.circle import q_preimages
-
         for result in (meyer_result, jordan_result):
             d = result.spec.degree
             t_set = set(result.params.t)
-            expected = {p for t in t_set for p in q_preimages(t, d)}
-            assert set(result.pullback.s) == expected
+            expected = {(t + m) / d for t in t_set for m in range(d)}
+            assert {Fraction(s, result.pullback.grid) for s in result.pullback.s} == expected
 
     def test_forward_invariance(self, meyer_result, jordan_result):
         for result in (meyer_result, jordan_result):
             d = result.spec.degree
             t_set = set(result.params.t)
-            assert {q_apply(t, d) for t in t_set} <= t_set
+            assert {d * t % 1 for t in t_set} <= t_set
 
     def test_marked_visits_keep_parameters(self, meyer_spec, meyer_result):
+        pullback = meyer_result.pullback
         for i, m in enumerate(meyer_spec.markers):
-            assert meyer_result.pullback.s[m] == meyer_result.params.t[i]
+            assert Fraction(pullback.s[m], pullback.grid) == meyer_result.params.t[i]
 
     def test_jordan_quarter_structure(self, jordan_result):
-        assert [str(s) for s in jordan_result.pullback.s] == [
+        assert jordan_result.pullback.grid == 8
+        assert jordan_result.pullback.s == (0, 1, 2, 4, 5, 6)
+        assert [frac(s, 8) for s in jordan_result.pullback.s] == [
             "0/1", "1/8", "1/4", "1/2", "5/8", "3/4",
         ]
 
@@ -138,7 +141,7 @@ class TestPullbackParameters:
             markers=tuple((m + meyer_spec.k) % meyer_spec.n1 for m in meyer_spec.markers),
         )
         alt = pullback_parameters(meyer_result.params, shifted)
-        assert {q_apply(s, 2) for s in alt.s} == set(meyer_result.params.t)
+        assert {Fraction(2 * s, alt.grid) % 1 for s in alt.s} == set(meyer_result.params.t)
 
 
 def test_two_marker_toy_quarter_points():
@@ -174,4 +177,4 @@ def test_two_marker_toy_quarter_points():
     )
     params = solve_parameters(HALF, [0, 0], d=2)
     pullback = pullback_parameters(params, toy)
-    assert [str(s) for s in pullback.s] == ["0/1", "1/4", "1/2", "3/4"]
+    assert (pullback.grid, pullback.s) == (4, (0, 1, 2, 3))
