@@ -18,7 +18,6 @@ from .errors import (
 )
 from .laminations import AngleClasses, depth1, join, moore_check, pullback_step
 from .mapspec import (
-    ChordDiagram,
     CriticalVertex,
     LevelMap,
     MapSpec,

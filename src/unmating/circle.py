@@ -81,17 +81,14 @@ def sets_linked(xs: Iterable, ys: Iterable) -> bool:
     return False
 
 
-def arc_sum(lengths: Sequence[Fraction], frm: int, to: int, full_cycle: bool = False) -> Fraction:
+def arc_sum(lengths: Sequence[Fraction], frm: int, to: int) -> Fraction:
     """Sum of interval lengths walked from marker `frm` to marker `to`.
 
     Marker i sits at the start of interval i, so the walk crosses intervals
-    frm, frm+1, ..., to-1 cyclically.  frm == to is the empty walk unless
-    full_cycle is set, in which case the whole circle is traversed.
+    frm, frm+1, ..., to-1 cyclically; frm == to is the empty walk.
     """
     k = len(lengths)
     if not (0 <= frm < k and 0 <= to < k):
         raise IndexError(f"marker index out of range for {k} intervals")
-    if frm == to:
-        return sum(lengths, Fraction(0)) if full_cycle else Fraction(0)
     steps = (to - frm) % k
     return sum((lengths[(frm + i) % k] for i in range(steps)), Fraction(0))

@@ -13,6 +13,7 @@ All JSON output is deterministic; exit codes partition the failure modes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -215,6 +216,7 @@ def cmd_render(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unmating",

@@ -74,12 +74,6 @@ class MapSpec:
         """1-vertex id at gamma1 visit j (start of word1 position j)."""
         return self.word1[(j - 1) % self.n1].to
 
-    def visits_at(self, vertex: str) -> list[int]:
-        return [j for j in range(self.n1) if self.visit_vertex(j) == vertex]
-
-    def word0_visits_of(self, post: str) -> list[int]:
-        return [i for i in range(self.k) if self.marker_post(i) == post]
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -253,10 +247,22 @@ def parse_file(path) -> MapSpec:
 
 
 # ---------------------------------------------------------------------------
-# the combinatorial map at one level: darts, faces, coloring
+# the combinatorial map at one level: visits, darts, faces, chords, coloring
 
 WHITE = "white"
 BLACK = "black"
+
+Visits = dict[str, tuple[int, ...]]  # vertex -> its visits in word order
+
+
+def _visit_index(names: tuple[str, ...], word) -> Visits:
+    """The visits at each vertex of the curve that `word` (word0 or word1)
+    traces.  Visit j is the start of word position j: it enters by dart
+    (j-1, in) and leaves by dart (j, out)."""
+    visits: dict[str, list[int]] = {v: [] for v in names}
+    for j in range(len(word)):
+        visits[word[j - 1].to].append(j)
+    return {v: tuple(js) for v, js in visits.items()}
 
 
 @dataclass
@@ -266,6 +272,8 @@ class LevelMap:
     level: int
     n_edges: int
     rotations: dict[str, tuple[Dart, ...]]
+    visits: Visits
+    chords: dict[str, list[tuple[int, int]]]  # per visit: (lower, upper) rotation slots of its two ends
     faces: list[tuple[Dart, ...]]          # orbits of the face permutation
     face_of: dict[Dart, int]
     colors: Optional[list[str]]            # per face, once coloring succeeds
@@ -276,45 +284,52 @@ class LevelMap:
     def right_face(self, pos: int) -> int:
         return self.face_of[(pos, IN)]
 
-    def corner_face(self, vertex: str, slot: int) -> int:
-        """Face of the corner that follows rotation slot `slot` at `vertex`."""
-        rot = self.rotations[vertex]
-        nxt = rot[(slot + 1) % len(rot)]
-        return self.face_of[_alpha(nxt)]
-
 
 def _alpha(d: Dart) -> Dart:
     pos, end = d
     return (pos, OUT if end == IN else IN)
 
 
-def _edge_ends(spec: MapSpec, level: int) -> list[tuple[str, str]]:
-    """(start vertex, end vertex) of each edge of the level-0 or level-1 curve."""
-    if level == 0:
-        return [(spec.marker_post(i), w.to) for i, w in enumerate(spec.word0)]
-    return [(spec.visit_vertex(j), w.to) for j, w in enumerate(spec.word1)]
+def _check_rotations(level: int, rotations: dict[str, tuple[Dart, ...]], visits: Visits,
+                     report: ValidationReport) -> bool:
+    """Every edge-end incidence listed exactly once at its vertex."""
+    n = sum(map(len, visits.values()))
+    ok = True
+    for v, js in visits.items():
+        got = rotations.get(v)
+        if got is None:
+            report.add("rotation system incomplete", f"level {level}: no rotation for vertex {v!r}")
+            ok = False
+            continue
+        ends = {((j - 1) % n, IN) for j in js} | {(j, OUT) for j in js}
+        if len(got) != len(set(got)) or set(got) != ends:
+            report.add(
+                "rotation system incomplete",
+                f"level {level}: rotation at {v!r} does not list its edge-ends exactly once",
+            )
+            ok = False
+    for v in rotations:
+        if v not in visits:
+            report.add("rotation system incomplete", f"level {level}: rotation for unused vertex {v!r}")
+            ok = False
+    return ok
 
 
-def _rotations(spec: MapSpec, level: int) -> dict[str, tuple[Dart, ...]]:
-    return spec.rotation0 if level == 0 else spec.rotation1
-
-
-def _build_level(spec: MapSpec, level: int) -> LevelMap:
-    n = spec.k if level == 0 else spec.n1
-    rotations = _rotations(spec, level)
+def _build_level(level: int, rotations: dict[str, tuple[Dart, ...]], visits: Visits) -> LevelMap:
+    n = sum(map(len, visits.values()))
 
     # sigma: next dart counterclockwise around its vertex; only its inverse is used
     sigma_inv: dict[Dart, Dart] = {}
-    for rot in rotations.values():
-        for idx, dart in enumerate(rot):
-            nxt = rot[(idx + 1) % len(rot)]
-            sigma_inv[nxt] = dart
+    chords = {}
+    for v, rot in rotations.items():
+        sigma_inv.update(zip(rot, rot[-1:] + rot[:-1]))
+        slot = {d: i for i, d in enumerate(rot)}
+        chords[v] = [tuple(sorted((slot[(j - 1) % n, IN], slot[j, OUT]))) for j in visits[v]]
 
     # face permutation phi = sigma^{-1} o alpha; orbits are the tiles
-    darts = [(pos, end) for pos in range(n) for end in (OUT, IN)]
     face_of: dict[Dart, int] = {}
     faces: list[tuple[Dart, ...]] = []
-    for start in darts:
+    for start in [(pos, end) for pos in range(n) for end in (OUT, IN)]:
         if start in face_of:
             continue
         orbit = []
@@ -325,73 +340,11 @@ def _build_level(spec: MapSpec, level: int) -> LevelMap:
             cur = sigma_inv[_alpha(cur)]
         faces.append(tuple(orbit))
 
-    return LevelMap(
-        level=level,
-        n_edges=n,
-        rotations=rotations,
-        faces=faces,
-        face_of=face_of,
-        colors=None,
-    )
-
-
-def _check_rotations(spec: MapSpec, level: int, report: ValidationReport) -> bool:
-    """Every edge-end incidence listed exactly once at its vertex."""
-    rotations = _rotations(spec, level)
-    edges = _edge_ends(spec, level)
-    used = set(spec.vertices1) if level else {v for pair in edges for v in pair}
-
-    ok = True
-    expected: dict[str, set[Dart]] = {v: set() for v in used}
-    for pos, (start, end) in enumerate(edges):
-        expected[start].add((pos, OUT))
-        expected[end].add((pos, IN))
-    for v, ends in expected.items():
-        got = rotations.get(v)
-        if got is None:
-            report.add("rotation system incomplete", f"level {level}: no rotation for vertex {v!r}")
-            ok = False
-            continue
-        if len(got) != len(set(got)) or set(got) != ends:
-            report.add(
-                "rotation system incomplete",
-                f"level {level}: rotation at {v!r} does not list its edge-ends exactly once",
-            )
-            ok = False
-    for v in rotations:
-        if v not in expected:
-            report.add("rotation system incomplete", f"level {level}: rotation for unused vertex {v!r}")
-            ok = False
-    return ok
-
-
-@dataclass
-class Passage:
-    """One visit of the curve through a vertex: its in-end paired with its out-end."""
-
-    visit: int
-    in_dart: Dart
-    out_dart: Dart
-
-
-def _passages_at(spec: MapSpec, vertex: str, level: int) -> list[Passage]:
-    ends = _edge_ends(spec, level)
-    n = len(ends)
-    return [
-        Passage(j, ((j - 1) % n, IN), (j, OUT))
-        for j, (start, _) in enumerate(ends)
-        if start == vertex
-    ]
-
-
-def _chord_spans(slots: tuple[Dart, ...], passages: list[Passage]) -> list[tuple[int, int]]:
-    """(lower, upper) rotation slot index of each passage's two ends."""
-    index = {d: i for i, d in enumerate(slots)}
-    return [tuple(sorted((index[p.in_dart], index[p.out_dart]))) for p in passages]
+    return LevelMap(level, n, rotations, visits, chords, faces, face_of, colors=None)
 
 
 def _chords_cross(spans: list[tuple[int, int]]) -> bool:
-    """Whether two passage chords cross."""
+    """Whether two visit chords cross."""
     for i, (a, b) in enumerate(spans):
         for c, d in spans[i + 1:]:
             if (a < c < b) != (a < d < b):
@@ -399,58 +352,29 @@ def _chords_cross(spans: list[tuple[int, int]]) -> bool:
     return False
 
 
-@dataclass
-class Region:
-    corners: tuple[int, ...]     # rotation slot indices; corner s follows slot s
-    color: str
-    passages: tuple[int, ...]    # indices into the diagram's passage list
-
-
-@dataclass
-class ChordDiagram:
-    vertex: str
-    level: int
-    slots: tuple[Dart, ...]
-    passages: list[Passage]
-    regions: list[Region]
-
-
-def chord_diagram(spec: MapSpec, vertex: str, lm: LevelMap) -> ChordDiagram:
+def chord_diagram(lm: LevelMap, vertex: str) -> list[tuple[str, tuple[int, ...]]]:
     """Disk model of the curve near a vertex of the validated, colored level
-    map lm: boundary slots, passage chords, complementary regions with their
-    tile colors."""
-    slots = lm.rotations[vertex]
-    passages = _passages_at(spec, vertex, lm.level)
-    spans = _chord_spans(slots, passages)
-    n = len(slots)
+    map lm: the visit chords cut the disk into regions, listed by their first
+    corner as (tile color, visits whose chords border the region)."""
+    rot, spans = lm.rotations[vertex], lm.chords[vertex]
+    n = len(rot)
 
     # corner s (the gap after slot s) gets a side signature per chord
-    def signature(corner: int) -> tuple[bool, ...]:
-        return tuple(a <= corner < b for a, b in spans)
-
     groups: dict[tuple[bool, ...], list[int]] = {}
     for c in range(n):
-        groups.setdefault(signature(c), []).append(c)
+        groups.setdefault(tuple(a <= c < b for a, b in spans), []).append(c)
 
     regions = []
-    for sig in sorted(groups, key=lambda s: groups[s][0]):
-        corners = groups[sig]
+    for corners in groups.values():
         # the corners of a region lie on one side of every chord, so they share a color
-        color = lm.colors[lm.corner_face(vertex, corners[0])]
-        # a chord borders the region holding a corner adjacent to one of its slots
-        border = []
-        for pi, (a, b) in enumerate(spans):
-            adjacent = {a, (a - 1) % n, b, (b - 1) % n}
-            if adjacent & set(corners):
-                border.append(pi)
-        regions.append(
-            Region(
-                corners=tuple(corners),
-                color=color,
-                passages=tuple(border),
-            )
+        color = lm.colors[lm.face_of[_alpha(rot[(corners[0] + 1) % n])]]
+        # chord (a, b) borders the region inside it at corner a and the one
+        # outside it at corner b (chords do not cross on a validated map)
+        border = tuple(
+            j for j, (a, b) in zip(lm.visits[vertex], spans) if a in corners or b in corners
         )
-    return ChordDiagram(vertex=vertex, level=lm.level, slots=slots, passages=passages, regions=regions)
+        regions.append((color, border))
+    return regions
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +386,10 @@ def _two_color(lm: LevelMap, anchor_face: int, anchor_color: str) -> list[str]:
     queue = [anchor_face]
     while queue:
         f = queue.pop()
-        for pos in range(lm.n_edges):
-            lf, rf = lm.left_face(pos), lm.right_face(pos)
-            if f not in (lf, rf):
-                continue
-            other = rf if f == lf else lf
-            want = BLACK if colors[f] == WHITE else WHITE
+        want = BLACK if colors[f] == WHITE else WHITE
+        # each dart of f runs along an edge; the face across it is its alpha's
+        for dart in lm.faces[f]:
+            other = lm.face_of[_alpha(dart)]
             if other in colors:
                 if colors[other] != want:
                     raise ValueError("not checkerboard-colorable")
@@ -501,7 +423,7 @@ class CriticalVertex:
     vertex: str
     local_degree: int
     visits: tuple[int, ...]
-    # (color, passage visits) of each chord-diagram region that two or more passages border
+    # (color, visits) of each chord-diagram region that two or more visits border
     connections: tuple[tuple[str, tuple[int, ...]], ...]
 
     @property
@@ -509,39 +431,25 @@ class CriticalVertex:
         return tuple(sorted({color for color, _ in self.connections}))
 
 
-def local_degree(spec: MapSpec, vertex: str) -> int:
-    visits = spec.visits_at(vertex)
-    image = spec.vertices1[vertex]
-    below = spec.word0_visits_of(image)
-    if not below or len(visits) % len(below) != 0:
-        raise ValueError(
-            f"local degree not integral at {vertex!r}: {len(visits)} visits over {len(below)}"
-        )
-    return len(visits) // len(below)
+def local_degree(spec: MapSpec, vertex: str, visits0: Visits, visits1: Visits) -> int:
+    """Visits at 1-vertex `vertex` per visit at its image post, from the
+    level-0 and level-1 visit indices."""
+    up, below = len(visits1[vertex]), len(visits0[spec.vertices1[vertex]])
+    if not below or up % below != 0:
+        raise ValueError(f"local degree not integral at {vertex!r}: {up} visits over {below}")
+    return up // below
 
 
-def critical_vertices(spec: MapSpec, lm1: LevelMap) -> list[CriticalVertex]:
-    """All 1-vertices of local degree >= 2, with the connections of their
-    chord diagrams on the colored level-1 map lm1."""
+def critical_vertices(spec: MapSpec, lm0: LevelMap, lm1: LevelMap) -> list[CriticalVertex]:
+    """All 1-vertices of local degree >= 2 (read off the visit indices of
+    lm0 and lm1), with the connections of their chord diagrams on the
+    colored level-1 map lm1."""
     out = []
-    for v in spec.vertex_order:
-        deg = local_degree(spec, v)
-        if deg < 2:
-            continue
-        diagram = chord_diagram(spec, v, lm1)
-        connections = tuple(
-            (r.color, tuple(diagram.passages[p].visit for p in r.passages))
-            for r in diagram.regions
-            if len(r.passages) >= 2
-        )
-        out.append(
-            CriticalVertex(
-                vertex=v,
-                local_degree=deg,
-                visits=tuple(spec.visits_at(v)),
-                connections=connections,
-            )
-        )
+    for v, visits in lm1.visits.items():
+        deg = local_degree(spec, v, lm0.visits, lm1.visits)
+        if deg >= 2:
+            connections = tuple(r for r in chord_diagram(lm1, v) if len(r[1]) >= 2)
+            out.append(CriticalVertex(v, deg, visits, connections))
     return out
 
 
@@ -590,11 +498,12 @@ def validate(spec: MapSpec) -> ValidationReport:
             )
             break
 
-    # local degrees and Riemann-Hurwitz
+    # local degrees and Riemann-Hurwitz, from each level's visit index
+    index = (_visit_index(spec.post, spec.word0), _visit_index(spec.vertex_order, spec.word1))
     rh_total = 0
     try:
         for v in spec.vertex_order:
-            rh_total += local_degree(spec, v) - 1
+            rh_total += local_degree(spec, v, *index) - 1
         if rh_total != 2 * d - 2:
             report.add(
                 "Riemann-Hurwitz violated",
@@ -603,18 +512,17 @@ def validate(spec: MapSpec) -> ValidationReport:
     except ValueError as e:
         report.add("local degree not integral", str(e))
 
-    for level in (0, 1):
-        if not _check_rotations(spec, level, report):
+    for level, (rotations, visits) in enumerate(zip((spec.rotation0, spec.rotation1), index)):
+        if not _check_rotations(level, rotations, visits, report):
             continue
-        lm = _build_level(spec, level)
-        n_vertices = len(lm.rotations)
-        if n_vertices - lm.n_edges + len(lm.faces) != 2:
+        lm = _build_level(level, rotations, visits)
+        if len(visits) - lm.n_edges + len(lm.faces) != 2:
             report.add(
                 "Euler formula violated",
-                f"level {level}: V-E+F = {n_vertices}-{lm.n_edges}+{len(lm.faces)}",
+                f"level {level}: V-E+F = {len(visits)}-{lm.n_edges}+{len(lm.faces)}",
             )
-        for v, rot in lm.rotations.items():
-            if _chords_cross(_chord_spans(rot, _passages_at(spec, v, level))):
+        for v, spans in lm.chords.items():
+            if _chords_cross(spans):
                 report.add("curve not oriented", f"crossing chords at vertex {v!r} (level {level})")
         try:
             _color_level(spec, lm, report.levels.get(0))

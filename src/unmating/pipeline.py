@@ -124,7 +124,7 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
     report, matrix, lengths = certified_lengths(spec)
     params, pullback = marker_parameters(spec, lengths, branch)
 
-    criticals = mapspec.critical_vertices(spec, report.levels[1])
+    criticals = mapspec.critical_vertices(spec, report.levels[0], report.levels[1])
     white, black = portraits.extract_portraits(spec, pullback, criticals)
     for portrait in (white, black):
         cert = portraits.certify_portrait(portrait, spec.degree).certificate
@@ -150,8 +150,8 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
             if not set(ps.angles) <= s_set:
                 raise PortraitError("portrait angles escape the pullback parameters")
 
-    lam_w = lam.pullback_to_depth(d1w, white, spec.degree, depth) if depth > 1 else d1w
-    lam_b = lam.pullback_to_depth(d1b, black, spec.degree, depth) if depth > 1 else d1b
+    lam_w = lam.pullback_to_depth(d1w, white, spec.degree, depth)
+    lam_b = lam.pullback_to_depth(d1b, black, spec.degree, depth)
     joined = lam.join(lam_w, lam_b)
     moore = lam.moore_check(joined)
 

@@ -129,7 +129,7 @@ class TestAcceptance:
         for path in VALID_FIXTURES:
             spec = parse_file(path)
             result = run_pipeline(spec)
-            white, black = depth1(result.pullback, critical_vertices(spec, faces(spec, 1)))
+            white, black = depth1(result.pullback, critical_vertices(spec, faces(spec, 0), faces(spec, 1)))
             for classes, portrait in ((white, result.white), (black, result.black)):
                 assert {frozenset(c) for c in as_fractions(classes)} == {
                     frozenset(F(a, portrait.grid) for a in s.angles) for s in portrait.sets

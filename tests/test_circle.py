@@ -114,9 +114,6 @@ class TestArcSum:
     def test_empty_walk(self):
         assert arc_sum(MEYER_LENGTHS, 2, 2) == 0
 
-    def test_full_cycle(self):
-        assert arc_sum(MEYER_LENGTHS, 2, 2, full_cycle=True) == 1
-
     def test_wraps(self):
         assert arc_sum(MEYER_LENGTHS, 4, 1) == Fraction(1, 6) + Fraction(1, 4) + Fraction(1, 12)
 

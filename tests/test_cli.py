@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import gc
 import hashlib
 import io
@@ -48,6 +49,26 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", "does_not_exist.json")
         assert code == 2
         assert "error" in err
+
+    def test_findings_in_declared_order_whatever_the_hash_seed(self, tmp_path):
+        raw = meyer_raw()
+        for vertex in ("p0", "c1", "p3"):
+            del raw["rotation1"][vertex]
+        path = tmp_path / "missing_rotations.json"
+        path.write_text(json.dumps(raw))
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "unmating.cli", "validate", str(path)],
+                cwd=ROOT, env=env, capture_output=True, timeout=60,
+            )
+            assert proc.returncode == 1
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        details = [f["detail"] for f in json.loads(outs[0])["findings"]]
+        # vertices1 declares p1, p2, p3, p0, c1, c2
+        assert details[:3] == [f"level 1: no rotation for vertex {v!r}" for v in ("p3", "p0", "c1")]
 
     def test_crossing_chords_message(self, capsys, tmp_path):
         raw = meyer_raw()
@@ -156,6 +177,34 @@ class TestUnmateCommand:
             main(["unmate", str(MEYER), "--depth", depth])
         assert exc.value.code == 2
         assert "--depth: must be >= 1" in capsys.readouterr().err
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(parser, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "validate", MEYER)[0] == 0
+        first = len(built)
+        assert first > 0 and built[0] == "unmating"
+        assert run(capsys, "unmate", MEYER, "--depth", "1")[0] == 0
+        errs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["unmate"])
+            assert exc.value.code == 2
+            errs.append(capsys.readouterr().err)
+        assert len(built) == first
+        # a usage error reads as it does from a freshly built parser
+        with pytest.raises(SystemExit):
+            cli.build_parser.__wrapped__().parse_args(["unmate"])
+        fresh = capsys.readouterr().err
+        assert errs == [fresh, fresh]
+        assert fresh.endswith("unmating unmate: error: the following arguments are required: mapfile\n")
 
     def test_determinism(self, capsys):
         _, out1, _ = run(capsys, "unmate", MEYER, "--depth", "4")

@@ -100,14 +100,14 @@ class TestAngleClasses:
 
 class TestDepth1:
     def test_meyer_matches_portraits(self, meyer_spec, meyer_result):
-        criticals = critical_vertices(meyer_spec, faces(meyer_spec, 1))
+        criticals = critical_vertices(meyer_spec, faces(meyer_spec, 0), faces(meyer_spec, 1))
         white, black = depth1(meyer_result.pullback, criticals)
         assert white.classes == ((5, 17),)
         assert black.classes == ((1, 13),)
         assert white.grid == black.grid == 24
 
     def test_jordan_matches_portraits(self, jordan_spec, jordan_result):
-        criticals = critical_vertices(jordan_spec, faces(jordan_spec, 1))
+        criticals = critical_vertices(jordan_spec, faces(jordan_spec, 0), faces(jordan_spec, 1))
         white, black = depth1(jordan_result.pullback, criticals)
         assert as_fractions(white) == ((F(1, 4), F(3, 4)),)
         assert as_fractions(black) == ((F(1, 8), F(5, 8)),)

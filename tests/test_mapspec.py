@@ -155,8 +155,13 @@ class TestValidate:
 
     def test_riemann_hurwitz(self, meyer_spec):
         # two simple critical vertices: sum of (deg - 1) = 2 = 2d - 2
-        crits = critical_vertices(meyer_spec, faces(meyer_spec, 1))
+        crits = _criticals(meyer_spec)
         assert sum(c.local_degree - 1 for c in crits) == 2
+
+
+def _criticals(spec):
+    levels = validate(spec).levels
+    return critical_vertices(spec, levels[0], levels[1])
 
 
 def _left(lm, pos):
@@ -199,7 +204,7 @@ class TestFaces:
 
     @pytest.mark.parametrize("fixture", ["meyer_spec", "jordan_spec"])
     def test_pipeline_builds_and_colors_each_level_once(self, monkeypatch, request, fixture):
-        calls = {"_build_level": 0, "_two_color": 0, "chord_diagram": 0}
+        calls = {"_visit_index": 0, "_build_level": 0, "_two_color": 0, "chord_diagram": 0}
         for name in calls:
             original = getattr(mapspec, name)
 
@@ -209,8 +214,8 @@ class TestFaces:
 
             monkeypatch.setattr(mapspec, name, counted)
         run_pipeline(request.getfixturevalue(fixture), depth=2)
-        # both fixtures have two critical vertices: one chord diagram each
-        assert calls == {"_build_level": 2, "_two_color": 2, "chord_diagram": 2}
+        # one visit index per level; both fixtures have two critical vertices: one chord diagram each
+        assert calls == {"_visit_index": 2, "_build_level": 2, "_two_color": 2, "chord_diagram": 2}
 
     def test_invalid_spec_has_no_faces(self, reversed_spec):
         with pytest.raises(ValidationFailure, match="fully invariant condition violated"):
@@ -218,43 +223,55 @@ class TestFaces:
 
 
 class TestChordDiagram:
+    """chord_diagram lists each region as (color, visits bordering it)."""
+
     def test_simple_vertex(self, meyer_spec):
-        d = chord_diagram(meyer_spec, "p2", faces(meyer_spec, 0))
-        assert len(d.passages) == 1
-        assert len(d.regions) == 2
-        assert sorted(r.color for r in d.regions) == [BLACK, WHITE]
+        lm = faces(meyer_spec, 0)
+        regions = chord_diagram(lm, "p2")
+        assert len(lm.visits["p2"]) == 1
+        assert len(regions) == 2
+        assert sorted(color for color, _ in regions) == [BLACK, WHITE]
 
     def test_white_critical_vertex(self, meyer_spec):
-        d = chord_diagram(meyer_spec, "c1", faces(meyer_spec, 1))
-        assert len(d.passages) == 2
-        assert len(d.regions) == 3
-        shared = [r for r in d.regions if len(r.passages) >= 2]
-        assert len(shared) == 1 and shared[0].color == WHITE
+        lm = faces(meyer_spec, 1)
+        regions = chord_diagram(lm, "c1")
+        assert len(lm.visits["c1"]) == 2
+        assert len(regions) == 3
+        shared = [r for r in regions if len(r[1]) >= 2]
+        assert shared == [(WHITE, (3, 9))]
 
     def test_black_critical_vertex(self, meyer_spec):
-        d = chord_diagram(meyer_spec, "c2", faces(meyer_spec, 1))
-        shared = [r for r in d.regions if len(r.passages) >= 2]
-        assert len(shared) == 1 and shared[0].color == BLACK
-        # the other two regions each border only one passage
-        singles = [r for r in d.regions if len(r.passages) == 1]
-        assert len(singles) == 2 and all(r.color == WHITE for r in singles)
+        regions = chord_diagram(faces(meyer_spec, 1), "c2")
+        shared = [r for r in regions if len(r[1]) >= 2]
+        assert shared == [(BLACK, (0, 6))]
+        # the other two regions each border only one visit
+        singles = [r for r in regions if len(r[1]) == 1]
+        assert len(singles) == 2 and all(color == WHITE for color, _ in singles)
+        assert sorted(visits for _, visits in singles) == [(0,), (6,)]
 
     def test_regions_count(self, meyer_spec):
         lm = faces(meyer_spec, 1)
         for v in ("p2", "p3", "p0", "p1", "c1", "c2"):
-            d = chord_diagram(meyer_spec, v, lm)
-            assert len(d.regions) == len(d.passages) + 1
+            assert len(chord_diagram(lm, v)) == len(lm.visits[v]) + 1
 
     def test_nested_visits_share_black_region(self, meyer_spec):
-        # c2's passages meet through the exterior: black connection, no white one
-        d = chord_diagram(meyer_spec, "c2", faces(meyer_spec, 1))
-        colors = {r.color for r in d.regions if len(r.passages) >= 2}
+        # c2's visits meet through the exterior: black connection, no white one
+        regions = chord_diagram(faces(meyer_spec, 1), "c2")
+        colors = {color for color, visits in regions if len(visits) >= 2}
         assert colors == {BLACK}
+
+    def test_every_visit_borders_two_regions(self, meyer_spec, jordan_spec):
+        # a chord splits the disk: the regions on its two sides both border it
+        for spec in (meyer_spec, jordan_spec):
+            for lm in (faces(spec, 0), faces(spec, 1)):
+                for v, visits in lm.visits.items():
+                    bordered = [j for _, border in chord_diagram(lm, v) for j in border]
+                    assert sorted(bordered) == sorted(visits * 2), (lm.level, v)
 
 
 class TestCriticalVertices:
     def test_meyer_criticals(self, meyer_spec):
-        crits = {c.vertex: c for c in critical_vertices(meyer_spec, faces(meyer_spec, 1))}
+        crits = {c.vertex: c for c in _criticals(meyer_spec)}
         assert set(crits) == {"c1", "c2"}
         assert crits["c1"].colors == (WHITE,)
         assert crits["c2"].colors == (BLACK,)
@@ -265,14 +282,14 @@ class TestCriticalVertices:
         assert crits["c2"].connections == ((BLACK, (0, 6)),)
 
     def test_jordan_criticals(self, jordan_spec):
-        crits = {c.vertex: c for c in critical_vertices(jordan_spec, faces(jordan_spec, 1))}
+        crits = {c.vertex: c for c in _criticals(jordan_spec)}
         assert set(crits) == {"o", "b"}
         assert crits["b"].colors == (WHITE,)
         assert crits["o"].colors == (BLACK,)
 
     def test_degree_two_forces_simple_criticals(self, meyer_spec, jordan_spec):
         for spec in (meyer_spec, jordan_spec):
-            for c in critical_vertices(spec, faces(spec, 1)):
+            for c in _criticals(spec):
                 assert c.local_degree == 2
 
     def test_non_integral_local_degree_flagged(self):
@@ -298,7 +315,7 @@ class TestCoveringStructure:
         image = spec.vertices1[vertex]
         upstairs = [self.image_dart(spec, d) for d in spec.rotation1[vertex]]
         downstairs = list(spec.rotation0[image])
-        deg = local_degree(spec, vertex)
+        deg = local_degree(spec, vertex, faces(spec, 0).visits, faces(spec, 1).visits)
         assert len(upstairs) == deg * len(downstairs)
         doubled = downstairs * deg
         return any(
@@ -346,6 +363,42 @@ class TestRobustness:
                 assert isinstance(report.passed, bool)
                 scrambled += 1
         assert scrambled > 0
+
+    def test_scrambled_colorings_are_checkerboards(self):
+        # a colored level separates white from black along every edge; the
+        # faces of a plane Eulerian map are 2-colorable, so a level that
+        # passes the Euler check is colored
+        import itertools
+
+        colored = refused = 0
+        for vertex, rot in meyer_raw()["rotation1"].items():
+            for perm in itertools.permutations(rot):
+                report = validate(spec_with(lambda raw: raw["rotation1"].__setitem__(vertex, list(perm))))
+                checks = {f.check for f in report.findings}
+                for lm in report.levels.values():
+                    assert all(_left(lm, pos) != _right(lm, pos) for pos in range(lm.n_edges))
+                if 1 in report.levels:
+                    colored += 1
+                else:
+                    assert "Euler formula violated" in checks, (vertex, perm)
+                    refused += 1
+        assert colored > 0 and refused > 0
+
+    @pytest.mark.parametrize("mutate, vertices", [
+        # c1 and c2 trade an in-dart
+        (lambda rot: (rot["c1"].__setitem__(0, [11, "in"]), rot["c2"].__setitem__(1, [2, "in"])), ["c1", "c2"]),
+        (lambda rot: rot["p1"].append([4, "in"]), ["p1"]),
+    ], ids=["traded_in_darts", "repeated_dart"])
+    def test_misplaced_darts_are_named(self, mutate, vertices):
+        report = validate(spec_with(lambda raw: mutate(raw["rotation1"])))
+        assert [(f.check, f.detail) for f in report.findings] == [
+            ("rotation system incomplete", f"level 1: rotation at {v!r} does not list its edge-ends exactly once")
+            for v in vertices
+        ]
+
+    def test_rotation_for_unused_vertex_is_named(self):
+        report = validate(spec_with(lambda raw: raw["rotation1"].__setitem__("zz", [])))
+        assert [f.detail for f in report.findings] == ["level 1: rotation for unused vertex 'zz'"]
 
     def test_missing_level0_rotation_is_reported(self):
         # the level-1 coloring inherits its anchor from level 0, so it fails too

@@ -6,6 +6,7 @@ import pytest
 
 from unmating.circle import frac
 from unmating.errors import ParameterizationError
+from unmating.mapspec import faces
 from unmating.parameterize import (
     marker_images,
     pullback_parameters,
@@ -96,7 +97,7 @@ class TestPullbackParameters:
 
     def test_critical_vertex_parameters(self, meyer_spec, meyer_result):
         pullback = meyer_result.pullback
-        c1_visits = meyer_spec.visits_at("c1")
+        c1_visits = faces(meyer_spec, 1).visits["c1"]
         assert sorted(frac(pullback.s[j], pullback.grid) for j in c1_visits) == ["17/24", "5/24"]
 
     def test_preimage_set_equality(self, meyer_result, jordan_result):
