@@ -17,7 +17,9 @@ import functools
 import json
 import os
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as quote
+from operator import itemgetter
 
 from . import mapspec
 from .errors import MapfileError, UnmatingError, ValidationFailure
@@ -33,24 +35,84 @@ from .pipeline import (
 from .svg import SvgScene, render_svg, write_svg
 
 
+_SPELL = {str: quote, int: repr}  # the JSON text of a str or an int (not a bool)
+
+
 def _dumps(obj) -> str:
     """The text of ``json.dumps(obj, indent=2)``: ASCII-escaped, keys in dict
     order, tuples as lists.  Dict keys must be ``str``.
 
-    Built as one list of parts joined once.  A list of strings renders with
-    one join, memoized per call by its level and ``id``: the Moore report
-    shares each joined class's angle list, and each distinct sides list,
-    across its crossings, so a repeat costs one dict lookup.  Keying by
-    ``id`` is sound because ``obj`` keeps every sub-object alive until the
-    call returns, so no id is reused for another object meanwhile; two equal
-    lists that are distinct objects render separately, to the same text.
-    Each dict key's head (separator, padding, quoted key, ``": "``) is
-    memoized per level and key.
+    Built as one list of parts joined once.  A non-empty list of ``str``s,
+    or of ``int``s (not ``bool``s), renders with one join, memoized per call
+    by its level and ``id``: the Moore report shares each joined class's
+    angle list, and each distinct sides list, across its crossings, so a
+    repeat costs one dict lookup.  Keying by ``id`` is sound because ``obj``
+    keeps every sub-object alive until the call returns, so no id is reused
+    for another object meanwhile; two equal lists that are distinct objects
+    render separately, to the same text.  Each dict key's head (separator,
+    padding, quoted key, ``": "``) is memoized per level and key.
+
+    A list of records (every item a ``dict`` with the same non-empty key
+    sequence) is written column by column, its heads quoted once: a column
+    is quoted with one ``map`` when all its values are ``str``, written with
+    ``repr`` when all are ``int``, and looked up in the memo by ``id`` when
+    all are such lists of strings or ints.  The columns are interleaved with
+    the heads and row separators in one ``zip``.  Any other list of dicts (a
+    column of floats, bools, ``None``, dicts, empty or mixed values, or rows
+    whose keys differ or come in another order) is written row by row.
     """
     parts: list[str] = []
     pads = ["\n"]  # pads[level] = newline + indentation at that level
-    rendered: list[dict[int, str]] = [{}]  # rendered[level][id of a string list] = its text
+    rendered: list[dict[int, str]] = [{}]  # rendered[level][id of a str or int list] = its text
     heads: list[dict[str, str]] = [{}]  # heads[level][key] = "," + padding + quoted key + ": "
+
+    def grow(level: int) -> None:
+        """Make pads[level + 1] and the memos up to that level exist."""
+        while len(pads) <= level + 1:
+            pads.append(pads[-1] + "  ")
+            rendered.append({})
+            heads.append({})
+
+    def records(rows: list, level: int) -> bool:
+        """Write the non-empty list ``rows`` column by column if it is a list
+        of records of the kinds above; return whether it was."""
+        keys = tuple(rows[0])
+        if not keys or set(map(type, rows)) != {dict} or not all(map(keys.__eq__, map(tuple, rows))):
+            return False
+        grow(level + 2)
+        memo = rendered[level + 2]
+        columns = []
+        for column in map(itemgetter, keys):
+            types = set(map(type, map(column, rows)))
+            if len(types) != 1:
+                return False
+            kind = types.pop()
+            spell = _SPELL.get(kind)
+            if spell is not None:
+                columns.append(map(spell, map(column, rows)))
+            elif kind is list:
+                # write renders each distinct str or int list into the memo;
+                # the parts it writes are dropped, the column reads the memo
+                distinct = dict(zip(map(id, map(column, rows)), map(column, rows)))
+                mark = len(parts)
+                for value in distinct.values():
+                    write(value, level + 2)
+                del parts[mark:]
+                if not all(map(memo.__contains__, distinct)):
+                    return False
+                columns.append(map(memo.__getitem__, map(id, map(column, rows))))
+            else:
+                return False
+        # a row is its cells in key order, each after its key's head; the text
+        # after a row closes it and opens the next, or after the last closes the list
+        inner = pads[level + 2]
+        first = "{" + inner + quote(keys[0]) + ": "
+        seps = [repeat("," + inner + quote(key) + ": ") for key in keys[1:]]
+        seps.append(repeat(pads[level + 1] + "}," + pads[level + 1] + first))
+        parts.append("[" + pads[level + 1] + first)
+        parts.extend(chain.from_iterable(zip(*chain.from_iterable(zip(columns, seps)))))
+        parts[-1] = pads[level + 1] + "}" + pads[level] + "]"
+        return True
 
     def write(o, level: int) -> None:
         if isinstance(o, str):
@@ -69,9 +131,7 @@ def _dumps(obj) -> str:
             parts.append("{}" if isinstance(o, dict) else "[]")
             return
         if len(pads) == level + 1:
-            pads.append(pads[level] + "  ")
-            rendered.append({})
-            heads.append({})
+            grow(level)
         inner = pads[level + 1]
         if isinstance(o, dict):
             first = len(parts)
@@ -83,6 +143,8 @@ def _dumps(obj) -> str:
                 parts.append(head)
                 if type(value) is str:
                     parts.append(quote(value))
+                elif type(value) is bool:
+                    parts.append("true" if value else "false")
                 else:
                     text = below.get(id(value))
                     if text is None:
@@ -92,14 +154,16 @@ def _dumps(obj) -> str:
             parts[first] = "{" + parts[first][1:]  # the first head opens the dict
             parts.append(pads[level] + "}")
             return
-        text = rendered[level].get(id(o))
-        if text is None and all(isinstance(x, str) for x in o):
-            text = rendered[level][id(o)] = (
-                "[" + inner + ("," + inner).join(map(quote, o)) + pads[level] + "]"
-            )
+        memo = rendered[level]
+        text = memo.get(id(o))
+        if text is None:
+            kind = type(o[0])
+            spell = _SPELL.get(kind)
+            if spell is not None and set(map(type, o)) == {kind}:
+                text = memo[id(o)] = "[" + inner + ("," + inner).join(map(spell, o)) + pads[level] + "]"
         if text is not None:
             parts.append(text)
-        else:
+        elif kind is not dict or not records(o, level):
             sep = "[" + inner
             for x in o:
                 parts.append(sep)

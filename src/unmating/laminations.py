@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from dataclasses import dataclass, replace
-from itertools import pairwise
+from itertools import pairwise, repeat
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -60,8 +60,11 @@ def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
     One sweep over the chords by left end reports every crossing pair
     (Bentley and Ottmann 1979).  The open chords are kept sorted by right
     end; once those ending at or before a are dropped, a chord (a, b) crosses
-    exactly the open chords with right end in (a, b), so each step costs the
-    crossings it finds.
+    exactly the open chords with right end in (a, b), a prefix of them, so
+    each step costs the crossings it finds.  A crossing of classes i < j is
+    recorded as the integer key i*n + j (n classes): the pairs that several
+    chord crossings meet collect in one set of ints, which hashes and sorts
+    faster than pairs, and sorting the keys sorts the pairs.
     """
     owner: dict = {}
     for i, c in enumerate(classes):
@@ -73,16 +76,17 @@ def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
                 )
     chords = sorted((a, b, i) for i, c in enumerate(classes) for a, b in pairwise(sorted(c)))
 
-    pairs: set[tuple[int, int]] = set()
+    n = len(classes)
+    keys: set[int] = set()
     open_chords: list[tuple[int, int]] = []  # (right end, class), sorted
     for a, b, i in chords:
-        del open_chords[: bisect_right(open_chords, (a, len(classes)))]
+        del open_chords[: bisect_right(open_chords, (a, n))]
         for right, j in open_chords:
             if right >= b:
                 break
-            pairs.add((j, i) if j < i else (i, j))
+            keys.add(j * n + i if j < i else i * n + j)
         insort(open_chords, (b, i))
-    return sorted(pairs)
+    return list(map(divmod, sorted(keys), repeat(n)))
 
 
 def check_planar(classes: Iterable[AngleSet]) -> Optional[tuple[AngleSet, AngleSet]]:
@@ -196,11 +200,29 @@ def pullback_step(
     return AngleClasses(depth=classes.depth + 1, color=classes.color, grid=grid, classes=out)
 
 
+# Largest number of preimages (d times the angle count) one pullback step may
+# lift.  Both fixtures double their angles per depth, so the last step of a
+# depth-n run lifts 2^(n+1) - 4 preimages: depth 12 (8,188) is the deepest run
+# accepted.  Its CLI `unmate` run takes 4.4 s and 580 MiB on the Jordan fixture
+# (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each further depth costs
+# about 3.4 times as much, so depth 13 would pass 1 GiB.
+MAX_PREIMAGES = 10_000
+
+
 def pullback_to_depth(
     depth1_classes: AngleClasses, portrait: CriticalPortrait, d: int, depth: int
 ) -> AngleClasses:
+    """Pull back to `depth`, refusing a step that would lift more than
+    MAX_PREIMAGES preimages, so every run does bounded work."""
     cur = depth1_classes
     while cur.depth < depth:
+        count = sum(map(len, cur.classes))
+        if d * count > MAX_PREIMAGES:
+            raise LaminationError(
+                f"depth {depth} is beyond the work limit: lifting the {count} angles "
+                f"of depth {cur.depth} makes {d * count} preimages, over the limit "
+                f"of {MAX_PREIMAGES}"
+            )
         cur = pullback_step(cur, portrait, d)
     return cur
 
@@ -233,27 +255,43 @@ def moore_check(joined: AngleClasses) -> dict:
     """Flag linked class hulls: same-side links are violations of the finite
     Moore criterion, links across the two sides are expected and reported as
     informational.  The classes must come from `join`, which records their
-    sides."""
-    sides = joined.sides
-    violations = []
-    informational = []
-    text = joined.text()  # one list per class, shared by its entries
-    # one sides list per distinct value, shared likewise; found once per pair of class sides
+    sides.
+
+    Each entry holds the `text` list of its two classes and one sides list
+    per distinct value, shared by every entry with that value (the writer
+    renders a shared list once).  A class's kind is its sides tuple; the
+    sides list and the same-side test of each pair of kinds (at most 3
+    kinds, so 9 pairs) are found before the entries are built.
+    """
+    kinds = sorted(set(joined.sides))
+    kind = list(map(kinds.index, joined.sides))
     lists: dict[tuple[str, ...], list[str]] = {}
-    union: dict[tuple, list[str]] = {}
-    for i, j in linked_pairs(joined.classes):
-        pair = (sides[i], sides[j])
-        both = union.get(pair)
-        if both is None:
-            value = sorted(set(sides[i]) | set(sides[j]))
-            both = union[pair] = lists.setdefault(tuple(value), value)
-        entry = {"a": text[i], "b": text[j], "sides": both}
-        same_side = sides[i] == sides[j] and len(sides[i]) == 1
-        if same_side:
-            violations.append(entry)
-        else:
-            entry["note"] = "two-sided crossing (informational)"
-            informational.append(entry)
+    union = []  # union[p][q]: the sides list of a class of kind p linked with one of kind q
+    same = []  # same[p][q]: both classes lie on one side only
+    for p in kinds:
+        union.append([])
+        same.append([])
+        for q in kinds:
+            value = tuple(sorted({*p, *q}))
+            union[-1].append(lists.setdefault(value, list(value)))
+            same[-1].append(p == q and len(p) == 1)
+    text = joined.text()  # one list per class, shared by its entries
+    pairs = linked_pairs(joined.classes)
+    violations = [
+        {"a": text[i], "b": text[j], "sides": union[kind[i]][kind[j]]}
+        for i, j in pairs
+        if same[kind[i]][kind[j]]
+    ]
+    informational = [
+        {
+            "a": text[i],
+            "b": text[j],
+            "sides": union[kind[i]][kind[j]],
+            "note": "two-sided crossing (informational)",
+        }
+        for i, j in pairs
+        if not same[kind[i]][kind[j]]
+    ]
     return {
         "passed": not violations,
         "violations": violations,

@@ -392,7 +392,7 @@ def _two_color(lm: LevelMap, anchor_face: int, anchor_color: str) -> list[str]:
             other = lm.face_of[_alpha(dart)]
             if other in colors:
                 if colors[other] != want:
-                    raise ValueError("not checkerboard-colorable")
+                    raise ValueError(f"level {lm.level} tiles admit no 2-coloring")
             else:
                 colors[other] = want
                 queue.append(other)
@@ -402,14 +402,15 @@ def _two_color(lm: LevelMap, anchor_face: int, anchor_color: str) -> list[str]:
 
 def _color_level(spec: MapSpec, lm: LevelMap, lm0: Optional[LevelMap]) -> None:
     """Color lm from the white anchor; level 1 inherits it through the colored
-    level-0 map lm0.  Raises ValueError when no coloring exists."""
+    level-0 map lm0.  Raises ValueError, with the finding's detail, when no
+    coloring exists or level 0 has none to pass on."""
     if lm.level == 0:
         pos, side = spec.white_anchor
         anchor = lm.left_face(pos) if side == "left" else lm.right_face(pos)
         lm.colors = _two_color(lm, anchor, WHITE)
         return
     if lm0 is None:
-        raise ValueError("level 0 has no coloring to inherit")
+        raise ValueError("level 1 is uncolored because level 0 has no coloring")
     # the left side of 1-edge j covers the left side of 0-edge j mod k,
     # so position 0 pins the level-1 coloring
     lm.colors = _two_color(lm, lm.left_face(0), lm0.colors[lm0.left_face(0)])
@@ -526,8 +527,8 @@ def validate(spec: MapSpec) -> ValidationReport:
                 report.add("curve not oriented", f"crossing chords at vertex {v!r} (level {level})")
         try:
             _color_level(spec, lm, report.levels.get(0))
-        except ValueError:
-            report.add("not checkerboard-colorable", f"level {level} tiles admit no 2-coloring")
+        except ValueError as e:
+            report.add("not checkerboard-colorable", str(e))
         else:
             report.levels[level] = lm
 

@@ -159,6 +159,28 @@ class TestUnmateCommand:
         assert out == ""
         assert "c5 (periodic participants: 1/3)" in err and "(stage: portraits)" in err
 
+    @pytest.mark.parametrize("fixture", [MEYER, JORDAN], ids=["meyer", "jordan"])
+    def test_depth_beyond_work_limit_exit_seven(self, capsys, monkeypatch, fixture):
+        from unmating import laminations
+
+        steps = 0
+        step = laminations.pullback_step
+
+        def counting(*args):
+            nonlocal steps
+            steps += 1
+            return step(*args)
+
+        monkeypatch.setattr(laminations, "pullback_step", counting)
+        code, out, err = run(capsys, "unmate", fixture, "--depth", "40")
+        assert code == 7
+        assert out == ""
+        assert err == (
+            "error: depth 40 is beyond the work limit: lifting the 8190 angles of depth 12 "
+            "makes 16380 preimages, over the limit of 10000 (stage: laminations)\n"
+        )
+        assert steps == 11  # the white side stops at the first step over the limit
+
     def test_jordan_certified_with_svg(self, capsys, tmp_path):
         svg = tmp_path / "jordan.svg"
         code, out, _ = run(capsys, "unmate", JORDAN, "--depth", "3", "--svg", svg)
@@ -322,6 +344,41 @@ def aliased_trees(draw):
 _WORDS = ["1/3", "2/3"]
 _NODE = [_WORDS, {"k": _WORDS}]
 
+# per column kind, the value of one row; `shared` is a pool of string lists
+# that recur across rows, columns and levels
+_COLUMNS = {
+    "str": lambda shared: json_text,
+    "int": lambda shared: st.integers(),
+    "bool": lambda shared: st.booleans(),
+    "int or bool": lambda shared: st.integers(-2, 2) | st.booleans(),
+    "none": lambda shared: st.none(),
+    "float": lambda shared: st.floats(allow_nan=True, allow_infinity=True),
+    "empty list": lambda shared: st.just([]),
+    "dict": lambda shared: st.dictionaries(json_text, st.integers(), max_size=2),
+    "shared strings": lambda shared: st.sampled_from(shared),
+    "fresh strings": lambda shared: st.lists(json_text, min_size=1, max_size=3),
+    "any": lambda shared: json_scalars | st.sampled_from(shared),
+}
+
+
+@st.composite
+def record_lists(draw):
+    """A tree holding a list of dicts with one key sequence, the same list
+    again one level deeper, and its shared string lists at two other levels;
+    at most one row lists its keys in another (rotated) order."""
+    shared = draw(st.lists(st.lists(json_text, max_size=3), min_size=1, max_size=3))
+    keys = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
+    column_wise = st.sampled_from(["str", "int", "shared strings", "fresh strings"])
+    kinds = [draw(column_wise | st.sampled_from(sorted(_COLUMNS))) for _ in keys]
+    rows = [
+        {key: draw(_COLUMNS[kind](shared)) for key, kind in zip(keys, kinds)}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    if len(keys) > 1 and draw(st.booleans()):
+        r, turn = draw(st.integers(0, len(rows) - 1)), draw(st.integers(1, len(keys) - 1))
+        rows[r] = {key: rows[r][key] for key in keys[turn:] + keys[:turn]}
+    return draw(st.permutations([rows, shared[0], [shared], {"deeper": [rows]}]))
+
 
 class TestDumps:
     """cli._dumps against its oracle, json.dumps(indent=2)."""
@@ -338,6 +395,14 @@ class TestDumps:
     @given(aliased_trees())
     @example({"k": _WORDS, "x": [_WORDS, {"k": _WORDS}, _NODE, {"k": _NODE}, list(_WORDS)]})
     def test_shared_objects(self, tree):
+        assert _dumps(tree) == json.dumps(tree, indent=2)
+
+    @given(record_lists())
+    @example([[{"a": ["1/3"], "b": True}, {"a": ["1/3"], "b": False}]])
+    @example([[{"a": 1, "b": ["x"]}, {"b": ["x"], "a": 2}]])
+    @example([[{"a": "x", "b": []}, {"a": "y", "b": []}]])
+    @example([["1/3"], [{"k": _WORDS, "n": 1}, {"k": _WORDS, "n": 2}], {"deep": [{"k": _WORDS}]}])
+    def test_record_lists(self, tree):
         assert _dumps(tree) == json.dumps(tree, indent=2)
 
     def test_leaves_no_reference_cycle(self):

@@ -4,11 +4,12 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unmating.errors import LaminationError
 from unmating.laminations import (
+    MAX_PREIMAGES,
     AngleClasses,
     _canon,
     check_planar,
@@ -183,6 +184,13 @@ class TestPullbackStep:
         with pytest.raises(LaminationError, match="cannot lift"):
             pullback_step(meyer_result.depth1_white, meyer_result.black, 2)
 
+    def test_work_limit_admits_depth_twelve_only(self, meyer_result):
+        # the last step to depth n lifts 2 * (2^n - 2) angles on this fixture
+        deepest = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 12)
+        assert 2 * sum(map(len, deepest.classes)) == 16380 > MAX_PREIMAGES
+        with pytest.raises(LaminationError, match="depth 13 is beyond the work limit"):
+            pullback_to_depth(deepest, meyer_result.white, 2, 13)
+
     def test_class_growth_rate(self, meyer_result):
         # one new lift per sector per class, so counts follow 2^n - 1 here
         cur = meyer_result.depth1_white
@@ -322,6 +330,10 @@ side_tags = st.sampled_from([("white",), ("black",), ("black", "white")])
 
 class TestLinkedPairs:
     @given(disjoint_families())
+    # two interleaved hexagons: one class pair, met by every chord of each
+    @example([(0, 8, 16, 24, 32, 40), (4, 12, 20, 28, 36, 44)])
+    # four diameters, all crossing: a pair key i*m + j with m one off from n decodes wrongly
+    @example([(0, 24), (6, 30), (12, 36), (18, 42)])
     def test_matches_scan(self, family):
         assert linked_pairs(family) == linked_pairs_by_scan(family)
 

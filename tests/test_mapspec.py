@@ -404,8 +404,20 @@ class TestRobustness:
         # the level-1 coloring inherits its anchor from level 0, so it fails too
         for vertex in ("p1", "p2", "p3", "p0"):
             report = validate(spec_with(lambda raw: raw["rotation0"].pop(vertex)))
-            checks = [f.check for f in report.findings]
-            assert checks == ["rotation system incomplete", "not checkerboard-colorable"]
+            assert [(f.check, f.detail) for f in report.findings] == [
+                ("rotation system incomplete", f"level 0: no rotation for vertex {vertex!r}"),
+                ("not checkerboard-colorable", "level 1 is uncolored because level 0 has no coloring"),
+            ]
+
+    def test_uncolorable_level1_is_named(self):
+        # level 0 is colored; the scrambled rotation at p3 leaves level 1 an odd face cycle
+        scramble = [[1, "in"], [2, "out"], [10, "out"], [9, "in"]]
+        report = validate(spec_with(lambda raw: raw["rotation1"].__setitem__("p3", scramble)))
+        assert 0 in report.levels
+        assert [(f.check, f.detail) for f in report.findings] == [
+            ("Euler formula violated", "level 1: V-E+F = 6-12+6"),
+            ("not checkerboard-colorable", "level 1 tiles admit no 2-coloring"),
+        ]
 
     def test_word_rewrites_never_crash(self):
         import json as _json
