@@ -20,6 +20,7 @@ import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as quote
 from operator import itemgetter
+from typing import Optional
 
 from . import mapspec
 from .errors import MapfileError, UnmatingError, ValidationFailure
@@ -243,21 +244,29 @@ def _run(args) -> PipelineResult:
     return run_pipeline(spec, branch=args.branch, depth=args.depth)
 
 
-def _scene(result: PipelineResult, side: str) -> SvgScene:
-    """Chords of one side; "join" overlays the white and black sides."""
+def _scene(result: PipelineResult, side: str, texts: Optional[dict] = None) -> SvgScene:
+    """Chords of one side; "join" overlays the white and black sides.  Scenes
+    built with one ``texts`` share the text of each angle."""
     if side == "join":
-        return SvgScene.from_classes([result.lamination_white, result.lamination_black])
-    return SvgScene.from_classes([lamination_for_side(result, side)])
+        return SvgScene.from_classes([result.lamination_white, result.lamination_black], texts)
+    return SvgScene.from_classes([lamination_for_side(result, side)], texts)
+
+
+def _write_sides(result: PipelineResult, path: str) -> None:
+    """The two-sided overlay at ``path``, plus one file per side.  The three
+    share one table, so each angle is formatted once; it is freed on return,
+    before the report is built."""
+    base = path[:-4] if path.endswith(".svg") else path
+    texts: dict = {}
+    _write_svg(_scene(result, "join", texts), path)
+    _write_svg(_scene(result, "w", texts), f"{base}.white.svg")
+    _write_svg(_scene(result, "b", texts), f"{base}.black.svg")
 
 
 def cmd_unmate(args) -> int:
     result = _run(args)
     if args.svg is not None:  # before the report, so a failed write leaves stdout empty
-        # the requested path gets the two-sided overlay, plus one file per side
-        base = args.svg[:-4] if args.svg.endswith(".svg") else args.svg
-        _write_svg(_scene(result, "join"), args.svg)
-        _write_svg(_scene(result, "w"), f"{base}.white.svg")
-        _write_svg(_scene(result, "b"), f"{base}.black.svg")
+        _write_sides(result, args.svg)
     _emit(result.to_json())
     return 0
 

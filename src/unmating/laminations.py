@@ -1,16 +1,18 @@
 """Finite-depth lamination approximations by leaf pullback.
 
 Depth 1 reads the equivalence classes off the chord diagrams at the critical
-vertices of the pullback curve; deeper relations are generated by lifting
-classes through the sectors of the certified portrait, keeping everything
-from lower depths (the relation is a join over levels).  Within one color
-every output is checked planar.
+vertices of the pullback curve; the identifications at the curve's other
+self-intersections are not read yet (ROADMAP direction 1).  Deeper relations
+are generated by lifting classes through the sectors of the certified
+portrait, keeping everything from lower depths (the relation is a join over
+levels); each step lifts only the classes the step before it added or
+changed.  Within one color every output is checked planar.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import pairwise, repeat
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -37,6 +39,11 @@ class AngleClasses:
 
     Every depth-n angle of a degree-d pullback lies on the grid
     1/(D*d^(n-1)), D the grid of the pullback parameters.
+
+    Classes made by `pullback_step` keep its history: the portrait and
+    degree it lifted through, and the classes it added or changed, that is,
+    those that were not already a class one depth lower.  The history takes
+    no part in comparison.
     """
 
     depth: int
@@ -44,6 +51,9 @@ class AngleClasses:
     grid: int
     classes: tuple[AngleSet, ...]
     sides: Optional[tuple[tuple[str, ...], ...]] = None  # per class, join only
+    history: Optional[tuple[CriticalPortrait, int, tuple[AngleSet, ...]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def text(self) -> list[list[str]]:
         return [[frac(x, self.grid) for x in c] for c in self.classes]
@@ -107,9 +117,10 @@ def depth1(
 ) -> tuple[AngleClasses, AngleClasses]:
     """White and black depth-1 classes from connections at critical vertices.
 
-    Regular self-intersections of the pullback curve only replay the curve's
-    own depth-0 identifications; the new identifications, the ones generating
-    the portraits, happen where the map folds.
+    Only the critical vertices, where the map folds, are read: their
+    connections generate the portraits.  The connections at the curve's other
+    self-intersections are identifications too, and are not read yet (ROADMAP
+    direction 1).
     """
     out: dict[str, list[set[int]]] = {WHITE: [], BLACK: []}
     for cv in criticals:
@@ -161,8 +172,18 @@ def pullback_step(
     New classes are the sector-consistent lifts: preimages of a class that
     lie in a common closed sector, plus preimage sets of single angles of
     classes when a closed sector holds more than one preimage.  Lifts that
-    meet (only possible through sector boundary angles) merge.  Lower-depth
-    classes are retained, and the output must stay planar.
+    meet (only possible through sector boundary angles) merge, with each
+    other and with the lower-depth classes they touch.  Lower-depth classes
+    are retained, and the output must stay planar.
+
+    Only the classes that are new at depth n are lifted: those the step to
+    depth n, through the same portrait and degree, added or changed.  A class
+    without such a history (depth 1, a join) counts as new.  This is exact
+    (semi-naive evaluation; Bancilhon and Ramakrishnan 1986): a class that
+    was already a class at depth n-1 has the same lifts as then, because
+    preimages and closed-sector labels depend on the angle, not on the grid,
+    so each of its lifts already lies in one retained class and adding it
+    again merges nothing.
     """
     if classes.color not in (portrait.color, JOIN):
         raise LaminationError(
@@ -174,8 +195,10 @@ def pullback_step(
     k = grid // (d * classes.grid)
     scale = grid // portrait.grid
     sec = replace(sec, boundary=tuple(b * scale for b in sec.boundary))
-    candidates = [{u * d * k for u in c} for c in classes.classes]  # lower depths, retained
-    for cls in classes.classes:
+    history = classes.history
+    lifted_before = history is not None and history[0] is portrait and history[1] == d
+    candidates = []
+    for cls in history[2] if lifted_before else classes.classes:
         # closed sector s holds x iff s is x's left or right label
         lifts: dict[int, set[int]] = {}
         for u in cls:
@@ -191,19 +214,44 @@ def pullback_step(
                     candidates.append(xs)
         candidates.extend(xs for xs in lifts.values() if len(xs) >= 2)
 
-    out = _canon(angles for angles, _ in merge_tagged((c, classes.color) for c in candidates))
+    # lower depths are retained; classes made by a step are disjoint, so only
+    # those the lifts touch take part in the merge
+    retained = [tuple(u * d * k for u in c) for c in classes.classes]
+    if lifted_before:
+        owner = {x: i for i, c in enumerate(retained) for x in c}
+        touched = {owner[x] for xs in candidates for x in xs if x in owner}
+    else:
+        touched = set(range(len(retained)))
+    changed = [
+        tuple(sorted(angles))
+        for angles, _ in merge_tagged(
+            [(c, classes.color) for c in candidates]
+            + [(retained[i], classes.color) for i in touched]
+        )
+    ]
+    kept = {retained[i] for i in touched}
+    added = tuple(c for c in changed if c not in kept)
+    out = tuple(sorted([c for i, c in enumerate(retained) if i not in touched] + changed))
 
     crossing = check_planar(out)
     if crossing is not None:
         a, b = (", ".join(frac(x, grid) for x in c) for c in crossing)
         raise LaminationError(f"pullback produced crossing: {{{a}}} links {{{b}}}")
-    return AngleClasses(depth=classes.depth + 1, color=classes.color, grid=grid, classes=out)
+    return AngleClasses(
+        depth=classes.depth + 1,
+        color=classes.color,
+        grid=grid,
+        classes=out,
+        history=(portrait, d, added),
+    )
 
 
-# Largest number of preimages (d times the angle count) one pullback step may
-# lift.  Both fixtures double their angles per depth, so the last step of a
-# depth-n run lifts 2^(n+1) - 4 preimages: depth 12 (8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes 4.4 s and 580 MiB on the Jordan fixture
+# Bound on the size of the next depth.  A step from depth n keeps the count
+# angles of depth n and adds only preimages of them, at most d * count, and a
+# step whose d * count is over the bound is refused.  Both fixtures double
+# their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
+# so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
+# accepted.  Its CLI `unmate` run takes 4.0 s and 582 MiB on the Jordan fixture
 # (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each further depth costs
 # about 3.4 times as much, so depth 13 would pass 1 GiB.
 MAX_PREIMAGES = 10_000
@@ -212,8 +260,8 @@ MAX_PREIMAGES = 10_000
 def pullback_to_depth(
     depth1_classes: AngleClasses, portrait: CriticalPortrait, d: int, depth: int
 ) -> AngleClasses:
-    """Pull back to `depth`, refusing a step that would lift more than
-    MAX_PREIMAGES preimages, so every run does bounded work."""
+    """Pull back to `depth`, refusing a step from a depth whose angles have
+    more than MAX_PREIMAGES preimages, so every run does bounded work."""
     cur = depth1_classes
     while cur.depth < depth:
         count = sum(map(len, cur.classes))

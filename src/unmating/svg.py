@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .circle import frac
 from .laminations import BLACK, WHITE, AngleClasses
@@ -22,16 +23,26 @@ _STYLES = {
 
 @dataclass
 class SvgScene:
-    """Chords and labelled endpoints, the angles given as integers x meaning x/grid."""
+    """Chords and their labelled endpoints, the angles given as integers x
+    meaning x/grid.
+
+    ``text`` maps an angle to the text that draws it (``_text``), filled in
+    as the scene is rendered.  Scenes of one run on one grid may share it,
+    so that each angle is formatted once however many files draw it.
+    """
 
     grid: int
     chords: list[tuple[int, int, str]] = field(default_factory=list)  # (a, b, side), a < b
-    labels: list[int] = field(default_factory=list)
+    labels: list[int] = field(default_factory=list)  # every chord end, sorted
+    text: dict[int, tuple[str, str, str]] = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def from_classes(cls, class_sets: list[AngleClasses]) -> "SvgScene":
+    def from_classes(
+        cls, class_sets: list[AngleClasses], texts: Optional[dict[int, dict]] = None
+    ) -> "SvgScene":
         """The chords of each class: consecutive angles, and the closing chord
-        of a polygon."""
+        of a polygon.  ``texts`` holds the shared ``text`` of each grid, for
+        the scenes of one run."""
         grid = math.lcm(*(classes.grid for classes in class_sets))
         chords = set()
         for classes in class_sets:
@@ -43,7 +54,8 @@ class SvgScene:
                     chords.add((xs[0], xs[-1], side))
         chords = sorted(chords)
         labels = sorted({x for a, b, _ in chords for x in (a, b)})
-        return cls(grid=grid, chords=chords, labels=labels)
+        text = {} if texts is None else texts.setdefault(grid, {})
+        return cls(grid=grid, chords=chords, labels=labels, text=text)
 
 
 def _point(x: int, grid: int) -> tuple[float, float]:
@@ -56,28 +68,36 @@ def _fmt(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
+def _text(x: int, grid: int) -> tuple[str, str, str]:
+    """The coordinates of x/grid as text, and its label line."""
+    cx, cy = _point(x, grid)
+    return (
+        _fmt(cx),
+        _fmt(cy),
+        f'  <text x="{_fmt(1.10 * cx)}" y="{_fmt(1.10 * cy)}" font-size="0.07" text-anchor="middle" '
+        f'dominant-baseline="middle" fill="#222222">{frac(x, grid)}</text>',
+    )
+
+
 def render_svg(scene: SvgScene) -> bytes:
     """Serialize the scene; output bytes are stable across runs."""
+    text = scene.text
+    for x in scene.labels:
+        if x not in text:
+            text[x] = _text(x, scene.grid)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">',
         '  <circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.006"/>',
     ]
     for a, b, side in scene.chords:
-        (x1, y1), (x2, y2) = _point(a, scene.grid), _point(b, scene.grid)
+        x1, y1, _ = text[a]
+        x2, y2, _ = text[b]
         style = _STYLES.get(side, _STYLES["join"])
-        lines.append(
-            f'  <line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
-        )
-    for t in scene.labels:
-        x, y = _point(t, scene.grid)
-        lx, ly = 1.10 * x, 1.10 * y
-        lines.append(
-            f'  <text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="0.07" text-anchor="middle" '
-            f'dominant-baseline="middle" fill="#222222">{frac(t, scene.grid)}</text>'
-        )
-    lines.append("</svg>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        lines.append(f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>')
+    lines.extend(text[t][2] for t in scene.labels)
+    lines.append("</svg>\n")
+    return "\n".join(lines).encode("utf-8")
 
 
 def write_svg(scene: SvgScene, path) -> int:

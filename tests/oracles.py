@@ -7,14 +7,17 @@ the pipeline is exact, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import numpy as np
 
-from unmating.circle import sets_linked
-from unmating.laminations import AngleClasses
-from unmating.portraits import Sectors
+from unmating.circle import frac, sets_linked
+from unmating.errors import LaminationError
+from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge_tagged
+from unmating.portraits import CriticalPortrait, Sectors, sectors
 
 
 def power_iteration(matrix, iterations: int = 20000, tol: float = 1e-13) -> np.ndarray:
@@ -178,6 +181,54 @@ def brute_force_pullback(
     out = tuple(sorted({tuple(sorted(s)) for s in merged}, key=lambda s: (s[0], len(s), s)))
     assert not linked_pairs_by_scan(out), "oracle produced a crossing"
     return out
+
+
+def pullback_by_relift(
+    classes: AngleClasses, portrait: CriticalPortrait, d: int
+) -> AngleClasses:
+    """One inductive step: depth-(n+1) classes from depth-n classes, lifting
+    every class again, whether or not it is new at depth n.
+
+    New classes are the sector-consistent lifts: preimages of a class that
+    lie in a common closed sector, plus preimage sets of single angles of
+    classes when a closed sector holds more than one preimage.  Lifts that
+    meet (only possible through sector boundary angles) merge.  Lower-depth
+    classes are retained, and the output must stay planar.
+    """
+    if classes.color not in (portrait.color, JOIN):
+        raise LaminationError(
+            f"cannot lift {classes.color} classes through a {portrait.color} portrait"
+        )
+    sec = sectors(portrait, d)
+    # one finer grid holds the preimages (u/grid + m)/d and the sector boundary
+    grid = lcm(d * classes.grid, portrait.grid)
+    k = grid // (d * classes.grid)
+    scale = grid // portrait.grid
+    sec = replace(sec, boundary=tuple(b * scale for b in sec.boundary))
+    candidates = [{u * d * k for u in c} for c in classes.classes]  # lower depths, retained
+    for cls in classes.classes:
+        # closed sector s holds x iff s is x's left or right label
+        lifts: dict[int, set[int]] = {}
+        for u in cls:
+            hits: dict[int, set[int]] = {}
+            for m in range(d):
+                x = (u + m * classes.grid) * k
+                for label in {sec.label_of(x, "left"), sec.label_of(x, "right")}:
+                    hits.setdefault(label, set()).add(x)
+            for label, xs in hits.items():
+                lifts.setdefault(label, set()).update(xs)
+                # preimage sets of single angles, when a sector holds several
+                if len(xs) >= 2:
+                    candidates.append(xs)
+        candidates.extend(xs for xs in lifts.values() if len(xs) >= 2)
+
+    out = _canon(angles for angles, _ in merge_tagged((c, classes.color) for c in candidates))
+
+    crossing = check_planar(out)
+    if crossing is not None:
+        a, b = (", ".join(frac(x, grid) for x in c) for c in crossing)
+        raise LaminationError(f"pullback produced crossing: {{{a}}} links {{{b}}}")
+    return AngleClasses(depth=classes.depth + 1, color=classes.color, grid=grid, classes=out)
 
 
 def itinerary_equal_to_horizon(

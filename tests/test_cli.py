@@ -480,6 +480,90 @@ def test_depth9_stdout_bytes(fixture, sha256):
     assert hashlib.sha256(out).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "fixture, overlay, white, black",
+    [
+        (
+            MEYER,
+            "b3ed68522ebfeef4f6e895117f003d3cd4169981d1fffbb8b3c3eb8bde2fcb73",
+            "0386dc69b5db1184d0ec24212d5854b8a4604ef98c498be5ba7f96ca5a81516c",
+            "6fa7ef75a90f60ad98ba27d5f1e17b09f17f42a291bd7a3437d031dfc05e326c",
+        ),
+        (
+            JORDAN,
+            "7855a7df01501f46326acc0215fe6a7fe076a2a53b62a62bd0e677edc4d19b2e",
+            "d3c3fdd090e42f61093ae482455730ac593cff039932175649a54a871a4de74a",
+            "1be307a98d6826abf98dfc74c4e00cbba255f457125ac4d566aabc12a13f384e",
+        ),
+    ],
+    ids=["meyer", "jordan"],
+)
+def test_depth9_svg_bytes(capsys, tmp_path, fixture, overlay, white, black):
+    """The three files of ``unmate --svg``, at a depth the golden file does not reach."""
+    code, _, _ = run(capsys, "unmate", fixture, "--depth", "9", "--svg", tmp_path / "out.svg")
+    assert code == 0
+    digests = [
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("out.svg", "out.white.svg", "out.black.svg")
+    ]
+    assert digests == [overlay, white, black]
+
+
+def test_unmate_svg_calls_and_run_state(capsys, tmp_path, monkeypatch):
+    """Each pullback depth, scene and file is one call of its entry point, and
+    nothing one run leaves behind changes the bytes of the next."""
+    from unmating import laminations
+
+    lifted, scenes, written = [], [], []
+    step, build, write = laminations.pullback_step, SvgScene.__dict__["from_classes"].__func__, cli.write_svg
+
+    def counting_step(classes, *args):
+        lifted.append(classes.color)
+        return step(classes, *args)
+
+    def counting_build(cls, *args):
+        scenes.append(1)
+        return build(cls, *args)
+
+    def counting_write(scene, path):
+        written.append((path, write(scene, path)))
+        return written[-1][1]
+
+    monkeypatch.setattr(laminations, "pullback_step", counting_step)
+    monkeypatch.setattr(SvgScene, "from_classes", classmethod(counting_build))
+    monkeypatch.setattr(cli, "write_svg", counting_write)
+    assert run(capsys, "unmate", MEYER, "--depth", "4", "--svg", tmp_path / "one.svg")[0] == 0
+    monkeypatch.undo()
+    assert sorted(lifted) == ["black"] * 3 + ["white"] * 3
+    assert len(scenes) == 3
+    assert len(written) == 3
+    assert all(size == os.path.getsize(path) for path, size in written)
+
+    def outputs(order, folder, fresh=False):
+        """stdout and the three files of each fixture's run, in process or each in a new one."""
+        out = {}
+        for fixture in order:
+            svg = tmp_path / folder / f"{fixture.stem}.svg"
+            svg.parent.mkdir(exist_ok=True)
+            argv = ["unmate", str(fixture), "--depth", "4", "--svg", str(svg)]
+            if fresh:
+                env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+                stdout = subprocess.run(
+                    [sys.executable, "-m", "unmating.cli", *argv],
+                    cwd=ROOT, env=env, capture_output=True, text=True, check=True, timeout=120,
+                ).stdout
+            else:
+                code, stdout, _ = run(capsys, *argv)
+                assert code == 0
+            files = [svg, svg.with_suffix(".white.svg"), svg.with_suffix(".black.svg")]
+            out[fixture] = (stdout, [f.read_bytes() for f in files])
+        return out
+
+    expected = outputs([MEYER, JORDAN], "fresh", fresh=True)
+    assert outputs([MEYER, JORDAN], "a") == expected
+    assert outputs([JORDAN, MEYER], "b") == expected
+
+
 def test_closed_stdout_exit_two():
     """A reader that closes stdout early gets exit 2 and one error line, not a traceback."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

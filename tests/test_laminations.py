@@ -26,6 +26,7 @@ from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, sectors
 from unmating.svg import SvgScene
 
+from .conftest import spec_with
 from .oracles import (
     as_fractions,
     brute_force_pullback,
@@ -33,6 +34,7 @@ from .oracles import (
     merge_overlapping,
     moore_by_scan,
     p_q,
+    pullback_by_relift,
 )
 
 F = Fraction
@@ -61,6 +63,23 @@ def brute_force(classes: AngleClasses, p: CriticalPortrait, d: int):
 
 
 MEYER_WHITE = portrait("white", 2, 24, [5, 17])
+
+
+def relift_start(request, case: str) -> tuple[AngleClasses, CriticalPortrait]:
+    """Depth-1 classes and their portrait: a side of a fixture, or a hand-built portrait."""
+    if case == "critical-value-square":
+        return classes(1, "white", [F(0), F(1, 2)]), portrait("white", 2, 2, [0, 1])
+    if case == "boundary-preimages":
+        return classes(1, "white", [F(0), F(1, 3)]), portrait("white", 2, 2, [0, 1])
+    if case == "empty":
+        return classes(1, "white"), MEYER_WHITE
+    name, color = case.rsplit("-", 1)
+    if name == "meyer-flipped":
+        flipped = spec_with(lambda raw: raw.__setitem__("white_anchor", [0, "right"]))
+        result = run_pipeline(flipped, depth=1)
+    else:
+        result = request.getfixturevalue(f"{name}_result")
+    return getattr(result, f"depth1_{color}"), getattr(result, color)
 
 
 class TestAngleClasses:
@@ -190,6 +209,33 @@ class TestPullbackStep:
         assert 2 * sum(map(len, deepest.classes)) == 16380 > MAX_PREIMAGES
         with pytest.raises(LaminationError, match="depth 13 is beyond the work limit"):
             pullback_to_depth(deepest, meyer_result.white, 2, 13)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "meyer-white",
+            "meyer-black",
+            "jordan-white",
+            "jordan-black",
+            "meyer-flipped-white",
+            "meyer-flipped-black",
+            "critical-value-square",
+            "boundary-preimages",
+            "empty",
+        ],
+    )
+    def test_matches_relift_to_depth_twelve(self, request, case):
+        # lifting only the new classes gives what lifting every class gives,
+        # and the classes it records as new are those not already one depth lower
+        start, p = relift_start(request, case)
+        cur = ref = start
+        for depth in range(2, 13):
+            prev = cur
+            cur, ref = pullback_step(cur, p, 2), pullback_by_relift(ref, p, 2)
+            assert cur == ref, (case, depth)
+            k = cur.grid // prev.grid
+            older = {tuple(x * k for x in c) for c in prev.classes}
+            assert set(cur.history[2]) == set(cur.classes) - older, (case, depth)
 
     def test_class_growth_rate(self, meyer_result):
         # one new lift per sector per class, so counts follow 2^n - 1 here
