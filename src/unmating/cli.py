@@ -36,7 +36,8 @@ from .pipeline import (
 from .svg import SvgScene, render_svg, write_svg
 
 
-_SPELL = {str: quote, int: repr}  # the JSON text of a str or an int (not a bool)
+# the JSON text of a str, an int or a bool, by exact type
+_SPELL = {str: quote, int: repr, bool: {False: "false", True: "true"}.__getitem__}
 
 
 def _dumps(obj) -> str:
@@ -44,35 +45,43 @@ def _dumps(obj) -> str:
     order, tuples as lists.  Dict keys must be ``str``.
 
     Built as one list of parts joined once.  A non-empty list of ``str``s,
-    or of ``int``s (not ``bool``s), renders with one join, memoized per call
-    by its level and ``id``: the Moore report shares each joined class's
+    of ``int``s or of ``bool``s renders with one join, memoized per call by
+    its level and ``id``: the Moore report shares each joined class's
     angle list, and each distinct sides list, across its crossings, so a
     repeat costs one dict lookup.  Keying by ``id`` is sound because ``obj``
     keeps every sub-object alive until the call returns, so no id is reused
     for another object meanwhile; two equal lists that are distinct objects
-    render separately, to the same text.  Each dict key's head (separator,
-    padding, quoted key, ``": "``) is memoized per level and key.
+    render separately, to the same text.
 
     A list of records (every item a ``dict`` with the same non-empty key
-    sequence) is written column by column, its heads quoted once: a column
-    is quoted with one ``map`` when all its values are ``str``, written with
-    ``repr`` when all are ``int``, and looked up in the memo by ``id`` when
-    all are such lists of strings or ints.  The columns are interleaved with
-    the heads and row separators in one ``zip``.  Any other list of dicts (a
-    column of floats, bools, ``None``, dicts, empty or mixed values, or rows
-    whose keys differ or come in another order) is written row by row.
+    sequence) is written column by column, its keys quoted once: a column
+    is spelled with one ``map`` when all its values are of one of those
+    types, and read from the memo by ``id`` when all are such lists.  The
+    columns are interleaved with the keys and row separators in one ``zip``.
+    Any other list of dicts (a column of floats, ``None``, dicts, empty or
+    mixed values, or rows whose keys differ or come in another order) is
+    written row by row.
     """
     parts: list[str] = []
     pads = ["\n"]  # pads[level] = newline + indentation at that level
-    rendered: list[dict[int, str]] = [{}]  # rendered[level][id of a str or int list] = its text
-    heads: list[dict[str, str]] = [{}]  # heads[level][key] = "," + padding + quoted key + ": "
+    rendered: dict[tuple[int, int], str] = {}  # rendered[level, id of a scalar list] = its text
 
     def grow(level: int) -> None:
-        """Make pads[level + 1] and the memos up to that level exist."""
+        """Make pads[level + 1] exist."""
         while len(pads) <= level + 1:
             pads.append(pads[-1] + "  ")
-            rendered.append({})
-            heads.append({})
+
+    def scalars(o, level: int) -> Optional[str]:
+        """The memoized text of ``o`` at ``level`` if it is a non-empty list
+        of ``str``s, of ``int``s or of ``bool``s, else None."""
+        text = rendered.get((level, id(o)))
+        if text is None and o:
+            kind = type(o[0])
+            spell = _SPELL.get(kind)
+            if spell is not None and set(map(type, o)) == {kind}:
+                inner = pads[level + 1]
+                text = rendered[level, id(o)] = "[" + inner + ("," + inner).join(map(spell, o)) + pads[level] + "]"
+        return text
 
     def records(rows: list, level: int) -> bool:
         """Write the non-empty list ``rows`` column by column if it is a list
@@ -81,7 +90,6 @@ def _dumps(obj) -> str:
         if not keys or set(map(type, rows)) != {dict} or not all(map(keys.__eq__, map(tuple, rows))):
             return False
         grow(level + 2)
-        memo = rendered[level + 2]
         columns = []
         for column in map(itemgetter, keys):
             types = set(map(type, map(column, rows)))
@@ -92,16 +100,11 @@ def _dumps(obj) -> str:
             if spell is not None:
                 columns.append(map(spell, map(column, rows)))
             elif kind is list:
-                # write renders each distinct str or int list into the memo;
-                # the parts it writes are dropped, the column reads the memo
                 distinct = dict(zip(map(id, map(column, rows)), map(column, rows)))
-                mark = len(parts)
-                for value in distinct.values():
-                    write(value, level + 2)
-                del parts[mark:]
-                if not all(map(memo.__contains__, distinct)):
+                texts = {i: scalars(value, level + 2) for i, value in distinct.items()}
+                if None in texts.values():
                     return False
-                columns.append(map(memo.__getitem__, map(id, map(column, rows))))
+                columns.append(map(texts.__getitem__, map(id, map(column, rows))))
             else:
                 return False
         # a row is its cells in key order, each after its key's head; the text
@@ -116,14 +119,9 @@ def _dumps(obj) -> str:
         return True
 
     def write(o, level: int) -> None:
-        if isinstance(o, str):
-            parts.append(quote(o))
-            return
-        if type(o) is int:
-            parts.append(repr(o))
-            return
-        if type(o) is bool:
-            parts.append("true" if o else "false")
+        spell = _SPELL.get(type(o))
+        if spell is not None:
+            parts.append(spell(o))
             return
         if not isinstance(o, (dict, list, tuple)):
             parts.append(json.dumps(o))  # json's spelling of floats and null, and its errors
@@ -135,36 +133,17 @@ def _dumps(obj) -> str:
             grow(level)
         inner = pads[level + 1]
         if isinstance(o, dict):
-            first = len(parts)
-            known, below = heads[level], rendered[level + 1]
+            sep = "{" + inner
             for key, value in o.items():
-                head = known.get(key)
-                if head is None:
-                    head = known[key] = "," + inner + quote(key) + ": "
-                parts.append(head)
-                if type(value) is str:
-                    parts.append(quote(value))
-                elif type(value) is bool:
-                    parts.append("true" if value else "false")
-                else:
-                    text = below.get(id(value))
-                    if text is None:
-                        write(value, level + 1)
-                    else:
-                        parts.append(text)
-            parts[first] = "{" + parts[first][1:]  # the first head opens the dict
+                parts.append(sep + quote(key) + ": ")
+                write(value, level + 1)
+                sep = "," + inner
             parts.append(pads[level] + "}")
             return
-        memo = rendered[level]
-        text = memo.get(id(o))
-        if text is None:
-            kind = type(o[0])
-            spell = _SPELL.get(kind)
-            if spell is not None and set(map(type, o)) == {kind}:
-                text = memo[id(o)] = "[" + inner + ("," + inner).join(map(spell, o)) + pads[level] + "]"
+        text = scalars(o, level)
         if text is not None:
             parts.append(text)
-        elif kind is not dict or not records(o, level):
+        elif type(o[0]) is not dict or not records(o, level):
             sep = "[" + inner
             for x in o:
                 parts.append(sep)

@@ -214,14 +214,11 @@ def pullback_step(
                     candidates.append(xs)
         candidates.extend(xs for xs in lifts.values() if len(xs) >= 2)
 
-    # lower depths are retained; classes made by a step are disjoint, so only
-    # those the lifts touch take part in the merge
+    # lower depths are retained; the classes are disjoint (depth 1, a join and
+    # a step all make disjoint classes), so only those the lifts touch merge
     retained = [tuple(u * d * k for u in c) for c in classes.classes]
-    if lifted_before:
-        owner = {x: i for i, c in enumerate(retained) for x in c}
-        touched = {owner[x] for xs in candidates for x in xs if x in owner}
-    else:
-        touched = set(range(len(retained)))
+    owner = {x: i for i, c in enumerate(retained) for x in c}
+    touched = {owner[x] for xs in candidates for x in xs if x in owner}
     changed = [
         tuple(sorted(angles))
         for angles, _ in merge_tagged(

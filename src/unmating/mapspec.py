@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
+from .circle import sets_linked
 from .errors import MapfileError, ValidationFailure
 
 IN = "in"
@@ -343,15 +345,6 @@ def _build_level(level: int, rotations: dict[str, tuple[Dart, ...]], visits: Vis
     return LevelMap(level, n, rotations, visits, chords, faces, face_of, colors=None)
 
 
-def _chords_cross(spans: list[tuple[int, int]]) -> bool:
-    """Whether two visit chords cross."""
-    for i, (a, b) in enumerate(spans):
-        for c, d in spans[i + 1:]:
-            if (a < c < b) != (a < d < b):
-                return True
-    return False
-
-
 def chord_diagram(lm: LevelMap, vertex: str) -> list[tuple[str, tuple[int, ...]]]:
     """Disk model of the curve near a vertex of the validated, colored level
     map lm: the visit chords cut the disk into regions, listed by their first
@@ -523,7 +516,8 @@ def validate(spec: MapSpec) -> ValidationReport:
                 f"level {level}: V-E+F = {len(visits)}-{lm.n_edges}+{len(lm.faces)}",
             )
         for v, spans in lm.chords.items():
-            if _chords_cross(spans):
+            # visit chords share no rotation slot, so linked hulls are crossing chords
+            if any(sets_linked(*pair) for pair in combinations(spans, 2)):
                 report.add("curve not oriented", f"crossing chords at vertex {v!r} (level {level})")
         try:
             _color_level(spec, lm, report.levels.get(0))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .circle import frac, orbit_signature, q_apply, sets_linked
@@ -200,10 +201,8 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
     boundary = sorted({a for h in hulls for a in h})
     if len(boundary) < 2:
         raise PortraitError("portrait has fewer than two marked angles; no sectors")
-    for i in range(len(hulls)):
-        for j in range(i + 1, len(hulls)):
-            if sets_linked(hulls[i], hulls[j]):
-                raise PortraitError("portrait not unlinked")
+    if any(sets_linked(*pair) for pair in combinations(hulls, 2)):
+        raise PortraitError("portrait not unlinked")
 
     signatures = [tuple((bisect_right(h, lo) - 1) % len(h) for h in hulls) for lo in boundary]
     order: dict[tuple, int] = {}

@@ -231,6 +231,37 @@ def pullback_by_relift(
     return AngleClasses(depth=classes.depth + 1, color=classes.color, grid=grid, classes=out)
 
 
+def kneading_classes(portrait: CriticalPortrait, d: int, grid: int) -> list[tuple[int, ...]]:
+    """The itinerary classes of two or more angles x/grid, each a sorted
+    tuple of the integers x, in sorted order.
+
+    Two angles are related when, for every k >= 0, their k-th images under
+    the d-fold map lie in a common closed sector of the portrait (Bandt and
+    Keller 1992).  The pair orbit on the grid is eventually periodic, so the
+    walk ends.  The relation need not be transitive at sector boundaries,
+    so the classes are the connected components of the related pairs.
+    Every pair is walked: O(grid^2) walks, each up to its orbit's length.
+    """
+    sec = sectors(portrait, d)
+    # closed sector s holds t iff s is t's left or right label
+    closed = [
+        {label_by_scan(Fraction(x, grid), sec, portrait.grid, side) for side in ("left", "right")}
+        for x in range(grid)
+    ]
+
+    def related(x: int, y: int) -> bool:
+        seen = set()
+        while (x, y) not in seen:
+            if not closed[x] & closed[y]:
+                return False
+            seen.add((x, y))
+            x, y = d * x % grid, d * y % grid
+        return True
+
+    pairs = [{x, y} for x in range(grid) for y in range(x + 1, grid) if related(x, y)]
+    return sorted(tuple(sorted(c)) for c in merge_overlapping(pairs))
+
+
 def itinerary_equal_to_horizon(
     u: Fraction, v: Fraction, sec: Sectors, grid: int, d: int, horizon: int
 ) -> bool:

@@ -421,45 +421,50 @@ class TestDumps:
         assert same  # not the texts themselves: pytest would diff 5.9 MB
 
     def test_moore_report_written_by_identity(self, jordan_spec, monkeypatch):
-        """Moore entries share one sides list per value, and the writer quotes
-        each string list once per level and each dict key once per level."""
+        """Moore entries share one sides list per value, and the writer spells
+        the items of each str or int list once per level, however often the
+        list occurs there."""
         report = run_pipeline(jordan_spec, depth=6).to_json()
         moore = report["laminations"]["moore"]
         entries = moore["violations"] + moore["informational"]
         assert len(entries) > 2
         assert len({id(e["sides"]) for e in entries}) <= len({tuple(e["sides"]) for e in entries})
 
-        keys, lists, scalars = set(), {}, 0
+        keys, lists, scalars = 0, {}, 0
 
         def walk(o, level):
-            nonlocal scalars
-            if isinstance(o, str):
+            nonlocal keys, scalars
+            if type(o) in (str, int):
                 scalars += 1
             elif isinstance(o, dict):
-                for key, value in o.items():
-                    keys.add((level, key))
+                keys += len(o)
+                for value in o.values():
                     walk(value, level + 1)
             elif isinstance(o, (list, tuple)):
-                if o and all(isinstance(x, str) for x in o):
+                if o and len(set(map(type, o))) == 1 and type(o[0]) in (str, int):
                     lists[level, id(o)] = len(o)
                 else:
                     for x in o:
                         walk(x, level + 1)
 
         walk(report, 0)
-        calls = 0
-        real = cli.quote
+        calls = {"key": 0, "value": 0}
 
-        def counting(s):
-            nonlocal calls
-            calls += 1
-            return real(s)
+        def counting(spell, kind):
+            def count(x):
+                calls[kind] += 1
+                return spell(x)
+            return count
 
-        monkeypatch.setattr(cli, "quote", counting)
+        # keys are quoted through cli.quote, strs and ints through the _SPELL table
+        monkeypatch.setattr(cli, "quote", counting(cli.quote, "key"))
+        monkeypatch.setitem(cli._SPELL, str, counting(cli._SPELL[str], "value"))
+        monkeypatch.setitem(cli._SPELL, int, counting(cli._SPELL[int], "value"))
         text = _dumps(report)
         monkeypatch.undo()
         assert text == json.dumps(report, indent=2)
-        assert calls <= len(keys) + sum(lists.values()) + scalars
+        assert calls["key"] <= keys
+        assert calls["value"] <= sum(lists.values()) + scalars
 
 
 @pytest.mark.parametrize(

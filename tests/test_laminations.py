@@ -30,6 +30,7 @@ from .conftest import spec_with
 from .oracles import (
     as_fractions,
     brute_force_pullback,
+    kneading_classes,
     linked_pairs_by_scan,
     merge_overlapping,
     moore_by_scan,
@@ -243,6 +244,71 @@ class TestPullbackStep:
         for depth in range(2, 7):
             cur = pullback_step(cur, meyer_result.white, 2)
             assert len(cur.classes) == 2 ** depth - 1
+
+
+MEYER_WHITE_MISSES_CLASSES = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="depth 1 reads no identification at Meyer's non-critical self-intersections "
+    "(ROADMAP direction 1), so Meyer white has 1/3/7/15 classes at depths 2-5 "
+    "where its portrait's itineraries give 7/13/25/49",
+)
+
+
+class TestItineraryOracle:
+    """The laminations against the classes their portrait's itineraries give
+    on their own, without the curve.  G_n is the grid of the depth-n classes."""
+
+    @pytest.mark.parametrize("depth", range(2, 6))
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "meyer-white",
+            "meyer-black",
+            "jordan-white",
+            "jordan-black",
+            "meyer-flipped-white",
+            "meyer-flipped-black",
+        ],
+    )
+    def test_classes_lie_in_itinerary_classes(self, request, case, depth):
+        # (a): every depth-n class lies inside one itinerary class of G_n
+        start, p = relift_start(request, case)
+        lam = pullback_to_depth(start, p, p.degree, depth)
+        owner = {x: i for i, c in enumerate(kneading_classes(p, p.degree, lam.grid)) for x in c}
+        for c in lam.classes:
+            assert c[0] in owner and {owner.get(x) for x in c} == {owner[c[0]]}, (case, c)
+
+    @pytest.mark.parametrize("depth", range(2, 6))
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param("meyer-white", marks=MEYER_WHITE_MISSES_CLASSES),
+            "meyer-black",
+            "jordan-white",
+            "jordan-black",
+        ],
+    )
+    def test_classes_on_coarser_grid_are_itinerary_classes(self, request, case, depth):
+        # (b): the depth-n classes cut down to G_(n-1) are the itinerary classes
+        # of G_(n-1); on G_n the newest preimages of a class complete one depth later
+        start, p = relift_start(request, case)
+        lower = pullback_to_depth(start, p, p.degree, depth - 1)
+        lam = pullback_step(lower, p, p.degree)
+        k = lam.grid // lower.grid
+        cut = {tuple(x // k for x in c if x % k == 0) for c in lam.classes}
+        assert sorted(c for c in cut if len(c) >= 2) == kneading_classes(p, p.degree, lower.grid)
+
+    @pytest.mark.parametrize("color, other", [("white", "black"), ("black", "white")])
+    def test_anchor_flip_swaps_itinerary_classes(self, request, color, other):
+        # flipping the anchor swaps the portraits, so the itinerary classes
+        # and the laminations swap sides together
+        start, p = relift_start(request, f"meyer-flipped-{color}")
+        start0, p0 = relift_start(request, f"meyer-{other}")
+        for depth in range(2, 6):
+            lam = pullback_to_depth(start, p, p.degree, depth)
+            assert lam.classes == pullback_to_depth(start0, p0, p0.degree, depth).classes
+            assert kneading_classes(p, p.degree, lam.grid) == kneading_classes(p0, p0.degree, lam.grid)
 
 
 class TestJoin:
