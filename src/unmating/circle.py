@@ -11,7 +11,6 @@ enters any stored value.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
@@ -23,16 +22,30 @@ def frac(x: int, grid: int) -> str:
     return f"{x // g}/{grid // g}"
 
 
-@dataclass(frozen=True)
 class OrbitSignature:
-    """Eventual periodicity data of an angle under the d-fold map."""
+    """Eventual periodicity data of an angle under the d-fold map; read-only."""
 
-    preperiod: int
-    period: int
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        if self.period < 1 or self.preperiod < 0:
+    def __init__(self, preperiod: int, period: int):
+        if period < 1 or preperiod < 0:
             raise ValueError("need preperiod >= 0 and period >= 1")
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.preperiod, self.period) == (other.preperiod, other.period)
+
+    def __hash__(self):
+        return hash((self.preperiod, self.period))
 
     @property
     def is_periodic(self) -> bool:

@@ -12,7 +12,6 @@ changed.  Within one color every output is checked planar.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field, replace
 from itertools import pairwise, repeat
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -21,7 +20,7 @@ from .circle import frac
 from .errors import LaminationError
 from .mapspec import BLACK, WHITE, CriticalVertex
 from .parameterize import PullbackParameters
-from .portraits import CriticalPortrait, sectors
+from .portraits import CriticalPortrait, Sectors, sectors
 
 JOIN = "join"
 
@@ -33,27 +32,50 @@ def _canon(sets: Iterable[Iterable]) -> tuple[tuple, ...]:
     return tuple(sorted(uniq, key=lambda s: (s[0], len(s), s)))
 
 
-@dataclass(frozen=True)
 class AngleClasses:
-    """Classes of angles x/grid, each a sorted tuple of the integers x.
+    """Classes of angles x/grid, each a sorted tuple of the integers x;
+    read-only.
 
     Every depth-n angle of a degree-d pullback lies on the grid
     1/(D*d^(n-1)), D the grid of the pullback parameters.
 
     Classes made by `pullback_step` keep its history: the portrait and
-    degree it lifted through, and the classes it added or changed, that is,
-    those that were not already a class one depth lower.  The history takes
-    no part in comparison.
+    degree it lifted through, the classes it added or changed, that is,
+    those that were not already a class one depth lower, and the portrait's
+    sectors on the portrait's grid.  The history takes no part in
+    comparison.
     """
 
-    depth: int
-    color: str
-    grid: int
-    classes: tuple[AngleSet, ...]
-    sides: Optional[tuple[tuple[str, ...], ...]] = None  # per class, join only
-    history: Optional[tuple[CriticalPortrait, int, tuple[AngleSet, ...]]] = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("depth", "color", "grid", "classes", "sides", "history")
+
+    def __init__(
+        self,
+        depth: int,
+        color: str,
+        grid: int,
+        classes: tuple[AngleSet, ...],
+        sides: Optional[tuple[tuple[str, ...], ...]] = None,  # per class, join only
+        history: Optional[tuple[CriticalPortrait, int, tuple[AngleSet, ...], Sectors]] = None,
+    ):
+        for name, value in zip(self.__slots__, (depth, color, grid, classes, sides, history)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.depth, self.color, self.grid, self.classes, self.sides)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def text(self) -> list[list[str]]:
         return [[frac(x, self.grid) for x in c] for c in self.classes]
@@ -183,20 +205,21 @@ def pullback_step(
     was already a class at depth n-1 has the same lifts as then, because
     preimages and closed-sector labels depend on the angle, not on the grid,
     so each of its lifts already lies in one retained class and adding it
-    again merges nothing.
+    again merges nothing.  The history also carries the portrait's sectors,
+    so a chain of steps cuts the circle along the portrait once.
     """
     if classes.color not in (portrait.color, JOIN):
         raise LaminationError(
             f"cannot lift {classes.color} classes through a {portrait.color} portrait"
         )
-    sec = sectors(portrait, d)
+    history = classes.history
+    lifted_before = history is not None and history[0] is portrait and history[1] == d
+    base = history[3] if lifted_before else sectors(portrait, d)  # on the portrait's grid
     # one finer grid holds the preimages (u/grid + m)/d and the sector boundary
     grid = lcm(d * classes.grid, portrait.grid)
     k = grid // (d * classes.grid)
     scale = grid // portrait.grid
-    sec = replace(sec, boundary=tuple(b * scale for b in sec.boundary))
-    history = classes.history
-    lifted_before = history is not None and history[0] is portrait and history[1] == d
+    sec = Sectors(tuple(b * scale for b in base.boundary), base.sector_of_arc, base.lengths)
     candidates = []
     for cls in history[2] if lifted_before else classes.classes:
         # closed sector s holds x iff s is x's left or right label
@@ -239,7 +262,7 @@ def pullback_step(
         color=classes.color,
         grid=grid,
         classes=out,
-        history=(portrait, d, added),
+        history=(portrait, d, added, base),
     )
 
 

@@ -20,9 +20,8 @@ pullback curve gamma1 labeled by image edges, rotation systems for both
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .circle import sets_linked
 from .errors import MapfileError, ValidationFailure
@@ -31,14 +30,12 @@ IN = "in"
 OUT = "out"
 
 
-@dataclass(frozen=True)
-class Word0Entry:
+class Word0Entry(NamedTuple):
     edge: str
     to: str
 
 
-@dataclass(frozen=True)
-class Word1Entry:
+class Word1Entry(NamedTuple):
     image_edge: str
     to: str
 
@@ -46,8 +43,7 @@ class Word1Entry:
 Dart = tuple[int, str]  # (word position, "in"|"out"); "out" is based at the edge start
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(NamedTuple):
     degree: int
     post: tuple[str, ...]
     edges0: tuple[str, ...]
@@ -77,16 +73,21 @@ class MapSpec:
         return self.word1[(j - 1) % self.n1].to
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     check: str
     detail: str
 
 
-@dataclass
 class ValidationReport:
-    findings: list[Finding] = field(default_factory=list)
-    levels: dict[int, LevelMap] = field(default_factory=dict)  # each level once it is colored
+    __slots__ = ("findings", "levels")
+
+    def __init__(
+        self,
+        findings: Optional[list[Finding]] = None,
+        levels: Optional[dict[int, LevelMap]] = None,
+    ):
+        self.findings = [] if findings is None else findings
+        self.levels = {} if levels is None else levels  # each level once it is colored
 
     @property
     def passed(self) -> bool:
@@ -267,18 +268,30 @@ def _visit_index(names: tuple[str, ...], word) -> Visits:
     return {v: tuple(js) for v, js in visits.items()}
 
 
-@dataclass
 class LevelMap:
     """Rotation-system view of the curve complex at one level."""
 
-    level: int
-    n_edges: int
-    rotations: dict[str, tuple[Dart, ...]]
-    visits: Visits
-    chords: dict[str, list[tuple[int, int]]]  # per visit: (lower, upper) rotation slots of its two ends
-    faces: list[tuple[Dart, ...]]          # orbits of the face permutation
-    face_of: dict[Dart, int]
-    colors: Optional[list[str]]            # per face, once coloring succeeds
+    __slots__ = ("level", "n_edges", "rotations", "visits", "chords", "faces", "face_of", "colors")
+
+    def __init__(
+        self,
+        level: int,
+        n_edges: int,
+        rotations: dict[str, tuple[Dart, ...]],
+        visits: Visits,
+        chords: dict[str, list[tuple[int, int]]],
+        faces: list[tuple[Dart, ...]],
+        face_of: dict[Dart, int],
+        colors: Optional[list[str]],
+    ):
+        self.level = level
+        self.n_edges = n_edges
+        self.rotations = rotations
+        self.visits = visits
+        self.chords = chords  # per visit: (lower, upper) rotation slots of its two ends
+        self.faces = faces  # orbits of the face permutation
+        self.face_of = face_of
+        self.colors = colors  # per face, once coloring succeeds
 
     def left_face(self, pos: int) -> int:
         return self.face_of[(pos, OUT)]
@@ -412,13 +425,21 @@ def _color_level(spec: MapSpec, lm: LevelMap, lm0: Optional[LevelMap]) -> None:
 # ---------------------------------------------------------------------------
 # critical vertices
 
-@dataclass
 class CriticalVertex:
-    vertex: str
-    local_degree: int
-    visits: tuple[int, ...]
-    # (color, visits) of each chord-diagram region that two or more visits border
-    connections: tuple[tuple[str, tuple[int, ...]], ...]
+    __slots__ = ("vertex", "local_degree", "visits", "connections")
+
+    def __init__(
+        self,
+        vertex: str,
+        local_degree: int,
+        visits: tuple[int, ...],
+        connections: tuple[tuple[str, tuple[int, ...]], ...],
+    ):
+        self.vertex = vertex
+        self.local_degree = local_degree
+        self.visits = visits
+        # (color, visits) of each chord-diagram region that two or more visits border
+        self.connections = connections
 
     @property
     def colors(self) -> tuple[str, ...]:

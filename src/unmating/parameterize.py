@@ -12,10 +12,9 @@ their least common grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .circle import arc_sum, frac
 from .errors import ParameterizationError
@@ -23,8 +22,7 @@ from .mapspec import MapSpec
 from .spectral import LengthVector
 
 
-@dataclass(frozen=True)
-class MarkerParameters:
+class MarkerParameters(NamedTuple):
     t: tuple[Fraction, ...]  # each in [0, 1)
     image: tuple[int, ...]
     lengths: tuple[Fraction, ...]
@@ -32,8 +30,7 @@ class MarkerParameters:
     branch: int
 
 
-@dataclass(frozen=True)
-class PullbackParameters:
+class PullbackParameters(NamedTuple):
     """The parameter of word position j is the angle s[j]/grid, grid being
     the least common denominator of all of them."""
 

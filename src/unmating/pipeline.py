@@ -8,7 +8,6 @@ laminations.  All rationals serialize as reduced "p/q" strings through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laminations as lam
@@ -45,25 +44,50 @@ def parameters_json(
     }
 
 
-@dataclass
 class PipelineResult:
-    spec: MapSpec
-    report: mapspec.ValidationReport
-    matrix: spectral.TransitionMatrix
-    lengths: spectral.LengthVector
-    params: parameterize.MarkerParameters
-    pullback: parameterize.PullbackParameters
-    criticals: list[mapspec.CriticalVertex]
-    white: portraits.CriticalPortrait
-    black: portraits.CriticalPortrait
-    depth1_white: lam.AngleClasses
-    depth1_black: lam.AngleClasses
-    lamination_white: lam.AngleClasses
-    lamination_black: lam.AngleClasses
-    lamination_join: lam.AngleClasses
-    moore: dict
-    depth: int
-    branch: int
+    __slots__ = (
+        "spec", "report", "matrix", "lengths", "params", "pullback", "criticals", "white", "black",
+        "depth1_white", "depth1_black", "lamination_white", "lamination_black", "lamination_join",
+        "moore", "depth", "branch",
+    )
+
+    def __init__(
+        self,
+        spec: MapSpec,
+        report: mapspec.ValidationReport,
+        matrix: spectral.TransitionMatrix,
+        lengths: spectral.LengthVector,
+        params: parameterize.MarkerParameters,
+        pullback: parameterize.PullbackParameters,
+        criticals: list[mapspec.CriticalVertex],
+        white: portraits.CriticalPortrait,
+        black: portraits.CriticalPortrait,
+        depth1_white: lam.AngleClasses,
+        depth1_black: lam.AngleClasses,
+        lamination_white: lam.AngleClasses,
+        lamination_black: lam.AngleClasses,
+        lamination_join: lam.AngleClasses,
+        moore: dict,
+        depth: int,
+        branch: int,
+    ):
+        self.spec = spec
+        self.report = report
+        self.matrix = matrix
+        self.lengths = lengths
+        self.params = params
+        self.pullback = pullback
+        self.criticals = criticals
+        self.white = white
+        self.black = black
+        self.depth1_white = depth1_white
+        self.depth1_black = depth1_black
+        self.lamination_white = lamination_white
+        self.lamination_black = lamination_black
+        self.lamination_join = lamination_join
+        self.moore = moore
+        self.depth = depth
+        self.branch = branch
 
     def portrait_json(self, portrait: portraits.CriticalPortrait) -> dict:
         return {

@@ -11,9 +11,8 @@ families are empty here, so the conditions touching them hold vacuously.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .circle import frac, orbit_signature, q_apply, sets_linked
 from .errors import PortraitError
@@ -21,8 +20,7 @@ from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec
 from .parameterize import PullbackParameters
 
 
-@dataclass(frozen=True)
-class PreargumentSet:
+class PreargumentSet(NamedTuple):
     """A finite set of angles, each x standing for x/grid on its portrait's
     grid, meant to map to a single angle under the d-fold map.
 
@@ -38,13 +36,22 @@ class PreargumentSet:
         return cls(angles=tuple(sorted(set(angles))), preferred=preferred)
 
 
-@dataclass
 class CriticalPortrait:
-    color: str
-    degree: int
-    grid: int  # every angle x of the sets stands for x/grid
-    sets: list[PreargumentSet]
-    certificate: Optional[dict] = None
+    __slots__ = ("color", "degree", "grid", "sets", "certificate")
+
+    def __init__(
+        self,
+        color: str,
+        degree: int,
+        grid: int,
+        sets: list[PreargumentSet],
+        certificate: Optional[dict] = None,
+    ):
+        self.color = color
+        self.degree = degree
+        self.grid = grid  # every angle x of the sets stands for x/grid
+        self.sets = sets
+        self.certificate = certificate
 
     def participants(self) -> list[int]:
         out: set[int] = set()
@@ -160,7 +167,6 @@ def extract_portraits(
 # ---------------------------------------------------------------------------
 # sectors and itineraries
 
-@dataclass
 class Sectors:
     """The partition of the circle cut out by the portrait's hulls.
 
@@ -170,9 +176,21 @@ class Sectors:
     sector.
     """
 
-    boundary: tuple[int, ...]
-    sector_of_arc: tuple[int, ...]
-    lengths: tuple[int, ...]  # total length per sector
+    __slots__ = ("boundary", "sector_of_arc", "lengths")
+
+    def __init__(
+        self, boundary: tuple[int, ...], sector_of_arc: tuple[int, ...], lengths: tuple[int, ...]
+    ):
+        self.boundary = boundary
+        self.sector_of_arc = sector_of_arc
+        self.lengths = lengths  # total length per sector
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.boundary, self.sector_of_arc, self.lengths) == (
+            other.boundary, other.sector_of_arc, other.lengths
+        )
 
     @property
     def count(self) -> int:

@@ -11,16 +11,15 @@ the spectral radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import SpectralError
 from .mapspec import MapSpec
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     entries: tuple[tuple[int, ...], ...]   # rows follow word0 positions
     edges: tuple[str, ...]                 # edge name per row/column index
 
@@ -29,8 +28,7 @@ class TransitionMatrix:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class LengthVector:
+class LengthVector(NamedTuple):
     lengths: tuple[Fraction, ...]          # normalized, sums to 1
     eigenvector: tuple[int, ...]           # primitive positive integer representative
 

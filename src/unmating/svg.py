@@ -8,7 +8,7 @@ so identical scenes render byte-identically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 from .circle import frac
@@ -21,7 +21,6 @@ _STYLES = {
 }
 
 
-@dataclass
 class SvgScene:
     """Chords and their labelled endpoints, the angles given as integers x
     meaning x/grid.
@@ -31,10 +30,19 @@ class SvgScene:
     so that each angle is formatted once however many files draw it.
     """
 
-    grid: int
-    chords: list[tuple[int, int, str]] = field(default_factory=list)  # (a, b, side), a < b
-    labels: list[int] = field(default_factory=list)  # every chord end, sorted
-    text: dict[int, tuple[str, str, str]] = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("grid", "chords", "labels", "text")
+
+    def __init__(
+        self,
+        grid: int,
+        chords: Optional[list[tuple[int, int, str]]] = None,
+        labels: Optional[list[int]] = None,
+        text: Optional[dict[int, tuple[str, str, str]]] = None,
+    ):
+        self.grid = grid
+        self.chords = [] if chords is None else chords  # (a, b, side), a < b
+        self.labels = [] if labels is None else labels  # every chord end, sorted
+        self.text = {} if text is None else text
 
     @classmethod
     def from_classes(
@@ -42,17 +50,22 @@ class SvgScene:
     ) -> "SvgScene":
         """The chords of each class: consecutive angles, and the closing chord
         of a polygon.  ``texts`` holds the shared ``text`` of each grid, for
-        the scenes of one run."""
+        the scenes of one run.
+
+        The classes of one AngleClasses are disjoint and every chord carries
+        its side, so no chord is made twice and one sort orders them all.
+        """
         grid = math.lcm(*(classes.grid for classes in class_sets))
-        chords = set()
+        chords = []
         for classes in class_sets:
             side, k = classes.color, grid // classes.grid
-            for c in classes.classes:
-                xs = [x * k for x in c]
-                chords.update((a, b, side) for a, b in zip(xs, xs[1:]))
+            for xs in classes.classes:
+                if k != 1:
+                    xs = [x * k for x in xs]
+                chords.extend(zip(xs, xs[1:], repeat(side)))
                 if len(xs) >= 3:
-                    chords.add((xs[0], xs[-1], side))
-        chords = sorted(chords)
+                    chords.append((xs[0], xs[-1], side))
+        chords.sort()
         labels = sorted({x for a, b, _ in chords for x in (a, b)})
         text = {} if texts is None else texts.setdefault(grid, {})
         return cls(grid=grid, chords=chords, labels=labels, text=text)

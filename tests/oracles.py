@@ -7,7 +7,6 @@ the pipeline is exact, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -204,7 +203,7 @@ def pullback_by_relift(
     grid = lcm(d * classes.grid, portrait.grid)
     k = grid // (d * classes.grid)
     scale = grid // portrait.grid
-    sec = replace(sec, boundary=tuple(b * scale for b in sec.boundary))
+    sec = Sectors(tuple(b * scale for b in sec.boundary), sec.sector_of_arc, sec.lengths)
     candidates = [{u * d * k for u in c} for c in classes.classes]  # lower depths, retained
     for cls in classes.classes:
         # closed sector s holds x iff s is x's left or right label

@@ -126,19 +126,14 @@ class TestPullbackParameters:
         ]
 
     def test_misaligned_markers_rejected(self, meyer_spec, meyer_result):
-        import dataclasses
-
-        bad = dataclasses.replace(meyer_spec, markers=(2, 4, 5, 8, 10, 11))
+        bad = meyer_spec._replace(markers=(2, 4, 5, 8, 10, 11))
         with pytest.raises(ParameterizationError, match="inconsistent"):
             pullback_parameters(meyer_result.params, bad)
 
     def test_deck_shift_of_markers_is_equivalent(self, meyer_spec, meyer_result):
         # shifting all markers by k selects the other lift branch, which is an
         # equally valid normalization of the pullback parameterization
-        import dataclasses
-
-        shifted = dataclasses.replace(
-            meyer_spec,
+        shifted = meyer_spec._replace(
             markers=tuple((m + meyer_spec.k) % meyer_spec.n1 for m in meyer_spec.markers),
         )
         alt = pullback_parameters(meyer_result.params, shifted)

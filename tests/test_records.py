@@ -1,0 +1,98 @@
+"""The package's records: named tuples and slotted classes keep the value
+semantics, immutability and defaults the pipeline relies on."""
+
+from __future__ import annotations
+
+import pytest
+
+from unmating.circle import OrbitSignature, orbit_signature
+from unmating.laminations import AngleClasses, pullback_step
+from unmating.mapspec import Finding, ValidationReport
+from unmating.portraits import Sectors, sectors
+from unmating.svg import SvgScene
+
+# one instance of each read-only record, from the Meyer pipeline at depth 3
+READ_ONLY = {
+    "Word0Entry": lambda r: r.spec.word0[0],
+    "Word1Entry": lambda r: r.spec.word1[0],
+    "MapSpec": lambda r: r.spec,
+    "Finding": lambda r: Finding("check", "detail"),
+    "MarkerParameters": lambda r: r.params,
+    "PullbackParameters": lambda r: r.pullback,
+    "PreargumentSet": lambda r: r.white.sets[0],
+    "TransitionMatrix": lambda r: r.matrix,
+    "LengthVector": lambda r: r.lengths,
+    "OrbitSignature": lambda r: orbit_signature(5, 2, 24),
+    "AngleClasses": lambda r: r.lamination_white,
+}
+
+
+@pytest.mark.parametrize("name", READ_ONLY)
+def test_read_only_records_refuse_assignment(name, meyer_result):
+    record = READ_ONLY[name](meyer_result)
+    assert type(record).__name__ == name
+    field = next(iter(getattr(record, "_fields", None) or type(record).__slots__))
+    value = getattr(record, field)
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, value)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert getattr(record, field) is value
+
+
+class TestAngleClasses:
+    def test_history_takes_no_part_in_comparison(self, meyer_result):
+        step = pullback_step(meyer_result.depth1_white, meyer_result.white, 2)
+        bare = AngleClasses(step.depth, step.color, step.grid, step.classes)
+        assert step.history is not None and bare.history is None
+        assert step == bare and not step != bare
+        assert hash(step) == hash(bare)
+
+    def test_other_fields_compare(self, meyer_result):
+        lam = meyer_result.lamination_white
+        same = AngleClasses(lam.depth, lam.color, lam.grid, lam.classes)
+        for other in (
+            AngleClasses(lam.depth + 1, lam.color, lam.grid, lam.classes),
+            AngleClasses(lam.depth, "black", lam.grid, lam.classes),
+            AngleClasses(lam.depth, lam.color, 2 * lam.grid, lam.classes),
+            AngleClasses(lam.depth, lam.color, lam.grid, lam.classes[1:]),
+            AngleClasses(lam.depth, lam.color, lam.grid, lam.classes, ()),
+        ):
+            assert other != lam and not other == lam
+        assert same == lam and hash(same) == hash(lam)
+        assert lam != tuple(lam.classes)
+
+    def test_chained_step_carries_portrait_sectors(self, meyer_result):
+        p = meyer_result.white
+        step = pullback_step(meyer_result.depth1_white, p, 2)
+        assert step.history[3] == sectors(p, 2)
+        assert pullback_step(step, p, 2).history[3] is step.history[3]
+
+
+class TestOrbitSignature:
+    @pytest.mark.parametrize("preperiod, period", [(0, 0), (-1, 1), (2, -3)])
+    def test_range_checked(self, preperiod, period):
+        with pytest.raises(ValueError, match="period >= 1"):
+            OrbitSignature(preperiod=preperiod, period=period)
+
+    def test_value_equality(self):
+        assert OrbitSignature(3, 2) == orbit_signature(5, 2, 24)
+        assert OrbitSignature(3, 2) != OrbitSignature(2, 3)
+        assert hash(OrbitSignature(3, 2)) == hash(OrbitSignature(preperiod=3, period=2))
+
+
+def test_sectors_compare_by_value(meyer_result):
+    sec = sectors(meyer_result.white, 2)
+    assert sec == Sectors(sec.boundary, sec.sector_of_arc, sec.lengths)
+    assert sec != Sectors(sec.boundary, sec.sector_of_arc, sec.lengths + (0,))
+
+
+def test_defaults_are_fresh_per_instance():
+    first, second = ValidationReport(), ValidationReport()
+    first.add("check", "detail")
+    assert second.findings == [] and second.passed
+    assert first.levels is not second.levels
+    a, b = SvgScene(grid=4), SvgScene(grid=4)
+    assert (a.chords, a.labels, a.text) == ([], [], {})
+    assert a.chords is not b.chords and a.labels is not b.labels and a.text is not b.text
