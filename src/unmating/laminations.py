@@ -11,7 +11,7 @@ changed.  Within one color every output is checked planar.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from itertools import pairwise, repeat
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -77,12 +77,43 @@ class AngleClasses:
     def __hash__(self):
         return hash(self._key())
 
-    def text(self) -> list[list[str]]:
-        return [[frac(x, self.grid) for x in c] for c in self.classes]
+    def text(self, table: Optional[dict] = None) -> list[list[str]]:
+        """One list of "p/q" strings per class.
+
+        ``table`` maps a grid to a dict from each class tuple on it to its
+        list, filled on first use: the texts of one run, given one table,
+        spell each distinct class once and share the list, so a class that
+        occurs on several sides is one object wherever it is written.
+        """
+        grid = self.grid
+        if table is None:
+            return [[frac(x, grid) for x in c] for c in self.classes]
+        known = table.setdefault(grid, {})
+        out = []
+        for c in self.classes:
+            words = known.get(c)
+            if words is None:
+                words = known[c] = [frac(x, grid) for x in c]
+            out.append(words)
+        return out
+
+
+def _owners(classes: Sequence[Sequence]) -> dict:
+    """The index of the class holding each angle; refuses classes that share one."""
+    owner: dict = {}
+    for i, c in enumerate(classes):
+        for x in c:
+            if owner.setdefault(x, i) != i:
+                raise LaminationError(
+                    f"classes {owner[x]} and {i} share the angle {x}; "
+                    "the crossing sweep needs disjoint classes"
+                )
+    return owner
 
 
 def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
-    """Sorted index pairs i < j of classes whose hulls cross.
+    """Sorted index pairs i < j of classes whose hulls cross; the Moore
+    report lists them all.
 
     The classes must be pairwise disjoint.  Cut the circle at 0 and give a
     class with angles e_0 < ... < e_m the chords (e_t, e_t+1).  Two disjoint
@@ -98,14 +129,7 @@ def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
     chord crossings meet collect in one set of ints, which hashes and sorts
     faster than pairs, and sorting the keys sorts the pairs.
     """
-    owner: dict = {}
-    for i, c in enumerate(classes):
-        for x in c:
-            if owner.setdefault(x, i) != i:
-                raise LaminationError(
-                    f"classes {owner[x]} and {i} share the angle {x}; "
-                    "the crossing sweep needs disjoint classes"
-                )
+    _owners(classes)
     chords = sorted((a, b, i) for i, c in enumerate(classes) for a, b in pairwise(sorted(c)))
 
     n = len(classes)
@@ -122,13 +146,30 @@ def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
 
 
 def check_planar(classes: Iterable[AngleSet]) -> Optional[tuple[AngleSet, AngleSet]]:
-    """First pair of classes with crossing hulls, or None."""
+    """The first pair of classes with crossing hulls, in the order of
+    `linked_pairs`, or None; classes that share an angle are refused.
+
+    One pass over the angles in circle order decides whether any pair
+    crosses: a class is pushed at its first angle and popped at its last,
+    and disjoint classes are non-crossing exactly when every angle met
+    belongs to the class on top of the stack (a non-crossing partition nests
+    like parentheses).  Only when some pair crosses does `linked_pairs` run,
+    to name the first one.
+    """
     cl = list(classes)
-    pairs = linked_pairs(cl)
-    if not pairs:
-        return None
-    i, j = pairs[0]
-    return (cl[i], cl[j])
+    owner = _owners(cl)
+    stack = [-1]
+    for x in sorted(owner):
+        i = owner[x]
+        c = cl[i]
+        if x == c[0]:
+            stack.append(i)
+        elif stack[-1] != i:
+            i, j = linked_pairs(cl)[0]
+            return (cl[i], cl[j])
+        if x == c[-1]:
+            stack.pop()
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +198,24 @@ def depth1(
 # ---------------------------------------------------------------------------
 # pullback of classes through portrait sectors
 
-def merge_tagged(tagged: Iterable[tuple[Iterable, str]]) -> list[tuple[set, set[str]]]:
+def merge_tagged(tagged: Iterable[tuple[Iterable, str]]) -> list[tuple[AngleSet, tuple[str, ...]]]:
     """Connected components of non-empty angle sets, two sets being connected
-    when they share an angle, each with the tags of its member sets.
+    when they share an angle: each a sorted tuple of its angles, with the
+    sorted tuple of the tags of its member sets.
 
-    Union-find over the angles (Tarjan 1975); component order is unspecified.
+    When no angle occurs twice in the input, each set is its own component,
+    in input order, and nothing is merged.  Otherwise union-find over the
+    angles (Tarjan 1975) finds the components; their order is then
+    unspecified.
     """
     tagged = [(tuple(angles), tag) for angles, tag in tagged]
+    count = 0
+    seen: set = set()
+    for angles, _ in tagged:
+        count += len(angles)
+        seen.update(angles)
+    if len(seen) == count:
+        return [(tuple(sorted(angles)), (tag,)) for angles, tag in tagged]
     parent: dict = {}
 
     def find(x):
@@ -183,7 +235,7 @@ def merge_tagged(tagged: Iterable[tuple[Iterable, str]]) -> list[tuple[set, set[
         members, tags = components.setdefault(find(angles[0]), (set(), set()))
         members.update(angles)
         tags.add(tag)
-    return list(components.values())
+    return [(tuple(sorted(members)), tuple(sorted(tags))) for members, tags in components.values()]
 
 
 def pullback_step(
@@ -219,19 +271,27 @@ def pullback_step(
     grid = lcm(d * classes.grid, portrait.grid)
     k = grid // (d * classes.grid)
     scale = grid // portrait.grid
-    sec = Sectors(tuple(b * scale for b in base.boundary), base.sector_of_arc, base.lengths)
+    boundary = [b * scale for b in base.boundary]
+    arcs = base.sector_of_arc
+    ends = len(boundary)
     candidates = []
     for cls in history[2] if lifted_before else classes.classes:
         # closed sector s holds x iff s is x's left or right label
-        lifts: dict[int, set[int]] = {}
+        # (`Sectors.label_of`): the arc ending at x, and the arc starting at
+        # x when x is a boundary angle; distinct angles have distinct
+        # preimages, so no list below holds an angle twice
+        lifts: dict[int, list[int]] = {}
         for u in cls:
-            hits: dict[int, set[int]] = {}
+            hits: dict[int, list[int]] = {}
             for m in range(d):
                 x = (u + m * classes.grid) * k
-                for label in {sec.label_of(x, "left"), sec.label_of(x, "right")}:
-                    hits.setdefault(label, set()).add(x)
+                i = bisect_left(boundary, x)
+                left = arcs[i - 1]  # index -1 is the arc through 0
+                hits.setdefault(left, []).append(x)
+                if i < ends and boundary[i] == x and arcs[i] != left:
+                    hits.setdefault(arcs[i], []).append(x)
             for label, xs in hits.items():
-                lifts.setdefault(label, set()).update(xs)
+                lifts.setdefault(label, []).extend(xs)
                 # preimage sets of single angles, when a sector holds several
                 if len(xs) >= 2:
                     candidates.append(xs)
@@ -243,7 +303,7 @@ def pullback_step(
     owner = {x: i for i, c in enumerate(retained) for x in c}
     touched = {owner[x] for xs in candidates for x in xs if x in owner}
     changed = [
-        tuple(sorted(angles))
+        angles
         for angles, _ in merge_tagged(
             [(c, classes.color) for c in candidates]
             + [(retained[i], classes.color) for i in touched]
@@ -271,7 +331,7 @@ def pullback_step(
 # step whose d * count is over the bound is refused.  Both fixtures double
 # their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes 4.0 s and 582 MiB on the Jordan fixture
+# accepted.  Its CLI `unmate` run takes 3.4 s and 584 MiB on the Jordan fixture
 # (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each further depth costs
 # about 3.4 times as much, so depth 13 would pass 1 GiB.
 MAX_PREIMAGES = 10_000
@@ -306,26 +366,27 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
             "join needs equal depths and grids, got depth "
             f"{white.depth} on 1/{white.grid} and depth {black.depth} on 1/{black.grid}"
         )
-    merged = merge_tagged(
-        [(c, WHITE) for c in white.classes] + [(c, BLACK) for c in black.classes]
+    # the components are disjoint, so sorting orders them by their least angles
+    order = sorted(
+        merge_tagged([(c, WHITE) for c in white.classes] + [(c, BLACK) for c in black.classes])
     )
-    order = sorted(merged, key=lambda pair: (min(pair[0]), len(pair[0])))
     return AngleClasses(
         depth=white.depth,
         color=JOIN,
         grid=white.grid,
-        classes=tuple(tuple(sorted(a)) for a, _ in order),
-        sides=tuple(tuple(sorted(s)) for _, s in order),
+        classes=tuple(c for c, _ in order),
+        sides=tuple(s for _, s in order),
     )
 
 
-def moore_check(joined: AngleClasses) -> dict:
+def moore_check(joined: AngleClasses, table: Optional[dict] = None) -> dict:
     """Flag linked class hulls: same-side links are violations of the finite
     Moore criterion, links across the two sides are expected and reported as
     informational.  The classes must come from `join`, which records their
     sides.
 
-    Each entry holds the `text` list of its two classes and one sides list
+    Each entry holds the `text` list of its two classes (read through
+    ``table``, the run's text table, when one is given) and one sides list
     per distinct value, shared by every entry with that value (the writer
     renders a shared list once).  A class's kind is its sides tuple; the
     sides list and the same-side test of each pair of kinds (at most 3
@@ -343,7 +404,7 @@ def moore_check(joined: AngleClasses) -> dict:
             value = tuple(sorted({*p, *q}))
             union[-1].append(lists.setdefault(value, list(value)))
             same[-1].append(p == q and len(p) == 1)
-    text = joined.text()  # one list per class, shared by its entries
+    text = joined.text(table)  # one list per class, shared by its entries
     pairs = linked_pairs(joined.classes)
     violations = [
         {"a": text[i], "b": text[j], "sides": union[kind[i]][kind[j]]}

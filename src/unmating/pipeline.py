@@ -48,7 +48,7 @@ class PipelineResult:
     __slots__ = (
         "spec", "report", "matrix", "lengths", "params", "pullback", "criticals", "white", "black",
         "depth1_white", "depth1_black", "lamination_white", "lamination_black", "lamination_join",
-        "moore", "depth", "branch",
+        "moore", "depth", "branch", "texts",
     )
 
     def __init__(
@@ -70,6 +70,7 @@ class PipelineResult:
         moore: dict,
         depth: int,
         branch: int,
+        texts: dict,
     ):
         self.spec = spec
         self.report = report
@@ -88,6 +89,7 @@ class PipelineResult:
         self.moore = moore
         self.depth = depth
         self.branch = branch
+        self.texts = texts  # the run's table for `AngleClasses.text`
 
     def portrait_json(self, portrait: portraits.CriticalPortrait) -> dict:
         return {
@@ -98,7 +100,7 @@ class PipelineResult:
     def lamination_json(self, classes: lam.AngleClasses) -> dict:
         return {
             "depth": classes.depth,
-            "classes": classes.text(),
+            "classes": classes.text(self.texts),
         }
 
     def to_json(self) -> dict:
@@ -177,7 +179,8 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
     lam_w = lam.pullback_to_depth(d1w, white, spec.degree, depth)
     lam_b = lam.pullback_to_depth(d1b, black, spec.degree, depth)
     joined = lam.join(lam_w, lam_b)
-    moore = lam.moore_check(joined)
+    texts: dict = {}  # each class spelled once, for the Moore report and the JSON sections
+    moore = lam.moore_check(joined, texts)
 
     return PipelineResult(
         spec=spec,
@@ -197,6 +200,7 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
         moore=moore,
         depth=depth,
         branch=branch,
+        texts=texts,
     )
 
 

@@ -100,6 +100,11 @@ class TestAngleClasses:
         fractions = as_fractions(lam)
         assert list(fractions) == sorted(fractions, key=lambda c: (c[0], len(c), c))
         assert lam.text() == [[p_q(f) for f in c] for c in fractions]
+        # a table gives the same text, also when it already holds the same
+        # class tuples on a coarser grid
+        table: dict = {}
+        AngleClasses(1, "white", 2 * grid, lam.classes).text(table)
+        assert lam.text(table) == lam.text() == lam.text(table)
 
     @pytest.mark.parametrize("fixture", ["meyer_result", "jordan_result"])
     def test_lifting_builds_no_fraction(self, request, monkeypatch, fixture):
@@ -117,6 +122,42 @@ class TestAngleClasses:
         moore_check(join(white, black))
         monkeypatch.undo()
         assert len(built) == 0
+
+
+class TestTextTable:
+    """A run spells each class once: its Moore report and JSON sections read
+    one table of `AngleClasses.text` lists."""
+
+    def test_join_lists_are_the_side_lists(self, meyer_result):
+        laminations = meyer_result.to_json()["laminations"]
+        sides = {
+            tuple(words): words
+            for side in ("white", "black")
+            for words in laminations[side]["classes"]
+        }
+        joined = laminations["join"]["classes"]
+        assert joined and len(joined) == len(sides)  # Meyer's join merges nothing
+        for words in joined:
+            assert words is sides[tuple(words)]
+
+    def test_moore_entries_read_the_table(self, meyer_result):
+        laminations = meyer_result.to_json()["laminations"]
+        ids = {id(words) for words in laminations["join"]["classes"]}
+        entries = laminations["moore"]["informational"]
+        assert entries and all(id(e["a"]) in ids and id(e["b"]) in ids for e in entries)
+
+    def test_runs_share_no_list(self, meyer_spec):
+        first, second = (run_pipeline(meyer_spec, depth=3).to_json() for _ in range(2))
+
+        def list_ids(o) -> set[int]:
+            if isinstance(o, dict):
+                return set().union(*map(list_ids, o.values()))
+            if isinstance(o, list):
+                return {id(o)}.union(*map(list_ids, o))
+            return set()
+
+        assert first == second
+        assert not list_ids(first) & list_ids(second)
 
 
 class TestDepth1:
@@ -367,13 +408,26 @@ def naive_components(tagged) -> dict[frozenset, frozenset]:
     }
 
 
+# both sides of merge_tagged's disjointness test: pairwise-disjoint sets (as
+# in Meyer's join), one angle shared by two sets, an angle repeated in one set
+DISJOINT = [(frozenset({1, 13}), "white"), (frozenset({5, 9}), "black"), (frozenset({2}), "white")]
+SHARED = [(frozenset({1, 3}), "white"), (frozenset({3, 7}), "black"), (frozenset({10, 12}), "black")]
+
+
 class TestMergeOracle:
     @given(tagged_families)
+    @example(DISJOINT)
+    @example(SHARED)
+    @example([((4, 9, 4), "white"), ((2,), "black")])
     def test_merge_tagged_matches_naive(self, tagged):
         got = {frozenset(m): frozenset(tags) for m, tags in merge_tagged(tagged)}
         assert got == naive_components(tagged)
 
     @given(tagged_families)
+    @example(DISJOINT)
+    @example(SHARED)
+    # the angle 3 twice within the white side
+    @example([(frozenset({1, 3}), "white"), (frozenset({3, 5}), "white"), (frozenset({8}), "black")])
     def test_join_matches_naive(self, tagged):
         white = AngleClasses(1, "white", 16, _canon(a for a, t in tagged if t == "white"))
         black = AngleClasses(1, "black", 16, _canon(a for a, t in tagged if t == "black"))
@@ -381,6 +435,13 @@ class TestMergeOracle:
         got = {frozenset(c): frozenset(s) for c, s in zip(joined.classes, joined.sides)}
         assert got == naive_components(tagged)
         assert list(joined.classes) == sorted(joined.classes, key=lambda c: (c[0], len(c)))
+
+    def test_disjoint_sets_are_their_own_components_in_order(self):
+        assert merge_tagged([((13, 1), "white"), ({9, 5}, "black"), ([2], "white")]) == [
+            ((1, 13), ("white",)),
+            ((5, 9), ("black",)),
+            ((2,), ("white",)),
+        ]
 
     def test_chain_in_reverse_order_is_one_component(self):
         links = [(i, i + 1) for i in range(8)][::-1]
@@ -450,6 +511,12 @@ class TestLinkedPairs:
         assert linked_pairs(family) == linked_pairs_by_scan(family)
 
     @given(disjoint_families())
+    # a class inside the gap of another that runs through 0
+    @example([(10, 40), (0, 45, 47)])
+    # single-angle classes, inside a hull, in its gap through 0 and alone
+    @example([(3,), (10, 20), (15,), (47,), (25,)])
+    # the only crossing comes last in circle order, listed first
+    @example([(42, 46), (0, 2), (40, 44), (4, 6), (8, 30)])
     def test_check_planar_is_first_scanned_pair(self, family):
         scan = linked_pairs_by_scan(family)
         expected = (family[scan[0][0]], family[scan[0][1]]) if scan else None
@@ -466,6 +533,13 @@ class TestLinkedPairs:
     def test_shared_angle_refused(self):
         with pytest.raises(LaminationError, match="share the angle 1/4"):
             linked_pairs([(F(0), F(1, 4)), (F(1, 4), F(1, 2))])
+
+    def test_check_planar_refuses_shared_angle(self):
+        with pytest.raises(
+            LaminationError,
+            match="^classes 0 and 1 share the angle 12; the crossing sweep needs disjoint classes$",
+        ):
+            check_planar([(0, 12), (12, 24)])
 
     def test_fixtures_at_depth_seven_match_scan(self, meyer_spec, jordan_spec):
         for spec in (meyer_spec, jordan_spec):
