@@ -11,7 +11,7 @@ changed.  Within one color every output is checked planar.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right, insort
 from itertools import pairwise, repeat
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -80,15 +80,14 @@ class AngleClasses:
     def text(self, table: Optional[dict] = None) -> list[list[str]]:
         """One list of "p/q" strings per class.
 
-        ``table`` maps a grid to a dict from each class tuple on it to its
-        list, filled on first use: the texts of one run, given one table,
-        spell each distinct class once and share the list, so a class that
-        occurs on several sides is one object wherever it is written.
+        ``table`` maps each class tuple to its list and is filled on first
+        use; it holds the classes of one grid.  The texts of one run, given
+        one table, spell each distinct class once and share the list, so a
+        class that occurs on several sides is one object wherever it is
+        written.  Without a table the lists are new.
         """
         grid = self.grid
-        if table is None:
-            return [[frac(x, grid) for x in c] for c in self.classes]
-        known = table.setdefault(grid, {})
+        known = {} if table is None else table
         out = []
         for c in self.classes:
             words = known.get(c)
@@ -270,26 +269,18 @@ def pullback_step(
     # one finer grid holds the preimages (u/grid + m)/d and the sector boundary
     grid = lcm(d * classes.grid, portrait.grid)
     k = grid // (d * classes.grid)
-    scale = grid // portrait.grid
-    boundary = [b * scale for b in base.boundary]
-    arcs = base.sector_of_arc
-    ends = len(boundary)
+    fine = base.scaled(grid // portrait.grid)
     candidates = []
     for cls in history[2] if lifted_before else classes.classes:
-        # closed sector s holds x iff s is x's left or right label
-        # (`Sectors.label_of`): the arc ending at x, and the arc starting at
-        # x when x is a boundary angle; distinct angles have distinct
-        # preimages, so no list below holds an angle twice
+        # distinct angles have distinct preimages, so no list below holds an
+        # angle twice
         lifts: dict[int, list[int]] = {}
         for u in cls:
             hits: dict[int, list[int]] = {}
             for m in range(d):
                 x = (u + m * classes.grid) * k
-                i = bisect_left(boundary, x)
-                left = arcs[i - 1]  # index -1 is the arc through 0
-                hits.setdefault(left, []).append(x)
-                if i < ends and boundary[i] == x and arcs[i] != left:
-                    hits.setdefault(arcs[i], []).append(x)
+                for label in fine.closed_labels(x):
+                    hits.setdefault(label, []).append(x)
             for label, xs in hits.items():
                 lifts.setdefault(label, []).extend(xs)
                 # preimage sets of single angles, when a sector holds several

@@ -196,15 +196,29 @@ class Sectors:
     def count(self) -> int:
         return len(self.lengths)
 
+    def scaled(self, k: int) -> Sectors:
+        """The same partition on the grid k times finer."""
+        return Sectors(
+            tuple(b * k for b in self.boundary), self.sector_of_arc, tuple(l * k for l in self.lengths)
+        )
+
+    def closed_labels(self, t: int) -> tuple[int, ...]:
+        """The sectors whose closure holds t, found with one bisection: the
+        sector of the arc ending at t, then, when t is a boundary angle
+        between two sectors, the sector of the arc starting at t."""
+        b = self.boundary
+        i = bisect_left(b, t)
+        left = self.sector_of_arc[i - 1]  # index -1 is the arc through 0
+        if i < len(b) and b[i] == t and self.sector_of_arc[i] != left:
+            return (left, self.sector_of_arc[i])
+        return (left,)
+
     def label_of(self, t: int, side: str = "left") -> int:
         """Sector of the arc holding t.  A boundary angle lies on the arc
         ending at it from the left and on the arc starting at it from the
         right."""
-        b = self.boundary
-        i = bisect_left(b, t)
-        if side != "left" and i < len(b) and b[i] == t:
-            return self.sector_of_arc[i]
-        return self.sector_of_arc[i - 1]  # index -1 is the arc through 0
+        labels = self.closed_labels(t)
+        return labels[0] if side == "left" else labels[-1]
 
 
 def sectors(portrait: CriticalPortrait, d: int) -> Sectors:

@@ -100,10 +100,7 @@ class TestAngleClasses:
         fractions = as_fractions(lam)
         assert list(fractions) == sorted(fractions, key=lambda c: (c[0], len(c), c))
         assert lam.text() == [[p_q(f) for f in c] for c in fractions]
-        # a table gives the same text, also when it already holds the same
-        # class tuples on a coarser grid
         table: dict = {}
-        AngleClasses(1, "white", 2 * grid, lam.classes).text(table)
         assert lam.text(table) == lam.text() == lam.text(table)
 
     @pytest.mark.parametrize("fixture", ["meyer_result", "jordan_result"])

@@ -220,6 +220,7 @@ class TestSectorLabels:
                 t = Fraction(x, q.grid)
                 closed = {s for s in range(sec.count) if _in_closed_sector(t, sec, q.grid, s)}
                 assert {sec.label_of(x, "left"), sec.label_of(x, "right")} == closed, x
+                assert sorted(sec.closed_labels(x)) == sorted(closed), x
 
     @given(random_portraits())
     @example(TOY_DEGREE3)
@@ -364,6 +365,7 @@ class TestGridRefinement:
         assert fine_sec.sector_of_arc == sec.sector_of_arc
         assert fine_sec.boundary == tuple(m * b for b in sec.boundary)
         assert fine_sec.lengths == tuple(m * l for l in sec.lengths)
+        assert sec.scaled(m) == fine_sec
 
     def test_meyer_certificates_on_finer_grid(self, meyer_result):
         for p in (meyer_result.white, meyer_result.black):
