@@ -322,7 +322,7 @@ def pullback_step(
 # step whose d * count is over the bound is refused.  Both fixtures double
 # their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes 3.4 s and 584 MiB on the Jordan fixture
+# accepted.  Its CLI `unmate` run takes 4.1 s and 585 MiB on the Jordan fixture
 # (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each further depth costs
 # about 3.4 times as much, so depth 13 would pass 1 GiB.
 MAX_PREIMAGES = 10_000
