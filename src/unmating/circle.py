@@ -3,15 +3,15 @@
 From the pullback parameters on, an angle is an integer x with 0 <= x < grid,
 standing for x/grid turns: `parameterize.pullback_parameters` fixes the grid
 once, the d-fold map keeps every angle on it, and `frac` spells x/grid as a
-reduced "p/q" string only when it is printed.  Arc lengths and the marker
-parameters, upstream of that grid, stay exact Fractions.  No floating point
-enters any stored value.
+reduced "p/q" string only when it is printed.  Upstream of that grid the
+same holds on grids of their own: an arc length is an integer over the sum
+of the certified eigenvector, and a marker parameter an integer over that
+sum times d - 1.  No floating point enters any stored value.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -94,7 +94,7 @@ def sets_linked(xs: Iterable, ys: Iterable) -> bool:
     return False
 
 
-def arc_sum(lengths: Sequence[Fraction], frm: int, to: int) -> Fraction:
+def arc_sum(lengths: Sequence[int], frm: int, to: int) -> int:
     """Sum of interval lengths walked from marker `frm` to marker `to`.
 
     Marker i sits at the start of interval i, so the walk crosses intervals
@@ -104,4 +104,4 @@ def arc_sum(lengths: Sequence[Fraction], frm: int, to: int) -> Fraction:
     if not (0 <= frm < k and 0 <= to < k):
         raise IndexError(f"marker index out of range for {k} intervals")
     steps = (to - frm) % k
-    return sum((lengths[(frm + i) % k] for i in range(steps)), Fraction(0))
+    return sum(lengths[(frm + i) % k] for i in range(steps))

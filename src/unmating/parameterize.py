@@ -5,15 +5,15 @@ the certified interval lengths.  The parameter of the base marker comes from
 equating the two routes to its image parameter: multiplying by the degree,
 or walking the intervening arc.  The pullback curve inherits parameters by
 lifting: matched visits keep their gamma0 parameter and successive visits
-advance by the lengths scaled down by the degree.  The pullback parameters
-are where the rationals end: every later stage reads them as integers on
-their least common grid.
+advance by the lengths scaled down by the degree.  Every value is an integer
+on a named grid: the lengths on the eigenvector's sum `total`, the marker
+parameters on total*(d - 1), and the pullback parameters on their least
+common grid, which every later stage reads.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import NamedTuple, Sequence
 
 from .circle import arc_sum, frac
@@ -23,9 +23,10 @@ from .spectral import LengthVector
 
 
 class MarkerParameters(NamedTuple):
-    t: tuple[Fraction, ...]  # each in [0, 1)
+    grid: int
+    t: tuple[int, ...]  # marker i at the angle t[i]/grid, 0 <= t[i] < grid
     image: tuple[int, ...]
-    lengths: tuple[Fraction, ...]
+    lengths: tuple[int, ...]  # interval i has length lengths[i]/grid
     degree: int
     branch: int
 
@@ -44,7 +45,8 @@ def marker_images(spec: MapSpec) -> list[int]:
 
 
 def solve_parameters(
-    lengths: Sequence[Fraction],
+    lengths: Sequence[int],
+    total: int,
     image: Sequence[int],
     d: int,
     base: int = 0,
@@ -52,8 +54,10 @@ def solve_parameters(
 ) -> MarkerParameters:
     """Find all marker parameters from the lengths and the image map.
 
-    With L the arc from `base` to its image marker, d*t = t + L mod 1 gives
-    t = (L + branch)/(d - 1); the remaining markers follow by adding lengths.
+    Interval i has length lengths[i]/total.  With L/total the arc from
+    `base` to its image marker, d*t = t + L/total mod 1 gives
+    t = (L + branch*total)/(total*(d - 1)): the parameters live on the grid
+    total*(d - 1), and the remaining markers follow by adding lengths.
     Every marker must then satisfy q_d(t[i]) = t[image[i]], which witnesses
     full invariance of the parameterized curve.
     """
@@ -64,34 +68,36 @@ def solve_parameters(
         raise ParameterizationError(f"branch must satisfy 0 <= branch < d-1 = {d - 1}")
     if not 0 <= base < k:
         raise ParameterizationError(f"base marker {base} out of range")
-    total = sum(lengths, Fraction(0))
-    if total != 1:
-        raise ParameterizationError(f"lengths must sum to 1, got {total}")
+    if sum(lengths) != total:
+        raise ParameterizationError(f"lengths must sum to 1, got {frac(sum(lengths), total)}")
 
-    big_l = arc_sum(lengths, base, image[base])
-    t = [Fraction(0)] * k
-    t[base] = Fraction(big_l + branch, d - 1) % 1
+    grid = total * (d - 1)
+    steps = [x * (d - 1) for x in lengths]
+    t = [0] * k
+    t[base] = (arc_sum(lengths, base, image[base]) + branch * total) % grid
     for step in range(1, k):
         i = (base + step) % k
         prev = (base + step - 1) % k
-        t[i] = (t[prev] + lengths[prev]) % 1
+        t[i] = (t[prev] + steps[prev]) % grid
 
     for i in range(k):
-        got, want = d * t[i] % 1, t[image[i]]
+        got, want = d * t[i] % grid, t[image[i]]
         if got != want:
             raise ParameterizationError(
-                f"parameterization inconsistent: q_d(t[{i}]) = {frac(*got.as_integer_ratio())} "
-                f"but t[image[{i}]] = {frac(*want.as_integer_ratio())}"
+                f"parameterization inconsistent: q_d(t[{i}]) = {frac(got, grid)} "
+                f"but t[image[{i}]] = {frac(want, grid)}"
             )
     return MarkerParameters(
-        t=tuple(t), image=tuple(image), lengths=tuple(lengths), degree=d, branch=branch
+        grid=grid, t=tuple(t), image=tuple(image), lengths=tuple(steps), degree=d, branch=branch
     )
 
 
 def solve_for_spec(
     spec: MapSpec, lengths: LengthVector, base: int = 0, branch: int = 0
 ) -> MarkerParameters:
-    return solve_parameters(lengths.lengths, marker_images(spec), spec.degree, base, branch)
+    return solve_parameters(
+        lengths.eigenvector, lengths.total, marker_images(spec), spec.degree, base, branch
+    )
 
 
 def pullback_parameters(params: MarkerParameters, spec: MapSpec) -> PullbackParameters:
@@ -100,28 +106,34 @@ def pullback_parameters(params: MarkerParameters, spec: MapSpec) -> PullbackPara
     The visit matched to gamma0 marker 0 keeps the parameter t[0]; successive
     visits advance by length/degree.  Matched positions must land exactly on
     the marker parameters, or the file's marker data does not describe a lift
-    of the parameterized curve.  This is the one place where rationals become
-    grid angles.
+    of the parameterized curve.  The walk runs on d times the marker grid,
+    where length/degree is a whole step; one gcd then reduces the result to
+    the least common grid.
     """
     k, d, n1 = spec.k, spec.degree, spec.n1
-    lengths = params.lengths
+    grid = params.grid
+    fine = d * grid
+    t, lengths = params.t, params.lengths
     m0 = spec.markers[0]
 
-    cum = [Fraction(0)] * (n1 + 1)
+    cum = [0] * (n1 + 1)
     for j in range(n1):
         cum[j + 1] = cum[j] + lengths[j % k]
 
-    s = [(params.t[0] + (cum[j] - cum[m0]) / d) % 1 for j in range(n1)]
+    start = d * t[0] - cum[m0]
+    s = [(start + cum[j]) % fine for j in range(n1)]
     for i, m in enumerate(spec.markers):
-        if s[m] != params.t[i]:
+        if s[m] != d * t[i]:
             raise ParameterizationError(
                 f"parameterization inconsistent: matched visit {m} carries "
-                f"{frac(*s[m].as_integer_ratio())}, marker {i} has {frac(*params.t[i].as_integer_ratio())}"
+                f"{frac(s[m], fine)}, marker {i} has {frac(t[i], grid)}"
             )
     for j in range(n1):
-        if d * s[j] % 1 != params.t[j % k]:
+        got = d * s[j] % fine
+        if got != d * t[j % k]:
             raise ParameterizationError(
-                f"parameterization inconsistent: q_d(s[{j}]) != t[{j % k}]"
+                f"parameterization inconsistent: q_d(s[{j}]) = {frac(got, fine)} "
+                f"but t[{j % k}] = {frac(t[j % k], grid)}"
             )
-    grid = lcm(*(x.denominator for x in s))
-    return PullbackParameters(grid=grid, s=tuple(x.numerator * (grid // x.denominator) for x in s))
+    g = gcd(fine, *s)
+    return PullbackParameters(grid=fine // g, s=tuple(x // g for x in s))

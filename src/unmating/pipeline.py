@@ -2,13 +2,12 @@
 
 Stages run in order: validate, transition matrix and Perron certificate,
 marker parameters, pullback parameters, critical vertices and portraits,
-laminations.  All rationals serialize as reduced "p/q" strings through
-`circle.frac`; nothing downstream inherits rounding.
+laminations.  Every rational is an integer on a named grid and serializes
+as a reduced "p/q" string through `circle.frac`; nothing downstream
+inherits rounding.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import laminations as lam
 from . import mapspec, parameterize, portraits, spectral
@@ -17,15 +16,11 @@ from .errors import LaminationError, PortraitError
 from .mapspec import MapSpec
 
 
-def frac_str(x) -> str:
-    return frac(*Fraction(x).as_integer_ratio())
-
-
 def matrix_json(matrix: spectral.TransitionMatrix, lengths: spectral.LengthVector) -> dict:
     return {
         "matrix": [list(row) for row in matrix.entries],
-        "eigenvector": [frac_str(Fraction(x)) for x in lengths.eigenvector],
-        "lengths": [frac_str(l) for l in lengths.lengths],
+        "eigenvector": [frac(x, 1) for x in lengths.eigenvector],
+        "lengths": [frac(x, lengths.total) for x in lengths.eigenvector],
     }
 
 
@@ -38,7 +33,7 @@ def parameters_json(
     # one label per marker: post name tagged with the marker index
     labels = [f"{spec.marker_post(i)}#{i}" for i in range(spec.k)]
     return {
-        "t": {label: frac_str(t) for label, t in zip(labels, params.t)},
+        "t": {label: frac(t, params.grid) for label, t in zip(labels, params.t)},
         "s": [frac(s, pullback.grid) for s in pullback.s],
         "branch": branch,
     }

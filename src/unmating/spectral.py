@@ -4,14 +4,14 @@ The deformation of each 0-edge is a block of gamma1 between consecutive
 matched markers; counting the image labels inside each block gives a
 nonnegative integer matrix whose spectral radius must equal the degree.
 Rather than computing eigenvalues we certify: the nullspace of (A - dI)
-is computed exactly over the rationals, and a strictly positive
-one-dimensional representative is, by Perron-Frobenius, proof that d is
-the spectral radius.
+is computed exactly, in integers, and a strictly positive one-dimensional
+representative is, by Perron-Frobenius, proof that d is the spectral
+radius.  Edge i then has length eigenvector[i]/total: the lengths are
+integers on the grid `total`, the sum of the primitive eigenvector.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -29,8 +29,8 @@ class TransitionMatrix(NamedTuple):
 
 
 class LengthVector(NamedTuple):
-    lengths: tuple[Fraction, ...]          # normalized, sums to 1
     eigenvector: tuple[int, ...]           # primitive positive integer representative
+    total: int                             # sum(eigenvector); length i is eigenvector[i]/total
 
 
 def deformation_words(spec: MapSpec) -> list[list[int]]:
@@ -100,39 +100,38 @@ def _integer_row_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]
     return a, pivots
 
 
-def _rational_nullspace(m: list[list[int]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of an integer matrix, exactly."""
+def _rational_nullspace(m: list[list[int]]) -> list[list[int]]:
+    """Basis of the right nullspace of an integer matrix over the rationals,
+    as primitive integer vectors whose free coordinate is positive.
+
+    Back-substitution stays in the integers: before dividing the running
+    sum s by the pivot p, the vector is scaled by |p| / gcd(s, p).
+    """
     a, pivots = _integer_row_echelon(m)
     n = len(m[0])
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        v = [0] * n
+        v[fc] = 1
         for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((Fraction(a[r][c]) * v[c] for c in range(pc + 1, n)), Fraction(0))
-            v[pc] = -s / a[r][pc]
-        basis.append(v)
+            row, pc = a[r], pivots[r]
+            s = sum(row[c] * v[c] for c in range(pc + 1, n))
+            p = row[pc]
+            scale = abs(p) // gcd(s, p)
+            if scale != 1:
+                v = [x * scale for x in v]
+            v[pc] = -s * scale // p
+        g = gcd(*v)
+        basis.append([x // g for x in v])
     return basis
-
-
-def _primitive_integers(v: list[Fraction]) -> list[int]:
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return [x // g for x in ints] if g else ints
 
 
 def certify_perron(matrix: TransitionMatrix, d: int) -> LengthVector:
     """Certify that d is the spectral radius of the transition matrix.
 
     Requires the nullspace of (A - dI) to be one-dimensional with a strictly
-    positive representative v; returns v normalized to unit total length.
+    positive representative v; returns the primitive v and its sum.
     """
     n = matrix.size
     m = [
@@ -146,9 +145,7 @@ def certify_perron(matrix: TransitionMatrix, d: int) -> LengthVector:
         raise SpectralError(
             f"Perron certification failed: nullspace dimension {len(basis)} > 1"
         )
-    v = _primitive_integers(basis[0])
-    if all(x < 0 for x in v):
-        v = [-x for x in v]
+    v = basis[0]  # its free coordinate is positive
     if not all(x > 0 for x in v):
         raise SpectralError("Perron certification failed: no strictly positive eigenvector")
 
@@ -158,6 +155,4 @@ def certify_perron(matrix: TransitionMatrix, d: int) -> LengthVector:
         if lhs != d * v[i]:
             raise SpectralError("Perron certification failed: A v != d v")
 
-    total = sum(v)
-    lengths = tuple(Fraction(x, total) for x in v)
-    return LengthVector(lengths=lengths, eigenvector=tuple(v))
+    return LengthVector(eigenvector=tuple(v), total=sum(v))

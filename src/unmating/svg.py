@@ -72,7 +72,7 @@ class SvgScene:
 
 
 def _point(x: int, grid: int) -> tuple[float, float]:
-    theta = 2 * math.pi * (x / grid)  # x / grid rounds once, as float(Fraction(x, grid)) does
+    theta = 2 * math.pi * (x / grid)  # int / int is correctly rounded: x/grid turns, rounded once
     return (math.cos(theta), math.sin(theta))
 
 

@@ -9,14 +9,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from unmating.circle import frac, sets_linked
-from unmating.errors import LaminationError
+from unmating.errors import LaminationError, ParameterizationError, SpectralError
 from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge_tagged
+from unmating.mapspec import MapSpec
+from unmating.parameterize import PullbackParameters
 from unmating.portraits import CriticalPortrait, Sectors, sectors
+from unmating.spectral import TransitionMatrix, _integer_row_echelon
 
 
 def power_iteration(matrix, iterations: int = 20000, tol: float = 1e-13) -> np.ndarray:
@@ -266,3 +270,127 @@ def itinerary_equal_to_horizon(
 ) -> bool:
     """Literal finite comparison of left symbol strings."""
     return itinerary(u, sec, grid, d, horizon) == itinerary(v, sec, grid, d, horizon)
+
+
+def nullspace_by_fractions(m: list[list[int]]) -> list[list[Fraction]]:
+    """Basis of the right nullspace of an integer matrix, back-substituted
+    in Fractions with each free coordinate set to 1."""
+    a, pivots = _integer_row_echelon(m)
+    n = len(m[0])
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            pc = pivots[r]
+            s = sum((Fraction(a[r][c]) * v[c] for c in range(pc + 1, n)), Fraction(0))
+            v[pc] = -s / a[r][pc]
+        basis.append(v)
+    return basis
+
+
+def primitive_integers(v: list[Fraction]) -> list[int]:
+    """The primitive integer vector on the ray of v, with v's signs."""
+    denom = 1
+    for x in v:
+        denom = denom * x.denominator // gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    return [x // g for x in ints] if g else ints
+
+
+def certify_perron_by_fractions(
+    matrix: TransitionMatrix, d: int
+) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The Perron certificate through the Fraction nullspace: the primitive
+    positive eigenvector and the lengths it normalizes to, or the same
+    SpectralError as `spectral.certify_perron`."""
+    n = matrix.size
+    m = [[matrix.entries[i][j] - (d if i == j else 0) for j in range(n)] for i in range(n)]
+    basis = nullspace_by_fractions(m)
+    if len(basis) == 0:
+        raise SpectralError(f"d is not an eigenvalue: nullspace of (A - {d}I) is trivial")
+    if len(basis) > 1:
+        raise SpectralError(f"Perron certification failed: nullspace dimension {len(basis)} > 1")
+    v = primitive_integers(basis[0])
+    if all(x < 0 for x in v):
+        v = [-x for x in v]
+    if not all(x > 0 for x in v):
+        raise SpectralError("Perron certification failed: no strictly positive eigenvector")
+    for i in range(n):
+        if sum(matrix.entries[i][j] * v[j] for j in range(n)) != d * v[i]:
+            raise SpectralError("Perron certification failed: A v != d v")
+    total = sum(v)
+    return tuple(v), tuple(Fraction(x, total) for x in v)
+
+
+class FractionParameters(NamedTuple):
+    t: tuple[Fraction, ...]
+    image: tuple[int, ...]
+    lengths: tuple[Fraction, ...]
+    degree: int
+    branch: int
+
+
+def solve_parameters_by_fractions(
+    lengths: Sequence[Fraction], image: Sequence[int], d: int, base: int = 0, branch: int = 0
+) -> FractionParameters:
+    """`parameterize.solve_parameters` in Fractions: t[base] = (L + branch)/(d - 1)
+    for the arc L from base to its image, the rest by adding lengths."""
+    k = len(lengths)
+    if len(image) != k:
+        raise ParameterizationError(f"expected {k} marker images, got {len(image)}")
+    if not 0 <= branch < d - 1:
+        raise ParameterizationError(f"branch must satisfy 0 <= branch < d-1 = {d - 1}")
+    if not 0 <= base < k:
+        raise ParameterizationError(f"base marker {base} out of range")
+    total = sum(lengths, Fraction(0))
+    if total != 1:
+        raise ParameterizationError(f"lengths must sum to 1, got {p_q(total)}")
+
+    steps = (image[base] - base) % k
+    big_l = sum((lengths[(base + i) % k] for i in range(steps)), Fraction(0))
+    t = [Fraction(0)] * k
+    t[base] = Fraction(big_l + branch, d - 1) % 1
+    for step in range(1, k):
+        i = (base + step) % k
+        prev = (base + step - 1) % k
+        t[i] = (t[prev] + lengths[prev]) % 1
+    for i in range(k):
+        got, want = d * t[i] % 1, t[image[i]]
+        if got != want:
+            raise ParameterizationError(
+                f"parameterization inconsistent: q_d(t[{i}]) = {p_q(got)} "
+                f"but t[image[{i}]] = {p_q(want)}"
+            )
+    return FractionParameters(tuple(t), tuple(image), tuple(lengths), d, branch)
+
+
+def pullback_parameters_by_fractions(
+    params: FractionParameters, spec: MapSpec
+) -> PullbackParameters:
+    """`parameterize.pullback_parameters` in Fractions: s[j] advances from
+    t[0] by length/degree, and the grid is the least common denominator."""
+    k, d, n1 = spec.k, spec.degree, spec.n1
+    m0 = spec.markers[0]
+    cum = [Fraction(0)] * (n1 + 1)
+    for j in range(n1):
+        cum[j + 1] = cum[j] + params.lengths[j % k]
+    s = [(params.t[0] + (cum[j] - cum[m0]) / d) % 1 for j in range(n1)]
+    for i, m in enumerate(spec.markers):
+        if s[m] != params.t[i]:
+            raise ParameterizationError(
+                f"parameterization inconsistent: matched visit {m} carries "
+                f"{p_q(s[m])}, marker {i} has {p_q(params.t[i])}"
+            )
+    for j in range(n1):
+        if d * s[j] % 1 != params.t[j % k]:
+            raise ParameterizationError(
+                f"parameterization inconsistent: q_d(s[{j}]) = {p_q(d * s[j] % 1)} "
+                f"but t[{j % k}] = {p_q(params.t[j % k])}"
+            )
+    grid = lcm(*(x.denominator for x in s))
+    return PullbackParameters(grid=grid, s=tuple(x.numerator * (grid // x.denominator) for x in s))

@@ -50,11 +50,11 @@ class TestAcceptance:
 
         assert [list(r) for r in result.matrix.entries] == MEYER_MATRIX
         assert result.lengths.eigenvector == (1, 2, 1, 3, 2, 3)
-        assert result.lengths.lengths == tuple(
-            Fraction(*nd) for nd in [(1, 12), (1, 6), (1, 12), (1, 4), (1, 6), (1, 4)]
-        )
-        assert set(result.params.t) == {
-            F(1, 12), F(1, 6), F(1, 3), F(5, 12), F(2, 3), F(5, 6),
+        assert [frac(x, result.lengths.total) for x in result.lengths.eigenvector] == [
+            "1/12", "1/6", "1/12", "1/4", "1/6", "1/4",
+        ]
+        assert {frac(t, result.params.grid) for t in result.params.t} == {
+            "1/12", "1/6", "1/3", "5/12", "2/3", "5/6",
         }
         for p, expected in ((result.white, ["5/24", "17/24"]), (result.black, ["1/24", "13/24"])):
             assert [[frac(a, p.grid) for a in s.angles] for s in p.sets] == [expected]
@@ -78,7 +78,7 @@ class TestAcceptance:
             assert all(x > 0 for x in lengths.eigenvector)
 
             approx = power_iteration([list(r) for r in matrix.entries])
-            exact = np.array([float(l) for l in lengths.lengths])
+            exact = np.array([x / lengths.total for x in lengths.eigenvector])
             assert np.max(np.abs(approx - exact)) < 1e-9, path.name
         report(2, "exact 1-dim positive nullspace; float oracle within 1e-9")
 
@@ -91,10 +91,10 @@ class TestAcceptance:
             for branch in range(max(1, d - 1)):
                 params = solve_for_spec(spec, lengths, base=0, branch=branch)
                 for i, t in enumerate(params.t):
-                    assert d * t % 1 == params.t[params.image[i]]
-                assert sum(params.lengths) == 1
+                    assert d * t % params.grid == params.t[params.image[i]]
+                assert sum(params.lengths) == params.grid
                 t_set = set(params.t)
-                assert {d * t % 1 for t in t_set} <= t_set
+                assert {d * t % params.grid for t in t_set} <= t_set
                 pullback_parameters(params, spec)
                 # base independence over all k bases
                 for base in range(spec.k):

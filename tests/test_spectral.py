@@ -7,15 +7,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from unmating.circle import frac
 from unmating.errors import SpectralError
 from unmating.spectral import (
     TransitionMatrix,
+    _rational_nullspace,
     certify_perron,
     deformation_words,
     transition_matrix,
 )
 
-from .oracles import power_iteration
+from .oracles import (
+    certify_perron_by_fractions,
+    nullspace_by_fractions,
+    power_iteration,
+    primitive_integers,
+)
 
 MEYER_MATRIX = [
     [0, 1, 0, 0, 0, 0],
@@ -116,13 +123,20 @@ class TestCertifyPerron:
     def test_meyer_eigenvector(self):
         lv = certify_perron(tm(MEYER_MATRIX), 2)
         assert lv.eigenvector == (1, 2, 1, 3, 2, 3)
-        assert lv.lengths == tuple(
-            Fraction(n, d) for n, d in [(1, 12), (1, 6), (1, 12), (1, 4), (1, 6), (1, 4)]
-        )
+        assert [frac(x, lv.total) for x in lv.eigenvector] == [
+            "1/12", "1/6", "1/12", "1/4", "1/6", "1/4",
+        ]
 
     def test_symmetric_two_by_two(self):
         lv = certify_perron(tm([[1, 1], [1, 1]]), 2)
-        assert lv.lengths == (Fraction(1, 2), Fraction(1, 2))
+        assert [frac(x, lv.total) for x in lv.eigenvector] == ["1/2", "1/2"]
+
+    def test_non_unit_pivot_rescales(self):
+        # A - 2I = [[0, 0], [3, -2]]: back-substitution divides by the pivot 3,
+        # so the integer path must scale the vector before it can divide
+        lv = certify_perron(tm([[2, 0], [3, 0]]), 2)
+        assert (lv.eigenvector, lv.total) == ((2, 3), 5)
+        assert [frac(x, lv.total) for x in lv.eigenvector] == ["2/5", "3/5"]
 
     def test_wrong_degree_is_not_eigenvalue(self):
         with pytest.raises(SpectralError, match="not an eigenvalue"):
@@ -139,7 +153,7 @@ class TestCertifyPerron:
         n = matrix.size
         for i in range(n):
             assert sum(matrix.entries[i][j] * lv.eigenvector[j] for j in range(n)) == 2 * lv.eigenvector[i]
-        assert sum(lv.lengths) == 1
+        assert sum(lv.eigenvector) == lv.total
 
     def test_reducible_with_positive_vector_accepted(self):
         # block diagonal, both blocks carry eigenvalue 2 with positive vectors;
@@ -152,12 +166,82 @@ class TestCertifyPerron:
     def test_uniform_matrix(self, d):
         m = [[1] * d for _ in range(d)]
         lv = certify_perron(tm(m), d)
-        assert lv.lengths == tuple([Fraction(1, d)] * d)
+        assert [frac(x, lv.total) for x in lv.eigenvector] == [f"1/{d}"] * d
 
 
 class TestPowerIterationOracle:
     def test_matches_exact_lengths(self, meyer_result, jordan_result):
         for result in (meyer_result, jordan_result):
             approx = power_iteration([list(r) for r in result.matrix.entries])
-            exact = np.array([float(l) for l in result.lengths.lengths])
+            exact = np.array([x / result.lengths.total for x in result.lengths.eigenvector])
             assert np.max(np.abs(approx - exact)) < 1e-9
+
+
+@st.composite
+def eigen_problems(draw):
+    """(A, d) with n <= 6 and d in 2-4: A - dI is a random integer matrix, a
+    random low-rank product, or has rows orthogonal to a random integer
+    vector, so every outcome of the certificate comes up."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    d = draw(st.integers(min_value=2, max_value=4))
+    small = st.integers(min_value=-3, max_value=3)
+    kind = draw(st.sampled_from(["random", "low-rank", "eigenvector"]))
+    if kind == "random":
+        m = [[draw(small) for _ in range(n)] for _ in range(n)]
+    elif kind == "low-rank":
+        r = draw(st.integers(min_value=0, max_value=n))
+        u = [[draw(small) for _ in range(r)] for _ in range(n)]
+        w = [[draw(small) for _ in range(n)] for _ in range(r)]
+        m = [[sum(u[i][q] * w[q][j] for q in range(r)) for j in range(n)] for i in range(n)]
+    else:
+        # rows orthogonal to v, solved through a coordinate where v is 1
+        v = [draw(st.integers(min_value=-2, max_value=5)) for _ in range(n)]
+        j0 = draw(st.integers(min_value=0, max_value=n - 1))
+        v[j0] = 1
+        m = []
+        for _ in range(n):
+            row = [draw(small) for _ in range(n)]
+            row[j0] = -sum(row[j] * v[j] for j in range(n) if j != j0)
+            m.append(row)
+    return [[m[i][j] + (d if i == j else 0) for j in range(n)] for i in range(n)], d
+
+
+def _outcome(certify, matrix, d):
+    try:
+        return certify(matrix, d)
+    except SpectralError as exc:
+        return str(exc)
+
+
+class TestFractionOracle:
+    """The integer back-substitution against the Fraction one it replaced."""
+
+    @given(eigen_problems())
+    def test_nullspace_matches(self, problem):
+        a, d = problem
+        n = len(a)
+        m = [[a[i][j] - (d if i == j else 0) for j in range(n)] for i in range(n)]
+        assert _rational_nullspace(m) == [primitive_integers(v) for v in nullspace_by_fractions(m)]
+
+    @given(eigen_problems())
+    def test_certificate_matches(self, problem):
+        a, d = problem
+        got = _outcome(certify_perron, tm(a), d)
+        want = _outcome(certify_perron_by_fractions, tm(a), d)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert (got.eigenvector, tuple(Fraction(x, got.total) for x in got.eigenvector)) == want
+
+    def test_non_unit_pivot_matches(self):
+        a = tm([[2, 0], [3, 0]])
+        assert certify_perron_by_fractions(a, 2) == ((2, 3), (Fraction(2, 5), Fraction(3, 5)))
+        assert _rational_nullspace([[0, 0], [3, -2]]) == [[2, 3]]
+
+    def test_fixtures_match(self, meyer_spec, jordan_spec):
+        for spec in (meyer_spec, jordan_spec):
+            matrix = transition_matrix(spec)
+            lv = certify_perron(matrix, spec.degree)
+            eigenvector, lengths = certify_perron_by_fractions(matrix, spec.degree)
+            assert lv.eigenvector == eigenvector
+            assert tuple(Fraction(x, lv.total) for x in lv.eigenvector) == lengths

@@ -49,3 +49,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_module_imports_fractions():
+    # every rational is an integer on a named grid, spelled by circle.frac
+    assert [where for where, name in _absolute_imports() if name.split(".")[0] == "fractions"] == []
+
+
+def test_cli_import_loads_no_rational_number_modules():
+    # fractions imports decimal and numbers; together they were a quarter
+    # of the CLI's import time
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import unmating.cli; "
+        "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
