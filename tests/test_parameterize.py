@@ -18,7 +18,6 @@ from unmating.parameterize import (
 )
 from unmating.spectral import certify_perron, transition_matrix
 
-from .conftest import spec_with
 from .oracles import (
     FractionParameters,
     pullback_parameters_by_fractions,
