@@ -5,8 +5,9 @@ vertices of the pullback curve; the identifications at the curve's other
 self-intersections are not read yet (ROADMAP direction 1).  Deeper relations
 are generated by lifting classes through the sectors of the certified
 portrait, keeping everything from lower depths (the relation is a join over
-levels); each step lifts only the classes the step before it added or
-changed.  Within one color every output is checked planar.
+levels).  `pullback_to_depth` runs a chain of steps on one grid and passes
+each step only the classes that are new at its depth.  Within one color
+every output is checked planar.
 """
 
 from __future__ import annotations
@@ -37,16 +38,11 @@ class AngleClasses:
     read-only.
 
     Every depth-n angle of a degree-d pullback lies on the grid
-    1/(D*d^(n-1)), D the grid of the pullback parameters.
-
-    Classes made by `pullback_step` keep its history: the portrait and
-    degree it lifted through, the classes it added or changed, that is,
-    those that were not already a class one depth lower, and the portrait's
-    sectors on the portrait's grid.  The history takes no part in
-    comparison.
+    1/(D*d^(n-1)), D the grid of the pullback parameters; `pullback_to_depth`
+    returns its classes on that grid.  Every slot takes part in comparison.
     """
 
-    __slots__ = ("depth", "color", "grid", "classes", "sides", "history")
+    __slots__ = ("depth", "color", "grid", "classes", "sides")
 
     def __init__(
         self,
@@ -55,9 +51,8 @@ class AngleClasses:
         grid: int,
         classes: tuple[AngleSet, ...],
         sides: Optional[tuple[tuple[str, ...], ...]] = None,  # per class, join only
-        history: Optional[tuple[CriticalPortrait, int, tuple[AngleSet, ...], Sectors]] = None,
     ):
-        for name, value in zip(self.__slots__, (depth, color, grid, classes, sides, history)):
+        for name, value in zip(self.__slots__, (depth, color, grid, classes, sides)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -238,9 +233,14 @@ def merge_tagged(tagged: Iterable[tuple[Iterable, str]]) -> list[tuple[AngleSet,
 
 
 def pullback_step(
-    classes: AngleClasses, portrait: CriticalPortrait, d: int
+    classes: AngleClasses, new: Iterable[AngleSet], sec: Sectors, d: int
 ) -> AngleClasses:
-    """One inductive step: depth-(n+1) classes from depth-n classes.
+    """One inductive step: depth-(n+1) classes from depth-n classes, on the
+    grid of ``classes``, which `pullback_to_depth` picks.
+
+    ``new`` holds the classes new at depth n and ``sec`` the portrait's
+    sectors, both on that grid.  Every angle x of ``new`` is a multiple of d,
+    so its preimages (x + m*grid)/d are the integers x//d + m*(grid//d).
 
     New classes are the sector-consistent lifts: preimages of a class that
     lie in a common closed sector, plus preimage sets of single angles of
@@ -249,37 +249,22 @@ def pullback_step(
     other and with the lower-depth classes they touch.  Lower-depth classes
     are retained, and the output must stay planar.
 
-    Only the classes that are new at depth n are lifted: those the step to
-    depth n, through the same portrait and degree, added or changed.  A class
-    without such a history (depth 1, a join) counts as new.  This is exact
-    (semi-naive evaluation; Bancilhon and Ramakrishnan 1986): a class that
-    was already a class at depth n-1 has the same lifts as then, because
-    preimages and closed-sector labels depend on the angle, not on the grid,
-    so each of its lifts already lies in one retained class and adding it
-    again merges nothing.  The history also carries the portrait's sectors,
-    so a chain of steps cuts the circle along the portrait once.
+    Lifting only the new classes is exact (semi-naive evaluation; Bancilhon
+    and Ramakrishnan 1986): a class that was already a class at depth n-1
+    has the same lifts as then, so each of its lifts already lies in one
+    retained class and adding it again merges nothing.
     """
-    if classes.color not in (portrait.color, JOIN):
-        raise LaminationError(
-            f"cannot lift {classes.color} classes through a {portrait.color} portrait"
-        )
-    history = classes.history
-    lifted_before = history is not None and history[0] is portrait and history[1] == d
-    base = history[3] if lifted_before else sectors(portrait, d)  # on the portrait's grid
-    # one finer grid holds the preimages (u/grid + m)/d and the sector boundary
-    grid = lcm(d * classes.grid, portrait.grid)
-    k = grid // (d * classes.grid)
-    fine = base.scaled(grid // portrait.grid)
+    grid = classes.grid
+    step = grid // d
     candidates = []
-    for cls in history[2] if lifted_before else classes.classes:
+    for cls in new:
         # distinct angles have distinct preimages, so no list below holds an
         # angle twice
         lifts: dict[int, list[int]] = {}
         for u in cls:
             hits: dict[int, list[int]] = {}
-            for m in range(d):
-                x = (u + m * classes.grid) * k
-                for label in fine.closed_labels(x):
+            for x in range(u // d, grid, step):
+                for label in sec.closed_labels(x):
                     hits.setdefault(label, []).append(x)
             for label, xs in hits.items():
                 lifts.setdefault(label, []).extend(xs)
@@ -290,31 +275,17 @@ def pullback_step(
 
     # lower depths are retained; the classes are disjoint (depth 1, a join and
     # a step all make disjoint classes), so only those the lifts touch merge
-    retained = [tuple(u * d * k for u in c) for c in classes.classes]
+    retained, color = classes.classes, classes.color
     owner = {x: i for i, c in enumerate(retained) for x in c}
     touched = {owner[x] for xs in candidates for x in xs if x in owner}
-    changed = [
-        angles
-        for angles, _ in merge_tagged(
-            [(c, classes.color) for c in candidates]
-            + [(retained[i], classes.color) for i in touched]
-        )
-    ]
-    kept = {retained[i] for i in touched}
-    added = tuple(c for c in changed if c not in kept)
-    out = tuple(sorted([c for i, c in enumerate(retained) if i not in touched] + changed))
+    merged = merge_tagged([(c, color) for c in candidates] + [(retained[i], color) for i in touched])
+    out = tuple(sorted([c for i, c in enumerate(retained) if i not in touched] + [c for c, _ in merged]))
 
     crossing = check_planar(out)
     if crossing is not None:
         a, b = (", ".join(frac(x, grid) for x in c) for c in crossing)
         raise LaminationError(f"pullback produced crossing: {{{a}}} links {{{b}}}")
-    return AngleClasses(
-        depth=classes.depth + 1,
-        color=classes.color,
-        grid=grid,
-        classes=out,
-        history=(portrait, d, added, base),
-    )
+    return AngleClasses(depth=classes.depth + 1, color=color, grid=grid, classes=out)
 
 
 # Bound on the size of the next depth.  A step from depth n keeps the count
@@ -324,16 +295,33 @@ def pullback_step(
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
 # accepted.  Its CLI `unmate` run takes 4.1 s and 585 MiB on the Jordan fixture
 # (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each further depth costs
-# about 3.4 times as much, so depth 13 would pass 1 GiB.
+# about 3.4 times as much, so depth 13 would pass 1 GiB.  Its bit length, 14,
+# caps the steps run on one grid: a chain whose angles at least double per
+# step meets the bound within 14 steps, so an admitted run refines its grid once.
 MAX_PREIMAGES = 10_000
 
 
 def pullback_to_depth(
-    depth1_classes: AngleClasses, portrait: CriticalPortrait, d: int, depth: int
+    start: AngleClasses, portrait: CriticalPortrait, d: int, depth: int
 ) -> AngleClasses:
-    """Pull back to `depth`, refusing a step from a depth whose angles have
-    more than MAX_PREIMAGES preimages, so every run does bounded work."""
-    cur = depth1_classes
+    """Pull back to `depth` through the portrait, one `pullback_step` per depth.
+
+    The chain alone decides the grid, the sectors and the frontier.  It cuts
+    the circle along the portrait once.  It takes the steps in chunks of at
+    most MAX_PREIMAGES.bit_length(): a chunk of s steps from the grid g runs
+    on the grid lcm(d^s*g, d^(s-1)*P), P the portrait's grid, where every
+    angle a step lifts is a multiple of d; it is the grid that refining at
+    each step would reach.  The frontier is the classes new at the last
+    depth: at first every class, then the output classes of the step before
+    that are not among its input classes.
+
+    A step from a depth whose angles have more than MAX_PREIMAGES preimages
+    is refused, so every run does bounded work.
+    """
+    if start.color != portrait.color:
+        raise LaminationError(f"cannot lift {start.color} classes through a {portrait.color} portrait")
+    cur, old = start, set()  # old: the classes one depth lower, on the grid of cur
+    base, left = None, 0  # left: the steps still to run on this grid
     while cur.depth < depth:
         count = sum(map(len, cur.classes))
         if d * count > MAX_PREIMAGES:
@@ -342,7 +330,18 @@ def pullback_to_depth(
                 f"of depth {cur.depth} makes {d * count} preimages, over the limit "
                 f"of {MAX_PREIMAGES}"
             )
-        cur = pullback_step(cur, portrait, d)
+        if not left:
+            if base is None:
+                base = sectors(portrait, d)  # on the portrait's grid
+            left = min(depth - cur.depth, MAX_PREIMAGES.bit_length())
+            grid = lcm(d**left * cur.grid, d ** (left - 1) * portrait.grid)
+            sec = base.scaled(grid // portrait.grid)
+            k = grid // cur.grid
+            cur = AngleClasses(cur.depth, cur.color, grid, tuple(tuple(x * k for x in c) for c in cur.classes))
+            old = {tuple(x * k for x in c) for c in old}
+        new = [c for c in cur.classes if c not in old]
+        old = set(cur.classes)
+        cur, left = pullback_step(cur, new, sec, d), left - 1
     return cur
 
 

@@ -165,11 +165,6 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
             raise LaminationError(
                 f"depth-1 {portrait.color} classes disagree with the {portrait.color} portrait"
             )
-    s_set = set(pullback.s)
-    for p in (white, black):
-        for ps in p.sets:
-            if not set(ps.angles) <= s_set:
-                raise PortraitError("portrait angles escape the pullback parameters")
 
     lam_w = lam.pullback_to_depth(d1w, white, spec.degree, depth)
     lam_b = lam.pullback_to_depth(d1b, black, spec.degree, depth)

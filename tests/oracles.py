@@ -17,7 +17,7 @@ import numpy as np
 from unmating.circle import frac, sets_linked
 from unmating.errors import LaminationError, ParameterizationError, SpectralError
 from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge_tagged
-from unmating.mapspec import MapSpec
+from unmating.mapspec import MapSpec, local_degree, validate
 from unmating.parameterize import PullbackParameters
 from unmating.portraits import CriticalPortrait, Sectors, sectors
 from unmating.spectral import TransitionMatrix, _integer_row_echelon
@@ -263,6 +263,37 @@ def kneading_classes(portrait: CriticalPortrait, d: int, grid: int) -> list[tupl
 
     pairs = [{x, y} for x in range(grid) for y in range(x + 1, grid) if related(x, y)]
     return sorted(tuple(sorted(c)) for c in merge_overlapping(pairs))
+
+
+def vertex_census(spec: MapSpec, depth: int) -> list[int]:
+    """The visit counts of the vertices of the depth-n pullback curve, sorted;
+    read from the mapfile alone, with no circle parameters.
+
+    The vertices of gamma_n are f^-n(posts).  The map sends a level-n vertex
+    w to a level-(n-1) vertex, and w has deg(w) * visits(f(w)) visits.  The
+    posts are forward-invariant, so each post is a vertex at every level.  A
+    vertex over a post p has as preimages the level-1 vertices over p
+    (`vertices1`), with their local degrees; any other vertex has d
+    preimages of local degree 1, because every critical value is a post.
+    Level 0 starts from each post's visits in word0.
+    """
+    levels = validate(spec).levels
+    visits0, visits1 = levels[0].visits, levels[1].visits
+    over: dict[str, list[tuple[str, int]]] = {p: [] for p in spec.post}
+    for w, p in spec.vertices1.items():
+        over[p].append((w, local_degree(spec, w, visits0, visits1)))
+    posts = {p: len(visits0[p]) for p in spec.post}
+    others: list[int] = []  # the counts of the vertices that are not posts
+    for _ in range(depth):
+        others = [c for c in others for _ in range(spec.degree)]
+        image, posts = posts, {}
+        for p, c in image.items():
+            for w, deg in over[p]:
+                if w in image:
+                    posts[w] = deg * c
+                else:
+                    others.append(deg * c)
+    return sorted([*posts.values(), *others])
 
 
 def itinerary_equal_to_horizon(

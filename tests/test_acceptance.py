@@ -14,7 +14,7 @@ import pytest
 
 from unmating import parse_file, validate
 from unmating.circle import frac
-from unmating.laminations import check_planar, depth1, pullback_step
+from unmating.laminations import check_planar, depth1, pullback_to_depth
 from unmating.mapspec import critical_vertices, faces
 from unmating.parameterize import pullback_parameters, solve_for_spec
 from unmating.pipeline import run_pipeline
@@ -147,7 +147,7 @@ class TestAcceptance:
             cur = cls
             leaf_counts = [len(SvgScene.from_classes([cur]).chords)]
             for depth in range(2, 7):
-                nxt = pullback_step(cur, portrait, 2)
+                nxt = pullback_to_depth(cur, portrait, 2, cur.depth + 1)
                 oracle = brute_force_pullback(cur, sec, portrait.grid, 2)
                 assert as_fractions(nxt) == oracle, (portrait.color, depth)
                 assert check_planar(nxt.classes) is None

@@ -181,6 +181,22 @@ class TestUnmateCommand:
         )
         assert steps == 11  # the white side stops at the first step over the limit
 
+    @pytest.mark.parametrize("fixture", [MEYER, JORDAN], ids=["meyer", "jordan"])
+    def test_huge_depth_stops_at_work_limit(self, fixture):
+        # the limit trips at depth 12 whatever depth is asked for, so a grid
+        # sized from the requested depth would show here as a timeout
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "unmating.cli", "unmate", str(fixture), "--depth", "100000000"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 7
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: depth 100000000 is beyond the work limit: lifting the 8190 angles of "
+            "depth 12 makes 16380 preimages, over the limit of 10000 (stage: laminations)\n"
+        )
+
     def test_jordan_certified_with_svg(self, capsys, tmp_path):
         svg = tmp_path / "jordan.svg"
         code, out, _ = run(capsys, "unmate", JORDAN, "--depth", "3", "--svg", svg)

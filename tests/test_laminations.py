@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from unmating import laminations
 from unmating.errors import LaminationError
 from unmating.laminations import (
     MAX_PREIMAGES,
@@ -18,7 +19,6 @@ from unmating.laminations import (
     linked_pairs,
     merge_tagged,
     moore_check,
-    pullback_step,
     pullback_to_depth,
 )
 from unmating.mapspec import critical_vertices, faces
@@ -36,6 +36,7 @@ from .oracles import (
     moore_by_scan,
     p_q,
     pullback_by_relift,
+    vertex_census,
 )
 
 F = Fraction
@@ -175,13 +176,13 @@ class TestDepth1:
 
 class TestPullbackStep:
     def test_meyer_depth2_white(self, meyer_result):
-        step = pullback_step(meyer_result.depth1_white, meyer_result.white, 2)
+        step = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 2)
         assert step.grid == 48
         assert step.classes == ((5, 41), (10, 34), (17, 29))
 
     def test_empty_fixed_point(self):
         empty = classes(1, "white")
-        step = pullback_step(empty, MEYER_WHITE, 2)
+        step = pullback_to_depth(empty, MEYER_WHITE, 2, 2)
         assert step.classes == ()
         assert step.grid == 24  # the portrait's grid is finer than 1/(2*1)
         assert step.depth == 2
@@ -194,14 +195,14 @@ class TestPullbackStep:
             ):
                 cur = cls
                 for _ in range(5):  # depths 2..6
-                    nxt = pullback_step(cur, p, 2)
+                    nxt = pullback_to_depth(cur, p, 2, cur.depth + 1)
                     assert as_fractions(nxt) == brute_force(cur, p, 2), (p.color, cur.depth)
                     cur = nxt
 
     def test_planar_at_all_depths(self, meyer_result):
         cur = meyer_result.depth1_white
         for _ in range(5):
-            cur = pullback_step(cur, meyer_result.white, 2)
+            cur = pullback_to_depth(cur, meyer_result.white, 2, cur.depth + 1)
             assert check_planar(cur.classes) is None
 
     def test_leaf_counts_nondecreasing(self, meyer_result):
@@ -209,7 +210,7 @@ class TestPullbackStep:
         cur = meyer_result.depth1_white
         for _ in range(5):
             counts.append(chord_count(cur))
-            cur = pullback_step(cur, meyer_result.white, 2)
+            cur = pullback_to_depth(cur, meyer_result.white, 2, cur.depth + 1)
         counts.append(chord_count(cur))
         assert counts == sorted(counts)
 
@@ -217,7 +218,7 @@ class TestPullbackStep:
         # each deeper class maps into a class or a single angle one level down
         prev = meyer_result.depth1_white
         for _ in range(5):
-            cur = pullback_step(prev, meyer_result.white, 2)
+            cur = pullback_to_depth(prev, meyer_result.white, 2, prev.depth + 1)
             prev_sets = [set(c) for c in as_fractions(prev)]
             for c in as_fractions(cur):
                 image = {2 * a % 1 for a in c}
@@ -229,18 +230,18 @@ class TestPullbackStep:
         # a class through the critical value lifts to the full preimage square
         p = portrait("white", 2, 2, [0, 1])
         start = classes(1, "white", [F(0), F(1, 2)])
-        step = pullback_step(start, p, 2)
+        step = pullback_to_depth(start, p, 2, 2)
         assert as_fractions(step) == ((F(0), F(1, 4), F(1, 2), F(3, 4)),)
 
     def test_boundary_preimages_lie_in_both_sectors(self):
         # 0 and 1/2 bound both closed sectors, so both lifts of {0, 1/3} hold them
         p = portrait("white", 2, 2, [0, 1])
-        step = pullback_step(classes(1, "white", [F(0), F(1, 3)]), p, 2)
+        step = pullback_to_depth(classes(1, "white", [F(0), F(1, 3)]), p, 2, 2)
         assert as_fractions(step) == ((F(0), F(1, 6), F(1, 3), F(1, 2), F(2, 3)),)
 
     def test_color_mismatch_rejected(self, meyer_result):
         with pytest.raises(LaminationError, match="cannot lift"):
-            pullback_step(meyer_result.depth1_white, meyer_result.black, 2)
+            pullback_to_depth(meyer_result.depth1_white, meyer_result.black, 2, 2)
 
     def test_work_limit_admits_depth_twelve_only(self, meyer_result):
         # the last step to depth n lifts 2 * (2^n - 2) angles on this fixture
@@ -248,6 +249,19 @@ class TestPullbackStep:
         assert 2 * sum(map(len, deepest.classes)) == 16380 > MAX_PREIMAGES
         with pytest.raises(LaminationError, match="depth 13 is beyond the work limit"):
             pullback_to_depth(deepest, meyer_result.white, 2, 13)
+
+    @pytest.mark.parametrize("sets", [[], [[F(1, 7)]]], ids=["empty", "one-angle"])
+    def test_long_chain_ends_where_single_steps_end(self, sets):
+        # only a chain that stays under the work limit runs past one grid's
+        # MAX_PREIMAGES.bit_length() steps; it moves to a new grid and must end
+        # on the grid, and with the classes, of one depth at a time
+        start = classes(1, "white", *sets, grid=7)
+        last = 2 * MAX_PREIMAGES.bit_length() + 2
+        cur = start
+        while cur.depth < last:
+            cur = pullback_to_depth(cur, MEYER_WHITE, 2, cur.depth + 1)
+        assert pullback_to_depth(start, MEYER_WHITE, 2, last) == cur
+        assert cur.grid == 7 * 24 * 2 ** (last - 2)
 
     @pytest.mark.parametrize(
         "case",
@@ -263,24 +277,35 @@ class TestPullbackStep:
             "empty",
         ],
     )
-    def test_matches_relift_to_depth_twelve(self, request, case):
+    def test_matches_relift_to_depth_twelve(self, request, monkeypatch, case):
         # lifting only the new classes gives what lifting every class gives,
-        # and the classes it records as new are those not already one depth lower
+        # and the classes each step is given as new are those not already one
+        # depth lower
         start, p = relift_start(request, case)
-        cur = ref = start
+        given = []
+        step = laminations.pullback_step
+
+        def recording(classes, new, *args):
+            given.append((classes, list(new)))
+            return step(classes, new, *args)
+
+        monkeypatch.setattr(laminations, "pullback_step", recording)
+        ref = start
         for depth in range(2, 13):
-            prev = cur
-            cur, ref = pullback_step(cur, p, 2), pullback_by_relift(ref, p, 2)
+            given.clear()
+            cur, ref = pullback_to_depth(start, p, 2, depth), pullback_by_relift(ref, p, 2)
             assert cur == ref, (case, depth)
-            k = cur.grid // prev.grid
-            older = {tuple(x * k for x in c) for c in prev.classes}
-            assert set(cur.history[2]) == set(cur.classes) - older, (case, depth)
+            assert len(given) == depth - 1
+            older: set = set()
+            for classes, new in given:
+                assert sorted(new) == sorted(set(classes.classes) - older), (case, classes.depth)
+                older = set(classes.classes)
 
     def test_class_growth_rate(self, meyer_result):
         # one new lift per sector per class, so counts follow 2^n - 1 here
         cur = meyer_result.depth1_white
         for depth in range(2, 7):
-            cur = pullback_step(cur, meyer_result.white, 2)
+            cur = pullback_to_depth(cur, meyer_result.white, 2, depth)
             assert len(cur.classes) == 2 ** depth - 1
 
 
@@ -332,7 +357,7 @@ class TestItineraryOracle:
         # of G_(n-1); on G_n the newest preimages of a class complete one depth later
         start, p = relift_start(request, case)
         lower = pullback_to_depth(start, p, p.degree, depth - 1)
-        lam = pullback_step(lower, p, p.degree)
+        lam = pullback_to_depth(lower, p, p.degree, depth)
         k = lam.grid // lower.grid
         cut = {tuple(x // k for x in c if x % k == 0) for c in lam.classes}
         assert sorted(c for c in cut if len(c) >= 2) == kneading_classes(p, p.degree, lower.grid)
@@ -347,6 +372,55 @@ class TestItineraryOracle:
             lam = pullback_to_depth(start, p, p.degree, depth)
             assert lam.classes == pullback_to_depth(start0, p0, p0.degree, depth).classes
             assert kneading_classes(p, p.degree, lam.grid) == kneading_classes(p0, p0.degree, lam.grid)
+
+
+MEYER_MISSES_RAY_CLASSES = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="depth 1 reads no identification at Meyer's non-critical self-intersections "
+    "(ROADMAP direction 1), so Meyer's join has 2/6/14/... classes at depths 1-9 "
+    "where its curve has 6/10/18/... vertices of two or more visits",
+)
+
+
+def census_spec(request, case: str):
+    """A fixture's spec, or its spec with the white anchor on the other side."""
+    name, _, flipped = case.partition("-")
+    spec = request.getfixturevalue(f"{name}_spec")
+    return spec._replace(white_anchor=(0, "right")) if flipped else spec
+
+
+class TestVertexCensus:
+    """The laminations against the curve: each point where the depth-n
+    pullback curve meets itself is one ray class (Meyer 2014), so the join
+    classes and the vertices of two or more visits have the same sizes."""
+
+    @pytest.mark.parametrize("depth", range(1, 10))
+    @pytest.mark.parametrize(
+        "case",
+        [
+            pytest.param("meyer", marks=MEYER_MISSES_RAY_CLASSES),
+            pytest.param("meyer-flipped", marks=MEYER_MISSES_RAY_CLASSES),
+            "jordan",
+            "jordan-flipped",
+        ],
+    )
+    def test_join_class_sizes_are_vertex_visit_counts(self, request, case, depth):
+        spec = census_spec(request, case)
+        result = run_pipeline(spec, depth=1)
+        white, black = (
+            pullback_to_depth(getattr(result, f"depth1_{c}"), getattr(result, c), spec.degree, depth)
+            for c in ("white", "black")
+        )
+        sizes = sorted(map(len, join(white, black).classes))
+        assert sizes == [c for c in vertex_census(spec, depth) if c >= 2]
+
+    @pytest.mark.parametrize("depth", range(0, 10))
+    @pytest.mark.parametrize("fixture", ["meyer", "jordan"])
+    def test_visit_counts_sum_to_word_length(self, request, fixture, depth):
+        # gamma_n reads word0 d^n times, one visit per edge
+        spec = request.getfixturevalue(f"{fixture}_spec")
+        assert sum(vertex_census(spec, depth)) == spec.k * spec.degree**depth
 
 
 class TestJoin:
@@ -368,7 +442,7 @@ class TestJoin:
         assert joined.classes == meyer_result.depth1_white.classes
 
     def test_depth_mismatch(self, meyer_result):
-        deeper = pullback_step(meyer_result.depth1_black, meyer_result.black, 2)
+        deeper = pullback_to_depth(meyer_result.depth1_black, meyer_result.black, 2, 2)
         with pytest.raises(LaminationError, match="equal depths"):
             join(meyer_result.depth1_white, deeper)
 
@@ -380,8 +454,8 @@ class TestJoin:
 
     def test_jordan_depth2_cross_side_merge(self, jordan_result):
         # 1/8 and 5/8 appear on both sides at depth 2: the join fuses them
-        w2 = pullback_step(jordan_result.depth1_white, jordan_result.white, 2)
-        b2 = pullback_step(jordan_result.depth1_black, jordan_result.black, 2)
+        w2 = pullback_to_depth(jordan_result.depth1_white, jordan_result.white, 2, 2)
+        b2 = pullback_to_depth(jordan_result.depth1_black, jordan_result.black, 2, 2)
         joined = join(w2, b2)
         merged = [c for c in as_fractions(joined) if len(c) > 2]
         assert merged == [(F(1, 8), F(3, 8), F(5, 8), F(7, 8))]

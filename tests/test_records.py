@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
+from unmating import laminations
 from unmating.circle import OrbitSignature, orbit_signature
-from unmating.laminations import AngleClasses, pullback_step
+from unmating.laminations import AngleClasses, pullback_to_depth
 from unmating.mapspec import Finding, ValidationReport
 from unmating.portraits import Sectors, sectors
 from unmating.svg import SvgScene
@@ -42,12 +43,11 @@ def test_read_only_records_refuse_assignment(name, meyer_result):
 
 
 class TestAngleClasses:
-    def test_history_takes_no_part_in_comparison(self, meyer_result):
-        step = pullback_step(meyer_result.depth1_white, meyer_result.white, 2)
-        bare = AngleClasses(step.depth, step.color, step.grid, step.classes)
-        assert step.history is not None and bare.history is None
-        assert step == bare and not step != bare
-        assert hash(step) == hash(bare)
+    def test_every_slot_is_compared(self):
+        values = [object() for _ in AngleClasses.__slots__]
+        key = AngleClasses(*values)._key()
+        assert len(key) == len(values)
+        assert all(any(v is k for k in key) for v in values)
 
     def test_other_fields_compare(self, meyer_result):
         lam = meyer_result.lamination_white
@@ -63,11 +63,18 @@ class TestAngleClasses:
         assert same == lam and hash(same) == hash(lam)
         assert lam != tuple(lam.classes)
 
-    def test_chained_step_carries_portrait_sectors(self, meyer_result):
-        p = meyer_result.white
-        step = pullback_step(meyer_result.depth1_white, p, 2)
-        assert step.history[3] == sectors(p, 2)
-        assert pullback_step(step, p, 2).history[3] is step.history[3]
+    def test_chain_cuts_the_circle_once(self, meyer_result, monkeypatch):
+        calls = []
+        cut = laminations.sectors
+
+        def counting(*args):
+            calls.append(args)
+            return cut(*args)
+
+        monkeypatch.setattr(laminations, "sectors", counting)
+        lam = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 6)
+        assert lam.depth == 6
+        assert calls == [(meyer_result.white, 2)]
 
 
 class TestOrbitSignature:
