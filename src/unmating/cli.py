@@ -223,23 +223,23 @@ def _run(args) -> PipelineResult:
     return run_pipeline(spec, branch=args.branch, depth=args.depth)
 
 
-def _scene(result: PipelineResult, side: str, texts: Optional[dict] = None) -> SvgScene:
+def _scene(result: PipelineResult, side: str, text: Optional[dict] = None) -> SvgScene:
     """Chords of one side; "join" overlays the white and black sides.  Scenes
-    built with one ``texts`` share the text of each angle."""
+    built with one ``text`` table share the text of each angle."""
     if side == "join":
-        return SvgScene.from_classes([result.lamination_white, result.lamination_black], texts)
-    return SvgScene.from_classes([lamination_for_side(result, side)], texts)
+        return SvgScene.from_classes([result.lamination_white, result.lamination_black], text)
+    return SvgScene.from_classes([lamination_for_side(result, side)], text)
 
 
 def _write_sides(result: PipelineResult, path: str) -> None:
     """The two-sided overlay at ``path``, plus one file per side.  The three
-    share one table, so each angle is formatted once; it is freed on return,
-    before the report is built."""
+    lie on one grid and share one table, so each angle is formatted once; it
+    is freed on return, before the report is built."""
     base = path[:-4] if path.endswith(".svg") else path
-    texts: dict = {}
-    _write_svg(_scene(result, "join", texts), path)
-    _write_svg(_scene(result, "w", texts), f"{base}.white.svg")
-    _write_svg(_scene(result, "b", texts), f"{base}.black.svg")
+    text: dict = {}
+    _write_svg(_scene(result, "join", text), path)
+    _write_svg(_scene(result, "w", text), f"{base}.white.svg")
+    _write_svg(_scene(result, "b", text), f"{base}.black.svg")
 
 
 def cmd_unmate(args) -> int:

@@ -128,12 +128,5 @@ def pullback_parameters(params: MarkerParameters, spec: MapSpec) -> PullbackPara
                 f"parameterization inconsistent: matched visit {m} carries "
                 f"{frac(s[m], fine)}, marker {i} has {frac(t[i], grid)}"
             )
-    for j in range(n1):
-        got = d * s[j] % fine
-        if got != d * t[j % k]:
-            raise ParameterizationError(
-                f"parameterization inconsistent: q_d(s[{j}]) = {frac(got, fine)} "
-                f"but t[{j % k}] = {frac(t[j % k], grid)}"
-            )
     g = gcd(fine, *s)
     return PullbackParameters(grid=fine // g, s=tuple(x // g for x in s))

@@ -37,19 +37,16 @@ def deformation_words(spec: MapSpec) -> list[list[int]]:
     """Word1 positions making up each 0-edge's deformation block.
 
     Block i runs from matched marker i (inclusive) to matched marker i+1
-    (exclusive), cyclically; the k blocks partition word1.
+    (exclusive), cyclically; `parse` makes the markers strictly increasing,
+    so the k blocks partition word1.
     """
     k, n1 = spec.k, spec.n1
     markers = spec.markers
-    if list(markers) != sorted(set(markers)):
-        raise SpectralError("markers not strictly increasing")
     words = []
     for i in range(k):
         a = markers[i]
         b = markers[(i + 1) % k]
-        span = (b - a) % n1
-        if span == 0:
-            span = n1 if k == 1 else 0
+        span = (b - a) % n1 or n1  # zero only for k = 1, whose one block is all of word1
         words.append([(a + s) % n1 for s in range(span)])
     return words
 
@@ -132,6 +129,11 @@ def certify_perron(matrix: TransitionMatrix, d: int) -> LengthVector:
 
     Requires the nullspace of (A - dI) to be one-dimensional with a strictly
     positive representative v; returns the primitive v and its sum.
+
+    No validated mapfile makes the nullspace trivial: each 0-edge labels d
+    positions of word1 and the deformation blocks partition word1, so every
+    column of A sums to d, the all-ones row vector u has u(A - dI) = 0, and
+    d is an eigenvalue.  That refusal guards hand-built matrices.
     """
     n = matrix.size
     m = [

@@ -12,6 +12,7 @@ from itertools import repeat
 from typing import Optional
 
 from .circle import frac
+from .errors import LaminationError
 from .laminations import BLACK, WHITE, AngleClasses
 
 _STYLES = {
@@ -46,28 +47,30 @@ class SvgScene:
 
     @classmethod
     def from_classes(
-        cls, class_sets: list[AngleClasses], texts: Optional[dict[int, dict]] = None
+        cls, class_sets: list[AngleClasses], text: Optional[dict[int, tuple[str, str, str]]] = None
     ) -> "SvgScene":
         """The chords of each class: consecutive angles, and the closing chord
-        of a polygon.  ``texts`` holds the shared ``text`` of each grid, for
-        the scenes of one run.
+        of a polygon.  The class sets must share one grid; ``text`` is the
+        shared table of the run's scenes.
 
         The classes of one AngleClasses are disjoint and every chord carries
         its side, so no chord is made twice and one sort orders them all.
         """
-        grid = math.lcm(*(classes.grid for classes in class_sets))
+        grid = class_sets[0].grid
+        if any(classes.grid != grid for classes in class_sets):
+            raise LaminationError(
+                "a scene needs one grid, got "
+                + " and ".join(f"1/{classes.grid}" for classes in class_sets)
+            )
         chords = []
         for classes in class_sets:
-            side, k = classes.color, grid // classes.grid
+            side = classes.color
             for xs in classes.classes:
-                if k != 1:
-                    xs = [x * k for x in xs]
                 chords.extend(zip(xs, xs[1:], repeat(side)))
                 if len(xs) >= 3:
                     chords.append((xs[0], xs[-1], side))
         chords.sort()
         labels = sorted({x for a, b, _ in chords for x in (a, b)})
-        text = {} if texts is None else texts.setdefault(grid, {})
         return cls(grid=grid, chords=chords, labels=labels, text=text)
 
 

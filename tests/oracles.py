@@ -417,11 +417,5 @@ def pullback_parameters_by_fractions(
                 f"parameterization inconsistent: matched visit {m} carries "
                 f"{p_q(s[m])}, marker {i} has {p_q(params.t[i])}"
             )
-    for j in range(n1):
-        if d * s[j] % 1 != params.t[j % k]:
-            raise ParameterizationError(
-                f"parameterization inconsistent: q_d(s[{j}]) = {p_q(d * s[j] % 1)} "
-                f"but t[{j % k}] = {p_q(params.t[j % k])}"
-            )
     grid = lcm(*(x.denominator for x in s))
     return PullbackParameters(grid=grid, s=tuple(x.numerator * (grid // x.denominator) for x in s))

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from unmating import cli
+from unmating import cli, spectral
 from unmating.cli import _dumps, main
 from unmating.laminations import pullback_to_depth
 from unmating.pipeline import run_pipeline
 from unmating.svg import SvgScene, render_svg
 
-from .conftest import JORDAN, MEYER, REVERSED, meyer_raw
+from .conftest import JORDAN, MEYER, REVERSED, failing_certificate, meyer_raw
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,6 +31,28 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def zero_transition_matrix(monkeypatch):
+    """The spectral stage gets a zero transition matrix."""
+    build = spectral.transition_matrix
+
+    def zero(spec):
+        m = build(spec)
+        return m._replace(entries=tuple((0,) * m.size for _ in m.entries))
+
+    monkeypatch.setattr(spectral, "transition_matrix", zero)
+
+
+def reversed_lengths(monkeypatch):
+    """The parameterize stage gets the certified lengths in reverse order."""
+    certify = spectral.certify_perron
+
+    def reverse(matrix, d):
+        lengths = certify(matrix, d)
+        return lengths._replace(eigenvector=lengths.eigenvector[::-1])
+
+    monkeypatch.setattr(spectral, "certify_perron", reverse)
 
 
 class TestValidateCommand:
@@ -142,22 +164,18 @@ class TestUnmateCommand:
         assert code == 3
         assert "complex" in err
 
-    def test_failed_certificate_exit_six(self, capsys, monkeypatch):
-        from unmating import portraits
-
-        certify = portraits.certify
-
-        def failing_c5(portrait, d):
-            cert = certify(portrait, d)
-            cert["c5"] = {"passed": False, "detail": "periodic participants: 1/3"}
-            cert["valid"] = False
-            return cert
-
-        monkeypatch.setattr(portraits, "certify", failing_c5)
-        code, out, err = run(capsys, "unmate", MEYER)
-        assert code == 6
-        assert out == ""
-        assert "c5 (periodic participants: 1/3)" in err and "(stage: portraits)" in err
+    @pytest.mark.parametrize("patch, code, line", [
+        (zero_transition_matrix, 4,
+         "error: d is not an eigenvalue: nullspace of (A - 2I) is trivial (stage: spectral)\n"),
+        (reversed_lengths, 5,
+         "error: parameterization inconsistent: q_d(t[1]) = 0/1 but t[image[1]] = 2/3 (stage: parameterize)\n"),
+        (failing_certificate, 6,
+         "error: white portrait certificate failed: c5 (periodic participants: 1/3) (stage: portraits)\n"),
+    ], ids=["spectral", "parameterize", "portraits"])
+    def test_failed_stage_exit_code(self, capsys, monkeypatch, patch, code, line):
+        # a broken upstream stage: the next check refuses its output
+        patch(monkeypatch)
+        assert run(capsys, "unmate", MEYER) == (code, "", line)
 
     @pytest.mark.parametrize("fixture", [MEYER, JORDAN], ids=["meyer", "jordan"])
     def test_depth_beyond_work_limit_exit_seven(self, capsys, monkeypatch, fixture):

@@ -18,6 +18,7 @@ from unmating.parameterize import (
 )
 from unmating.spectral import certify_perron, transition_matrix
 
+from .conftest import toy_raw
 from .oracles import (
     FractionParameters,
     pullback_parameters_by_fractions,
@@ -29,33 +30,7 @@ HALF = ([1, 1], 2)  # two intervals of length 1/2: numerators over the grid 2
 
 def toy_spec():
     """The k=2 symmetric word; its pullback visits the quarter points."""
-    return parse(
-        {
-            "degree": 2,
-            "post": ["a", "b"],
-            "edges0": ["E1", "E2"],
-            "word0": [{"edge": "E1", "to": "b"}, {"edge": "E2", "to": "a"}],
-            "vertices1": [
-                {"id": "a", "image": "a"},
-                {"id": "b", "image": "a"},
-                {"id": "c", "image": "b"},
-            ],
-            "word1": [
-                {"image_edge": "E1", "to": "c"},
-                {"image_edge": "E2", "to": "b"},
-                {"image_edge": "E1", "to": "c"},
-                {"image_edge": "E2", "to": "a"},
-            ],
-            "rotation0": {"a": [[1, "in"], [0, "out"]], "b": [[0, "in"], [1, "out"]]},
-            "rotation1": {
-                "a": [[3, "in"], [0, "out"]],
-                "b": [[1, "in"], [2, "out"]],
-                "c": [[0, "in"], [1, "out"], [2, "in"], [3, "out"]],
-            },
-            "markers": [0, 2],
-            "white_anchor": [0, "left"],
-        }
-    )
+    return parse(toy_raw())
 
 
 class TestMarkerImages:
@@ -197,10 +172,10 @@ def test_two_marker_toy_quarter_points():
 
 
 def test_pullback_inconsistency_names_both_angles():
-    # matched visits 0 and 2 land on t = 0 and 1/4, but q_2 sends the
-    # visit at 1/4 to 1/2, which is not t[0]
-    params = MarkerParameters(grid=4, t=(0, 1), image=(0, 0), lengths=(1, 1), degree=2, branch=0)
-    message = "parameterization inconsistent: q_d(s[2]) = 1/2 but t[0] = 0/1"
+    # the walk from t[0] = 0 by steps of 1/8 puts matched visit 2 at 1/4,
+    # but marker 1 sits at 1/2
+    params = MarkerParameters(grid=4, t=(0, 2), image=(0, 0), lengths=(1, 1), degree=2, branch=0)
+    message = "parameterization inconsistent: matched visit 2 carries 1/4, marker 1 has 1/2"
     with pytest.raises(ParameterizationError) as err:
         pullback_parameters(params, toy_spec())
     assert str(err.value) == message
@@ -276,9 +251,13 @@ class TestFractionOracle:
             return
         assert _as_fractions(got) == want
         assert got.grid == total * (d - 1)
-        assert _outcome(pullback_parameters, got, spec) == _outcome(
-            pullback_parameters_by_fractions, want, spec
-        )
+        pullback = _outcome(pullback_parameters, got, spec)
+        assert pullback == _outcome(pullback_parameters_by_fractions, want, spec)
+        if not isinstance(pullback, str):
+            # every visit maps onto its marker: d*s[j] = d*t[j mod k] on d*grid
+            fine, k = d * got.grid, len(lengths)
+            s = [x * (fine // pullback.grid) for x in pullback.s]
+            assert all(d * x % fine == d * got.t[j % k] for j, x in enumerate(s))
 
     @given(length_problems())
     def test_random_lengths_every_base_and_branch(self, problem):

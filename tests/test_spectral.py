@@ -17,6 +17,7 @@ from unmating.spectral import (
     transition_matrix,
 )
 
+from .conftest import toy_raw
 from .oracles import (
     certify_perron_by_fractions,
     nullspace_by_fractions,
@@ -81,33 +82,7 @@ class TestTransitionMatrix:
         # the matrix operations but must not validate
         from unmating.mapspec import parse, validate
 
-        toy = parse(
-            {
-                "degree": 2,
-                "post": ["a", "b"],
-                "edges0": ["E1", "E2"],
-                "word0": [{"edge": "E1", "to": "b"}, {"edge": "E2", "to": "a"}],
-                "vertices1": [
-                    {"id": "a", "image": "a"},
-                    {"id": "b", "image": "a"},
-                    {"id": "c", "image": "b"},
-                ],
-                "word1": [
-                    {"image_edge": "E1", "to": "c"},
-                    {"image_edge": "E2", "to": "b"},
-                    {"image_edge": "E1", "to": "c"},
-                    {"image_edge": "E2", "to": "a"},
-                ],
-                "rotation0": {"a": [[1, "in"], [0, "out"]], "b": [[0, "in"], [1, "out"]]},
-                "rotation1": {
-                    "a": [[3, "in"], [0, "out"]],
-                    "b": [[1, "in"], [2, "out"]],
-                    "c": [[0, "in"], [1, "out"], [2, "in"], [3, "out"]],
-                },
-                "markers": [0, 2],
-                "white_anchor": [0, "left"],
-            }
-        )
+        toy = parse(toy_raw())
         words = deformation_words(toy)
         assert [[toy.word1[p].image_edge for p in w] for w in words] == [
             ["E1", "E2"],
