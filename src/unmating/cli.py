@@ -17,13 +17,13 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
-from operator import itemgetter
 from typing import Optional
 
 from . import mapspec
 from .errors import MapfileError, UnmatingError, ValidationFailure
+from .laminations import Crossings
 from .pipeline import (
     PipelineResult,
     certified_lengths,
@@ -41,26 +41,20 @@ _SPELL = {str: quote, int: repr, bool: {False: "false", True: "true"}.__getitem_
 
 
 def _dumps(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2)``: ASCII-escaped, keys in dict
-    order, tuples as lists.  Dict keys must be ``str``.
+    """The text of ``json.dumps(obj, indent=2, default=list)``: ASCII-escaped,
+    keys in dict order, tuples and `Crossings` as lists.  Dict keys must be
+    ``str``, and a `Crossings` is the only object that needs ``default``.
 
     Built as one list of parts joined once.  A non-empty list of ``str``s,
     of ``int``s or of ``bool``s renders with one join, memoized per call by
-    its level and ``id``: the Moore report shares each joined class's
-    angle list, and each distinct sides list, across its crossings, so a
-    repeat costs one dict lookup.  Keying by ``id`` is sound because ``obj``
-    keeps every sub-object alive until the call returns, so no id is reused
-    for another object meanwhile; two equal lists that are distinct objects
-    render separately, to the same text.
+    its level and ``id``, so a list the report shares is spelled once per
+    level.  Keying by ``id`` is sound because ``obj`` keeps every sub-object
+    alive until the call returns, so no id is reused for another object
+    meanwhile; equal lists that are distinct objects render separately.
 
-    A list of records (every item a ``dict`` with the same non-empty key
-    sequence) is written column by column, its keys quoted once: a column
-    is spelled with one ``map`` when all its values are of one of those
-    types, and read from the memo by ``id`` when all are such lists.  The
-    columns are interleaved with the keys and row separators in one ``zip``.
-    Any other list of dicts (a column of floats, ``None``, dicts, empty or
-    mixed values, or rows whose keys differ or come in another order) is
-    written row by row.
+    A `Crossings` is written from its columns, building no entry: each
+    class's text and row head (``{"a": <text>, "b": ``) and each sides
+    list's row tail are spelled once, and a row is three of those parts.
     """
     parts: list[str] = []
     pads = ["\n"]  # pads[level] = newline + indentation at that level
@@ -83,47 +77,12 @@ def _dumps(obj) -> str:
                 text = rendered[level, id(o)] = "[" + inner + ("," + inner).join(map(spell, o)) + pads[level] + "]"
         return text
 
-    def records(rows: list, level: int) -> bool:
-        """Write the non-empty list ``rows`` column by column if it is a list
-        of records of the kinds above; return whether it was."""
-        keys = tuple(rows[0])
-        if not keys or set(map(type, rows)) != {dict} or not all(map(keys.__eq__, map(tuple, rows))):
-            return False
-        grow(level + 2)
-        columns = []
-        for column in map(itemgetter, keys):
-            types = set(map(type, map(column, rows)))
-            if len(types) != 1:
-                return False
-            kind = types.pop()
-            spell = _SPELL.get(kind)
-            if spell is not None:
-                columns.append(map(spell, map(column, rows)))
-            elif kind is list:
-                distinct = dict(zip(map(id, map(column, rows)), map(column, rows)))
-                texts = {i: scalars(value, level + 2) for i, value in distinct.items()}
-                if None in texts.values():
-                    return False
-                columns.append(map(texts.__getitem__, map(id, map(column, rows))))
-            else:
-                return False
-        # a row is its cells in key order, each after its key's head; the text
-        # after a row closes it and opens the next, or after the last closes the list
-        inner = pads[level + 2]
-        first = "{" + inner + quote(keys[0]) + ": "
-        seps = [repeat("," + inner + quote(key) + ": ") for key in keys[1:]]
-        seps.append(repeat(pads[level + 1] + "}," + pads[level + 1] + first))
-        parts.append("[" + pads[level + 1] + first)
-        parts.extend(chain.from_iterable(zip(*chain.from_iterable(zip(columns, seps)))))
-        parts[-1] = pads[level + 1] + "}" + pads[level] + "]"
-        return True
-
     def write(o, level: int) -> None:
         spell = _SPELL.get(type(o))
         if spell is not None:
             parts.append(spell(o))
             return
-        if not isinstance(o, (dict, list, tuple)):
+        if not isinstance(o, (dict, list, tuple, Crossings)):
             parts.append(json.dumps(o))  # json's spelling of floats and null, and its errors
             return
         if not o:
@@ -140,10 +99,27 @@ def _dumps(obj) -> str:
                 sep = "," + inner
             parts.append(pads[level] + "}")
             return
+        if type(o) is Crossings:
+            grow(level + 2)
+            cell = pads[level + 2]
+            cells = [scalars(words, level + 2) for words in o.text]
+            heads = ["{" + cell + '"a": ' + text + "," + cell + '"b": ' for text in cells]
+            note = "" if o.note is None else "," + cell + '"note": ' + quote(o.note)
+            # a row's tail closes it; the tail of any row but the last also opens the next
+            ends = {
+                key: "," + cell + '"sides": ' + scalars(sides, level + 2) + note + inner + "}"
+                for key, sides in dict(zip(map(id, o.sides), o.sides)).items()
+            }
+            tails = {key: end + "," + inner for key, end in ends.items()}
+            parts.append("[" + inner)
+            rows = zip(map(heads.__getitem__, o.a), map(cells.__getitem__, o.b), map(tails.__getitem__, map(id, o.sides)))
+            parts.extend(chain.from_iterable(rows))
+            parts[-1] = ends[id(o.sides[-1])] + pads[level] + "]"
+            return
         text = scalars(o, level)
         if text is not None:
             parts.append(text)
-        elif type(o[0]) is not dict or not records(o, level):
+        else:
             sep = "[" + inner
             for x in o:
                 parts.append(sep)

@@ -13,9 +13,11 @@ every output is checked planar.
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from itertools import pairwise, repeat
+from collections.abc import Sequence
+from itertools import compress, pairwise, repeat
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from operator import eq, itemgetter, not_
+from typing import Iterable, Optional
 
 from .circle import frac
 from .errors import LaminationError
@@ -293,11 +295,12 @@ def pullback_step(
 # step whose d * count is over the bound is refused.  Both fixtures double
 # their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes 4.1 s and 585 MiB on the Jordan fixture
-# (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each further depth costs
-# about 3.4 times as much, so depth 13 would pass 1 GiB.  Its bit length, 14,
-# caps the steps run on one grid: a chain whose angles at least double per
-# step meets the bound within 14 steps, so an admitted run refines its grid once.
+# accepted.  Its CLI `unmate` run takes 2.1-2.4 s and 551 MiB on the Jordan
+# fixture (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each depth costs
+# 3.1-3.5 times the one before, so depth 13 would pass 1.5 GiB.  Its bit
+# length, 14, caps the steps run on one grid: a chain whose angles at least
+# double per step meets the bound within 14 steps, so an admitted run refines
+# its grid once.
 MAX_PREIMAGES = 10_000
 
 
@@ -369,50 +372,71 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
     )
 
 
+class Crossings(Sequence):
+    """One list of Moore entries as index columns; read-only.
+
+    Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": sides[k]}``,
+    plus ``"note": note`` unless it is None: ``a`` and ``b`` hold class
+    indices, ``text`` one list per class and ``sides`` a shared list per
+    entry.  It reads as, and equals, the sequence of those dicts.
+    """
+
+    __slots__ = ("a", "b", "text", "sides", "note")
+
+    def __init__(self, a: list[int], b: list[int], text: list, sides: list, note: Optional[str]):
+        for name, value in zip(self.__slots__, (a, b, text, sides, note)):
+            object.__setattr__(self, name, value)
+
+    __setattr__, __delattr__ = AngleClasses.__setattr__, AngleClasses.__delattr__
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    def __getitem__(self, k: int) -> dict:
+        entry = {"a": self.text[self.a[k]], "b": self.text[self.b[k]], "sides": self.sides[k]}
+        if self.note is not None:
+            entry["note"] = self.note
+        return entry
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and len(self) == len(other) and all(map(eq, self, other))
+
+
 def moore_check(joined: AngleClasses, table: Optional[dict] = None) -> dict:
     """Flag linked class hulls: same-side links are violations of the finite
     Moore criterion, links across the two sides are expected and reported as
     informational.  The classes must come from `join`, which records their
     sides.
 
-    Each entry holds the `text` list of its two classes (read through
+    Both lists are `Crossings` over the classes' `text` (read through
     ``table``, the run's text table, when one is given) and one sides list
-    per distinct value, shared by every entry with that value (the writer
-    renders a shared list once).  A class's kind is its sides tuple; the
-    sides list and the same-side test of each pair of kinds (at most 3
-    kinds, so 9 pairs) are found before the entries are built.
+    per distinct value.  A class's kind is its sides tuple; the sides list
+    and the same-side test of each pair of kinds (at most 3 kinds, so 9
+    pairs) are found before the columns are built.
     """
     kinds = sorted(set(joined.sides))
+    m = len(kinds)
     kind = list(map(kinds.index, joined.sides))
     lists: dict[tuple[str, ...], list[str]] = {}
-    union = []  # union[p][q]: the sides list of a class of kind p linked with one of kind q
-    same = []  # same[p][q]: both classes lie on one side only
+    union = []  # union[p*m + q]: the sides list of a class of kind p linked with one of kind q
+    same = []  # same[p*m + q]: both classes lie on one side only
     for p in kinds:
-        union.append([])
-        same.append([])
         for q in kinds:
             value = tuple(sorted({*p, *q}))
-            union[-1].append(lists.setdefault(value, list(value)))
-            same[-1].append(p == q and len(p) == 1)
+            union.append(lists.setdefault(value, list(value)))
+            same.append(p == q and len(p) == 1)
     text = joined.text(table)  # one list per class, shared by its entries
     pairs = linked_pairs(joined.classes)
-    violations = [
-        {"a": text[i], "b": text[j], "sides": union[kind[i]][kind[j]]}
-        for i, j in pairs
-        if same[kind[i]][kind[j]]
-    ]
-    informational = [
-        {
-            "a": text[i],
-            "b": text[j],
-            "sides": union[kind[i]][kind[j]],
-            "note": "two-sided crossing (informational)",
-        }
-        for i, j in pairs
-        if not same[kind[i]][kind[j]]
-    ]
+    codes = [kind[i] * m + kind[j] for i, j in pairs]
+    bad = list(map(same.__getitem__, codes))
+
+    def crossings(keep: list[bool], note: Optional[str]) -> Crossings:
+        a, b = (list(map(itemgetter(t), compress(pairs, keep))) for t in (0, 1))
+        return Crossings(a, b, text, list(map(union.__getitem__, compress(codes, keep))), note)
+
+    violations = crossings(bad, None)
     return {
         "passed": not violations,
         "violations": violations,
-        "informational": informational,
+        "informational": crossings(list(map(not_, bad)), "two-sided crossing (informational)"),
     }

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from unmating import cli, spectral
 from unmating.cli import _dumps, main
-from unmating.laminations import pullback_to_depth
+from unmating.laminations import Crossings, pullback_to_depth
 from unmating.pipeline import run_pipeline
 from unmating.svg import SvgScene, render_svg
 
@@ -402,8 +402,8 @@ def record_lists(draw):
     at most one row lists its keys in another (rotated) order."""
     shared = draw(st.lists(st.lists(json_text, max_size=3), min_size=1, max_size=3))
     keys = draw(st.lists(json_text, min_size=1, max_size=4, unique=True))
-    column_wise = st.sampled_from(["str", "int", "shared strings", "fresh strings"])
-    kinds = [draw(column_wise | st.sampled_from(sorted(_COLUMNS))) for _ in keys]
+    common = st.sampled_from(["str", "int", "shared strings", "fresh strings"])  # as in the reports
+    kinds = [draw(common | st.sampled_from(sorted(_COLUMNS))) for _ in keys]
     rows = [
         {key: draw(_COLUMNS[kind](shared)) for key, kind in zip(keys, kinds)}
         for _ in range(draw(st.integers(1, 5)))
@@ -451,8 +451,22 @@ class TestDumps:
 
     def test_deep_jordan_report(self, jordan_spec):
         report = run_pipeline(jordan_spec, depth=9).to_json()
-        same = _dumps(report) == json.dumps(report, indent=2)
+        same = _dumps(report) == json.dumps(report, indent=2, default=list)
         assert same  # not the texts themselves: pytest would diff 5.9 MB
+
+    def test_crossings_written_from_columns(self, jordan_spec, monkeypatch):
+        """The writer reads a Crossings' columns and builds none of its entries."""
+        report = run_pipeline(jordan_spec, depth=6).to_json()
+        expected = json.dumps(report, indent=2, default=list)
+        assert len(report["laminations"]["moore"]["informational"]) > 2
+
+        def refuse(*args):
+            raise AssertionError("a Crossings entry was built")
+
+        monkeypatch.setattr(Crossings, "__getitem__", refuse)
+        monkeypatch.setattr(Crossings, "__iter__", refuse)
+        same = _dumps(report) == expected
+        assert same  # not the texts themselves: pytest's diff of them takes minutes
 
     def test_moore_report_written_by_identity(self, jordan_spec, monkeypatch):
         """Moore entries share one sides list per value, and the writer spells
@@ -460,7 +474,7 @@ class TestDumps:
         list occurs there."""
         report = run_pipeline(jordan_spec, depth=6).to_json()
         moore = report["laminations"]["moore"]
-        entries = moore["violations"] + moore["informational"]
+        entries = list(moore["violations"]) + list(moore["informational"])
         assert len(entries) > 2
         assert len({id(e["sides"]) for e in entries}) <= len({tuple(e["sides"]) for e in entries})
 
@@ -470,6 +484,9 @@ class TestDumps:
             nonlocal keys, scalars
             if type(o) in (str, int):
                 scalars += 1
+            elif isinstance(o, Crossings):
+                for entry in o:  # the entries it reads as, each built anew
+                    walk(entry, level + 1)
             elif isinstance(o, dict):
                 keys += len(o)
                 for value in o.values():
@@ -496,7 +513,8 @@ class TestDumps:
         monkeypatch.setitem(cli._SPELL, int, counting(cli._SPELL[int], "value"))
         text = _dumps(report)
         monkeypatch.undo()
-        assert text == json.dumps(report, indent=2)
+        same = text == json.dumps(report, indent=2, default=list)
+        assert same
         assert calls["key"] <= keys
         assert calls["value"] <= sum(lists.values()) + scalars
 

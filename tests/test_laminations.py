@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -8,10 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unmating import laminations
+from unmating.cli import _dumps
 from unmating.errors import LaminationError
 from unmating.laminations import (
     MAX_PREIMAGES,
     AngleClasses,
+    Crossings,
     _canon,
     check_planar,
     depth1,
@@ -553,6 +556,16 @@ class TestMoore:
         assert len(report["violations"]) == 1
         assert report["violations"][0]["a"] == ["0/1", "1/2"]
 
+    def test_crossings_read_as_entries(self, meyer_result):
+        joined = meyer_result.lamination_join
+        crossings = moore_check(joined)["informational"]
+        entries = moore_by_scan(joined)["informational"]
+        assert isinstance(crossings, Crossings) and len(crossings) == len(entries) > 1
+        assert list(crossings) == entries and crossings == tuple(entries)
+        assert crossings[-1] == entries[-1] and crossings.index(entries[1]) == 1
+        assert crossings != entries[:-1] and crossings != entries[::-1]
+        assert crossings != "ab" and crossings != {} and crossings != moore_check(joined)["violations"]
+
 
 @st.composite
 def disjoint_families(draw):
@@ -570,6 +583,9 @@ def disjoint_families(draw):
 
 
 side_tags = st.sampled_from([("white",), ("black",), ("black", "white")])
+families_with_sides = disjoint_families().flatmap(
+    lambda f: st.tuples(st.just(f), st.lists(side_tags, min_size=len(f), max_size=len(f)))
+)
 
 
 class TestLinkedPairs:
@@ -593,13 +609,23 @@ class TestLinkedPairs:
         expected = (family[scan[0][0]], family[scan[0][1]]) if scan else None
         assert check_planar(family) == expected
 
-    @given(disjoint_families().flatmap(
-        lambda f: st.tuples(st.just(f), st.lists(side_tags, min_size=len(f), max_size=len(f)))
-    ))
+    @given(families_with_sides)
     def test_moore_matches_scan(self, family_sides):
         family, sides = family_sides
         joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
         assert moore_check(joined) == moore_by_scan(joined)
+
+    @given(families_with_sides)
+    @example(([(0, 24), (1, 2)], [("white",), ("black",)]))  # no crossing
+    @example(([(0, 24), (12, 36)], [("white",), ("white",)]))  # violations only, so no note
+    @example((
+        [(0, 24), (6, 30), (12, 36), (18, 42), (3, 27)],
+        [("white",), ("black",), ("white",), ("black",), ("black", "white")],
+    ))  # five diameters: violations on each side, crossings of every mixed kind
+    def test_moore_report_text_matches_scan(self, family_sides):
+        family, sides = family_sides
+        joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
+        assert _dumps(moore_check(joined)) == json.dumps(moore_by_scan(joined), indent=2)
 
     def test_shared_angle_refused(self):
         with pytest.raises(LaminationError, match="share the angle 1/4"):

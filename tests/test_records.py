@@ -25,6 +25,7 @@ READ_ONLY = {
     "LengthVector": lambda r: r.lengths,
     "OrbitSignature": lambda r: orbit_signature(5, 2, 24),
     "AngleClasses": lambda r: r.lamination_white,
+    "Crossings": lambda r: r.moore["informational"],
 }
 
 
