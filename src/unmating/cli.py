@@ -60,11 +60,6 @@ def _dumps(obj) -> str:
     pads = ["\n"]  # pads[level] = newline + indentation at that level
     rendered: dict[tuple[int, int], str] = {}  # rendered[level, id of a scalar list] = its text
 
-    def grow(level: int) -> None:
-        """Make pads[level + 1] exist."""
-        while len(pads) <= level + 1:
-            pads.append(pads[-1] + "  ")
-
     def scalars(o, level: int) -> Optional[str]:
         """The memoized text of ``o`` at ``level`` if it is a non-empty list
         of ``str``s, of ``int``s or of ``bool``s, else None."""
@@ -88,8 +83,8 @@ def _dumps(obj) -> str:
         if not o:
             parts.append("{}" if isinstance(o, dict) else "[]")
             return
-        if len(pads) == level + 1:
-            grow(level)
+        while len(pads) < level + 4:  # down to the items of a Crossings' cells
+            pads.append(pads[-1] + "  ")
         inner = pads[level + 1]
         if isinstance(o, dict):
             sep = "{" + inner
@@ -100,7 +95,6 @@ def _dumps(obj) -> str:
             parts.append(pads[level] + "}")
             return
         if type(o) is Crossings:
-            grow(level + 2)
             cell = pads[level + 2]
             cells = [scalars(words, level + 2) for words in o.text]
             heads = ["{" + cell + '"a": ' + text + "," + cell + '"b": ' for text in cells]

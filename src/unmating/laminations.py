@@ -16,7 +16,7 @@ from bisect import bisect_right, insort
 from collections.abc import Sequence
 from itertools import compress, pairwise, repeat
 from math import lcm
-from operator import eq, itemgetter, not_
+from operator import eq, floordiv, mod, not_
 from typing import Iterable, Optional
 
 from .circle import frac
@@ -108,8 +108,14 @@ def _owners(classes: Sequence[Sequence]) -> dict:
 
 
 def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
-    """Sorted index pairs i < j of classes whose hulls cross; the Moore
-    report lists them all.
+    """Sorted index pairs i < j of classes whose hulls cross (`crossing_keys`)."""
+    keys, n = crossing_keys(classes)
+    return list(map(divmod, keys, repeat(n)))
+
+
+def crossing_keys(classes: Sequence[Sequence]) -> tuple[list[int], int]:
+    """The sorted keys i*n + j of the index pairs i < j of classes whose
+    hulls cross, and n, the number of classes.
 
     The classes must be pairwise disjoint.  Cut the circle at 0 and give a
     class with angles e_0 < ... < e_m the chords (e_t, e_t+1).  Two disjoint
@@ -121,9 +127,10 @@ def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
     end; once those ending at or before a are dropped, a chord (a, b) crosses
     exactly the open chords with right end in (a, b), a prefix of them, so
     each step costs the crossings it finds.  A crossing of classes i < j is
-    recorded as the integer key i*n + j (n classes): the pairs that several
-    chord crossings meet collect in one set of ints, which hashes and sorts
-    faster than pairs, and sorting the keys sorts the pairs.
+    recorded as its key: the pairs that several chord crossings meet collect
+    in one set of ints, which hashes and sorts faster than pairs, and sorting
+    the keys sorts the pairs.  A caller that splits the keys into columns
+    (`moore_check`) makes no object per pair.
     """
     _owners(classes)
     chords = sorted((a, b, i) for i, c in enumerate(classes) for a, b in pairwise(sorted(c)))
@@ -138,7 +145,7 @@ def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
                 break
             keys.add(j * n + i if j < i else i * n + j)
         insort(open_chords, (b, i))
-    return list(map(divmod, sorted(keys), repeat(n)))
+    return sorted(keys), n
 
 
 def check_planar(classes: Iterable[AngleSet]) -> Optional[tuple[AngleSet, AngleSet]]:
@@ -409,29 +416,28 @@ def moore_check(joined: AngleClasses, table: Optional[dict] = None) -> dict:
     sides.
 
     Both lists are `Crossings` over the classes' `text` (read through
-    ``table``, the run's text table, when one is given) and one sides list
-    per distinct value.  A class's kind is its sides tuple; the sides list
-    and the same-side test of each pair of kinds (at most 3 kinds, so 9
-    pairs) are found before the columns are built.
+    ``table``, the run's text table, if given).  A class's kind is its sides
+    tuple; each pair of kinds (at most 9) gets one sides list, shared by
+    value, and two classes lie on one side only when that list has one side.
     """
     kinds = sorted(set(joined.sides))
     m = len(kinds)
     kind = list(map(kinds.index, joined.sides))
     lists: dict[tuple[str, ...], list[str]] = {}
     union = []  # union[p*m + q]: the sides list of a class of kind p linked with one of kind q
-    same = []  # same[p*m + q]: both classes lie on one side only
     for p in kinds:
         for q in kinds:
             value = tuple(sorted({*p, *q}))
             union.append(lists.setdefault(value, list(value)))
-            same.append(p == q and len(p) == 1)
+    same = [len(sides) == 1 for sides in union]
     text = joined.text(table)  # one list per class, shared by its entries
-    pairs = linked_pairs(joined.classes)
-    codes = [kind[i] * m + kind[j] for i, j in pairs]
+    keys, n = crossing_keys(joined.classes)
+    first, second = list(map(floordiv, keys, repeat(n))), list(map(mod, keys, repeat(n)))
+    codes = [kind[i] * m + kind[j] for i, j in zip(first, second)]
     bad = list(map(same.__getitem__, codes))
 
     def crossings(keep: list[bool], note: Optional[str]) -> Crossings:
-        a, b = (list(map(itemgetter(t), compress(pairs, keep))) for t in (0, 1))
+        a, b = list(compress(first, keep)), list(compress(second, keep))
         return Crossings(a, b, text, list(map(union.__getitem__, compress(codes, keep))), note)
 
     violations = crossings(bad, None)
