@@ -302,9 +302,9 @@ def pullback_step(
 # step whose d * count is over the bound is refused.  Both fixtures double
 # their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes 2.1-2.4 s and 551 MiB on the Jordan
+# accepted.  Its CLI `unmate` run takes 2.2-2.5 s and 527 MiB on the Jordan
 # fixture (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each depth costs
-# 3.1-3.5 times the one before, so depth 13 would pass 1.5 GiB.  Its bit
+# 3.1-4 times the one before, so depth 13 would pass 1.5 GiB.  Its bit
 # length, 14, caps the steps run on one grid: a chain whose angles at least
 # double per step meets the bound within 14 steps, so an admitted run refines
 # its grid once.
