@@ -95,15 +95,13 @@ def _dumps(obj) -> str:
             parts.append(pads[level] + "}")
             return
         if type(o) is Crossings:
-            cell = pads[level + 2]
+            a, b, sides, note = (pads[level + 2] + quote(key) + ": " for key in Crossings.KEYS)
             cells = [scalars(words, level + 2) for words in o.text]
-            heads = ["{" + cell + '"a": ' + text + "," + cell + '"b": ' for text in cells]
-            note = "" if o.note is None else "," + cell + '"note": ' + quote(o.note)
+            heads = ["{" + a + text + "," + b for text in cells]
+            note = "" if o.note is None else "," + note + quote(o.note)
             # a row's tail closes it; the tail of any row but the last also opens the next
-            ends = {
-                key: "," + cell + '"sides": ' + scalars(sides, level + 2) + note + inner + "}"
-                for key, sides in dict(zip(map(id, o.sides), o.sides)).items()
-            }
+            distinct = dict(zip(map(id, o.sides), o.sides))
+            ends = {key: "," + sides + scalars(words, level + 2) + note + inner + "}" for key, words in distinct.items()}
             tails = {key: end + "," + inner for key, end in ends.items()}
             parts.append("[" + inner)
             rows = zip(map(heads.__getitem__, o.a), map(cells.__getitem__, o.b), map(tails.__getitem__, map(id, o.sides)))

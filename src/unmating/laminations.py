@@ -383,12 +383,13 @@ class Crossings(Sequence):
     """One list of Moore entries as index columns; read-only.
 
     Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": sides[k]}``,
-    plus ``"note": note`` unless it is None: ``a`` and ``b`` hold class
-    indices, ``text`` one list per class and ``sides`` a shared list per
-    entry.  It reads as, and equals, the sequence of those dicts.
+    plus ``"note": note`` unless it is None (keys ``KEYS``): ``a`` and ``b``
+    hold class indices, ``text`` one list per class and ``sides`` a shared
+    list per entry.  It reads as, and equals, the sequence of those dicts.
     """
 
     __slots__ = ("a", "b", "text", "sides", "note")
+    KEYS = ("a", "b", "sides", "note")  # an entry's keys, in order; `cli._dumps` writes them too
 
     def __init__(self, a: list[int], b: list[int], text: list, sides: list, note: Optional[str]):
         for name, value in zip(self.__slots__, (a, b, text, sides, note)):
@@ -399,11 +400,11 @@ class Crossings(Sequence):
     def __len__(self) -> int:
         return len(self.a)
 
-    def __getitem__(self, k: int) -> dict:
-        entry = {"a": self.text[self.a[k]], "b": self.text[self.b[k]], "sides": self.sides[k]}
-        if self.note is not None:
-            entry["note"] = self.note
-        return entry
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return Crossings(self.a[k], self.b[k], self.text, self.sides[k], self.note)
+        values = (self.text[self.a[k]], self.text[self.b[k]], self.sides[k], self.note)
+        return dict(zip(self.KEYS, values if self.note is not None else values[:3]))
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and len(self) == len(other) and all(map(eq, self, other))

@@ -149,12 +149,15 @@ class TestTextTable:
 
     def test_runs_share_no_list(self, meyer_spec):
         first, second = (run_pipeline(meyer_spec, depth=3).to_json() for _ in range(2))
+        assert first["laminations"]["moore"]["informational"]  # the walk reaches Moore's sides lists
 
         def list_ids(o) -> set[int]:
             if isinstance(o, dict):
                 return set().union(*map(list_ids, o.values()))
             if isinstance(o, list):
                 return {id(o)}.union(*map(list_ids, o))
+            if isinstance(o, Crossings):  # its columns, the class texts and each sides list
+                return {id(o.a), id(o.b), id(o.text), id(o.sides)}.union(*map(list_ids, o.text), *map(list_ids, o.sides))
             return set()
 
         assert first == second
@@ -564,6 +567,9 @@ class TestMoore:
         assert list(crossings) == entries and crossings == tuple(entries)
         assert crossings[-1] == entries[-1] and crossings.index(entries[1]) == 1
         assert crossings != entries[:-1] and crossings != entries[::-1]
+        for part in (slice(1, None), slice(None, None, -1), slice(-3, 1, -2), slice(5, 2)):
+            assert isinstance(crossings[part], Crossings) and crossings[part] == entries[part]
+            assert list(crossings[part]) == entries[part]
         assert crossings != "ab" and crossings != {} and crossings != moore_check(joined)["violations"]
 
 
