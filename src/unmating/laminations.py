@@ -12,9 +12,8 @@ every output is checked planar.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from collections.abc import Sequence
-from itertools import compress, pairwise, repeat
+from itertools import compress, repeat
 from math import lcm
 from operator import eq, floordiv, mod, not_
 from typing import Iterable, Optional
@@ -94,8 +93,28 @@ class AngleClasses:
         return out
 
 
-def _owners(classes: Sequence[Sequence]) -> dict:
-    """The index of the class holding each angle; refuses classes that share one."""
+def crossing_keys(classes: Sequence[AngleSet]) -> tuple[list[int], int]:
+    """The sorted keys i*n + j of the index pairs i < j of classes whose
+    hulls cross, and n, the number of classes; classes that share an angle
+    are refused.
+
+    Each class is sorted.  One walk over the angles in circle order keeps a
+    stack of the open classes: a class is pushed at its first angle and
+    leaves at its last.  Disjoint classes are non-crossing exactly when
+    every angle met belongs to the class on top (a non-crossing partition
+    nests like parentheses; Kreweras 1972).  When an angle of class i comes
+    while other classes sit above i, each of them opened inside the gap of
+    i that this angle closes and is still open, so it crosses i.  Every
+    crossing pair is met this way, at the angle of the earlier-opened class
+    that closes the gap holding the other's first angle.  A pair is met at
+    most once per angle of its earlier-opened class, so for N angles the
+    walk costs N log N plus the crossings times the largest class size.
+
+    A crossing of classes i < j is recorded as its key: the pairs met at
+    several angles collect in one set of ints, which hashes and sorts faster
+    than pairs, and sorting the keys sorts the pairs.  A caller that splits
+    the keys into columns (`moore_check`) makes no object per pair.
+    """
     owner: dict = {}
     for i, c in enumerate(classes):
         for x in c:
@@ -104,75 +123,34 @@ def _owners(classes: Sequence[Sequence]) -> dict:
                     f"classes {owner[x]} and {i} share the angle {x}; "
                     "the crossing sweep needs disjoint classes"
                 )
-    return owner
-
-
-def linked_pairs(classes: Sequence[Sequence]) -> list[tuple[int, int]]:
-    """Sorted index pairs i < j of classes whose hulls cross (`crossing_keys`)."""
-    keys, n = crossing_keys(classes)
-    return list(map(divmod, keys, repeat(n)))
-
-
-def crossing_keys(classes: Sequence[Sequence]) -> tuple[list[int], int]:
-    """The sorted keys i*n + j of the index pairs i < j of classes whose
-    hulls cross, and n, the number of classes.
-
-    The classes must be pairwise disjoint.  Cut the circle at 0 and give a
-    class with angles e_0 < ... < e_m the chords (e_t, e_t+1).  Two disjoint
-    hulls cross exactly when a chord of one strictly crosses a chord of the
-    other: an angle of one class strictly inside (e_0, e_m) of the other lies
-    in a gap (e_t, e_t+1), so the closing chord (e_0, e_m) is never needed.
-    One sweep over the chords by left end reports every crossing pair
-    (Bentley and Ottmann 1979).  The open chords are kept sorted by right
-    end; once those ending at or before a are dropped, a chord (a, b) crosses
-    exactly the open chords with right end in (a, b), a prefix of them, so
-    each step costs the crossings it finds.  A crossing of classes i < j is
-    recorded as its key: the pairs that several chord crossings meet collect
-    in one set of ints, which hashes and sorts faster than pairs, and sorting
-    the keys sorts the pairs.  A caller that splits the keys into columns
-    (`moore_check`) makes no object per pair.
-    """
-    _owners(classes)
-    chords = sorted((a, b, i) for i, c in enumerate(classes) for a, b in pairwise(sorted(c)))
 
     n = len(classes)
     keys: set[int] = set()
-    open_chords: list[tuple[int, int]] = []  # (right end, class), sorted
-    for a, b, i in chords:
-        del open_chords[: bisect_right(open_chords, (a, n))]
-        for right, j in open_chords:
-            if right >= b:
-                break
-            keys.add(j * n + i if j < i else i * n + j)
-        insort(open_chords, (b, i))
+    stack: list[int] = []  # the open classes, in the order they opened
+    for x in sorted(owner):
+        i = owner[x]
+        c = classes[i]
+        if x != c[0]:
+            t = -1
+            while (j := stack[t]) != i:
+                keys.add(j * n + i if j < i else i * n + j)
+                t -= 1
+            if x == c[-1]:
+                del stack[t]
+        elif x != c[-1]:  # a class of one angle never opens
+            stack.append(i)
     return sorted(keys), n
 
 
 def check_planar(classes: Iterable[AngleSet]) -> Optional[tuple[AngleSet, AngleSet]]:
-    """The first pair of classes with crossing hulls, in the order of
-    `linked_pairs`, or None; classes that share an angle are refused.
-
-    One pass over the angles in circle order decides whether any pair
-    crosses: a class is pushed at its first angle and popped at its last,
-    and disjoint classes are non-crossing exactly when every angle met
-    belongs to the class on top of the stack (a non-crossing partition nests
-    like parentheses).  Only when some pair crosses does `linked_pairs` run,
-    to name the first one.
-    """
+    """The first pair of classes with crossing hulls, in the order of the
+    keys of `crossing_keys`, or None; classes that share an angle are refused."""
     cl = list(classes)
-    owner = _owners(cl)
-    stack = [-1]
-    for x in sorted(owner):
-        i = owner[x]
-        c = cl[i]
-        if x == c[0]:
-            stack.append(i)
-        elif stack[-1] != i:
-            i, j = linked_pairs(cl)[0]
-            return (cl[i], cl[j])
-        if x == c[-1]:
-            stack.pop()
-    return None
+    keys, n = crossing_keys(cl)
+    if not keys:
+        return None
+    i, j = divmod(keys[0], n)
+    return (cl[i], cl[j])
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +280,7 @@ def pullback_step(
 # step whose d * count is over the bound is refused.  Both fixtures double
 # their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes 2.2-2.5 s and 527 MiB on the Jordan
+# accepted.  Its CLI `unmate` run takes 1.3 s and 523 MiB on the Jordan
 # fixture (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each depth costs
 # 3.1-4 times the one before, so depth 13 would pass 1.5 GiB.  Its bit
 # length, 14, caps the steps run on one grid: a chain whose angles at least

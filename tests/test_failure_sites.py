@@ -44,7 +44,7 @@ from unmating.errors import (
     UnmatingError,
     ValidationFailure,
 )
-from unmating.laminations import AngleClasses, join, linked_pairs, pullback_to_depth
+from unmating.laminations import AngleClasses, crossing_keys, join, pullback_to_depth
 from unmating.mapspec import CriticalVertex
 from unmating.parameterize import PullbackParameters, pullback_parameters, solve_parameters
 from unmating.pipeline import run_pipeline
@@ -391,8 +391,8 @@ ROWS: dict[str, Row] = {
     # laminations
     "pipeline.run_pipeline: depth-1 … classes disagree with the … portrait": Row(
         unmate(), 7, "depth-1 white classes disagree with the white portrait", patch_swapped_depth1),
-    "laminations._owners: classes … and … share the angle …; the crossing sweep needs disjoint classes": Row(
-        lambda: linked_pairs([(0, 1), (1, 2)]), LaminationError,
+    "laminations.crossing_keys: classes … and … share the angle …; the crossing sweep needs disjoint classes": Row(
+        lambda: crossing_keys([(0, 1), (1, 2)]), LaminationError,
         "classes 0 and 1 share the angle 1; the crossing sweep needs disjoint classes"),
     "laminations.pullback_step: pullback produced crossing: {…} links {…}": Row(
         lifting_into_a_crossing, LaminationError, "pullback produced crossing: {1/8, 3/8} links {1/4, 3/4}"),

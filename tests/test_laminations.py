@@ -17,9 +17,9 @@ from unmating.laminations import (
     Crossings,
     _canon,
     check_planar,
+    crossing_keys,
     depth1,
     join,
-    linked_pairs,
     merge_tagged,
     moore_check,
     pullback_to_depth,
@@ -50,6 +50,12 @@ def classes(depth, color, *sets, grid=None) -> AngleClasses:
     if grid is None:
         grid = lcm(*(a.denominator for s in sets for a in s))
     return AngleClasses(depth, color, grid, _canon({int(a * grid) for a in s} for s in sets))
+
+
+def crossing_pairs(family) -> list[tuple[int, int]]:
+    """The index pairs i < j of crossing classes, in order, decoded from `crossing_keys`."""
+    keys, n = crossing_keys(family)
+    return [divmod(key, n) for key in keys]
 
 
 def chord_count(lam: AngleClasses) -> int:
@@ -576,7 +582,7 @@ class TestMoore:
 @st.composite
 def disjoint_families(draw):
     """Pairwise-disjoint classes of 1-5 angles x/48, given as the integers x,
-    in any order; most classes straddle 0, where the sweep cuts the circle."""
+    in any order; most classes straddle 0, where the walk cuts the circle."""
     pool = draw(st.permutations(range(48)))
     sizes = draw(st.lists(st.integers(1, 5), max_size=14))
     family, used = [], 0
@@ -600,8 +606,17 @@ class TestLinkedPairs:
     @example([(0, 8, 16, 24, 32, 40), (4, 12, 20, 28, 36, 44)])
     # four diameters, all crossing: a pair key i*m + j with m one off from n decodes wrongly
     @example([(0, 24), (6, 30), (12, 36), (18, 42)])
+    # a class closes in the middle of the stack; all three pairs cross
+    @example([(0, 20), (10, 30), (15, 40)])
+    # one pair met at five angles of the earlier-opened class gives one key
+    @example([(0, 4, 8, 12, 16, 20), (2, 46)])
+    # a nested class closes inside a gap while a crossing class stays open
+    @example([(0, 10, 20), (2, 46), (3, 5)])
+    # a class that closes above another leaves the stack, or the outer one
+    # would report a false crossing at its last angle
+    @example([(0, 40), (5, 20), (10, 30)])
     def test_matches_scan(self, family):
-        assert linked_pairs(family) == linked_pairs_by_scan(family)
+        assert crossing_pairs(family) == linked_pairs_by_scan(family)
 
     @given(disjoint_families())
     # a class inside the gap of another that runs through 0
@@ -635,7 +650,7 @@ class TestLinkedPairs:
 
     def test_shared_angle_refused(self):
         with pytest.raises(LaminationError, match="share the angle 1/4"):
-            linked_pairs([(F(0), F(1, 4)), (F(1, 4), F(1, 2))])
+            crossing_pairs([(F(0), F(1, 4)), (F(1, 4), F(1, 2))])
 
     def test_check_planar_refuses_shared_angle(self):
         with pytest.raises(
@@ -648,7 +663,7 @@ class TestLinkedPairs:
         for spec in (meyer_spec, jordan_spec):
             result = run_pipeline(spec, depth=7)
             for lam in (result.lamination_white, result.lamination_black, result.lamination_join):
-                assert linked_pairs(lam.classes) == linked_pairs_by_scan(lam.classes), lam.color
+                assert crossing_pairs(lam.classes) == linked_pairs_by_scan(lam.classes), lam.color
 
 
 class TestDepthNine:
