@@ -7,6 +7,9 @@ reduced "p/q" string only when it is printed.  Upstream of that grid the
 same holds on grids of their own: an arc length is an integer over the sum
 of the certified eigenvector, and a marker parameter an integer over that
 sum times d - 1.  No floating point enters any stored value.
+
+`orbit` is the one walk of the d-fold map to a repeat: every orbit question
+downstream (marking, periodicity, landings, itineraries) reads its list.
 """
 
 from __future__ import annotations
@@ -22,36 +25,6 @@ def frac(x: int, grid: int) -> str:
     return f"{x // g}/{grid // g}"
 
 
-class OrbitSignature:
-    """Eventual periodicity data of an angle under the d-fold map; read-only."""
-
-    __slots__ = ("preperiod", "period")
-
-    def __init__(self, preperiod: int, period: int):
-        if period < 1 or preperiod < 0:
-            raise ValueError("need preperiod >= 0 and period >= 1")
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.preperiod, self.period) == (other.preperiod, other.period)
-
-    def __hash__(self):
-        return hash((self.preperiod, self.period))
-
-    @property
-    def is_periodic(self) -> bool:
-        return self.preperiod == 0
-
-
 def q_apply(x: int, d: int, grid: int) -> int:
     """The d-fold map t -> d*t mod 1 on the angle x/grid."""
     if d < 2:
@@ -59,16 +32,17 @@ def q_apply(x: int, d: int, grid: int) -> int:
     return d * x % grid
 
 
-def orbit_signature(x: int, d: int, grid: int) -> OrbitSignature:
-    """Iterate x/grid under the d-fold map and report (preperiod, period)."""
-    seen: dict[int, int] = {}
-    step = 0
+def orbit(x: int, d: int, grid: int) -> list[int]:
+    """x/grid and its distinct iterates under the d-fold map, in order.
+
+    The list stops before the first repeat: the image of its last angle is
+    already in it, at the index that is x's preperiod.
+    """
+    seen: dict[int, None] = {}
     while x not in seen:
-        seen[x] = step
+        seen[x] = None
         x = q_apply(x, d, grid)
-        step += 1
-    first = seen[x]
-    return OrbitSignature(preperiod=first, period=step - first)
+    return list(seen)
 
 
 def sets_linked(xs: Iterable, ys: Iterable) -> bool:

@@ -121,7 +121,7 @@ def crossing_keys(classes: Sequence[AngleSet]) -> tuple[list[int], int]:
             if owner.setdefault(x, i) != i:
                 raise LaminationError(
                     f"classes {owner[x]} and {i} share the angle {x}; "
-                    "the crossing sweep needs disjoint classes"
+                    "the crossing walk needs disjoint classes"
                 )
 
     n = len(classes)

@@ -6,15 +6,18 @@ parameters (restricted to parameters actually at the vertex), and later
 vertices are marked by iterating the parameter until it lands on them.
 Certification checks the preperiodic-case portrait conditions; the periodic
 families are empty here, so the conditions touching them hold vacuously.
+Every orbit question reads `circle.orbit`: one list per participant gives
+periodicity (c5) and landings (c3), and one partition refinement over the
+participants' iterates tells which share a left symbol sequence (c7).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
-from .circle import frac, orbit_signature, q_apply, sets_linked
+from .circle import frac, orbit, q_apply, sets_linked
 from .errors import PortraitError
 from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec
 from .parameterize import PullbackParameters
@@ -63,17 +66,11 @@ class CriticalPortrait:
 # ---------------------------------------------------------------------------
 # marking procedure
 
-def _reaches(
-    params: Sequence[int], target: set[int], d: int, grid: int
-) -> Optional[tuple[int, int]]:
-    """First (start angle, iterate count >= 1) whose orbit under q_d hits target."""
-    for a in params:
-        sig = orbit_signature(a, d, grid)
-        cur = a
-        for i in range(1, sig.preperiod + sig.period + 1):
-            cur = q_apply(cur, d, grid)
-            if cur in target:
-                return (a, i)
+def _reaches(params: Iterable[int], target: set[int], d: int, grid: int) -> Optional[int]:
+    """The least parameter with an iterate q_d^i, i >= 1, in target."""
+    for a in sorted(params):
+        if not target.isdisjoint(orbit(q_apply(a, d, grid), d, grid)):
+            return a
     return None
 
 
@@ -104,7 +101,7 @@ def _mark_color(
         start = None
         for v in remaining:
             others = [w for w in remaining if w != v]
-            if not any(_reaches(sorted(params[w]), params[v], d, grid) for w in others):
+            if all(_reaches(params[w], params[v], d, grid) is None for w in others):
                 start = v
                 break
         if start is None:
@@ -117,10 +114,7 @@ def _mark_color(
         while progress and remaining:
             progress = False
             # follow the forward orbit of the marked parameter
-            sig = orbit_signature(alpha, d, grid)
-            cur = alpha
-            for _ in range(sig.preperiod + sig.period):
-                cur = q_apply(cur, d, grid)
+            for cur in orbit(q_apply(alpha, d, grid), d, grid):
                 hit = next((v for v in remaining if cur in params[v]), None)
                 if hit is not None:
                     alpha = cur
@@ -131,9 +125,9 @@ def _mark_color(
                 continue
             # otherwise take a vertex whose parameter falls into the noted orbit
             for v in list(remaining):
-                found = _reaches(sorted(params[v]), noted, d, grid)
+                found = _reaches(params[v], noted, d, grid)
                 if found is not None:
-                    alpha = found[0]
+                    alpha = found
                     mark(v, alpha)
                     progress = True
                     break
@@ -205,20 +199,14 @@ class Sectors:
     def closed_labels(self, t: int) -> tuple[int, ...]:
         """The sectors whose closure holds t, found with one bisection: the
         sector of the arc ending at t, then, when t is a boundary angle
-        between two sectors, the sector of the arc starting at t."""
+        between two sectors, the sector of the arc starting at t.  The first
+        is t's left label, the last its right label."""
         b = self.boundary
         i = bisect_left(b, t)
         left = self.sector_of_arc[i - 1]  # index -1 is the arc through 0
         if i < len(b) and b[i] == t and self.sector_of_arc[i] != left:
             return (left, self.sector_of_arc[i])
         return (left,)
-
-    def label_of(self, t: int, side: str = "left") -> int:
-        """Sector of the arc holding t.  A boundary angle lies on the arc
-        ending at it from the left and on the arc starting at it from the
-        right."""
-        labels = self.closed_labels(t)
-        return labels[0] if side == "left" else labels[-1]
 
 
 def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
@@ -236,12 +224,12 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
     if any(sets_linked(*pair) for pair in combinations(hulls, 2)):
         raise PortraitError("portrait not unlinked")
 
-    signatures = [tuple((bisect_right(h, lo) - 1) % len(h) for h in hulls) for lo in boundary]
+    gaps = [tuple((bisect_right(h, lo) - 1) % len(h) for h in hulls) for lo in boundary]
     order: dict[tuple, int] = {}
-    for sig in signatures:
-        if sig not in order:
-            order[sig] = len(order)
-    sector_of_arc = tuple(order[sig] for sig in signatures)
+    for gap in gaps:
+        if gap not in order:
+            order[gap] = len(order)
+    sector_of_arc = tuple(order[gap] for gap in gaps)
 
     n = len(boundary)
     lengths = [0] * len(order)
@@ -256,21 +244,21 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
     return Sectors(boundary=tuple(boundary), sector_of_arc=sector_of_arc, lengths=tuple(lengths))
 
 
-def _same_left_sequence(u: int, v: int, sec: Sectors, d: int, grid: int) -> bool:
-    """Whether u and v have identical infinite left symbol sequences.
+def _left_sequence_classes(xs: set[int], sec: Sectors, d: int, grid: int) -> dict[int, int]:
+    """A class for each angle of xs, a set closed under q_d: two angles share
+    a class exactly when their infinite left symbol sequences agree.
 
-    The pair orbit of rational angles is finite, so equality is decidable:
-    iterate both until a symbol differs or the pair repeats.
+    Moore's partition refinement (1956): split by the left label, then by
+    the class of the image, until no class splits.
     """
-    seen = set()
-    cur = (u, v)
-    while cur not in seen:
-        seen.add(cur)
-        a, b = cur
-        if sec.label_of(a, "left") != sec.label_of(b, "left"):
-            return False
-        cur = (q_apply(a, d, grid), q_apply(b, d, grid))
-    return True
+    cls = {x: sec.closed_labels(x)[0] for x in xs}
+    count = len(set(cls.values()))
+    while True:
+        ids: dict[tuple[int, int], int] = {}
+        cls = {x: ids.setdefault((c, cls[q_apply(x, d, grid)]), len(ids)) for x, c in cls.items()}
+        if len(ids) == count:
+            return cls
+        count = len(ids)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +274,9 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
     grid = portrait.grid
     cert: dict[str, dict] = {}
     participants = portrait.participants()
-    signatures = {a: orbit_signature(a, d, grid) for a in participants}
+    orbits = {a: orbit(a, d, grid) for a in participants}
+    # the iterates q^i(a), i >= 1: the orbit past a, closed by its last image
+    later = {a: {*o[1:], q_apply(o[-1], d, grid)} for a, o in orbits.items()}
 
     structural = all(
         len(s.angles) >= 2 and len({q_apply(a, d, grid) for a in s.angles}) == 1
@@ -308,7 +298,7 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
     for name in ("c2", "c4", "c6"):
         cert[name] = {"passed": True, "vacuous": True, "detail": "no periodic family"}
 
-    periodic = [a for a in participants if signatures[a].is_periodic]
+    periodic = [a for a in participants if a in later[a]]
     cert["c5"] = {
         "passed": not periodic,
         "detail": "no participating angle is periodic"
@@ -326,22 +316,12 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
     if unlinked:
         cert["unlinked"] = {"passed": True, "detail": "hulls pairwise unlinked"}
 
-    horizon = max((sig.preperiod + sig.period for sig in signatures.values()), default=-1) + 1
-
     # hierarchic: inbound orbit hits on a set all land on one element
     c3_ok, c3_detail = True, "no inter-set orbit landings"
+    reached = [set().union(*(later[a] for a in s.angles)) for s in portrait.sets]
     for m, target in enumerate(portrait.sets):
-        tset = set(target.angles)
-        landings = set()
-        for l, source in enumerate(portrait.sets):
-            if l == m:
-                continue
-            for a in source.angles:
-                cur = a
-                for _ in range(horizon):
-                    cur = q_apply(cur, d, grid)
-                    if cur in tset:
-                        landings.add(cur)
+        entered = set().union(*(r for l, r in enumerate(reached) if l != m))
+        landings = entered.intersection(target.angles)
         if len(landings) > 1:
             c3_ok = False
             c3_detail = f"set {m} entered at several elements: " + ", ".join(
@@ -359,24 +339,22 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
     if sec is None:
         cert["c7"] = {"passed": False, "detail": "sectors unavailable"}
     else:
-        c7_ok, c7_detail = True, "distinct angles have distinct left sequences"
-        for a in participants:
-            cur = a
-            for i in range(horizon + 1):
-                for t in participants:
-                    if cur != t and _same_left_sequence(cur, t, sec, d, grid):
-                        c7_ok = False
-                        c7_detail = (
-                            f"q^{i}({frac(a, grid)}) = {frac(cur, grid)} and "
-                            f"{frac(t, grid)} share a left symbol sequence"
-                        )
-                        break
-                if not c7_ok:
-                    break
-                cur = q_apply(cur, d, grid)
-            if not c7_ok:
-                break
-        cert["c7"] = {"passed": c7_ok, "detail": c7_detail}
+        cls = _left_sequence_classes({x for o in orbits.values() for x in o}, sec, d, grid)
+        clash = next(
+            (
+                f"q^{i}({frac(a, grid)}) = {frac(x, grid)} and "
+                f"{frac(t, grid)} share a left symbol sequence"
+                for a in participants
+                for i, x in enumerate(orbits[a])
+                for t in participants
+                if x != t and cls[x] == cls[t]
+            ),
+            None,
+        )
+        cert["c7"] = {
+            "passed": clash is None,
+            "detail": clash or "distinct angles have distinct left sequences",
+        }
 
     checked = ("preargument", "unlinked", "c1", "c2", "c3", "c4", "c5", "c6", "c7")
     cert["valid"] = all(cert[name]["passed"] for name in checked)

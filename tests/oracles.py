@@ -15,11 +15,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from unmating.circle import frac, sets_linked
-from unmating.errors import LaminationError, ParameterizationError, SpectralError
+from unmating.errors import LaminationError, ParameterizationError, PortraitError, SpectralError
 from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge_tagged
 from unmating.mapspec import MapSpec, local_degree, validate
 from unmating.parameterize import PullbackParameters
-from unmating.portraits import CriticalPortrait, Sectors, sectors
+from unmating.portraits import CriticalPortrait, PreargumentSet, Sectors, sectors
 from unmating.spectral import TransitionMatrix, _integer_row_echelon
 
 
@@ -216,7 +216,8 @@ def pullback_by_relift(
             hits: dict[int, set[int]] = {}
             for m in range(d):
                 x = (u + m * classes.grid) * k
-                for label in {sec.label_of(x, "left"), sec.label_of(x, "right")}:
+                labels = sec.closed_labels(x)
+                for label in {labels[0], labels[-1]}:
                     hits.setdefault(label, set()).add(x)
             for label, xs in hits.items():
                 lifts.setdefault(label, set()).update(xs)
@@ -301,6 +302,163 @@ def itinerary_equal_to_horizon(
 ) -> bool:
     """Literal finite comparison of left symbol strings."""
     return itinerary(u, sec, grid, d, horizon) == itinerary(v, sec, grid, d, horizon)
+
+
+def certify_by_horizon(portrait: CriticalPortrait, d: int) -> dict:
+    """`portraits.certify` in Fractions, with every orbit walked to a fixed
+    horizon of 2 * grid steps instead of to its first repeat.
+
+    The horizon is generous: an angle x/grid has fewer than grid distinct
+    iterates, and two angles whose left symbols agree on 2 * grid steps agree
+    forever, since their pair orbit repeats within its preperiod (below grid)
+    plus its period (the lcm of two periods on one grid, at most grid).
+    """
+    grid = portrait.grid
+    horizon = 2 * grid
+    sets = [[Fraction(a, grid) for a in s.angles] for s in portrait.sets]
+    participants = sorted({t for s in sets for t in s})
+
+    def iterates(t: Fraction) -> list[Fraction]:
+        """q^1(t), ..., q^horizon(t)."""
+        out = []
+        for _ in range(horizon):
+            t = d * t % 1
+            out.append(t)
+        return out
+
+    cert: dict[str, dict] = {}
+    structural = all(len(s) >= 2 and len({d * t % 1 for t in s}) == 1 for s in sets)
+    cert["preargument"] = {
+        "passed": structural,
+        "detail": "every set maps to a single angle"
+        if structural
+        else "some set is not a preargument set",
+    }
+    count = sum(len(s) - 1 for s in sets)
+    cert["c1"] = {"passed": count == d - 1, "detail": f"sum(|A|-1) = {count}, degree - 1 = {d - 1}"}
+    for name in ("c2", "c4", "c6"):
+        cert[name] = {"passed": True, "vacuous": True, "detail": "no periodic family"}
+    periodic = [t for t in participants if t in iterates(t)]
+    cert["c5"] = {
+        "passed": not periodic,
+        "detail": "periodic participants: " + ", ".join(p_q(t) for t in periodic)
+        if periodic
+        else "no participating angle is periodic",
+    }
+    try:
+        sec = sectors(portrait, d)
+        cert["unlinked"] = {"passed": True, "detail": "hulls pairwise unlinked"}
+    except PortraitError as e:
+        sec = None
+        cert["unlinked"] = {"passed": False, "detail": str(e)}
+
+    c3 = {"passed": True, "detail": "no inter-set orbit landings"}
+    for m, target in enumerate(sets):
+        sources = [t for l, source in enumerate(sets) if l != m for t in source]
+        landings = sorted({u for t in sources for u in iterates(t) if u in target})
+        preferred = portrait.sets[m].preferred
+        if len(landings) > 1:
+            detail = f"set {m} entered at several elements: " + ", ".join(map(p_q, landings))
+            c3 = {"passed": False, "detail": detail}
+            break
+        if landings and preferred is not None and landings[0] != Fraction(preferred, grid):
+            c3 = {"passed": False, "detail": f"set {m} entered away from its preferred element"}
+            break
+        if landings:
+            c3["detail"] = "inter-set landings are single preferred elements"
+    cert["c3"] = c3
+
+    if sec is None:
+        cert["c7"] = {"passed": False, "detail": "sectors unavailable"}
+    else:
+        same: dict[tuple[Fraction, Fraction], bool] = {}  # each pair's itineraries compared once
+
+        def shares(t: Fraction, u: Fraction) -> bool:
+            if (t, u) not in same:
+                same[t, u] = itinerary_equal_to_horizon(t, u, sec, grid, d, horizon)
+            return same[t, u]
+
+        clash = next(
+            (
+                f"q^{i}({p_q(a)}) = {p_q(t)} and {p_q(u)} share a left symbol sequence"
+                for a in participants
+                for i, t in enumerate([a, *iterates(a)])
+                for u in participants
+                if t != u and shares(t, u)
+            ),
+            None,
+        )
+        cert["c7"] = {
+            "passed": clash is None,
+            "detail": clash or "distinct angles have distinct left sequences",
+        }
+
+    checked = ("preargument", "unlinked", "c1", "c2", "c3", "c4", "c5", "c6", "c7")
+    cert["valid"] = all(cert[name]["passed"] for name in checked)
+    return cert
+
+
+def mark_color_by_iteration(
+    crits: list[tuple[str, tuple[int, ...]]], d: int, grid: int
+) -> list[tuple[str, PreargumentSet]]:
+    """The marking procedure of `portraits._mark_color` in Fractions, each
+    orbit walked step by step for grid steps: an angle x/grid has at most
+    grid distinct iterates, so every one is met."""
+    params = {v: {Fraction(x, grid) for x in p} for v, p in crits}
+    remaining = [v for v, _ in crits]
+    marked: list[tuple[str, PreargumentSet]] = []
+    noted: set[Fraction] = set()
+
+    def walk(t: Fraction):
+        """q^1(t), q^2(t), ..., q^grid(t)."""
+        for _ in range(grid):
+            t = d * t % 1
+            yield t
+
+    def reaches(start: set[Fraction], target: set[Fraction]):
+        """The least angle of start with an iterate in target, or None."""
+        return next((a for a in sorted(start) if any(t in target for t in walk(a))), None)
+
+    def mark(vertex: str, alpha: Fraction):
+        pre = {t for t in params[vertex] if d * t % 1 == d * alpha % 1}
+        ints = {int(t * grid) for t in pre}
+        marked.append((vertex, PreargumentSet.of(ints, preferred=int(alpha * grid))))
+        noted.update(pre | {alpha})
+        remaining.remove(vertex)
+
+    while remaining:
+        start = next(
+            (
+                v
+                for v in remaining
+                if all(reaches(params[w], params[v]) is None for w in remaining if w != v)
+            ),
+            None,
+        )
+        if start is None:
+            raise PortraitError("marking procedure stuck: cyclic critical orbits")
+        alpha = min(params[start])
+        mark(start, alpha)
+        progress = True
+        while progress and remaining:
+            progress = False
+            for t in walk(alpha):
+                hit = next((v for v in remaining if t in params[v]), None)
+                if hit is not None:
+                    alpha = t
+                    mark(hit, t)
+                    progress = True
+                    break
+            if progress:
+                continue
+            for v in list(remaining):
+                found = reaches(params[v], noted)
+                if found is not None:
+                    alpha = found
+                    mark(v, alpha)
+                    progress = True
+                    break
+    return marked
 
 
 def nullspace_by_fractions(m: list[list[int]]) -> list[list[Fraction]]:

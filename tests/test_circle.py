@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from unmating.circle import (
     arc_sum,
     frac,
-    orbit_signature,
+    orbit,
     q_apply,
 )
 
@@ -64,35 +64,35 @@ class TestQPreimages:
         assert {Fraction(p, d * grid) for p in pres} == {(Fraction(x, grid) + m) / d for m in range(d)}
 
 
-class TestOrbitSignature:
+class TestOrbit:
     def test_preperiodic(self):
-        sig = orbit_signature(5, 2, 24)
-        assert (sig.preperiod, sig.period) == (3, 2)
-        assert not sig.is_periodic
+        o = orbit(5, 2, 24)  # 5/24 -> 5/12 -> 5/6 -> 2/3 -> 1/3 -> 2/3
+        assert o == [5, 10, 20, 16, 8]
+        assert o.index(q_apply(o[-1], 2, 24)) == 3  # preperiod 3, period 2
 
     def test_fixed(self):
-        assert (orbit_signature(0, 2, 1).preperiod, orbit_signature(0, 2, 1).period) == (0, 1)
+        assert orbit(0, 2, 1) == [0]
 
     def test_periodic_cycle(self):
-        sig = orbit_signature(1, 2, 7)
-        assert (sig.preperiod, sig.period) == (0, 3)
+        o = orbit(1, 2, 7)
+        assert o == [1, 2, 4]
+        assert q_apply(o[-1], 2, 7) == 1  # closes on its start
 
     @given(angles, degrees)
     def test_orbit_closes(self, t, d):
         x, grid = t
-        sig = orbit_signature(x, d, grid)
+        o = orbit(x, d, grid)
+        assert o[0] == x and len(set(o)) == len(o)
         u = Fraction(x, grid)
-        for _ in range(sig.preperiod):
+        for y in o:
+            assert Fraction(y, grid) == u
             u = d * u % 1
-        v = u
-        for _ in range(sig.period):
-            v = d * v % 1
-        assert u == v
+        assert u in {Fraction(y, grid) for y in o}
 
     @given(angles, degrees, st.integers(min_value=2, max_value=5))
     def test_grid_independent(self, t, d, m):
         x, grid = t
-        assert orbit_signature(x, d, grid) == orbit_signature(m * x, d, m * grid)
+        assert orbit(m * x, d, m * grid) == [m * y for y in orbit(x, d, grid)]
 
 
 class TestFrac:

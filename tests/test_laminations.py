@@ -655,7 +655,7 @@ class TestLinkedPairs:
     def test_check_planar_refuses_shared_angle(self):
         with pytest.raises(
             LaminationError,
-            match="^classes 0 and 1 share the angle 12; the crossing sweep needs disjoint classes$",
+            match="^classes 0 and 1 share the angle 12; the crossing walk needs disjoint classes$",
         ):
             check_planar([(0, 12), (12, 24)])
 

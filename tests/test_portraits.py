@@ -5,16 +5,16 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from unmating.circle import orbit_signature
+from unmating.circle import orbit, q_apply
 from unmating.errors import PortraitError
 from unmating.portraits import (
     CriticalPortrait,
     PreargumentSet,
+    _left_sequence_classes,
     _mark_color,
-    _same_left_sequence,
     certify,
     extract_portraits,
     sectors,
@@ -23,9 +23,11 @@ from unmating.portraits import (
 from .oracles import (
     _in_closed_sector,
     arcs_of,
+    certify_by_horizon,
     itinerary,
     itinerary_equal_to_horizon,
     label_by_scan,
+    mark_color_by_iteration,
     sectors_by_midpoints,
 )
 
@@ -61,6 +63,12 @@ MEYER_BLACK = portrait("black", 2, 24, [1, 13])
 # degree 3, nested sets {0, 1/3} and {1/2, 5/6}: one sector is a union of two
 # arcs, 0 is a boundary angle
 TOY_DEGREE3 = portrait("white", 3, 6, [0, 2], [3, 5])
+# degree-2 portraits that fail c7, with the first clash certify names
+C7_CLASHES = [
+    (portrait("white", 2, 6, [1, 4], [5]), "q^0(1/6) = 1/6 and 5/6 share a left symbol sequence"),
+    (portrait("white", 2, 6, [1, 4]), "q^1(1/6) = 1/3 and 2/3 share a left symbol sequence"),
+    (portrait("white", 2, 10, [2, 7]), "q^2(1/5) = 4/5 and 1/5 share a left symbol sequence"),
+]
 
 
 @st.composite
@@ -80,6 +88,17 @@ def random_portraits(draw):
         preferred = draw(st.none() | st.sampled_from(sorted(angles)))
         sets.append(PreargumentSet.of(angles, preferred=preferred))
     return CriticalPortrait(color="white", degree=d, grid=grid, sets=sets)
+
+
+@st.composite
+def random_crits(draw):
+    """Marking inputs: one to four critical vertices on a grid <= 48, each
+    with one to four curve parameters, and a degree 2-4."""
+    d = draw(st.integers(2, 4))
+    grid = draw(st.integers(1, 48))
+    params = st.sets(st.integers(0, grid - 1), min_size=1, max_size=4).map(lambda p: tuple(sorted(p)))
+    crits = [(f"v{i}", p) for i, p in enumerate(draw(st.lists(params, min_size=1, max_size=4)))]
+    return crits, d, grid
 
 
 class TestExtraction:
@@ -152,6 +171,19 @@ class TestExtraction:
         marked = _mark_color([("v1", (1, 4))], 3, 6)
         assert len(marked) == 1
 
+    @given(random_crits())
+    @example(([("v1", (3, 9, 15)), ("v2", (1, 13))], 3, 18))
+    @example(([("v1", (1,)), ("v2", (2,))], 2, 3))
+    def test_marking_matches_iteration_oracle(self, case):
+        """The marked list, or the stuck text, of the Fraction walk."""
+        def outcome(mark):
+            try:
+                return mark(*case)
+            except PortraitError as e:
+                return str(e)
+
+        assert outcome(_mark_color) == outcome(mark_color_by_iteration)
+
 
 class TestSectors:
     def test_meyer_white_two_halves(self):
@@ -203,13 +235,13 @@ class TestSectorLabels:
         q = scaled(p, lcm(p.grid, 48 * d) // p.grid)
         return q, sectors(q, d)
 
-    def test_label_of_matches_scan(self, meyer_result, jordan_result):
+    def test_side_labels_match_scan(self, meyer_result, jordan_result):
         for p, d in self.cases(meyer_result, jordan_result):
             q, sec = self.fine(p, d)
             assert q.grid % (48 * d) == 0
             for x in range(q.grid):
-                for side in ("left", "right"):
-                    assert sec.label_of(x, side) == label_by_scan(
+                for side, i in (("left", 0), ("right", -1)):
+                    assert sec.closed_labels(x)[i] == label_by_scan(
                         Fraction(x, q.grid), sec, q.grid, side
                     ), (x, side)
 
@@ -219,7 +251,7 @@ class TestSectorLabels:
             for x in range(q.grid):
                 t = Fraction(x, q.grid)
                 closed = {s for s in range(sec.count) if _in_closed_sector(t, sec, q.grid, s)}
-                assert {sec.label_of(x, "left"), sec.label_of(x, "right")} == closed, x
+                assert {sec.closed_labels(x)[0], sec.closed_labels(x)[-1]} == closed, x
                 assert sorted(sec.closed_labels(x)) == sorted(closed), x
 
     @given(random_portraits())
@@ -235,14 +267,14 @@ class TestSectorLabels:
         assert [Fraction(l, p.grid) for l in sec.lengths] == lengths
 
     @given(random_portraits())
-    def test_label_of_matches_scan_on_random_portraits(self, p):
+    def test_side_labels_match_scan_on_random_portraits(self, p):
         try:
             sec = sectors(p, p.degree)
         except PortraitError:
             assume(False)
         for x in range(p.grid):
-            for side in ("left", "right"):
-                assert sec.label_of(x, side) == label_by_scan(Fraction(x, p.grid), sec, p.grid, side)
+            for side, i in (("left", 0), ("right", -1)):
+                assert sec.closed_labels(x)[i] == label_by_scan(Fraction(x, p.grid), sec, p.grid, side)
 
 
 class TestItinerary:
@@ -283,8 +315,9 @@ class TestCertify:
         assert meyer_result.black.certificate["valid"]
 
     def test_c5_witness(self):
-        sig = orbit_signature(5, 2, 24)
-        assert (sig.preperiod, sig.period) == (3, 2)
+        o = orbit(5, 2, 24)
+        first = o.index(q_apply(o[-1], 2, 24))
+        assert (first, len(o) - first) == (3, 2)  # preperiod 3, period 2
 
     def test_periodic_angle_fails_c5(self):
         # inserting the periodic angle 1/3 breaks the no-periodic condition
@@ -321,18 +354,30 @@ class TestCertify:
         assert cert["c7"]["passed"]
 
     def test_c7_agrees_with_horizon_oracle(self, meyer_result):
-        for p in (meyer_result.white, meyer_result.black):
+        # the refinement's classes over the participants' iterates against
+        # literal left strings, 2 * grid symbols long, on every pair
+        for p in (meyer_result.white, meyer_result.black, *(p for p, _ in C7_CLASHES)):
             sec = sectors(p, 2)
-            parts = p.participants()
-            horizon = max(
-                orbit_signature(a, 2, p.grid).preperiod + orbit_signature(a, 2, p.grid).period
-                for a in parts
-            ) + 2
-            for a in parts:
-                for b in parts:
-                    assert _same_left_sequence(a, b, sec, 2, p.grid) == itinerary_equal_to_horizon(
-                        Fraction(a, p.grid), Fraction(b, p.grid), sec, p.grid, 2, horizon + 8
-                    )
+            xs = {x for a in p.participants() for x in orbit(a, 2, p.grid)}
+            cls = _left_sequence_classes(xs, sec, 2, p.grid)
+            for a in xs:
+                for b in xs:
+                    assert (cls[a] == cls[b]) == itinerary_equal_to_horizon(
+                        Fraction(a, p.grid), Fraction(b, p.grid), sec, p.grid, 2, 2 * p.grid
+                    ), (a, b)
+
+    @settings(deadline=None)  # the oracle compares Fraction itineraries 2 * grid long
+    @given(random_portraits())
+    @example(C7_CLASHES[0][0])
+    @example(C7_CLASHES[1][0])
+    @example(C7_CLASHES[2][0])
+    @example(TOY_DEGREE3)
+    def test_certificate_matches_horizon_oracle(self, p):
+        assert certify(p, p.degree) == certify_by_horizon(p, p.degree)
+
+    @pytest.mark.parametrize("p, detail", C7_CLASHES)
+    def test_c7_names_first_clash(self, p, detail):
+        assert certify(p, 2)["c7"] == {"passed": False, "detail": detail}
 
     def test_jordan_certificates(self, jordan_result):
         assert jordan_result.white.certificate["valid"]
@@ -349,7 +394,7 @@ class TestCertify:
 
 class TestGridRefinement:
     """A portrait and the same portrait on a finer grid are one portrait:
-    a wrong grid in q_apply, orbit_signature or frac shows as a difference."""
+    a wrong grid in q_apply, orbit or frac shows as a difference."""
 
     @given(random_portraits(), st.integers(2, 5))
     def test_certificate_and_sectors_unchanged(self, p, m):

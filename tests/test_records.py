@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from unmating import laminations
-from unmating.circle import OrbitSignature, orbit_signature
 from unmating.laminations import AngleClasses, pullback_to_depth
 from unmating.mapspec import Finding, ValidationReport
 from unmating.portraits import Sectors, sectors
@@ -23,7 +22,6 @@ READ_ONLY = {
     "PreargumentSet": lambda r: r.white.sets[0],
     "TransitionMatrix": lambda r: r.matrix,
     "LengthVector": lambda r: r.lengths,
-    "OrbitSignature": lambda r: orbit_signature(5, 2, 24),
     "AngleClasses": lambda r: r.lamination_white,
     "Crossings": lambda r: r.moore["informational"],
 }
@@ -76,18 +74,6 @@ class TestAngleClasses:
         lam = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 6)
         assert lam.depth == 6
         assert calls == [(meyer_result.white, 2)]
-
-
-class TestOrbitSignature:
-    @pytest.mark.parametrize("preperiod, period", [(0, 0), (-1, 1), (2, -3)])
-    def test_range_checked(self, preperiod, period):
-        with pytest.raises(ValueError, match="period >= 1"):
-            OrbitSignature(preperiod=preperiod, period=period)
-
-    def test_value_equality(self):
-        assert OrbitSignature(3, 2) == orbit_signature(5, 2, 24)
-        assert OrbitSignature(3, 2) != OrbitSignature(2, 3)
-        assert hash(OrbitSignature(3, 2)) == hash(OrbitSignature(preperiod=3, period=2))
 
 
 def test_sectors_compare_by_value(meyer_result):
