@@ -10,13 +10,15 @@ sum times d - 1.  No floating point enters any stored value.
 
 `orbit` is the one walk of the d-fold map to a repeat: every orbit question
 downstream (marking, periodicity, landings, itineraries) reads its list.
+`crossing_keys` is the one walk over angles in circle order: every hull
+question (oriented visits at a curve vertex, an unlinked critical portrait,
+planar and Moore-checked laminations) reads its keys.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def frac(x: int, grid: int) -> str:
@@ -45,27 +47,57 @@ def orbit(x: int, d: int, grid: int) -> list[int]:
     return list(seen)
 
 
-def sets_linked(xs: Iterable, ys: Iterable) -> bool:
-    """Whether the convex hulls of two angle sets cross.
+def crossing_keys(classes: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """The sorted keys i*n + j of the index pairs i < j of classes whose
+    hulls share an angle or cross, and n, the number of classes.
 
-    Unlinked means every angle of ys (shared angles aside) falls in a single
-    gap of xs; gap lookup is by bisection on the sorted xs.
+    Each class is sorted, with no repeats.  When some classes share an angle, the keys are
+    those of the sharing pairs, and nothing is walked.  Otherwise one walk
+    over the angles in circle order keeps a stack of the open classes: a
+    class is pushed at its first angle and leaves at its last.  Disjoint
+    classes are non-crossing exactly when every angle met belongs to the
+    class on top (a non-crossing partition nests like parentheses; Kreweras
+    1972).  When an angle of class i comes while other classes sit above i,
+    each of them opened inside the gap of i that this angle closes and is
+    still open, so it crosses i.  Every crossing pair is met this way, at
+    the angle of the earlier-opened class that closes the gap holding the
+    other's first angle.  A pair is met at most once per angle of its
+    earlier-opened class, so for N angles the walk costs N log N plus the
+    crossings times the largest class size.
+
+    A pair i < j is recorded as its key: the pairs met at several angles
+    collect in one set of ints, which hashes and sorts faster than pairs,
+    and sorting the keys sorts the pairs.  A caller that splits the keys
+    into columns (`laminations.moore_check`) makes no object per pair.
     """
-    xs_sorted = sorted(set(xs))
-    n = len(xs_sorted)
+    n = len(classes)
     if n < 2:
-        return False
-    shared = set(xs_sorted)
-    gap = None
-    for y in ys:
-        if y in shared:
-            continue
-        g = (bisect_left(xs_sorted, y) - 1) % n
-        if gap is None:
-            gap = g
-        elif g != gap:
-            return True
-    return False
+        return [], n
+    owner: dict = {}
+    sharing: dict[int, list[int]] = {}  # a shared angle: the classes holding it, in order
+    for i, c in enumerate(classes):
+        for x in c:
+            if owner.setdefault(x, i) != i:
+                sharing.setdefault(x, [owner[x]]).append(i)
+    if sharing:
+        pairs = {a * n + b for ids in sharing.values() for k, b in enumerate(ids) for a in ids[:k]}
+        return sorted(pairs), n
+
+    keys: set[int] = set()
+    stack: list[int] = []  # the open classes, in the order they opened
+    for x in sorted(owner):
+        i = owner[x]
+        c = classes[i]
+        if x != c[0]:
+            t = -1
+            while (j := stack[t]) != i:
+                keys.add(j * n + i if j < i else i * n + j)
+                t -= 1
+            if x == c[-1]:
+                del stack[t]
+        elif x != c[-1]:  # a class of one angle never opens
+            stack.append(i)
+    return sorted(keys), n
 
 
 def arc_sum(lengths: Sequence[int], frm: int, to: int) -> int:

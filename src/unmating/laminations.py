@@ -18,7 +18,7 @@ from math import lcm
 from operator import eq, floordiv, mod, not_
 from typing import Iterable, Optional
 
-from .circle import frac
+from .circle import crossing_keys, frac
 from .errors import LaminationError
 from .mapspec import BLACK, WHITE, CriticalVertex
 from .parameterize import PullbackParameters
@@ -93,58 +93,9 @@ class AngleClasses:
         return out
 
 
-def crossing_keys(classes: Sequence[AngleSet]) -> tuple[list[int], int]:
-    """The sorted keys i*n + j of the index pairs i < j of classes whose
-    hulls cross, and n, the number of classes; classes that share an angle
-    are refused.
-
-    Each class is sorted.  One walk over the angles in circle order keeps a
-    stack of the open classes: a class is pushed at its first angle and
-    leaves at its last.  Disjoint classes are non-crossing exactly when
-    every angle met belongs to the class on top (a non-crossing partition
-    nests like parentheses; Kreweras 1972).  When an angle of class i comes
-    while other classes sit above i, each of them opened inside the gap of
-    i that this angle closes and is still open, so it crosses i.  Every
-    crossing pair is met this way, at the angle of the earlier-opened class
-    that closes the gap holding the other's first angle.  A pair is met at
-    most once per angle of its earlier-opened class, so for N angles the
-    walk costs N log N plus the crossings times the largest class size.
-
-    A crossing of classes i < j is recorded as its key: the pairs met at
-    several angles collect in one set of ints, which hashes and sorts faster
-    than pairs, and sorting the keys sorts the pairs.  A caller that splits
-    the keys into columns (`moore_check`) makes no object per pair.
-    """
-    owner: dict = {}
-    for i, c in enumerate(classes):
-        for x in c:
-            if owner.setdefault(x, i) != i:
-                raise LaminationError(
-                    f"classes {owner[x]} and {i} share the angle {x}; "
-                    "the crossing walk needs disjoint classes"
-                )
-
-    n = len(classes)
-    keys: set[int] = set()
-    stack: list[int] = []  # the open classes, in the order they opened
-    for x in sorted(owner):
-        i = owner[x]
-        c = classes[i]
-        if x != c[0]:
-            t = -1
-            while (j := stack[t]) != i:
-                keys.add(j * n + i if j < i else i * n + j)
-                t -= 1
-            if x == c[-1]:
-                del stack[t]
-        elif x != c[-1]:  # a class of one angle never opens
-            stack.append(i)
-    return sorted(keys), n
-
-
 def check_planar(classes: Iterable[AngleSet]) -> Optional[tuple[AngleSet, AngleSet]]:
-    """The first pair of classes with crossing hulls, in the order of the
-    keys of `crossing_keys`, or None; classes that share an angle are refused."""
+    """The first pair of classes whose hulls share an angle or cross, in the
+    order of the keys of `circle.crossing_keys`, or None."""
     cl = list(classes)
     keys, n = crossing_keys(cl)
     if not keys:
@@ -280,8 +231,8 @@ def pullback_step(
 # step whose d * count is over the bound is refused.  Both fixtures double
 # their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes 1.3 s and 523 MiB on the Jordan
-# fixture (223 MB of stdout; Python 3.11, 2-CPU Xeon), and each depth costs
+# accepted.  Its CLI `unmate` run takes 1.2 s and 523 MiB on the Jordan
+# fixture (223 MB of stdout; Python 3.11, 2-vCPU Xeon), and each depth costs
 # 3.1-4 times the one before, so depth 13 would pass 1.5 GiB.  Its bit
 # length, 14, caps the steps run on one grid: a chain whose angles at least
 # double per step meets the bound within 14 steps, so an admitted run refines

@@ -20,10 +20,9 @@ pullback curve gamma1 labeled by image edges, rotation systems for both
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .circle import sets_linked
+from .circle import crossing_keys
 from .errors import MapfileError, ValidationFailure
 
 IN = "in"
@@ -536,8 +535,8 @@ def validate(spec: MapSpec) -> ValidationReport:
                 f"level {level}: V-E+F = {len(visits)}-{lm.n_edges}+{len(lm.faces)}",
             )
         for v, spans in lm.chords.items():
-            # visit chords share no rotation slot, so linked hulls are crossing chords
-            if any(sets_linked(*pair) for pair in combinations(spans, 2)):
+            # visit chords share no rotation slot, so they are disjoint 2-sets
+            if crossing_keys(spans)[0]:
                 report.add("curve not oriented", f"crossing chords at vertex {v!r} (level {level})")
         try:
             _color_level(spec, lm, report.levels.get(0))

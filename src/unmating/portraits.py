@@ -14,10 +14,9 @@ participants' iterates tells which share a left symbol sequence (c7).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
-from .circle import frac, orbit, q_apply, sets_linked
+from .circle import crossing_keys, frac, orbit, q_apply
 from .errors import PortraitError
 from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec
 from .parameterize import PullbackParameters
@@ -221,7 +220,7 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
     boundary = sorted({a for h in hulls for a in h})
     if len(boundary) < 2:
         raise PortraitError("portrait has fewer than two marked angles; no sectors")
-    if any(sets_linked(*pair) for pair in combinations(hulls, 2)):
+    if crossing_keys(hulls)[0]:
         raise PortraitError("portrait not unlinked")
 
     gaps = [tuple((bisect_right(h, lo) - 1) % len(h) for h in hulls) for lo in boundary]

@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from unmating.circle import frac, sets_linked
+from unmating.circle import frac
 from unmating.errors import LaminationError, ParameterizationError, PortraitError, SpectralError
 from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge_tagged
 from unmating.mapspec import MapSpec, local_degree, validate
@@ -62,14 +62,22 @@ def merge_overlapping(sets: list[set]) -> list[set]:
     return merged
 
 
+def hulls_linked(xs, ys) -> bool:
+    """Whether the hulls of two disjoint angle sets cross: read around the
+    circle, the angles of the two sets form more than two runs."""
+    marks = [side for _, side in sorted([(x, 0) for x in xs] + [(y, 1) for y in ys])]
+    return sum(a != b for a, b in zip(marks, marks[1:] + marks[:1])) > 2
+
+
 def linked_pairs_by_scan(classes) -> list[tuple[int, int]]:
-    """Every index pair i < j, in order, whose class hulls are linked."""
+    """Every index pair i < j, in order, of disjoint classes whose hulls are
+    linked."""
     cl = list(classes)
     return [
         (i, j)
         for i in range(len(cl))
         for j in range(i + 1, len(cl))
-        if sets_linked(cl[i], cl[j])
+        if hulls_linked(cl[i], cl[j])
     ]
 
 

@@ -44,7 +44,7 @@ from unmating.errors import (
     UnmatingError,
     ValidationFailure,
 )
-from unmating.laminations import AngleClasses, crossing_keys, join, pullback_to_depth
+from unmating.laminations import AngleClasses, join, pullback_to_depth
 from unmating.mapspec import CriticalVertex
 from unmating.parameterize import PullbackParameters, pullback_parameters, solve_parameters
 from unmating.pipeline import run_pipeline
@@ -391,9 +391,6 @@ ROWS: dict[str, Row] = {
     # laminations
     "pipeline.run_pipeline: depth-1 … classes disagree with the … portrait": Row(
         unmate(), 7, "depth-1 white classes disagree with the white portrait", patch_swapped_depth1),
-    "laminations.crossing_keys: classes … and … share the angle …; the crossing walk needs disjoint classes": Row(
-        lambda: crossing_keys([(0, 1), (1, 2)]), LaminationError,
-        "classes 0 and 1 share the angle 1; the crossing walk needs disjoint classes"),
     "laminations.pullback_step: pullback produced crossing: {…} links {…}": Row(
         lifting_into_a_crossing, LaminationError, "pullback produced crossing: {1/8, 3/8} links {1/4, 3/4}"),
     "laminations.pullback_to_depth: cannot lift … classes through a … portrait": Row(

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from unmating import laminations
+from unmating.circle import crossing_keys
 from unmating.cli import _dumps
 from unmating.errors import LaminationError
 from unmating.laminations import (
@@ -17,7 +18,6 @@ from unmating.laminations import (
     Crossings,
     _canon,
     check_planar,
-    crossing_keys,
     depth1,
     join,
     merge_tagged,
@@ -648,16 +648,24 @@ class TestLinkedPairs:
         joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
         assert _dumps(moore_check(joined)) == json.dumps(moore_by_scan(joined), indent=2)
 
-    def test_shared_angle_refused(self):
-        with pytest.raises(LaminationError, match="share the angle 1/4"):
-            crossing_pairs([(F(0), F(1, 4)), (F(1, 4), F(1, 2))])
+    def test_shared_angle_is_a_pair(self):
+        assert crossing_pairs([(F(0), F(1, 4)), (F(1, 4), F(1, 2))]) == [(0, 1)]
+        # every pair holding the shared angle 12, and no walk: the crossing
+        # of (0, 12) and (6, 30) is not reported
+        assert crossing_pairs([(0, 12), (12, 24), (6, 30), (12, 40)]) == [(0, 1), (0, 3), (1, 3)]
 
-    def test_check_planar_refuses_shared_angle(self):
-        with pytest.raises(
-            LaminationError,
-            match="^classes 0 and 1 share the angle 12; the crossing walk needs disjoint classes$",
-        ):
-            check_planar([(0, 12), (12, 24)])
+    def test_check_planar_returns_sharing_pair(self):
+        assert check_planar([(0, 12), (12, 24)]) == ((0, 12), (12, 24))
+
+    @given(st.lists(st.sets(st.integers(0, 11), min_size=1, max_size=4), max_size=5), st.randoms())
+    def test_keys_follow_a_permutation(self, sets, rnd):
+        # the pairs found do not depend on the order of the classes
+        family = [tuple(sorted(s)) for s in sets]
+        order = list(range(len(family)))
+        rnd.shuffle(order)
+        moved = [family[k] for k in order]
+        found = {frozenset((order[i], order[j])) for i, j in crossing_pairs(moved)}
+        assert found == {frozenset(pair) for pair in crossing_pairs(family)}
 
     def test_fixtures_at_depth_seven_match_scan(self, meyer_spec, jordan_spec):
         for spec in (meyer_spec, jordan_spec):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
+from random import Random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -24,6 +25,7 @@ from .oracles import (
     _in_closed_sector,
     arcs_of,
     certify_by_horizon,
+    hulls_linked,
     itinerary,
     itinerary_equal_to_horizon,
     label_by_scan,
@@ -68,6 +70,13 @@ C7_CLASHES = [
     (portrait("white", 2, 6, [1, 4], [5]), "q^0(1/6) = 1/6 and 5/6 share a left symbol sequence"),
     (portrait("white", 2, 6, [1, 4]), "q^1(1/6) = 1/3 and 2/3 share a left symbol sequence"),
     (portrait("white", 2, 10, [2, 7]), "q^2(1/5) = 4/5 and 1/5 share a left symbol sequence"),
+]
+# portraits whose sets share an angle: {1/8, 3/8, 7/8} and {1/8, 5/8}, and
+# {8/27, 26/27} twice, which would count twice toward c1
+SHARED_ANGLE = [
+    portrait("white", 4, 8, [1, 3, 7], [1, 5]),
+    portrait("white", 4, 8, [1, 5], [1, 3, 7]),
+    portrait("white", 3, 27, [8, 26], [8, 26]),
 ]
 
 
@@ -415,6 +424,40 @@ class TestGridRefinement:
     def test_meyer_certificates_on_finer_grid(self, meyer_result):
         for p in (meyer_result.white, meyer_result.black):
             assert certify(scaled(p, 3), 2) == p.certificate
+
+
+def refused_as_linked(p: CriticalPortrait) -> bool:
+    try:
+        sectors(p, p.degree)
+    except PortraitError as e:
+        return str(e) == "portrait not unlinked"
+    return False
+
+
+class TestSharedAngles:
+    """Sets that share an angle count as linked, whatever their order."""
+
+    @pytest.mark.parametrize("p", SHARED_ANGLE)
+    def test_shared_angle_is_not_unlinked(self, p):
+        cert = certify(p, p.degree)
+        assert cert["unlinked"] == {"passed": False, "detail": "portrait not unlinked"}
+        assert not cert["valid"]
+
+    @given(random_portraits(), st.randoms())
+    @example(SHARED_ANGLE[0], Random(0))  # which reverses the two sets
+    def test_unlinked_verdict_ignores_set_order(self, p, rnd):
+        sets = rnd.sample(p.sets, len(p.sets))
+        moved = CriticalPortrait(color=p.color, degree=p.degree, grid=p.grid, sets=sets)
+        assert certify(moved, p.degree)["unlinked"] == certify(p, p.degree)["unlinked"]
+
+    @given(random_portraits())
+    @example(TOY_DEGREE3)
+    @example(portrait("white", 3, 4, [0, 2], [1, 3]))
+    def test_disjoint_sets_refused_exactly_when_oracle_links(self, p):
+        hulls = [s.angles for s in p.sets]
+        assume(len({x for h in hulls for x in h}) == sum(map(len, hulls)))
+        linked = any(hulls_linked(a, b) for i, a in enumerate(hulls) for j, b in enumerate(hulls) if i != j)
+        assert refused_as_linked(p) == linked
 
 
 class TestHierarchicBookkeeping:
