@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Subcommands: validate, matrix, parameters, unmate, lamination, render.
-All JSON output is deterministic; exit codes partition the failure modes:
+All JSON output is deterministic; exit codes partition the failure modes,
+with the stage that `errors` gives each code:
 
-    0  success                     4  spectral certification failed
-    1  validation failed           5  parameterization failed
-    2  parse/usage failure, or an  6  portrait extraction failed
-       unwritable --svg or stdout  7  lamination failed
-    3  validation failed (unmate)
+    0  -             success
+    1  -             validation failed (validate)
+    2  -             parse/usage failure, or an unwritable --svg or stdout
+    3  complex       validation failed (pipeline commands)
+    4  spectral      Perron certificate failed
+    5  parameterize  reserved: no mapfile reaches it (see `parameterize`)
+    6  portraits     portrait extraction failed
+    7  laminations   lamination failed
 """
 
 from __future__ import annotations

@@ -9,6 +9,17 @@ advance by the lengths scaled down by the degree.  Every value is an integer
 on a named grid: the lengths on the eigenvector's sum `total`, the marker
 parameters on total*(d - 1), and the pullback parameters on their least
 common grid, which every later stage reads.
+
+Both functions take lengths certified for a validated spec: the v with
+A v = d v that `spectral.certify_perron` returns.  Full invariance of the
+parameterized curve follows, and is not checked again.  Let C(a -> b) be
+the arc from marker a to marker b, and W(a -> b) the length of word1 from
+matched visit m_a to m_b (position j has length lengths[j mod k]).  Block
+i of word1 has length (A v)_i = d*v_i, so W(a -> b) = d*C(a -> b); and as
+m_i = image[i] mod k, W(a -> b) = C(image[a] -> image[b]) mod 1.  So
+d*t[i] = d*t[base] + W(base -> i) = t[image[base]] + C(image[base] ->
+image[i]) = t[image[i]] mod 1, and the pullback walk puts m_i at
+t[0] + W(0 -> i)/d = t[i].
 """
 
 from __future__ import annotations
@@ -58,8 +69,9 @@ def solve_parameters(
     `base` to its image marker, d*t = t + L/total mod 1 gives
     t = (L + branch*total)/(total*(d - 1)): the parameters live on the grid
     total*(d - 1), and the remaining markers follow by adding lengths.
-    Every marker must then satisfy q_d(t[i]) = t[image[i]], which witnesses
-    full invariance of the parameterized curve.
+
+    With certified lengths every marker satisfies q_d(t[i]) = t[image[i]]
+    (module docstring), so only the arguments are checked.
     """
     k = len(lengths)
     if len(image) != k:
@@ -79,14 +91,6 @@ def solve_parameters(
         i = (base + step) % k
         prev = (base + step - 1) % k
         t[i] = (t[prev] + steps[prev]) % grid
-
-    for i in range(k):
-        got, want = d * t[i] % grid, t[image[i]]
-        if got != want:
-            raise ParameterizationError(
-                f"parameterization inconsistent: q_d(t[{i}]) = {frac(got, grid)} "
-                f"but t[image[{i}]] = {frac(want, grid)}"
-            )
     return MarkerParameters(
         grid=grid, t=tuple(t), image=tuple(image), lengths=tuple(steps), degree=d, branch=branch
     )
@@ -104,29 +108,21 @@ def pullback_parameters(params: MarkerParameters, spec: MapSpec) -> PullbackPara
     """Parameters of all gamma1 word positions, anchored at the first marker.
 
     The visit matched to gamma0 marker 0 keeps the parameter t[0]; successive
-    visits advance by length/degree.  Matched positions must land exactly on
-    the marker parameters, or the file's marker data does not describe a lift
-    of the parameterized curve.  The walk runs on d times the marker grid,
-    where length/degree is a whole step; one gcd then reduces the result to
-    the least common grid.
+    visits advance by length/degree.  With certified lengths each matched
+    visit lands on its marker's parameter (module docstring).  The walk runs
+    on d times the marker grid, where length/degree is a whole step; one gcd
+    then reduces the result to the least common grid.
     """
     k, d, n1 = spec.k, spec.degree, spec.n1
-    grid = params.grid
-    fine = d * grid
-    t, lengths = params.t, params.lengths
+    fine = d * params.grid
+    lengths = params.lengths
     m0 = spec.markers[0]
 
     cum = [0] * (n1 + 1)
     for j in range(n1):
         cum[j + 1] = cum[j] + lengths[j % k]
 
-    start = d * t[0] - cum[m0]
+    start = d * params.t[0] - cum[m0]
     s = [(start + cum[j]) % fine for j in range(n1)]
-    for i, m in enumerate(spec.markers):
-        if s[m] != d * t[i]:
-            raise ParameterizationError(
-                f"parameterization inconsistent: matched visit {m} carries "
-                f"{frac(s[m], fine)}, marker {i} has {frac(t[i], grid)}"
-            )
     g = gcd(fine, *s)
     return PullbackParameters(grid=fine // g, s=tuple(x // g for x in s))

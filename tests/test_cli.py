@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from unmating import cli, spectral
+from unmating import cli, errors, spectral
 from unmating.cli import _dumps, main
 from unmating.laminations import Crossings, pullback_to_depth
 from unmating.pipeline import run_pipeline
@@ -42,17 +43,6 @@ def zero_transition_matrix(monkeypatch):
         return m._replace(entries=tuple((0,) * m.size for _ in m.entries))
 
     monkeypatch.setattr(spectral, "transition_matrix", zero)
-
-
-def reversed_lengths(monkeypatch):
-    """The parameterize stage gets the certified lengths in reverse order."""
-    certify = spectral.certify_perron
-
-    def reverse(matrix, d):
-        lengths = certify(matrix, d)
-        return lengths._replace(eigenvector=lengths.eigenvector[::-1])
-
-    monkeypatch.setattr(spectral, "certify_perron", reverse)
 
 
 class TestValidateCommand:
@@ -167,11 +157,9 @@ class TestUnmateCommand:
     @pytest.mark.parametrize("patch, code, line", [
         (zero_transition_matrix, 4,
          "error: d is not an eigenvalue: nullspace of (A - 2I) is trivial (stage: spectral)\n"),
-        (reversed_lengths, 5,
-         "error: parameterization inconsistent: q_d(t[1]) = 0/1 but t[image[1]] = 2/3 (stage: parameterize)\n"),
         (failing_certificate, 6,
          "error: white portrait certificate failed: c5 (periodic participants: 1/3) (stage: portraits)\n"),
-    ], ids=["spectral", "parameterize", "portraits"])
+    ], ids=["spectral", "portraits"])
     def test_failed_stage_exit_code(self, capsys, monkeypatch, patch, code, line):
         # a broken upstream stage: the next check refuses its output
         patch(monkeypatch)
@@ -635,6 +623,35 @@ def test_closed_stdout_exit_two():
     assert proc.wait(timeout=120) == 2
     assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def _exit_table(text, row):
+    """{code: stage} of the lines of `text` that the pattern `row` matches,
+    with None for a code that names no stage ("-" or "—")."""
+    table = {}
+    for m in map(re.compile(row).match, text.splitlines()):
+        if m:
+            table[int(m[1])] = None if m[2] in ("-", "—") else m[2].strip("`")
+    return table
+
+
+@pytest.mark.parametrize("text, row", [
+    (cli.__doc__, r"\s{4}(\d)\s+(\S+)\s"),
+    ((ROOT / "README.md").read_text(), r"\| `(\d)` \| (\S+) \|"),
+], ids=["cli", "readme"])
+def test_exit_code_table_follows_errors(text, row):
+    """The exit-code tables of the `cli` docstring and of README give each
+    code the stage of the error class that exits with it, as `errors` sets
+    them; 0 and 1 (success, a failed `validate`) belong to no class.  The
+    base `UnmatingError` is never raised, so it has no row."""
+    classes = [
+        c for c in vars(errors).values()
+        if isinstance(c, type) and issubclass(c, errors.UnmatingError) and c is not errors.UnmatingError
+    ]
+    want = {0: None, 1: None} | {c.exit_code: c.stage for c in classes}
+    assert len(want) == 2 + len(classes)  # one code per class
+    assert _exit_table(text, row) == want
+
 
 # mapfile fuzz: mutate a fixture, run it through the CLI, expect an exit code and no traceback
 

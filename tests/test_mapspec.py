@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import json
 import re
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from unmating import mapspec
 from unmating.errors import MapfileError, ValidationFailure
@@ -17,7 +21,7 @@ from unmating.mapspec import (
 )
 from unmating.pipeline import run_pipeline
 
-from .conftest import meyer_raw, spec_with
+from .conftest import JORDAN, MEYER, meyer_raw, spec_with
 
 
 def _container(raw, path):
@@ -157,6 +161,26 @@ class TestValidate:
         # two simple critical vertices: sum of (deg - 1) = 2 = 2d - 2
         crits = _criticals(meyer_spec)
         assert sum(c.local_degree - 1 for c in crits) == 2
+
+    @pytest.mark.parametrize("path", [MEYER, JORDAN], ids=["meyer", "jordan"])
+    @given(data=st.data())
+    def test_full_invariance_covers_each_edge_d_times(self, path, data):
+        # permute some word1 image labels and set a few to any 0-edge: parse
+        # makes word0 traverse each 0-edge once, so labels that still read
+        # word0 d times label each 0-edge at exactly d positions
+        raw = json.loads(path.read_text())
+        word1, positions = raw["word1"], range(len(raw["word1"]))
+        labels = [w["image_edge"] for w in word1]
+        moved = data.draw(st.lists(st.sampled_from(positions), unique=True))
+        for j, i in zip(sorted(moved), data.draw(st.permutations(moved))):
+            word1[j]["image_edge"] = labels[i]
+        reassign = st.tuples(st.sampled_from(positions), st.sampled_from(raw["edges0"]))
+        for j, edge in data.draw(st.lists(reassign, max_size=3)):
+            word1[j]["image_edge"] = edge
+        spec = parse(raw)
+        if "fully invariant condition violated" not in [f.check for f in validate(spec).findings]:
+            counts = Counter(w.image_edge for w in spec.word1)
+            assert counts == {e: spec.degree for e in spec.edges0}
 
 
 def _criticals(spec):

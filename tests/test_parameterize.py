@@ -1,14 +1,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from unmating.circle import frac
-from unmating.errors import ParameterizationError
-from unmating.mapspec import faces, parse
+from unmating.errors import MapfileError, ParameterizationError, SpectralError
+from unmating.mapspec import Word0Entry, Word1Entry, faces, parse
 from unmating.parameterize import (
     MarkerParameters,
     marker_images,
@@ -16,9 +17,10 @@ from unmating.parameterize import (
     solve_for_spec,
     solve_parameters,
 )
+from unmating.pipeline import run_pipeline
 from unmating.spectral import certify_perron, transition_matrix
 
-from .conftest import toy_raw
+from .conftest import meyer_raw, toy_raw
 from .oracles import (
     FractionParameters,
     pullback_parameters_by_fractions,
@@ -95,11 +97,6 @@ class TestSolveParameters:
         gaps1 = [(base1.t[(i + 1) % 2] - base1.t[i]) % grid for i in range(2)]
         assert gaps0 == gaps1
 
-    def test_inconsistent_image_map(self):
-        # lengths force t = {0, 1/2} but the image map demands q(t1) = t1
-        with pytest.raises(ParameterizationError, match="inconsistent"):
-            solve_parameters(*HALF, [0, 1], d=2)
-
     def test_lengths_must_sum_to_one(self):
         with pytest.raises(ParameterizationError, match="sum to 1"):
             solve_parameters([6, 4], 12, [0, 0], d=2)  # 1/2 + 1/3
@@ -146,10 +143,14 @@ class TestPullbackParameters:
             "0/1", "1/8", "1/4", "1/2", "5/8", "3/4",
         ]
 
-    def test_misaligned_markers_rejected(self, meyer_spec, meyer_result):
-        bad = meyer_spec._replace(markers=(2, 4, 5, 8, 10, 11))
-        with pytest.raises(ParameterizationError, match="inconsistent"):
-            pullback_parameters(meyer_result.params, bad)
+    def test_misaligned_markers_rejected(self):
+        # markers off the post points of gamma0's markers never reach the
+        # parameters: parse refuses them
+        raw = dict(meyer_raw(), markers=[2, 4, 5, 8, 10, 11])
+        with pytest.raises(MapfileError) as err:
+            parse(raw)
+        assert err.value.exit_code == 2
+        assert str(err.value) == "marker 0 points at 1-vertex 'p3' but gamma0 marks post point 'p2'"
 
     def test_deck_shift_of_markers_is_equivalent(self, meyer_spec, meyer_result):
         # shifting all markers by k selects the other lift branch, which is an
@@ -171,19 +172,6 @@ def test_two_marker_toy_quarter_points():
     assert (pullback.grid, pullback.s) == (4, (0, 1, 2, 3))
 
 
-def test_pullback_inconsistency_names_both_angles():
-    # the walk from t[0] = 0 by steps of 1/8 puts matched visit 2 at 1/4,
-    # but marker 1 sits at 1/2
-    params = MarkerParameters(grid=4, t=(0, 2), image=(0, 0), lengths=(1, 1), degree=2, branch=0)
-    message = "parameterization inconsistent: matched visit 2 carries 1/4, marker 1 has 1/2"
-    with pytest.raises(ParameterizationError) as err:
-        pullback_parameters(params, toy_spec())
-    assert str(err.value) == message
-    with pytest.raises(ParameterizationError) as err:
-        pullback_parameters_by_fractions(_as_fractions(params), toy_spec())
-    assert str(err.value) == message
-
-
 def _as_fractions(params: MarkerParameters) -> FractionParameters:
     """The integer parameters read as the Fraction record of the oracle."""
     return FractionParameters(
@@ -203,10 +191,13 @@ def _outcome(f, *args):
 
 
 class _Shape:
-    """The fields of a MapSpec that `pullback_parameters` reads."""
+    """The fields of a MapSpec that `transition_matrix`, `solve_for_spec` and
+    `pullback_parameters` read; the image labels read word0 d times."""
 
     def __init__(self, k: int, degree: int, markers: tuple[int, ...]):
         self.k, self.degree, self.n1, self.markers = k, degree, degree * k, markers
+        self.word0 = tuple(Word0Entry(f"E{i}", "") for i in range(k))
+        self.word1 = tuple(Word1Entry(f"E{j % k}", "") for j in range(degree * k))
 
 
 @st.composite
@@ -216,7 +207,8 @@ def length_problems(draw):
 
     Half the draws are random, so mostly inconsistent; the other half cut
     the circle at a forward-invariant set of angles x/n, which some branch
-    parameterizes consistently."""
+    parameterizes consistently.  None of them needs to be certified, so
+    the matched visits may miss their markers."""
     d = draw(st.integers(min_value=2, max_value=4))
     if draw(st.booleans()):
         k = draw(st.integers(min_value=1, max_value=5))
@@ -242,22 +234,28 @@ class TestFractionOracle:
     """Parameters on integer grids against the Fraction code they replaced."""
 
     def _check(self, lengths, total, image, d, base, branch, spec):
-        got = _outcome(solve_parameters, lengths, total, image, d, base, branch)
+        """Compare with the oracle wherever it accepts.  It keeps the
+        consistency checks that certified lengths make redundant, so on
+        uncertified lengths it may refuse what the code computes."""
+        got = solve_parameters(lengths, total, image, d, base, branch)
         want = _outcome(
             solve_parameters_by_fractions, [Fraction(x, total) for x in lengths], image, d, base, branch
         )
         if isinstance(want, str):
-            assert got == want
+            assert want.startswith("parameterization inconsistent: q_d(")
             return
         assert _as_fractions(got) == want
         assert got.grid == total * (d - 1)
-        pullback = _outcome(pullback_parameters, got, spec)
-        assert pullback == _outcome(pullback_parameters_by_fractions, want, spec)
-        if not isinstance(pullback, str):
-            # every visit maps onto its marker: d*s[j] = d*t[j mod k] on d*grid
-            fine, k = d * got.grid, len(lengths)
-            s = [x * (fine // pullback.grid) for x in pullback.s]
-            assert all(d * x % fine == d * got.t[j % k] for j, x in enumerate(s))
+        pullback = pullback_parameters(got, spec)
+        oracle = _outcome(pullback_parameters_by_fractions, want, spec)
+        if isinstance(oracle, str):
+            assert oracle.startswith("parameterization inconsistent: matched visit")
+            return
+        assert pullback == oracle
+        # every visit maps onto its marker: d*s[j] = d*t[j mod k] on d*grid
+        fine, k = d * got.grid, len(lengths)
+        s = [x * (fine // pullback.grid) for x in pullback.s]
+        assert all(d * x % fine == d * got.t[j % k] for j, x in enumerate(s))
 
     @given(length_problems())
     def test_random_lengths_every_base_and_branch(self, problem):
@@ -288,3 +286,57 @@ class TestFractionOracle:
                         )
                 # another lift branch visits the same preimage angles
                 assert set(pullback_parameters(solve_for_spec(spec, lv), shifted).s) == angles
+
+
+@st.composite
+def certified_shapes(draw):
+    """A degree d, k strictly increasing markers on a word of d*k visits
+    whose image labels read word0 d times, and the Perron certificate of
+    its transition matrix; draws that do not certify are rejected."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=6))
+    markers = tuple(sorted(draw(st.sets(st.integers(0, d * k - 1), min_size=k, max_size=k))))
+    shape = _Shape(k, d, markers)
+    try:
+        lengths = certify_perron(transition_matrix(shape), d)
+    except SpectralError:
+        assume(False)
+    return shape, lengths
+
+
+@given(certified_shapes())
+def test_certified_lengths_make_parameters_consistent(problem):
+    """A v = d v alone makes the markers fully invariant and puts each
+    matched visit on its marker, for every base and branch; the Fraction
+    oracle, which still checks both, agrees."""
+    shape, lengths = problem
+    d, image = shape.degree, marker_images(shape)
+    for base in range(shape.k):
+        for branch in range(d - 1):
+            params = solve_for_spec(shape, lengths, base, branch)
+            grid, t = params.grid, params.t
+            assert all(d * t[i] % grid == t[image[i]] for i in range(shape.k))
+            pullback = pullback_parameters(params, shape)
+            fine = d * grid
+            s = [x * (fine // pullback.grid) for x in pullback.s]
+            assert all(s[m] == d * t[i] for i, m in enumerate(shape.markers))
+            want = solve_parameters_by_fractions(
+                [Fraction(x, lengths.total) for x in lengths.eigenvector], image, d, base, branch
+            )
+            assert _as_fractions(params) == want
+            assert pullback == pullback_parameters_by_fractions(want, shape)
+
+
+def test_meyer_marker_lists_reach_no_parameterization_error():
+    """Every 6-marker list on the Meyer fixture's 12 visits: parse refuses
+    all but the fixture's own and one other, and those two run the whole
+    pipeline without a parameterization error."""
+    accepted = []
+    for markers in combinations(range(12), 6):
+        try:
+            spec = parse(dict(meyer_raw(), markers=list(markers)))
+        except MapfileError:
+            continue
+        accepted.append(markers)
+        run_pipeline(spec, depth=1)
+    assert accepted == [(1, 2, 4, 5, 8, 10), (1, 2, 4, 7, 8, 10)]
