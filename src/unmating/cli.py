@@ -185,7 +185,7 @@ def cmd_parameters(args) -> int:
     _check_branch(spec, args.branch)
     _, _, lengths = certified_lengths(spec)
     params, pullback = marker_parameters(spec, lengths, args.branch)
-    _emit(parameters_json(spec, params, pullback, args.branch))
+    _emit(parameters_json(spec, params, pullback))
     return 0
 
 

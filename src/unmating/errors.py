@@ -6,8 +6,8 @@ command line reads both from the caught error.
 
 
 class UnmatingError(Exception):
-    stage = "pipeline"
-    exit_code = 1
+    """The base of the stage errors; never raised itself, so it names no
+    stage and no exit code (exit 1 is a failed `validate`)."""
 
 
 class MapfileError(UnmatingError):

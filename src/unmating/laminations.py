@@ -256,6 +256,9 @@ def pullback_to_depth(
 
     A step from a depth whose angles have more than MAX_PREIMAGES preimages
     is refused, so every run does bounded work.
+
+    Precondition: the portrait's sets are preargument sets, which `certify`
+    checks; `sectors` relies on it.
     """
     if start.color != portrait.color:
         raise LaminationError(f"cannot lift {start.color} classes through a {portrait.color} portrait")

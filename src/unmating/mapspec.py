@@ -20,7 +20,7 @@ pullback curve gamma1 labeled by image edges, rotation systems for both
 from __future__ import annotations
 
 import json
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .circle import crossing_keys
 from .errors import MapfileError, ValidationFailure
@@ -45,8 +45,9 @@ Dart = tuple[int, str]  # (word position, "in"|"out"); "out" is based at the edg
 class MapSpec(NamedTuple):
     """A parsed mapfile; `parse`, its only producer, guarantees what later
     stages rely on: degree >= 2, k = len(word0) >= 1, len(word1) = degree*k;
-    no id repeated in post, edges0 or vertices1; word0 traverses each 0-edge
-    once and visits exactly the post points; word1 names only known 0-edges
+    no id repeated in post, the mapfile's edges0 or vertices1; word0
+    traverses each 0-edge once, so its edges are the 0-edges, and visits
+    exactly the post points; word1 names only known 0-edges
     and 1-vertices, each 1-vertex maps to a post point and each post point
     is a 1-vertex; the k markers are strictly increasing word1 positions,
     markers[i] visiting the post point of gamma0 marker i; white_anchor is
@@ -54,10 +55,8 @@ class MapSpec(NamedTuple):
 
     degree: int
     post: tuple[str, ...]
-    edges0: tuple[str, ...]
     word0: tuple[Word0Entry, ...]
-    vertices1: dict[str, str]  # id -> image post name
-    vertex_order: tuple[str, ...]
+    vertices1: dict[str, str]  # id -> image post name, in mapfile order
     word1: tuple[Word1Entry, ...]
     rotation0: dict[str, tuple[Dart, ...]]
     rotation1: dict[str, tuple[Dart, ...]]
@@ -227,10 +226,8 @@ def parse(data: bytes | str | dict) -> MapSpec:
     spec = MapSpec(
         degree=degree,
         post=tuple(post),
-        edges0=tuple(edges0),
         word0=tuple(word0),
         vertices1=vertices1,
-        vertex_order=tuple(ids),
         word1=tuple(word1),
         rotation0={k_: tuple(v) for k_, v in rotation0.items()},
         rotation1={k_: tuple(v) for k_, v in rotation1.items()},
@@ -263,7 +260,7 @@ BLACK = "black"
 Visits = dict[str, tuple[int, ...]]  # vertex -> its visits in word order
 
 
-def _visit_index(names: tuple[str, ...], word) -> Visits:
+def _visit_index(names: Iterable[str], word) -> Visits:
     """The visits at each vertex of the curve that `word` (word0 or word1)
     traces.  Visit j is the start of word position j: it enters by dart
     (j-1, in) and leaves by dart (j, out)."""
@@ -507,10 +504,10 @@ def validate(spec: MapSpec) -> ValidationReport:
             break
 
     # local degrees and Riemann-Hurwitz, from each level's visit index
-    index = (_visit_index(spec.post, spec.word0), _visit_index(spec.vertex_order, spec.word1))
+    index = (_visit_index(spec.post, spec.word0), _visit_index(spec.vertices1, spec.word1))
     rh_total = 0
     try:
-        for v in spec.vertex_order:
+        for v in spec.vertices1:
             rh_total += local_degree(spec, v, *index) - 1
         if rh_total != 2 * d - 2:
             report.add(

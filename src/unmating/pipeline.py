@@ -25,17 +25,14 @@ def matrix_json(matrix: spectral.TransitionMatrix, lengths: spectral.LengthVecto
 
 
 def parameters_json(
-    spec: MapSpec,
-    params: parameterize.MarkerParameters,
-    pullback: parameterize.PullbackParameters,
-    branch: int,
+    spec: MapSpec, params: parameterize.MarkerParameters, pullback: parameterize.PullbackParameters
 ) -> dict:
     # one label per marker: post name tagged with the marker index
     labels = [f"{spec.marker_post(i)}#{i}" for i in range(spec.k)]
     return {
         "t": {label: frac(t, params.grid) for label, t in zip(labels, params.t)},
         "s": [frac(s, pullback.grid) for s in pullback.s],
-        "branch": branch,
+        "branch": params.branch,
     }
 
 
@@ -43,7 +40,7 @@ class PipelineResult:
     __slots__ = (
         "spec", "report", "matrix", "lengths", "params", "pullback", "criticals", "white", "black",
         "depth1_white", "depth1_black", "lamination_white", "lamination_black", "lamination_join",
-        "moore", "depth", "branch", "texts",
+        "moore", "texts",
     )
 
     def __init__(
@@ -63,8 +60,6 @@ class PipelineResult:
         lamination_black: lam.AngleClasses,
         lamination_join: lam.AngleClasses,
         moore: dict,
-        depth: int,
-        branch: int,
         texts: dict,
     ):
         self.spec = spec
@@ -82,8 +77,6 @@ class PipelineResult:
         self.lamination_black = lamination_black
         self.lamination_join = lamination_join
         self.moore = moore
-        self.depth = depth
-        self.branch = branch
         self.texts = texts  # the run's table for `AngleClasses.text`
 
     def portrait_json(self, portrait: portraits.CriticalPortrait) -> dict:
@@ -102,7 +95,7 @@ class PipelineResult:
         return {
             "validation": self.report.to_json(),
             "matrix": matrix_json(self.matrix, self.lengths),
-            "parameters": parameters_json(self.spec, self.params, self.pullback, self.branch),
+            "parameters": parameters_json(self.spec, self.params, self.pullback),
             "criticals": [
                 {
                     "vertex": cv.vertex,
@@ -188,8 +181,6 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
         lamination_black=lam_b,
         lamination_join=joined,
         moore=moore,
-        depth=depth,
-        branch=branch,
         texts=texts,
     )
 

@@ -163,37 +163,29 @@ def extract_portraits(
 class Sectors:
     """The partition of the circle cut out by the portrait's hulls.
 
-    Angles and lengths are integers on the portrait's grid.  Arc i runs from
-    boundary[i] to the next boundary angle; each sector is a union of arcs,
-    and labels follow the cyclic order of the least boundary angle in each
-    sector.
+    Angles are integers on the portrait's grid.  Arc i runs from boundary[i]
+    to the next boundary angle; each sector is a union of arcs, and labels
+    follow the cyclic order of the least boundary angle in each sector.
     """
 
-    __slots__ = ("boundary", "sector_of_arc", "lengths")
+    __slots__ = ("boundary", "sector_of_arc")
 
-    def __init__(
-        self, boundary: tuple[int, ...], sector_of_arc: tuple[int, ...], lengths: tuple[int, ...]
-    ):
+    def __init__(self, boundary: tuple[int, ...], sector_of_arc: tuple[int, ...]):
         self.boundary = boundary
         self.sector_of_arc = sector_of_arc
-        self.lengths = lengths  # total length per sector
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self.boundary, self.sector_of_arc, self.lengths) == (
-            other.boundary, other.sector_of_arc, other.lengths
-        )
+        return (self.boundary, self.sector_of_arc) == (other.boundary, other.sector_of_arc)
 
     @property
     def count(self) -> int:
-        return len(self.lengths)
+        return max(self.sector_of_arc) + 1
 
     def scaled(self, k: int) -> Sectors:
         """The same partition on the grid k times finer."""
-        return Sectors(
-            tuple(b * k for b in self.boundary), self.sector_of_arc, tuple(l * k for l in self.lengths)
-        )
+        return Sectors(tuple(b * k for b in self.boundary), self.sector_of_arc)
 
     def closed_labels(self, t: int) -> tuple[int, ...]:
         """The sectors whose closure holds t, found with one bisection: the
@@ -214,8 +206,18 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
     Two arcs share a sector when they lie in the same gap of every hull; the
     arc starting at boundary angle lo lies in gap (bisect_right(h, lo) - 1)
     mod |h| of hull h, the gap after h's last angle at or before lo.
+
+    Precondition: the portrait's sets are preargument sets, which `certify`
+    checks ("preargument"); `run_pipeline` pulls back only through portraits
+    whose certificate passed.  Then every sector has length a multiple of
+    1/d, and with c1 there are d sectors of length 1/d each (Goldberg 1992;
+    Poirier 2009), so the lengths are not checked here.  Proof: the
+    boundary of a sector alternates between its arcs and hull edges.  Each
+    hull edge joins two angles of one preargument set, whose images agree,
+    so the jump across it is a multiple of 1/d.  Going once around the
+    sector, the arcs and the jumps add up to one turn, so the arcs add up
+    to a multiple of 1/d.
     """
-    grid = portrait.grid
     hulls = [s.angles for s in portrait.sets if s.angles]
     boundary = sorted({a for h in hulls for a in h})
     if len(boundary) < 2:
@@ -228,19 +230,7 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
     for gap in gaps:
         if gap not in order:
             order[gap] = len(order)
-    sector_of_arc = tuple(order[gap] for gap in gaps)
-
-    n = len(boundary)
-    lengths = [0] * len(order)
-    for i, s in enumerate(sector_of_arc):
-        lengths[s] += (boundary[(i + 1) % n] - boundary[i]) % grid
-    for s, total in enumerate(lengths):
-        if total * d % grid:
-            raise PortraitError(
-                f"sector {s} has length {frac(total, grid)}, not a multiple of 1/{d}"
-            )
-
-    return Sectors(boundary=tuple(boundary), sector_of_arc=sector_of_arc, lengths=tuple(lengths))
+    return Sectors(boundary=tuple(boundary), sector_of_arc=tuple(order[gap] for gap in gaps))
 
 
 def _left_sequence_classes(xs: set[int], sec: Sectors, d: int, grid: int) -> dict[int, int]:
@@ -268,7 +258,10 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
 
     The periodic families are empty by construction, so c2, c4 and c6 are
     vacuous; the certificate records them as such.  Structural findings
-    (preargument sets, unlinkedness) are reported alongside.
+    (preargument sets, unlinkedness) are reported alongside: "unlinked"
+    fails only on linked hulls or on fewer than two marked angles, the two
+    refusals of `sectors`.  Sector lengths that are not multiples of 1/d
+    take a set that is not a preargument set, which "preargument" reports.
     """
     grid = portrait.grid
     cert: dict[str, dict] = {}

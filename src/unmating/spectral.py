@@ -20,8 +20,7 @@ from .mapspec import MapSpec
 
 
 class TransitionMatrix(NamedTuple):
-    entries: tuple[tuple[int, ...], ...]   # rows follow word0 positions
-    edges: tuple[str, ...]                 # edge name per row/column index
+    entries: tuple[tuple[int, ...], ...]   # rows and columns follow word0 positions
 
     @property
     def size(self) -> int:
@@ -54,15 +53,14 @@ def deformation_words(spec: MapSpec) -> list[list[int]]:
 def transition_matrix(spec: MapSpec) -> TransitionMatrix:
     """a[i][j] = number of 1-edges over edge j inside the deformation of edge i."""
     words = deformation_words(spec)
-    edges = tuple(w.edge for w in spec.word0)
-    col = {e: j for j, e in enumerate(edges)}
+    col = {w.edge: j for j, w in enumerate(spec.word0)}
     rows = []
     for block in words:
         counts = [0] * spec.k
         for pos in block:
             counts[col[spec.word1[pos].image_edge]] += 1
         rows.append(tuple(counts))
-    return TransitionMatrix(entries=tuple(rows), edges=edges)
+    return TransitionMatrix(entries=tuple(rows))
 
 
 def _integer_row_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:

@@ -126,6 +126,16 @@ def arcs_of(sec: Sectors, grid: int, label: int) -> list[tuple[Fraction, Fractio
     return [(b[i], b[(i + 1) % len(b)]) for i, s in enumerate(sec.sector_of_arc) if s == label]
 
 
+def sector_lengths(sec: Sectors, grid: int) -> list[Fraction]:
+    """The length of each sector: the sum of its arcs, read from the
+    boundary on the portrait's grid."""
+    b = _boundary(sec, grid)
+    lengths = [Fraction(0)] * (max(sec.sector_of_arc) + 1)
+    for i, s in enumerate(sec.sector_of_arc):
+        lengths[s] += (b[(i + 1) % len(b)] - b[i]) % 1
+    return lengths
+
+
 def itinerary(
     t: Fraction, sec: Sectors, grid: int, d: int, depth: int, side: str = "left"
 ) -> tuple[int, ...]:
@@ -215,7 +225,7 @@ def pullback_by_relift(
     grid = lcm(d * classes.grid, portrait.grid)
     k = grid // (d * classes.grid)
     scale = grid // portrait.grid
-    sec = Sectors(tuple(b * scale for b in sec.boundary), sec.sector_of_arc, sec.lengths)
+    sec = Sectors(tuple(b * scale for b in sec.boundary), sec.sector_of_arc)
     candidates = [{u * d * k for u in c} for c in classes.classes]  # lower depths, retained
     for cls in classes.classes:
         # closed sector s holds x iff s is x's left or right label

@@ -643,11 +643,15 @@ def test_exit_code_table_follows_errors(text, row):
     """The exit-code tables of the `cli` docstring and of README give each
     code the stage of the error class that exits with it, as `errors` sets
     them; 0 and 1 (success, a failed `validate`) belong to no class.  The
-    base `UnmatingError` is never raised, so it has no row."""
+    base `UnmatingError` is never raised, so it has no row and names neither
+    a stage nor a code; each subclass names both in its own body."""
     classes = [
         c for c in vars(errors).values()
         if isinstance(c, type) and issubclass(c, errors.UnmatingError) and c is not errors.UnmatingError
     ]
+    base = vars(errors.UnmatingError)
+    assert "stage" not in base and "exit_code" not in base
+    assert all({"stage", "exit_code"} <= vars(c).keys() for c in classes)
     want = {0: None, 1: None} | {c.exit_code: c.stage for c in classes}
     assert len(want) == 2 + len(classes)  # one code per class
     assert _exit_table(text, row) == want

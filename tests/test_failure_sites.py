@@ -185,7 +185,7 @@ def rename_image(vertex: str, image: str):
 
 
 def tm(rows) -> TransitionMatrix:
-    return TransitionMatrix(tuple(map(tuple, rows)), tuple(f"E{i}" for i in range(len(rows))))
+    return TransitionMatrix(tuple(map(tuple, rows)))
 
 
 def meyer():
@@ -373,9 +373,6 @@ ROWS: dict[str, Row] = {
     "portraits.sectors: portrait not unlinked": Row(
         lambda: sectors(CriticalPortrait("white", 3, 4, [PreargumentSet.of([0, 2]), PreargumentSet.of([1, 3])]), 3),
         PortraitError, "portrait not unlinked"),
-    "portraits.sectors: sector … has length …, not a multiple of 1/…": Row(
-        lambda: sectors(CriticalPortrait("white", 2, 3, [PreargumentSet.of([0, 1])]), 2), PortraitError,
-        "sector 0 has length 1/3, not a multiple of 1/2"),
 
     # laminations
     "pipeline.run_pipeline: depth-1 … classes disagree with the … portrait": Row(

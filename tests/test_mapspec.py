@@ -180,7 +180,7 @@ class TestValidate:
         spec = parse(raw)
         if "fully invariant condition violated" not in [f.check for f in validate(spec).findings]:
             counts = Counter(w.image_edge for w in spec.word1)
-            assert counts == {e: spec.degree for e in spec.edges0}
+            assert counts == {w.edge: spec.degree for w in spec.word0}
 
 
 def _criticals(spec):
@@ -348,7 +348,7 @@ class TestCoveringStructure:
 
     def test_all_vertices_cover(self, meyer_spec, jordan_spec):
         for spec in (meyer_spec, jordan_spec):
-            for v in spec.vertex_order:
+            for v in spec.vertices1:
                 assert self.rotation_covers(spec, v), v
 
 

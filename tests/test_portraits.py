@@ -30,6 +30,7 @@ from .oracles import (
     itinerary_equal_to_horizon,
     label_by_scan,
     mark_color_by_iteration,
+    sector_lengths,
     sectors_by_midpoints,
 )
 
@@ -97,6 +98,24 @@ def random_portraits(draw):
         preferred = draw(st.none() | st.sampled_from(sorted(angles)))
         sets.append(PreargumentSet.of(angles, preferred=preferred))
     return CriticalPortrait(color="white", degree=d, grid=grid, sets=sets)
+
+
+@st.composite
+def unlinked_preargument_portraits(draw):
+    """Portraits of degree 2-5 on a grid d*M, M <= 12, whose sets are
+    disjoint, pairwise unlinked preargument sets: of 2d candidate sets of
+    d-fold preimages of one angle, each is kept when it misses the angles of
+    the sets kept before and links none of them (the `hulls_linked` oracle).
+    No bound on sum(|A|-1) is imposed; about two draws in three reach d - 1."""
+    d = draw(st.integers(2, 5))
+    step = draw(st.integers(1, 12))
+    sets: list[PreargumentSet] = []
+    for _ in range(2 * d):
+        x, size = draw(st.integers(0, step - 1)), draw(st.integers(2, d))
+        angles = {x + j * step for j in draw(st.sets(st.integers(0, d - 1), min_size=size, max_size=size))}
+        if all(angles.isdisjoint(s.angles) and not hulls_linked(angles, s.angles) for s in sets):
+            sets.append(PreargumentSet.of(angles))
+    return CriticalPortrait(color="white", degree=d, grid=d * step, sets=sets)
 
 
 @st.composite
@@ -199,17 +218,17 @@ class TestSectors:
         sec = sectors(MEYER_WHITE, 2)
         assert sec.count == 2
         assert sec.boundary == (5, 17)
-        assert sec.lengths == (12, 12)  # 1/2 each
+        assert sector_lengths(sec, 24) == [Fraction(1, 2)] * 2
 
     def test_diameter(self):
         sec = sectors(portrait("white", 2, 2, [0, 1]), 2)
         assert sec.count == 2
-        assert sec.lengths == (1, 1)
+        assert sector_lengths(sec, 2) == [Fraction(1, 2)] * 2
 
     def test_tripod(self):
         sec = sectors(portrait("white", 3, 3, [0, 1, 2]), 3)
         assert sec.count == 3
-        assert sec.lengths == (1, 1, 1)
+        assert sector_lengths(sec, 3) == [Fraction(1, 3)] * 3
 
     def test_linked_sets_refused(self):
         bad = portrait("white", 3, 4, [0, 2], [1, 3])
@@ -222,11 +241,43 @@ class TestSectors:
         assert sec.count == 3
         arcs_per_sector = [len(arcs_of(sec, 6, s)) for s in range(sec.count)]
         assert sorted(arcs_per_sector) == [1, 1, 2]
-        assert all(l * 3 % 6 == 0 for l in sec.lengths)
+        assert all(l * 3 % 1 == 0 for l in sector_lengths(sec, 6))
 
     def test_length_not_multiple_of_degree_refused(self):
-        with pytest.raises(PortraitError, match=re.escape("sector 0 has length 1/3, not a multiple of 1/2")):
-            sectors(portrait("white", 2, 3, [0, 1]), 2)
+        # {0, 1/3} cuts sectors of lengths 1/3 and 2/3, and its angles map
+        # to 0 and 2/3: certify refuses it as no preargument set
+        p = portrait("white", 2, 3, [0, 1])
+        assert sector_lengths(sectors(p, 2), 3) == [Fraction(1, 3), Fraction(2, 3)]
+        cert = certify(p, 2)
+        assert cert["preargument"] == {"passed": False, "detail": "some set is not a preargument set"}
+        assert cert["unlinked"]["passed"] and not cert["valid"]
+
+
+class TestSectorLengthTheorem:
+    """Unlinked preargument sets cut the circle into sectors whose lengths
+    are multiples of 1/d; with c1, into d sectors of length 1/d each, which
+    is why `sectors` does not check the lengths."""
+
+    @given(unlinked_preargument_portraits())
+    @example(MEYER_WHITE)
+    @example(portrait("white", 4, 8, [1, 3], [5, 7]))  # two sets, sum(|A|-1) = 2 < d - 1
+    def test_sector_lengths_are_multiples_of_one_over_d(self, p):
+        d = p.degree
+        cert = certify(p, d)
+        assert cert["preargument"]["passed"] and cert["unlinked"]["passed"]
+        sec = sectors(p, d)
+        lengths = sector_lengths(sec, p.grid)
+        assert sum(lengths) == 1
+        assert all(l > 0 and l * d % 1 == 0 for l in lengths), lengths
+        # each set of n angles cuts one region into n
+        assert sec.count == len(lengths) == 1 + sum(len(s.angles) - 1 for s in p.sets) <= d
+
+    @given(unlinked_preargument_portraits())
+    @example(TOY_DEGREE3)
+    @example(portrait("white", 5, 5, [0, 1, 2, 3, 4]))
+    def test_c1_cuts_d_sectors_of_length_one_over_d(self, p):
+        assume(certify(p, p.degree)["c1"]["passed"])
+        assert sector_lengths(sectors(p, p.degree), p.grid) == [Fraction(1, p.degree)] * p.degree
 
 
 class TestSectorLabels:
@@ -273,7 +324,7 @@ class TestSectorLabels:
             assume(False)
         labels, lengths = sectors_by_midpoints([[Fraction(a, p.grid) for a in s.angles] for s in p.sets])
         assert sec.sector_of_arc == labels
-        assert [Fraction(l, p.grid) for l in sec.lengths] == lengths
+        assert sector_lengths(sec, p.grid) == lengths
 
     @given(random_portraits())
     def test_side_labels_match_scan_on_random_portraits(self, p):
@@ -418,7 +469,7 @@ class TestGridRefinement:
         fine_sec = sectors(fine, p.degree)
         assert fine_sec.sector_of_arc == sec.sector_of_arc
         assert fine_sec.boundary == tuple(m * b for b in sec.boundary)
-        assert fine_sec.lengths == tuple(m * l for l in sec.lengths)
+        assert sector_lengths(fine_sec, fine.grid) == sector_lengths(sec, p.grid)
         assert sec.scaled(m) == fine_sec
 
     def test_meyer_certificates_on_finer_grid(self, meyer_result):

@@ -3,8 +3,12 @@ semantics, immutability and defaults the pipeline relies on."""
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import unmating
 from unmating import laminations
 from unmating.laminations import AngleClasses, pullback_to_depth
 from unmating.mapspec import Finding, ValidationReport
@@ -25,6 +29,27 @@ READ_ONLY = {
     "AngleClasses": lambda r: r.lamination_white,
     "Crossings": lambda r: r.moore["informational"],
 }
+
+
+def named_tuples() -> set[str]:
+    """The name of every NamedTuple class that a module of the package defines."""
+    names = set()
+    for info in pkgutil.iter_modules(unmating.__path__):
+        module = importlib.import_module(f"unmating.{info.name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type) and issubclass(value, tuple) and hasattr(value, "_fields")
+                and value.__module__ == module.__name__
+            ):
+                names.add(value.__name__)
+    return names
+
+
+def test_read_only_names_every_named_tuple():
+    """A new record cannot skip the read-only check below."""
+    found = named_tuples()
+    assert {"MapSpec", "PreargumentSet", "TransitionMatrix"} <= found
+    assert found <= READ_ONLY.keys(), found - READ_ONLY.keys()
 
 
 @pytest.mark.parametrize("name", READ_ONLY)
@@ -78,8 +103,9 @@ class TestAngleClasses:
 
 def test_sectors_compare_by_value(meyer_result):
     sec = sectors(meyer_result.white, 2)
-    assert sec == Sectors(sec.boundary, sec.sector_of_arc, sec.lengths)
-    assert sec != Sectors(sec.boundary, sec.sector_of_arc, sec.lengths + (0,))
+    assert sec == Sectors(sec.boundary, sec.sector_of_arc)
+    assert sec != Sectors(sec.boundary[::-1], sec.sector_of_arc)
+    assert sec != Sectors(sec.boundary, sec.sector_of_arc[::-1])
 
 
 def test_defaults_are_fresh_per_instance():

@@ -36,10 +36,7 @@ MEYER_MATRIX = [
 
 
 def tm(rows) -> TransitionMatrix:
-    return TransitionMatrix(
-        entries=tuple(tuple(r) for r in rows),
-        edges=tuple(f"E{i + 1}" for i in range(len(rows))),
-    )
+    return TransitionMatrix(entries=tuple(tuple(r) for r in rows))
 
 
 class TestDeformationWords:
