@@ -17,8 +17,8 @@ planar and Moore-checked laminations) reads its keys.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
-from typing import Sequence
 
 
 def frac(x: int, grid: int) -> str:

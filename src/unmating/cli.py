@@ -23,7 +23,6 @@ import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
-from typing import Optional
 
 from . import mapspec
 from .errors import MapfileError, UnmatingError, ValidationFailure
@@ -64,7 +63,7 @@ def _dumps(obj) -> str:
     pads = ["\n"]  # pads[level] = newline + indentation at that level
     rendered: dict[tuple[int, int], str] = {}  # rendered[level, id of a scalar list] = its text
 
-    def scalars(o, level: int) -> Optional[str]:
+    def scalars(o, level: int) -> str | None:
         """The memoized text of ``o`` at ``level`` if it is a non-empty list
         of ``str``s, of ``int``s or of ``bool``s, else None."""
         text = rendered.get((level, id(o)))
@@ -195,7 +194,7 @@ def _run(args) -> PipelineResult:
     return run_pipeline(spec, branch=args.branch, depth=args.depth)
 
 
-def _scene(result: PipelineResult, side: str, text: Optional[dict] = None) -> SvgScene:
+def _scene(result: PipelineResult, side: str, text: dict | None = None) -> SvgScene:
     """Chords of one side; "join" overlays the white and black sides.  Scenes
     built with one ``text`` table share the text of each angle."""
     if side == "join":

@@ -12,15 +12,14 @@ every output is checked planar.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from itertools import compress, repeat
 from math import lcm
 from operator import eq, floordiv, mod, not_
-from typing import Iterable, Optional
 
 from .circle import crossing_keys, frac
 from .errors import LaminationError
-from .mapspec import BLACK, WHITE, CriticalVertex
+from .mapspec import BLACK, WHITE, CriticalVertex, Record, set_field
 from .parameterize import PullbackParameters
 from .portraits import CriticalPortrait, Sectors, sectors
 
@@ -34,13 +33,12 @@ def _canon(sets: Iterable[Iterable]) -> tuple[tuple, ...]:
     return tuple(sorted(uniq, key=lambda s: (s[0], len(s), s)))
 
 
-class AngleClasses:
-    """Classes of angles x/grid, each a sorted tuple of the integers x;
-    read-only.
+class AngleClasses(Record):
+    """Classes of angles x/grid, each a sorted tuple of the integers x.
 
     Every depth-n angle of a degree-d pullback lies on the grid
     1/(D*d^(n-1)), D the grid of the pullback parameters; `pullback_to_depth`
-    returns its classes on that grid.  Every slot takes part in comparison.
+    returns its classes on that grid.
     """
 
     __slots__ = ("depth", "color", "grid", "classes", "sides")
@@ -51,29 +49,15 @@ class AngleClasses:
         color: str,
         grid: int,
         classes: tuple[AngleSet, ...],
-        sides: Optional[tuple[tuple[str, ...], ...]] = None,  # per class, join only
+        sides: tuple[tuple[str, ...], ...] | None = None,  # per class, join only
     ):
-        for name, value in zip(self.__slots__, (depth, color, grid, classes, sides)):
-            object.__setattr__(self, name, value)
+        set_field(self, "depth", depth)
+        set_field(self, "color", color)
+        set_field(self, "grid", grid)
+        set_field(self, "classes", classes)
+        set_field(self, "sides", sides)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.depth, self.color, self.grid, self.classes, self.sides)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def text(self, table: Optional[dict] = None) -> list[list[str]]:
+    def text(self, table: dict | None = None) -> list[list[str]]:
         """One list of "p/q" strings per class.
 
         ``table`` maps each class tuple to its list and is filled on first
@@ -93,7 +77,7 @@ class AngleClasses:
         return out
 
 
-def check_planar(classes: Iterable[AngleSet]) -> Optional[tuple[AngleSet, AngleSet]]:
+def check_planar(classes: Iterable[AngleSet]) -> tuple[AngleSet, AngleSet] | None:
     """The first pair of classes whose hulls share an angle or cross, in the
     order of the keys of `circle.crossing_keys`, or None."""
     cl = list(classes)
@@ -311,8 +295,8 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
     )
 
 
-class Crossings(Sequence):
-    """One list of Moore entries as index columns; read-only.
+class Crossings(Record, Sequence):
+    """One list of Moore entries as index columns.
 
     Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": sides[k]}``,
     plus ``"note": note`` unless it is None (keys ``KEYS``): ``a`` and ``b``
@@ -323,11 +307,12 @@ class Crossings(Sequence):
     __slots__ = ("a", "b", "text", "sides", "note")
     KEYS = ("a", "b", "sides", "note")  # an entry's keys, in order; `cli._dumps` writes them too
 
-    def __init__(self, a: list[int], b: list[int], text: list, sides: list, note: Optional[str]):
-        for name, value in zip(self.__slots__, (a, b, text, sides, note)):
-            object.__setattr__(self, name, value)
-
-    __setattr__, __delattr__ = AngleClasses.__setattr__, AngleClasses.__delattr__
+    def __init__(self, a: list[int], b: list[int], text: list, sides: list, note: str | None):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "text", text)
+        set_field(self, "sides", sides)
+        set_field(self, "note", note)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -342,7 +327,7 @@ class Crossings(Sequence):
         return isinstance(other, Sequence) and len(self) == len(other) and all(map(eq, self, other))
 
 
-def moore_check(joined: AngleClasses, table: Optional[dict] = None) -> dict:
+def moore_check(joined: AngleClasses, table: dict | None = None) -> dict:
     """Flag linked class hulls: same-side links are violations of the finite
     Moore criterion, links across the two sides are expected and reported as
     informational.  The classes must come from `join`, which records their
@@ -369,7 +354,7 @@ def moore_check(joined: AngleClasses, table: Optional[dict] = None) -> dict:
     codes = [kind[i] * m + kind[j] for i, j in zip(first, second)]
     bad = list(map(same.__getitem__, codes))
 
-    def crossings(keep: list[bool], note: Optional[str]) -> Crossings:
+    def crossings(keep: list[bool], note: str | None) -> Crossings:
         a, b = list(compress(first, keep)), list(compress(second, keep))
         return Crossings(a, b, text, list(map(union.__getitem__, compress(codes, keep))), note)
 

@@ -20,7 +20,7 @@ pullback curve gamma1 labeled by image edges, rotation systems for both
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple, Optional
+from collections.abc import Iterable
 
 from .circle import crossing_keys
 from .errors import MapfileError, ValidationFailure
@@ -29,20 +29,62 @@ IN = "in"
 OUT = "out"
 
 
-class Word0Entry(NamedTuple):
-    edge: str
-    to: str
+set_field = object.__setattr__  # how a record's own __init__ fills its slots
 
 
-class Word1Entry(NamedTuple):
-    image_edge: str
-    to: str
+class Record:
+    """The base of the read-only records.
+
+    A record names its fields in ``__slots__`` and fills each one in its own
+    ``__init__`` through `set_field`; after that, assignment and deletion
+    raise AttributeError.  Equality (with a record of the same type only),
+    hash and repr go over the slots in field order.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+
+class Word0Entry(Record):
+    __slots__ = ("edge", "to")
+
+    def __init__(self, edge: str, to: str):
+        set_field(self, "edge", edge)
+        set_field(self, "to", to)
+
+
+class Word1Entry(Record):
+    __slots__ = ("image_edge", "to")
+
+    def __init__(self, image_edge: str, to: str):
+        set_field(self, "image_edge", image_edge)
+        set_field(self, "to", to)
 
 
 Dart = tuple[int, str]  # (word position, "in"|"out"); "out" is based at the edge start
 
 
-class MapSpec(NamedTuple):
+class MapSpec(Record):
     """A parsed mapfile; `parse`, its only producer, guarantees what later
     stages rely on: degree >= 2, k = len(word0) >= 1, len(word1) = degree*k;
     no id repeated in post, the mapfile's edges0 or vertices1; word0
@@ -53,15 +95,32 @@ class MapSpec(NamedTuple):
     markers[i] visiting the post point of gamma0 marker i; white_anchor is
     (position < k, "left" or "right")."""
 
-    degree: int
-    post: tuple[str, ...]
-    word0: tuple[Word0Entry, ...]
-    vertices1: dict[str, str]  # id -> image post name, in mapfile order
-    word1: tuple[Word1Entry, ...]
-    rotation0: dict[str, tuple[Dart, ...]]
-    rotation1: dict[str, tuple[Dart, ...]]
-    markers: tuple[int, ...]
-    white_anchor: tuple[int, str]
+    __slots__ = (
+        "degree", "post", "word0", "vertices1", "word1", "rotation0", "rotation1", "markers",
+        "white_anchor",
+    )
+
+    def __init__(
+        self,
+        degree: int,
+        post: tuple[str, ...],
+        word0: tuple[Word0Entry, ...],
+        vertices1: dict[str, str],  # id -> image post name, in mapfile order
+        word1: tuple[Word1Entry, ...],
+        rotation0: dict[str, tuple[Dart, ...]],
+        rotation1: dict[str, tuple[Dart, ...]],
+        markers: tuple[int, ...],
+        white_anchor: tuple[int, str],
+    ):
+        set_field(self, "degree", degree)
+        set_field(self, "post", post)
+        set_field(self, "word0", word0)
+        set_field(self, "vertices1", vertices1)
+        set_field(self, "word1", word1)
+        set_field(self, "rotation0", rotation0)
+        set_field(self, "rotation1", rotation1)
+        set_field(self, "markers", markers)
+        set_field(self, "white_anchor", white_anchor)
 
     @property
     def k(self) -> int:
@@ -80,9 +139,12 @@ class MapSpec(NamedTuple):
         return self.word1[(j - 1) % self.n1].to
 
 
-class Finding(NamedTuple):
-    check: str
-    detail: str
+class Finding(Record):
+    __slots__ = ("check", "detail")
+
+    def __init__(self, check: str, detail: str):
+        set_field(self, "check", check)
+        set_field(self, "detail", detail)
 
 
 class ValidationReport:
@@ -90,8 +152,8 @@ class ValidationReport:
 
     def __init__(
         self,
-        findings: Optional[list[Finding]] = None,
-        levels: Optional[dict[int, LevelMap]] = None,
+        findings: list[Finding] | None = None,
+        levels: dict[int, LevelMap] | None = None,
     ):
         self.findings = [] if findings is None else findings
         self.levels = {} if levels is None else levels  # each level once it is colored
@@ -284,7 +346,7 @@ class LevelMap:
         chords: dict[str, list[tuple[int, int]]],
         faces: list[tuple[Dart, ...]],
         face_of: dict[Dart, int],
-        colors: Optional[list[str]],
+        colors: list[str] | None,
     ):
         self.level = level
         self.n_edges = n_edges
@@ -408,7 +470,7 @@ def _two_color(lm: LevelMap, anchor_face: int, anchor_color: str) -> list[str]:
     return [colors[f] for f in range(len(lm.faces))]
 
 
-def _color_level(spec: MapSpec, lm: LevelMap, lm0: Optional[LevelMap]) -> None:
+def _color_level(spec: MapSpec, lm: LevelMap, lm0: LevelMap | None) -> None:
     """Color lm from the white anchor; level 1 inherits it through the colored
     level-0 map lm0.  Raises ValueError, with the finding's detail, when no
     coloring exists or level 0 has none to pass on."""

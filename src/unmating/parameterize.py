@@ -24,30 +24,37 @@ t[0] + W(0 -> i)/d = t[i].
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
-from typing import NamedTuple, Sequence
 
 from .circle import arc_sum, frac
 from .errors import ParameterizationError
-from .mapspec import MapSpec
+from .mapspec import MapSpec, Record, set_field
 from .spectral import LengthVector
 
 
-class MarkerParameters(NamedTuple):
-    grid: int
-    t: tuple[int, ...]  # marker i at the angle t[i]/grid, 0 <= t[i] < grid
-    image: tuple[int, ...]
-    lengths: tuple[int, ...]  # interval i has length lengths[i]/grid
-    degree: int
-    branch: int
+class MarkerParameters(Record):
+    __slots__ = ("grid", "t", "image", "lengths", "branch")
+
+    def __init__(
+        self, grid: int, t: tuple[int, ...], image: tuple[int, ...], lengths: tuple[int, ...], branch: int
+    ):
+        set_field(self, "grid", grid)
+        set_field(self, "t", t)  # marker i at the angle t[i]/grid, 0 <= t[i] < grid
+        set_field(self, "image", image)
+        set_field(self, "lengths", lengths)  # interval i has length lengths[i]/grid
+        set_field(self, "branch", branch)
 
 
-class PullbackParameters(NamedTuple):
+class PullbackParameters(Record):
     """The parameter of word position j is the angle s[j]/grid, grid being
     the least common denominator of all of them."""
 
-    grid: int
-    s: tuple[int, ...]
+    __slots__ = ("grid", "s")
+
+    def __init__(self, grid: int, s: tuple[int, ...]):
+        set_field(self, "grid", grid)
+        set_field(self, "s", s)
 
 
 def marker_images(spec: MapSpec) -> list[int]:
@@ -92,7 +99,7 @@ def solve_parameters(
         prev = (base + step - 1) % k
         t[i] = (t[prev] + steps[prev]) % grid
     return MarkerParameters(
-        grid=grid, t=tuple(t), image=tuple(image), lengths=tuple(steps), degree=d, branch=branch
+        grid=grid, t=tuple(t), image=tuple(image), lengths=tuple(steps), branch=branch
     )
 
 

@@ -14,15 +14,15 @@ participants' iterates tells which share a left symbol sequence (c7).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, NamedTuple, Optional
+from collections.abc import Iterable
 
 from .circle import crossing_keys, frac, orbit, q_apply
 from .errors import PortraitError
-from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec
+from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec, Record, set_field
 from .parameterize import PullbackParameters
 
 
-class PreargumentSet(NamedTuple):
+class PreargumentSet(Record):
     """A finite set of angles, each x standing for x/grid on its portrait's
     grid, meant to map to a single angle under the d-fold map.
 
@@ -30,27 +30,28 @@ class PreargumentSet(NamedTuple):
     certification can report on deliberately broken portraits.
     """
 
-    angles: tuple[int, ...]  # sorted
-    preferred: Optional[int] = None
+    __slots__ = ("angles", "preferred")
+
+    def __init__(self, angles: tuple[int, ...], preferred: int | None = None):
+        set_field(self, "angles", angles)  # sorted
+        set_field(self, "preferred", preferred)
 
     @classmethod
-    def of(cls, angles: Iterable[int], preferred: Optional[int] = None):
+    def of(cls, angles: Iterable[int], preferred: int | None = None):
         return cls(angles=tuple(sorted(set(angles))), preferred=preferred)
 
 
 class CriticalPortrait:
-    __slots__ = ("color", "degree", "grid", "sets", "certificate")
+    __slots__ = ("color", "grid", "sets", "certificate")
 
     def __init__(
         self,
         color: str,
-        degree: int,
         grid: int,
         sets: list[PreargumentSet],
-        certificate: Optional[dict] = None,
+        certificate: dict | None = None,
     ):
         self.color = color
-        self.degree = degree
         self.grid = grid  # every angle x of the sets stands for x/grid
         self.sets = sets
         self.certificate = certificate
@@ -65,7 +66,7 @@ class CriticalPortrait:
 # ---------------------------------------------------------------------------
 # marking procedure
 
-def _reaches(params: Iterable[int], target: set[int], d: int, grid: int) -> Optional[int]:
+def _reaches(params: Iterable[int], target: set[int], d: int, grid: int) -> int | None:
     """The least parameter with an iterate q_d^i, i >= 1, in target."""
     for a in sorted(params):
         if not target.isdisjoint(orbit(q_apply(a, d, grid), d, grid)):
@@ -150,7 +151,6 @@ def extract_portraits(
         marked = _mark_color(crits, spec.degree, pullback.grid)
         portraits[color] = CriticalPortrait(
             color=color,
-            degree=spec.degree,
             grid=pullback.grid,
             sets=[ps for _, ps in marked],
         )
@@ -160,7 +160,7 @@ def extract_portraits(
 # ---------------------------------------------------------------------------
 # sectors and itineraries
 
-class Sectors:
+class Sectors(Record):
     """The partition of the circle cut out by the portrait's hulls.
 
     Angles are integers on the portrait's grid.  Arc i runs from boundary[i]
@@ -171,17 +171,8 @@ class Sectors:
     __slots__ = ("boundary", "sector_of_arc")
 
     def __init__(self, boundary: tuple[int, ...], sector_of_arc: tuple[int, ...]):
-        self.boundary = boundary
-        self.sector_of_arc = sector_of_arc
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.boundary, self.sector_of_arc) == (other.boundary, other.sector_of_arc)
-
-    @property
-    def count(self) -> int:
-        return max(self.sector_of_arc) + 1
+        set_field(self, "boundary", boundary)
+        set_field(self, "sector_of_arc", sector_of_arc)
 
     def scaled(self, k: int) -> Sectors:
         """The same partition on the grid k times finer."""

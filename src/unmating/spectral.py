@@ -13,23 +13,28 @@ integers on the grid `total`, the sum of the primitive eigenvector.
 from __future__ import annotations
 
 from math import gcd
-from typing import NamedTuple
 
 from .errors import SpectralError
-from .mapspec import MapSpec
+from .mapspec import MapSpec, Record, set_field
 
 
-class TransitionMatrix(NamedTuple):
-    entries: tuple[tuple[int, ...], ...]   # rows and columns follow word0 positions
+class TransitionMatrix(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        set_field(self, "entries", entries)  # rows and columns follow word0 positions
 
     @property
     def size(self) -> int:
         return len(self.entries)
 
 
-class LengthVector(NamedTuple):
-    eigenvector: tuple[int, ...]           # primitive positive integer representative
-    total: int                             # sum(eigenvector); length i is eigenvector[i]/total
+class LengthVector(Record):
+    __slots__ = ("eigenvector", "total")
+
+    def __init__(self, eigenvector: tuple[int, ...], total: int):
+        set_field(self, "eigenvector", eigenvector)  # primitive positive integer representative
+        set_field(self, "total", total)  # sum(eigenvector); length i is eigenvector[i]/total
 
 
 def deformation_words(spec: MapSpec) -> list[list[int]]:

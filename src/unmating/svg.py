@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Optional
 
 from .circle import frac
 from .errors import LaminationError
@@ -36,9 +35,9 @@ class SvgScene:
     def __init__(
         self,
         grid: int,
-        chords: Optional[list[tuple[int, int, str]]] = None,
-        labels: Optional[list[int]] = None,
-        text: Optional[dict[int, tuple[str, str, str]]] = None,
+        chords: list[tuple[int, int, str]] | None = None,
+        labels: list[int] | None = None,
+        text: dict[int, tuple[str, str, str]] | None = None,
     ):
         self.grid = grid
         self.chords = [] if chords is None else chords  # (a, b, side), a < b
@@ -47,7 +46,7 @@ class SvgScene:
 
     @classmethod
     def from_classes(
-        cls, class_sets: list[AngleClasses], text: Optional[dict[int, tuple[str, str, str]]] = None
+        cls, class_sets: list[AngleClasses], text: dict[int, tuple[str, str, str]] | None = None
     ) -> "SvgScene":
         """The chords of each class: consecutive angles, and the closing chord
         of a polygon.  The class sets must share one grid; ``text`` is the

@@ -53,6 +53,13 @@ def spec_with(mutate) -> "unmating.MapSpec":
     return parse(raw)
 
 
+def replaced(record, **changes):
+    """A record rebuilt from its slots, with the named fields changed."""
+    fields = type(record).__slots__
+    assert changes.keys() <= set(fields), changes.keys() - set(fields)
+    return type(record)(**{name: changes.get(name, getattr(record, name)) for name in fields})
+
+
 def failing_certificate(monkeypatch) -> None:
     """Make portrait certification fail condition c5 on every portrait."""
     certify = portraits.certify

@@ -178,8 +178,13 @@ def _in_closed_sector(x: Fraction, sec: Sectors, grid: int, label: int) -> bool:
     return any((x - lo) % 1 <= (hi - lo) % 1 for lo, hi in arcs_of(sec, grid, label))
 
 
+def sector_count(sec: Sectors) -> int:
+    """How many sectors there are: labels run from 0 over the arcs."""
+    return max(sec.sector_of_arc) + 1
+
+
 def _common_sector(xs, sec: Sectors, grid: int) -> bool:
-    return any(all(_in_closed_sector(x, sec, grid, s) for x in xs) for s in range(sec.count))
+    return any(all(_in_closed_sector(x, sec, grid, s) for x in xs) for s in range(sector_count(sec)))
 
 
 def brute_force_pullback(
@@ -538,7 +543,6 @@ class FractionParameters(NamedTuple):
     t: tuple[Fraction, ...]
     image: tuple[int, ...]
     lengths: tuple[Fraction, ...]
-    degree: int
     branch: int
 
 
@@ -573,7 +577,7 @@ def solve_parameters_by_fractions(
                 f"parameterization inconsistent: q_d(t[{i}]) = {p_q(got)} "
                 f"but t[image[{i}]] = {p_q(want)}"
             )
-    return FractionParameters(tuple(t), tuple(image), tuple(lengths), d, branch)
+    return FractionParameters(tuple(t), tuple(image), tuple(lengths), branch)
 
 
 def pullback_parameters_by_fractions(

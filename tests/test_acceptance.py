@@ -113,14 +113,13 @@ class TestAcceptance:
 
         with_periodic = CriticalPortrait(
             color="white",
-            degree=2,
             grid=24,
             sets=[PreargumentSet.of([5, 17, 8])],  # 5/24, 17/24, 1/3
         )
         assert not certify(with_periodic, 2)["c5"]["passed"]
 
         with_deleted = CriticalPortrait(
-            color="white", degree=2, grid=24, sets=[PreargumentSet.of([5])]
+            color="white", grid=24, sets=[PreargumentSet.of([5])]
         )
         assert not certify(with_deleted, 2)["c1"]["passed"]
         report(4, "c1/c3/c5/c7 pass, c2/c4/c6 vacuous; 1/3 breaks c5; deletion breaks c1")

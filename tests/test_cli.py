@@ -23,7 +23,7 @@ from unmating.laminations import Crossings, pullback_to_depth
 from unmating.pipeline import run_pipeline
 from unmating.svg import SvgScene, render_svg
 
-from .conftest import JORDAN, MEYER, REVERSED, failing_certificate, meyer_raw
+from .conftest import JORDAN, MEYER, REVERSED, failing_certificate, meyer_raw, replaced
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,7 +40,7 @@ def zero_transition_matrix(monkeypatch):
 
     def zero(spec):
         m = build(spec)
-        return m._replace(entries=tuple((0,) * m.size for _ in m.entries))
+        return replaced(m, entries=tuple((0,) * m.size for _ in m.entries))
 
     monkeypatch.setattr(spectral, "transition_matrix", zero)
 

@@ -195,7 +195,7 @@ def meyer():
 def lifting_into_a_crossing():
     # the diameter {1/4, 3/4} lifts into {1/8, 3/8}, which crosses it
     start = AngleClasses(1, "white", 4, ((1, 3),))
-    pullback_to_depth(start, CriticalPortrait("white", 2, 4, [PreargumentSet.of([0, 2])]), 2, 2)
+    pullback_to_depth(start, CriticalPortrait("white", 4, [PreargumentSet.of([0, 2])]), 2, 2)
 
 
 def marking_two_criticals_on_one_cycle():
@@ -368,10 +368,10 @@ ROWS: dict[str, Row] = {
     "portraits._mark_color: marking procedure stuck: cyclic critical orbits": Row(
         marking_two_criticals_on_one_cycle, PortraitError, "marking procedure stuck: cyclic critical orbits"),
     "portraits.sectors: portrait has fewer than two marked angles; no sectors": Row(
-        lambda: sectors(CriticalPortrait("white", 2, 2, [PreargumentSet.of([0])]), 2), PortraitError,
+        lambda: sectors(CriticalPortrait("white", 2, [PreargumentSet.of([0])]), 2), PortraitError,
         "portrait has fewer than two marked angles; no sectors"),
     "portraits.sectors: portrait not unlinked": Row(
-        lambda: sectors(CriticalPortrait("white", 3, 4, [PreargumentSet.of([0, 2]), PreargumentSet.of([1, 3])]), 3),
+        lambda: sectors(CriticalPortrait("white", 4, [PreargumentSet.of([0, 2]), PreargumentSet.of([1, 3])]), 3),
         PortraitError, "portrait not unlinked"),
 
     # laminations

@@ -29,7 +29,7 @@ from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, sectors
 from unmating.svg import SvgScene
 
-from .conftest import spec_with
+from .conftest import replaced, spec_with
 from .oracles import (
     as_fractions,
     brute_force_pullback,
@@ -62,26 +62,24 @@ def chord_count(lam: AngleClasses) -> int:
     return len(SvgScene.from_classes([lam]).chords)
 
 
-def portrait(color, d, grid, *angle_sets) -> CriticalPortrait:
+def portrait(color, grid, *angle_sets) -> CriticalPortrait:
     """A portrait whose sets hold the angles x/grid, given as the integers x."""
-    return CriticalPortrait(
-        color=color, degree=d, grid=grid, sets=[PreargumentSet.of(s) for s in angle_sets]
-    )
+    return CriticalPortrait(color=color, grid=grid, sets=[PreargumentSet.of(s) for s in angle_sets])
 
 
 def brute_force(classes: AngleClasses, p: CriticalPortrait, d: int):
     return brute_force_pullback(classes, sectors(p, d), p.grid, d)
 
 
-MEYER_WHITE = portrait("white", 2, 24, [5, 17])
+MEYER_WHITE = portrait("white", 24, [5, 17])
 
 
 def relift_start(request, case: str) -> tuple[AngleClasses, CriticalPortrait]:
     """Depth-1 classes and their portrait: a side of a fixture, or a hand-built portrait."""
     if case == "critical-value-square":
-        return classes(1, "white", [F(0), F(1, 2)]), portrait("white", 2, 2, [0, 1])
+        return classes(1, "white", [F(0), F(1, 2)]), portrait("white", 2, [0, 1])
     if case == "boundary-preimages":
-        return classes(1, "white", [F(0), F(1, 3)]), portrait("white", 2, 2, [0, 1])
+        return classes(1, "white", [F(0), F(1, 3)]), portrait("white", 2, [0, 1])
     if case == "empty":
         return classes(1, "white"), MEYER_WHITE
     name, color = case.rsplit("-", 1)
@@ -91,6 +89,11 @@ def relift_start(request, case: str) -> tuple[AngleClasses, CriticalPortrait]:
     else:
         result = request.getfixturevalue(f"{name}_result")
     return getattr(result, f"depth1_{color}"), getattr(result, color)
+
+
+def fixture_degree(request, case: str) -> int:
+    """The degree of the fixture a case names; flipping the anchor keeps it."""
+    return request.getfixturevalue(f"{case.split('-')[0]}_spec").degree
 
 
 class TestAngleClasses:
@@ -240,14 +243,14 @@ class TestPullbackStep:
 
     def test_critical_value_lift_merges_to_polygon(self):
         # a class through the critical value lifts to the full preimage square
-        p = portrait("white", 2, 2, [0, 1])
+        p = portrait("white", 2, [0, 1])
         start = classes(1, "white", [F(0), F(1, 2)])
         step = pullback_to_depth(start, p, 2, 2)
         assert as_fractions(step) == ((F(0), F(1, 4), F(1, 2), F(3, 4)),)
 
     def test_boundary_preimages_lie_in_both_sectors(self):
         # 0 and 1/2 bound both closed sectors, so both lifts of {0, 1/3} hold them
-        p = portrait("white", 2, 2, [0, 1])
+        p = portrait("white", 2, [0, 1])
         step = pullback_to_depth(classes(1, "white", [F(0), F(1, 3)]), p, 2, 2)
         assert as_fractions(step) == ((F(0), F(1, 6), F(1, 3), F(1, 2), F(2, 3)),)
 
@@ -349,8 +352,9 @@ class TestItineraryOracle:
     def test_classes_lie_in_itinerary_classes(self, request, case, depth):
         # (a): every depth-n class lies inside one itinerary class of G_n
         start, p = relift_start(request, case)
-        lam = pullback_to_depth(start, p, p.degree, depth)
-        owner = {x: i for i, c in enumerate(kneading_classes(p, p.degree, lam.grid)) for x in c}
+        d = fixture_degree(request, case)
+        lam = pullback_to_depth(start, p, d, depth)
+        owner = {x: i for i, c in enumerate(kneading_classes(p, d, lam.grid)) for x in c}
         for c in lam.classes:
             assert c[0] in owner and {owner.get(x) for x in c} == {owner[c[0]]}, (case, c)
 
@@ -368,11 +372,12 @@ class TestItineraryOracle:
         # (b): the depth-n classes cut down to G_(n-1) are the itinerary classes
         # of G_(n-1); on G_n the newest preimages of a class complete one depth later
         start, p = relift_start(request, case)
-        lower = pullback_to_depth(start, p, p.degree, depth - 1)
-        lam = pullback_to_depth(lower, p, p.degree, depth)
+        d = fixture_degree(request, case)
+        lower = pullback_to_depth(start, p, d, depth - 1)
+        lam = pullback_to_depth(lower, p, d, depth)
         k = lam.grid // lower.grid
         cut = {tuple(x // k for x in c if x % k == 0) for c in lam.classes}
-        assert sorted(c for c in cut if len(c) >= 2) == kneading_classes(p, p.degree, lower.grid)
+        assert sorted(c for c in cut if len(c) >= 2) == kneading_classes(p, d, lower.grid)
 
     @pytest.mark.parametrize("color, other", [("white", "black"), ("black", "white")])
     def test_anchor_flip_swaps_itinerary_classes(self, request, color, other):
@@ -380,10 +385,11 @@ class TestItineraryOracle:
         # and the laminations swap sides together
         start, p = relift_start(request, f"meyer-flipped-{color}")
         start0, p0 = relift_start(request, f"meyer-{other}")
+        d = fixture_degree(request, "meyer")
         for depth in range(2, 6):
-            lam = pullback_to_depth(start, p, p.degree, depth)
-            assert lam.classes == pullback_to_depth(start0, p0, p0.degree, depth).classes
-            assert kneading_classes(p, p.degree, lam.grid) == kneading_classes(p0, p0.degree, lam.grid)
+            lam = pullback_to_depth(start, p, d, depth)
+            assert lam.classes == pullback_to_depth(start0, p0, d, depth).classes
+            assert kneading_classes(p, d, lam.grid) == kneading_classes(p0, d, lam.grid)
 
 
 MEYER_MISSES_RAY_CLASSES = pytest.mark.xfail(
@@ -399,7 +405,7 @@ def census_spec(request, case: str):
     """A fixture's spec, or its spec with the white anchor on the other side."""
     name, _, flipped = case.partition("-")
     spec = request.getfixturevalue(f"{name}_spec")
-    return spec._replace(white_anchor=(0, "right")) if flipped else spec
+    return replaced(spec, white_anchor=(0, "right")) if flipped else spec
 
 
 class TestVertexCensus:

@@ -20,7 +20,7 @@ from unmating.parameterize import (
 from unmating.pipeline import run_pipeline
 from unmating.spectral import certify_perron, transition_matrix
 
-from .conftest import meyer_raw, toy_raw
+from .conftest import meyer_raw, replaced, toy_raw
 from .oracles import (
     FractionParameters,
     pullback_parameters_by_fractions,
@@ -69,7 +69,7 @@ class TestSolveParameters:
     def test_consistency_holds_everywhere(self, meyer_result, jordan_result):
         for result in (meyer_result, jordan_result):
             params = result.params
-            d = params.degree
+            d = result.spec.degree
             for i, t in enumerate(params.t):
                 assert d * t % params.grid == params.t[params.image[i]]
             assert sum(params.lengths) == params.grid
@@ -155,7 +155,8 @@ class TestPullbackParameters:
     def test_deck_shift_of_markers_is_equivalent(self, meyer_spec, meyer_result):
         # shifting all markers by k selects the other lift branch, which is an
         # equally valid normalization of the pullback parameterization
-        shifted = meyer_spec._replace(
+        shifted = replaced(
+            meyer_spec,
             markers=tuple((m + meyer_spec.k) % meyer_spec.n1 for m in meyer_spec.markers),
         )
         alt = pullback_parameters(meyer_result.params, shifted)
@@ -178,7 +179,6 @@ def _as_fractions(params: MarkerParameters) -> FractionParameters:
         tuple(Fraction(t, params.grid) for t in params.t),
         params.image,
         tuple(Fraction(x, params.grid) for x in params.lengths),
-        params.degree,
         params.branch,
     )
 
@@ -271,12 +271,13 @@ class TestFractionOracle:
             spec = base_spec
             if flip:
                 side = "right" if spec.white_anchor[1] == "left" else "left"
-                spec = spec._replace(white_anchor=(spec.white_anchor[0], side))
+                spec = replaced(spec, white_anchor=(spec.white_anchor[0], side))
             lv = certify_perron(transition_matrix(spec), spec.degree)
             image = marker_images(spec)
             angles = set(pullback_parameters(solve_for_spec(spec, lv), spec).s)
             for shift in range(spec.degree):
-                shifted = spec._replace(
+                shifted = replaced(
+                    spec,
                     markers=tuple((m + shift * spec.k) % spec.n1 for m in spec.markers)
                 )
                 for base in range(spec.k):

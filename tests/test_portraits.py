@@ -30,26 +30,21 @@ from .oracles import (
     itinerary_equal_to_horizon,
     label_by_scan,
     mark_color_by_iteration,
+    sector_count,
     sector_lengths,
     sectors_by_midpoints,
 )
 
 
-def portrait(color, d, grid, *angle_sets) -> CriticalPortrait:
+def portrait(color, grid, *angle_sets) -> CriticalPortrait:
     """A portrait whose sets hold the angles x/grid, given as the integers x."""
-    return CriticalPortrait(
-        color=color,
-        degree=d,
-        grid=grid,
-        sets=[PreargumentSet.of(s) for s in angle_sets],
-    )
+    return CriticalPortrait(color=color, grid=grid, sets=[PreargumentSet.of(s) for s in angle_sets])
 
 
 def scaled(p: CriticalPortrait, m: int) -> CriticalPortrait:
     """The same portrait on the grid m times finer."""
     return CriticalPortrait(
         color=p.color,
-        degree=p.degree,
         grid=m * p.grid,
         sets=[
             PreargumentSet.of(
@@ -61,31 +56,32 @@ def scaled(p: CriticalPortrait, m: int) -> CriticalPortrait:
     )
 
 
-MEYER_WHITE = portrait("white", 2, 24, [5, 17])
-MEYER_BLACK = portrait("black", 2, 24, [1, 13])
+MEYER_WHITE = portrait("white", 24, [5, 17])
+MEYER_BLACK = portrait("black", 24, [1, 13])
 # degree 3, nested sets {0, 1/3} and {1/2, 5/6}: one sector is a union of two
 # arcs, 0 is a boundary angle
-TOY_DEGREE3 = portrait("white", 3, 6, [0, 2], [3, 5])
+TOY_DEGREE3 = portrait("white", 6, [0, 2], [3, 5])
 # degree-2 portraits that fail c7, with the first clash certify names
 C7_CLASHES = [
-    (portrait("white", 2, 6, [1, 4], [5]), "q^0(1/6) = 1/6 and 5/6 share a left symbol sequence"),
-    (portrait("white", 2, 6, [1, 4]), "q^1(1/6) = 1/3 and 2/3 share a left symbol sequence"),
-    (portrait("white", 2, 10, [2, 7]), "q^2(1/5) = 4/5 and 1/5 share a left symbol sequence"),
+    (portrait("white", 6, [1, 4], [5]), "q^0(1/6) = 1/6 and 5/6 share a left symbol sequence"),
+    (portrait("white", 6, [1, 4]), "q^1(1/6) = 1/3 and 2/3 share a left symbol sequence"),
+    (portrait("white", 10, [2, 7]), "q^2(1/5) = 4/5 and 1/5 share a left symbol sequence"),
 ]
-# portraits whose sets share an angle: {1/8, 3/8, 7/8} and {1/8, 5/8}, and
-# {8/27, 26/27} twice, which would count twice toward c1
+# (portrait, degree) whose sets share an angle: {1/8, 3/8, 7/8} and
+# {1/8, 5/8}, and {8/27, 26/27} twice, which would count twice toward c1
 SHARED_ANGLE = [
-    portrait("white", 4, 8, [1, 3, 7], [1, 5]),
-    portrait("white", 4, 8, [1, 5], [1, 3, 7]),
-    portrait("white", 3, 27, [8, 26], [8, 26]),
+    (portrait("white", 8, [1, 3, 7], [1, 5]), 4),
+    (portrait("white", 8, [1, 5], [1, 3, 7]), 4),
+    (portrait("white", 27, [8, 26], [8, 26]), 3),
 ]
 
 
 @st.composite
 def random_portraits(draw):
-    """Portraits of degree 2-4 on a grid d*M, M <= 12, with 1-3 sets: each
-    either a set of d-fold preimages of one angle or an arbitrary set, with
-    a preferred element or none.  Many are invalid, which certify reports."""
+    """(portrait, d): portraits of degree 2-4 on a grid d*M, M <= 12, with
+    1-3 sets: each either a set of d-fold preimages of one angle or an
+    arbitrary set, with a preferred element or none.  Many are invalid,
+    which certify reports."""
     d = draw(st.integers(2, 4))
     step = draw(st.integers(1, 12))
     grid = d * step
@@ -97,16 +93,17 @@ def random_portraits(draw):
     for angles in draw(st.lists(preimages | arbitrary, min_size=1, max_size=3)):
         preferred = draw(st.none() | st.sampled_from(sorted(angles)))
         sets.append(PreargumentSet.of(angles, preferred=preferred))
-    return CriticalPortrait(color="white", degree=d, grid=grid, sets=sets)
+    return CriticalPortrait(color="white", grid=grid, sets=sets), d
 
 
 @st.composite
 def unlinked_preargument_portraits(draw):
-    """Portraits of degree 2-5 on a grid d*M, M <= 12, whose sets are
-    disjoint, pairwise unlinked preargument sets: of 2d candidate sets of
-    d-fold preimages of one angle, each is kept when it misses the angles of
-    the sets kept before and links none of them (the `hulls_linked` oracle).
-    No bound on sum(|A|-1) is imposed; about two draws in three reach d - 1."""
+    """(portrait, d): portraits of degree 2-5 on a grid d*M, M <= 12, whose
+    sets are disjoint, pairwise unlinked preargument sets: of 2d candidate
+    sets of d-fold preimages of one angle, each is kept when it misses the
+    angles of the sets kept before and links none of them (the
+    `hulls_linked` oracle).  No bound on sum(|A|-1) is imposed; about two
+    draws in three reach d - 1."""
     d = draw(st.integers(2, 5))
     step = draw(st.integers(1, 12))
     sets: list[PreargumentSet] = []
@@ -115,7 +112,7 @@ def unlinked_preargument_portraits(draw):
         angles = {x + j * step for j in draw(st.sets(st.integers(0, d - 1), min_size=size, max_size=size))}
         if all(angles.isdisjoint(s.angles) and not hulls_linked(angles, s.angles) for s in sets):
             sets.append(PreargumentSet.of(angles))
-    return CriticalPortrait(color="white", degree=d, grid=d * step, sets=sets)
+    return CriticalPortrait(color="white", grid=d * step, sets=sets), d
 
 
 @st.composite
@@ -216,37 +213,37 @@ class TestExtraction:
 class TestSectors:
     def test_meyer_white_two_halves(self):
         sec = sectors(MEYER_WHITE, 2)
-        assert sec.count == 2
+        assert sector_count(sec) == 2
         assert sec.boundary == (5, 17)
         assert sector_lengths(sec, 24) == [Fraction(1, 2)] * 2
 
     def test_diameter(self):
-        sec = sectors(portrait("white", 2, 2, [0, 1]), 2)
-        assert sec.count == 2
+        sec = sectors(portrait("white", 2, [0, 1]), 2)
+        assert sector_count(sec) == 2
         assert sector_lengths(sec, 2) == [Fraction(1, 2)] * 2
 
     def test_tripod(self):
-        sec = sectors(portrait("white", 3, 3, [0, 1, 2]), 3)
-        assert sec.count == 3
+        sec = sectors(portrait("white", 3, [0, 1, 2]), 3)
+        assert sector_count(sec) == 3
         assert sector_lengths(sec, 3) == [Fraction(1, 3)] * 3
 
     def test_linked_sets_refused(self):
-        bad = portrait("white", 3, 4, [0, 2], [1, 3])
+        bad = portrait("white", 4, [0, 2], [1, 3])
         with pytest.raises(PortraitError, match="not unlinked"):
             sectors(bad, 3)
 
     def test_multi_set_sector_arcs(self):
         # degree 3, nested sets: middle sector is a union of two arcs
         sec = sectors(TOY_DEGREE3, 3)
-        assert sec.count == 3
-        arcs_per_sector = [len(arcs_of(sec, 6, s)) for s in range(sec.count)]
+        assert sector_count(sec) == 3
+        arcs_per_sector = [len(arcs_of(sec, 6, s)) for s in range(sector_count(sec))]
         assert sorted(arcs_per_sector) == [1, 1, 2]
         assert all(l * 3 % 1 == 0 for l in sector_lengths(sec, 6))
 
     def test_length_not_multiple_of_degree_refused(self):
         # {0, 1/3} cuts sectors of lengths 1/3 and 2/3, and its angles map
         # to 0 and 2/3: certify refuses it as no preargument set
-        p = portrait("white", 2, 3, [0, 1])
+        p = portrait("white", 3, [0, 1])
         assert sector_lengths(sectors(p, 2), 3) == [Fraction(1, 3), Fraction(2, 3)]
         cert = certify(p, 2)
         assert cert["preargument"] == {"passed": False, "detail": "some set is not a preargument set"}
@@ -259,10 +256,10 @@ class TestSectorLengthTheorem:
     is why `sectors` does not check the lengths."""
 
     @given(unlinked_preargument_portraits())
-    @example(MEYER_WHITE)
-    @example(portrait("white", 4, 8, [1, 3], [5, 7]))  # two sets, sum(|A|-1) = 2 < d - 1
-    def test_sector_lengths_are_multiples_of_one_over_d(self, p):
-        d = p.degree
+    @example((MEYER_WHITE, 2))
+    @example((portrait("white", 8, [1, 3], [5, 7]), 4))  # two sets, sum(|A|-1) = 2 < d - 1
+    def test_sector_lengths_are_multiples_of_one_over_d(self, drawn):
+        p, d = drawn
         cert = certify(p, d)
         assert cert["preargument"]["passed"] and cert["unlinked"]["passed"]
         sec = sectors(p, d)
@@ -270,14 +267,15 @@ class TestSectorLengthTheorem:
         assert sum(lengths) == 1
         assert all(l > 0 and l * d % 1 == 0 for l in lengths), lengths
         # each set of n angles cuts one region into n
-        assert sec.count == len(lengths) == 1 + sum(len(s.angles) - 1 for s in p.sets) <= d
+        assert sector_count(sec) == len(lengths) == 1 + sum(len(s.angles) - 1 for s in p.sets) <= d
 
     @given(unlinked_preargument_portraits())
-    @example(TOY_DEGREE3)
-    @example(portrait("white", 5, 5, [0, 1, 2, 3, 4]))
-    def test_c1_cuts_d_sectors_of_length_one_over_d(self, p):
-        assume(certify(p, p.degree)["c1"]["passed"])
-        assert sector_lengths(sectors(p, p.degree), p.grid) == [Fraction(1, p.degree)] * p.degree
+    @example((TOY_DEGREE3, 3))
+    @example((portrait("white", 5, [0, 1, 2, 3, 4]), 5))
+    def test_c1_cuts_d_sectors_of_length_one_over_d(self, drawn):
+        p, d = drawn
+        assume(certify(p, d)["c1"]["passed"])
+        assert sector_lengths(sectors(p, d), p.grid) == [Fraction(1, d)] * d
 
 
 class TestSectorLabels:
@@ -310,16 +308,17 @@ class TestSectorLabels:
             q, sec = self.fine(p, d)
             for x in range(q.grid):
                 t = Fraction(x, q.grid)
-                closed = {s for s in range(sec.count) if _in_closed_sector(t, sec, q.grid, s)}
+                closed = {s for s in range(sector_count(sec)) if _in_closed_sector(t, sec, q.grid, s)}
                 assert {sec.closed_labels(x)[0], sec.closed_labels(x)[-1]} == closed, x
                 assert sorted(sec.closed_labels(x)) == sorted(closed), x
 
     @given(random_portraits())
-    @example(TOY_DEGREE3)
-    @example(portrait("white", 2, 4, [3], [0, 1]))  # an arc starts at a vertex of one hull only
-    def test_sectors_match_midpoint_oracle(self, p):
+    @example((TOY_DEGREE3, 3))
+    @example((portrait("white", 4, [3], [0, 1]), 2))  # an arc starts at a vertex of one hull only
+    def test_sectors_match_midpoint_oracle(self, drawn):
+        p, d = drawn
         try:
-            sec = sectors(p, p.degree)
+            sec = sectors(p, d)
         except PortraitError:
             assume(False)
         labels, lengths = sectors_by_midpoints([[Fraction(a, p.grid) for a in s.angles] for s in p.sets])
@@ -327,9 +326,10 @@ class TestSectorLabels:
         assert sector_lengths(sec, p.grid) == lengths
 
     @given(random_portraits())
-    def test_side_labels_match_scan_on_random_portraits(self, p):
+    def test_side_labels_match_scan_on_random_portraits(self, drawn):
+        p, d = drawn
         try:
-            sec = sectors(p, p.degree)
+            sec = sectors(p, d)
         except PortraitError:
             assume(False)
         for x in range(p.grid):
@@ -352,7 +352,7 @@ class TestItinerary:
         assert left[1:] == right[1:]
 
     def test_fixed_zero_constant(self):
-        sec = sectors(portrait("white", 2, 2, [0, 1]), 2)
+        sec = sectors(portrait("white", 2, [0, 1]), 2)
         seq = itinerary(Fraction(0), sec, 2, 2, 6, "left")
         assert len(set(seq)) == 1
 
@@ -381,27 +381,27 @@ class TestCertify:
 
     def test_periodic_angle_fails_c5(self):
         # inserting the periodic angle 1/3 breaks the no-periodic condition
-        broken = portrait("white", 2, 24, [5, 17, 8])
+        broken = portrait("white", 24, [5, 17, 8])
         cert = certify(broken, 2)
         assert not cert["c5"]["passed"]
         assert cert["c5"]["detail"] == "periodic participants: 1/3"
         assert not cert["valid"]
 
     def test_periodic_preargument_set_fails_c5_only_there(self):
-        broken = portrait("white", 2, 6, [2, 5])  # {1/3, 5/6}
+        broken = portrait("white", 6, [2, 5])  # {1/3, 5/6}
         cert = certify(broken, 2)
         assert cert["preargument"]["passed"]
         assert cert["c1"]["passed"]
         assert not cert["c5"]["passed"]
 
     def test_deleting_angle_fails_c1(self):
-        broken = portrait("white", 2, 24, [5])
+        broken = portrait("white", 24, [5])
         cert = certify(broken, 2)
         assert not cert["c1"]["passed"]
         assert not cert["valid"]
 
     def test_non_preargument_flagged(self):
-        broken = portrait("white", 2, 24, [5, 8])  # {5/24, 1/3}
+        broken = portrait("white", 24, [5, 8])  # {5/24, 1/3}
         cert = certify(broken, 2)
         assert not cert["preargument"]["passed"]
 
@@ -409,7 +409,7 @@ class TestCertify:
         # {0, 1/2} with 0 participating: q(0) = 0 and q(1/2) = 0 share the
         # left tail, but symbol 0 differs, so c7 holds; a genuinely colliding
         # pair needs equal full sequences
-        p = portrait("white", 2, 2, [0, 1])
+        p = portrait("white", 2, [0, 1])
         cert = certify(p, 2)
         assert cert["c7"]["passed"]
 
@@ -428,12 +428,13 @@ class TestCertify:
 
     @settings(deadline=None)  # the oracle compares Fraction itineraries 2 * grid long
     @given(random_portraits())
-    @example(C7_CLASHES[0][0])
-    @example(C7_CLASHES[1][0])
-    @example(C7_CLASHES[2][0])
-    @example(TOY_DEGREE3)
-    def test_certificate_matches_horizon_oracle(self, p):
-        assert certify(p, p.degree) == certify_by_horizon(p, p.degree)
+    @example((C7_CLASHES[0][0], 2))
+    @example((C7_CLASHES[1][0], 2))
+    @example((C7_CLASHES[2][0], 2))
+    @example((TOY_DEGREE3, 3))
+    def test_certificate_matches_horizon_oracle(self, drawn):
+        p, d = drawn
+        assert certify(p, d) == certify_by_horizon(p, d)
 
     @pytest.mark.parametrize("p, detail", C7_CLASHES)
     def test_c7_names_first_clash(self, p, detail):
@@ -457,16 +458,17 @@ class TestGridRefinement:
     a wrong grid in q_apply, orbit or frac shows as a difference."""
 
     @given(random_portraits(), st.integers(2, 5))
-    def test_certificate_and_sectors_unchanged(self, p, m):
+    def test_certificate_and_sectors_unchanged(self, drawn, m):
+        p, d = drawn
         fine = scaled(p, m)
-        assert certify(fine, p.degree) == certify(p, p.degree)
+        assert certify(fine, d) == certify(p, d)
         try:
-            sec = sectors(p, p.degree)
+            sec = sectors(p, d)
         except PortraitError as e:
             with pytest.raises(PortraitError, match=f"^{re.escape(str(e))}$"):
-                sectors(fine, p.degree)
+                sectors(fine, d)
             return
-        fine_sec = sectors(fine, p.degree)
+        fine_sec = sectors(fine, d)
         assert fine_sec.sector_of_arc == sec.sector_of_arc
         assert fine_sec.boundary == tuple(m * b for b in sec.boundary)
         assert sector_lengths(fine_sec, fine.grid) == sector_lengths(sec, p.grid)
@@ -477,9 +479,9 @@ class TestGridRefinement:
             assert certify(scaled(p, 3), 2) == p.certificate
 
 
-def refused_as_linked(p: CriticalPortrait) -> bool:
+def refused_as_linked(p: CriticalPortrait, d: int) -> bool:
     try:
-        sectors(p, p.degree)
+        sectors(p, d)
     except PortraitError as e:
         return str(e) == "portrait not unlinked"
     return False
@@ -488,27 +490,29 @@ def refused_as_linked(p: CriticalPortrait) -> bool:
 class TestSharedAngles:
     """Sets that share an angle count as linked, whatever their order."""
 
-    @pytest.mark.parametrize("p", SHARED_ANGLE)
-    def test_shared_angle_is_not_unlinked(self, p):
-        cert = certify(p, p.degree)
+    @pytest.mark.parametrize("p, d", SHARED_ANGLE)
+    def test_shared_angle_is_not_unlinked(self, p, d):
+        cert = certify(p, d)
         assert cert["unlinked"] == {"passed": False, "detail": "portrait not unlinked"}
         assert not cert["valid"]
 
     @given(random_portraits(), st.randoms())
     @example(SHARED_ANGLE[0], Random(0))  # which reverses the two sets
-    def test_unlinked_verdict_ignores_set_order(self, p, rnd):
+    def test_unlinked_verdict_ignores_set_order(self, drawn, rnd):
+        p, d = drawn
         sets = rnd.sample(p.sets, len(p.sets))
-        moved = CriticalPortrait(color=p.color, degree=p.degree, grid=p.grid, sets=sets)
-        assert certify(moved, p.degree)["unlinked"] == certify(p, p.degree)["unlinked"]
+        moved = CriticalPortrait(color=p.color, grid=p.grid, sets=sets)
+        assert certify(moved, d)["unlinked"] == certify(p, d)["unlinked"]
 
     @given(random_portraits())
-    @example(TOY_DEGREE3)
-    @example(portrait("white", 3, 4, [0, 2], [1, 3]))
-    def test_disjoint_sets_refused_exactly_when_oracle_links(self, p):
+    @example((TOY_DEGREE3, 3))
+    @example((portrait("white", 4, [0, 2], [1, 3]), 3))
+    def test_disjoint_sets_refused_exactly_when_oracle_links(self, drawn):
+        p, d = drawn
         hulls = [s.angles for s in p.sets]
         assume(len({x for h in hulls for x in h}) == sum(map(len, hulls)))
         linked = any(hulls_linked(a, b) for i, a in enumerate(hulls) for j, b in enumerate(hulls) if i != j)
-        assert refused_as_linked(p) == linked
+        assert refused_as_linked(p, d) == linked
 
 
 class TestHierarchicBookkeeping:
@@ -519,7 +523,7 @@ class TestHierarchicBookkeeping:
     def test_c3_rejects_landing_off_preferred_element(self):
         top = PreargumentSet.of([3, 12, 21], preferred=12)
         src = PreargumentSet.of([1, 10], preferred=1)
-        broken = CriticalPortrait(color="white", degree=3, grid=27, sets=[top, src])
+        broken = CriticalPortrait(color="white", grid=27, sets=[top, src])
         cert = certify(broken, 3)
         assert not cert["c3"]["passed"]
         assert "preferred" in cert["c3"]["detail"]
@@ -527,7 +531,7 @@ class TestHierarchicBookkeeping:
     def test_c3_accepts_consistent_preferred_element(self):
         top = PreargumentSet.of([3, 12, 21], preferred=3)
         src = PreargumentSet.of([1, 10], preferred=1)
-        portrait = CriticalPortrait(color="white", degree=3, grid=27, sets=[top, src])
+        portrait = CriticalPortrait(color="white", grid=27, sets=[top, src])
         assert certify(portrait, 3)["c3"]["passed"]
 
     def test_c3_rejects_scattered_landings(self):
@@ -535,7 +539,7 @@ class TestHierarchicBookkeeping:
         top = PreargumentSet.of([3, 12, 21])
         src1 = PreargumentSet.of([1, 10])        # lands at 1/9
         src2 = PreargumentSet.of([4, 13])        # lands at 4/9
-        broken = CriticalPortrait(color="white", degree=3, grid=27, sets=[top, src1, src2])
+        broken = CriticalPortrait(color="white", grid=27, sets=[top, src1, src2])
         cert = certify(broken, 3)
         assert not cert["c3"]["passed"]
         assert cert["c3"]["detail"] == "set 0 entered at several elements: 1/9, 4/9"
@@ -545,7 +549,7 @@ class TestHierarchicBookkeeping:
         v2 = ("v2", (1, 10))
         marked = _mark_color([v1, v2], 3, 27)
         assert [v for v, _ in marked] == ["v2", "v1"]
-        chained = CriticalPortrait(color="white", degree=3, grid=27, sets=[ps for _, ps in marked])
+        chained = CriticalPortrait(color="white", grid=27, sets=[ps for _, ps in marked])
         cert = certify(chained, 3)
         assert cert["c3"]["passed"]
         assert cert["c5"]["passed"]
