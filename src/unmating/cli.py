@@ -235,7 +235,7 @@ def cmd_render(args) -> int:
     if args.svg is not None:
         _write_svg(scene, args.svg)
     else:
-        sys.stdout.write(render_svg(scene).decode("utf-8"))
+        sys.stdout.write(render_svg(scene))
     return 0
 
 

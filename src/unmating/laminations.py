@@ -258,7 +258,7 @@ def pullback_to_depth(
             )
         if not left:
             if base is None:
-                base = sectors(portrait, d)  # on the portrait's grid
+                base = sectors(portrait)  # on the portrait's grid
             left = min(depth - cur.depth, MAX_PREIMAGES.bit_length())
             grid = lcm(d**left * cur.grid, d ** (left - 1) * portrait.grid)
             sec = base.scaled(grid // portrait.grid)

@@ -191,7 +191,7 @@ class Sectors(Record):
         return (left,)
 
 
-def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
+def sectors(portrait: CriticalPortrait) -> Sectors:
     """Cut the circle along the portrait hulls and group the arcs into sectors.
 
     Two arcs share a sector when they lie in the same gap of every hull; the
@@ -201,13 +201,13 @@ def sectors(portrait: CriticalPortrait, d: int) -> Sectors:
     Precondition: the portrait's sets are preargument sets, which `certify`
     checks ("preargument"); `run_pipeline` pulls back only through portraits
     whose certificate passed.  Then every sector has length a multiple of
-    1/d, and with c1 there are d sectors of length 1/d each (Goldberg 1992;
-    Poirier 2009), so the lengths are not checked here.  Proof: the
-    boundary of a sector alternates between its arcs and hull edges.  Each
-    hull edge joins two angles of one preargument set, whose images agree,
-    so the jump across it is a multiple of 1/d.  Going once around the
-    sector, the arcs and the jumps add up to one turn, so the arcs add up
-    to a multiple of 1/d.
+    1/d, d the degree, and with c1 there are d sectors of length 1/d each
+    (Goldberg 1992; Poirier 2009), so the lengths are not checked here.
+    Proof: the boundary of a sector alternates between its arcs and hull
+    edges.  Each hull edge joins two angles of one preargument set, whose
+    images agree, so the jump across it is a multiple of 1/d.  Going once
+    around the sector, the arcs and the jumps add up to one turn, so the
+    arcs add up to a multiple of 1/d.
     """
     hulls = [s.angles for s in portrait.sets if s.angles]
     boundary = sorted({a for h in hulls for a in h})
@@ -292,7 +292,7 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
     sec = None
     unlinked = True
     try:
-        sec = sectors(portrait, d)
+        sec = sectors(portrait)
     except PortraitError as e:
         unlinked = False
         cert["unlinked"] = {"passed": False, "detail": str(e)}

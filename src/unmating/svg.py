@@ -2,32 +2,41 @@
 
 Chords are straight segments between circle points (cos 2*pi*t, sin 2*pi*t);
 coordinates are the only place floating point appears, fixed to six decimals
-so identical scenes render byte-identically.
+so identical scenes render byte-identically.  Each scene formats, in one
+batch, the angles its shared text table lacks: one ``%`` spells all their
+coordinates, quoted, and one more all their label lines.  A coordinate that
+rounds to -0.000000 is written 0.000000.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import chain, repeat
 
 from .circle import frac
 from .errors import LaminationError
-from .laminations import BLACK, WHITE, AngleClasses
+from .laminations import BLACK, JOIN, WHITE, AngleClasses
 
 _STYLES = {
     WHITE: 'stroke="#b03030" stroke-width="0.010"',
     BLACK: 'stroke="#3050b0" stroke-width="0.010" stroke-dasharray="0.04,0.02"',
-    "join": 'stroke="#444444" stroke-width="0.010"',
+    JOIN: 'stroke="#444444" stroke-width="0.010"',
 }
+_LABEL = (
+    '  <text x="%s" y="%s" font-size="0.07" text-anchor="middle" '
+    'dominant-baseline="middle" fill="#222222">%s</text>'
+)
 
 
 class SvgScene:
     """Chords and their labelled endpoints, the angles given as integers x
     meaning x/grid.
 
-    ``text`` maps an angle to the text that draws it (``_text``), filled in
-    as the scene is rendered.  Scenes of one run on one grid may share it,
-    so that each angle is formatted once however many files draw it.
+    ``text`` maps an angle to the text that draws it: its x and y
+    coordinates, to six decimals and never -0.000000, and its label line.
+    Rendering adds the angles of ``labels`` it lacks, all in one batch.
+    Scenes of one run on one grid may share it, so that each angle is
+    formatted once however many files draw it.
     """
 
     __slots__ = ("grid", "chords", "labels", "text")
@@ -65,58 +74,47 @@ class SvgScene:
         for classes in class_sets:
             side = classes.color
             for xs in classes.classes:
-                chords.extend(zip(xs, xs[1:], repeat(side)))
-                if len(xs) >= 3:
-                    chords.append((xs[0], xs[-1], side))
+                if len(xs) == 2:
+                    chords.append((*xs, side))
+                else:
+                    chords.extend(zip(xs, xs[1:], repeat(side)))
+                    if len(xs) >= 3:
+                        chords.append((xs[0], xs[-1], side))
         chords.sort()
         labels = sorted({x for a, b, _ in chords for x in (a, b)})
         return cls(grid=grid, chords=chords, labels=labels, text=text)
 
 
-def _point(x: int, grid: int) -> tuple[float, float]:
-    theta = 2 * math.pi * (x / grid)  # int / int is correctly rounded: x/grid turns, rounded once
-    return (math.cos(theta), math.sin(theta))
-
-
-def _fmt(x: float) -> str:
-    s = f"{x:.6f}"
-    return "0.000000" if s == "-0.000000" else s
-
-
-def _text(x: int, grid: int) -> tuple[str, str, str]:
-    """The coordinates of x/grid as text, and its label line."""
-    cx, cy = _point(x, grid)
-    return (
-        _fmt(cx),
-        _fmt(cy),
-        f'  <text x="{_fmt(1.10 * cx)}" y="{_fmt(1.10 * cy)}" font-size="0.07" text-anchor="middle" '
-        f'dominant-baseline="middle" fill="#222222">{frac(x, grid)}</text>',
-    )
-
-
-def render_svg(scene: SvgScene) -> bytes:
-    """Serialize the scene; output bytes are stable across runs."""
-    text = scene.text
-    for x in scene.labels:
-        if x not in text:
-            text[x] = _text(x, scene.grid)
+def render_svg(scene: SvgScene) -> str:
+    """Serialize the scene; output is stable across runs."""
+    text, grid = scene.text, scene.grid
+    new = [x for x in scene.labels if x not in text]
+    n = len(new)
+    theta = [2 * math.pi * (x / grid) for x in new]  # int / int is correctly rounded: x/grid turns
+    cos, sin = list(map(math.cos, theta)), list(map(math.sin, theta))
+    values = cos + sin + [1.10 * c for c in cos] + [1.10 * s for s in sin]
+    quoted = ('"%.6f"' * (4 * n) % tuple(values)).replace('"-0.000000"', '"0.000000"')  # whole values only
+    spelled = quoted[1:-1].split('""')  # x, y, label x, label y: n each
+    label_args = chain.from_iterable(zip(spelled[2 * n : 3 * n], spelled[3 * n :], map(frac, new, repeat(grid))))
+    label_lines = ("\n".join(repeat(_LABEL, n)) % tuple(label_args)).split("\n")
+    text.update(zip(new, zip(spelled[:n], spelled[n : 2 * n], label_lines)))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">',
         '  <circle cx="0" cy="0" r="1" fill="none" stroke="#999999" stroke-width="0.006"/>',
     ]
+    style, join = _STYLES.get, _STYLES[JOIN]
     for a, b, side in scene.chords:
         x1, y1, _ = text[a]
         x2, y2, _ = text[b]
-        style = _STYLES.get(side, _STYLES["join"])
-        lines.append(f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>')
-    lines.extend(text[t][2] for t in scene.labels)
+        lines.append(f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style(side, join)}/>')
+    lines.extend([text[x][2] for x in scene.labels])
     lines.append("</svg>\n")
-    return "\n".join(lines).encode("utf-8")
+    return "\n".join(lines)
 
 
 def write_svg(scene: SvgScene, path) -> int:
-    data = render_svg(scene)
+    data = render_svg(scene).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
     return len(data)

@@ -7,6 +7,7 @@ the pipeline is exact, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -225,7 +226,7 @@ def pullback_by_relift(
         raise LaminationError(
             f"cannot lift {classes.color} classes through a {portrait.color} portrait"
         )
-    sec = sectors(portrait, d)
+    sec = sectors(portrait)
     # one finer grid holds the preimages (u/grid + m)/d and the sector boundary
     grid = lcm(d * classes.grid, portrait.grid)
     k = grid // (d * classes.grid)
@@ -269,7 +270,7 @@ def kneading_classes(portrait: CriticalPortrait, d: int, grid: int) -> list[tupl
     so the classes are the connected components of the related pairs.
     Every pair is walked: O(grid^2) walks, each up to its orbit's length.
     """
-    sec = sectors(portrait, d)
+    sec = sectors(portrait)
     # closed sector s holds t iff s is t's left or right label
     closed = [
         {label_by_scan(Fraction(x, grid), sec, portrait.grid, side) for side in ("left", "right")}
@@ -369,7 +370,7 @@ def certify_by_horizon(portrait: CriticalPortrait, d: int) -> dict:
         else "no participating angle is periodic",
     }
     try:
-        sec = sectors(portrait, d)
+        sec = sectors(portrait)
         cert["unlinked"] = {"passed": True, "detail": "hulls pairwise unlinked"}
     except PortraitError as e:
         sec = None
@@ -599,3 +600,21 @@ def pullback_parameters_by_fractions(
             )
     grid = lcm(*(x.denominator for x in s))
     return PullbackParameters(grid=grid, s=tuple(x.numerator * (grid // x.denominator) for x in s))
+
+
+def _fmt(x: float) -> str:
+    s = f"{x:.6f}"
+    return "0.000000" if s == "-0.000000" else s
+
+
+def svg_text(x: int, grid: int) -> tuple[str, str, str]:
+    """One entry of `SvgScene.text` spelled alone: the coordinates of x/grid
+    as text, and its label line."""
+    theta = 2 * math.pi * (x / grid)
+    cx, cy = math.cos(theta), math.sin(theta)
+    return (
+        _fmt(cx),
+        _fmt(cy),
+        f'  <text x="{_fmt(1.10 * cx)}" y="{_fmt(1.10 * cy)}" font-size="0.07" text-anchor="middle" '
+        f'dominant-baseline="middle" fill="#222222">{frac(x, grid)}</text>',
+    )

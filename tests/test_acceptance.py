@@ -142,7 +142,7 @@ class TestAcceptance:
             (result.depth1_white, result.white),
             (result.depth1_black, result.black),
         ):
-            sec = sectors(portrait, 2)
+            sec = sectors(portrait)
             cur = cls
             leaf_counts = [len(SvgScene.from_classes([cur]).chords)]
             for depth in range(2, 7):

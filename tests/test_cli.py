@@ -5,6 +5,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -24,6 +25,7 @@ from unmating.pipeline import run_pipeline
 from unmating.svg import SvgScene, render_svg
 
 from .conftest import JORDAN, MEYER, REVERSED, failing_certificate, meyer_raw, replaced
+from .oracles import svg_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -312,20 +314,53 @@ class TestSvgScene:
 
         empty = AngleClasses(depth=1, color="white", grid=1, classes=())
         data = render_svg(SvgScene.from_classes([empty]))
-        assert data.count(b"<line") == 0
-        assert data.count(b"<circle") == 1
+        assert data.count("<line") == 0
+        assert data.count("<circle") == 1
 
     def test_sides_styled_distinctly(self, meyer_result):
         scene = SvgScene.from_classes(
             [meyer_result.depth1_white, meyer_result.depth1_black]
         )
-        data = render_svg(scene).decode()
+        data = render_svg(scene)
         assert "#b03030" in data and "#3050b0" in data
 
     def test_labels_are_fractions(self, meyer_result):
         scene = SvgScene.from_classes([meyer_result.depth1_white])
-        data = render_svg(scene).decode()
+        data = render_svg(scene)
         assert ">5/24</text>" in data and ">17/24</text>" in data
+
+    @given(
+        st.integers(1, 10**6).flatmap(
+            lambda grid: st.tuples(
+                st.just(grid),
+                st.sets(st.integers(0, grid - 1) | st.sampled_from([q * grid // 4 for q in range(4)]), max_size=40),
+                st.sets(st.integers(0, grid - 1), max_size=5),
+            )
+        )
+    )
+    @example((4, {0, 1, 2, 3}, set()))
+    @example((1_000_000, {250_000, 750_000, 999_999}, {250_000}))
+    def test_batched_text_matches_per_angle_oracle(self, drawn):
+        """Rendering adds exactly the missing angles, each spelled as the
+        per-angle oracle spells it; entries already in the table stay."""
+        grid, labels, known = drawn
+        kept = {x: (f"x{x}", f"y{x}", f"label {x}") for x in known}
+        scene = SvgScene(grid=grid, labels=sorted(labels), text=dict(kept))
+        render_svg(scene)
+        assert scene.text.keys() == labels | known
+        for x in labels | known:
+            assert scene.text[x] == (kept[x] if x in kept else svg_text(x, grid)), x
+
+    def test_negative_zero_is_written_zero(self):
+        """cos(2*pi*3/4) is -1.8e-16, which %.6f spells -0.000000; only such
+        whole values become 0.000000, and other negatives keep their sign."""
+        assert f"{math.cos(2 * math.pi * (3 / 4)):.6f}" == "-0.000000"
+        scene = SvgScene(grid=12, labels=[3, 4, 9])
+        data = render_svg(scene)
+        assert scene.text[9][:2] == ("0.000000", "-1.000000")
+        assert ' x="0.000000" y="-1.100000" ' in scene.text[9][2] and scene.text[9][2].endswith(">3/4</text>")
+        assert scene.text[4][:2] == ("-0.500000", "0.866025")
+        assert "-0.000000" not in data
 
 
 # JSON trees of the kinds json.dumps accepts; text covers non-ASCII and control characters

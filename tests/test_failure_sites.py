@@ -368,10 +368,10 @@ ROWS: dict[str, Row] = {
     "portraits._mark_color: marking procedure stuck: cyclic critical orbits": Row(
         marking_two_criticals_on_one_cycle, PortraitError, "marking procedure stuck: cyclic critical orbits"),
     "portraits.sectors: portrait has fewer than two marked angles; no sectors": Row(
-        lambda: sectors(CriticalPortrait("white", 2, [PreargumentSet.of([0])]), 2), PortraitError,
+        lambda: sectors(CriticalPortrait("white", 2, [PreargumentSet.of([0])])), PortraitError,
         "portrait has fewer than two marked angles; no sectors"),
     "portraits.sectors: portrait not unlinked": Row(
-        lambda: sectors(CriticalPortrait("white", 4, [PreargumentSet.of([0, 2]), PreargumentSet.of([1, 3])]), 3),
+        lambda: sectors(CriticalPortrait("white", 4, [PreargumentSet.of([0, 2]), PreargumentSet.of([1, 3])])),
         PortraitError, "portrait not unlinked"),
 
     # laminations

@@ -68,7 +68,7 @@ def portrait(color, grid, *angle_sets) -> CriticalPortrait:
 
 
 def brute_force(classes: AngleClasses, p: CriticalPortrait, d: int):
-    return brute_force_pullback(classes, sectors(p, d), p.grid, d)
+    return brute_force_pullback(classes, sectors(p), p.grid, d)
 
 
 MEYER_WHITE = portrait("white", 24, [5, 17])

@@ -212,29 +212,29 @@ class TestExtraction:
 
 class TestSectors:
     def test_meyer_white_two_halves(self):
-        sec = sectors(MEYER_WHITE, 2)
+        sec = sectors(MEYER_WHITE)
         assert sector_count(sec) == 2
         assert sec.boundary == (5, 17)
         assert sector_lengths(sec, 24) == [Fraction(1, 2)] * 2
 
     def test_diameter(self):
-        sec = sectors(portrait("white", 2, [0, 1]), 2)
+        sec = sectors(portrait("white", 2, [0, 1]))
         assert sector_count(sec) == 2
         assert sector_lengths(sec, 2) == [Fraction(1, 2)] * 2
 
     def test_tripod(self):
-        sec = sectors(portrait("white", 3, [0, 1, 2]), 3)
+        sec = sectors(portrait("white", 3, [0, 1, 2]))
         assert sector_count(sec) == 3
         assert sector_lengths(sec, 3) == [Fraction(1, 3)] * 3
 
     def test_linked_sets_refused(self):
         bad = portrait("white", 4, [0, 2], [1, 3])
         with pytest.raises(PortraitError, match="not unlinked"):
-            sectors(bad, 3)
+            sectors(bad)
 
     def test_multi_set_sector_arcs(self):
         # degree 3, nested sets: middle sector is a union of two arcs
-        sec = sectors(TOY_DEGREE3, 3)
+        sec = sectors(TOY_DEGREE3)
         assert sector_count(sec) == 3
         arcs_per_sector = [len(arcs_of(sec, 6, s)) for s in range(sector_count(sec))]
         assert sorted(arcs_per_sector) == [1, 1, 2]
@@ -244,7 +244,7 @@ class TestSectors:
         # {0, 1/3} cuts sectors of lengths 1/3 and 2/3, and its angles map
         # to 0 and 2/3: certify refuses it as no preargument set
         p = portrait("white", 3, [0, 1])
-        assert sector_lengths(sectors(p, 2), 3) == [Fraction(1, 3), Fraction(2, 3)]
+        assert sector_lengths(sectors(p), 3) == [Fraction(1, 3), Fraction(2, 3)]
         cert = certify(p, 2)
         assert cert["preargument"] == {"passed": False, "detail": "some set is not a preargument set"}
         assert cert["unlinked"]["passed"] and not cert["valid"]
@@ -262,7 +262,7 @@ class TestSectorLengthTheorem:
         p, d = drawn
         cert = certify(p, d)
         assert cert["preargument"]["passed"] and cert["unlinked"]["passed"]
-        sec = sectors(p, d)
+        sec = sectors(p)
         lengths = sector_lengths(sec, p.grid)
         assert sum(lengths) == 1
         assert all(l > 0 and l * d % 1 == 0 for l in lengths), lengths
@@ -275,7 +275,7 @@ class TestSectorLengthTheorem:
     def test_c1_cuts_d_sectors_of_length_one_over_d(self, drawn):
         p, d = drawn
         assume(certify(p, d)["c1"]["passed"])
-        assert sector_lengths(sectors(p, d), p.grid) == [Fraction(1, d)] * d
+        assert sector_lengths(sectors(p), p.grid) == [Fraction(1, d)] * d
 
 
 class TestSectorLabels:
@@ -291,7 +291,7 @@ class TestSectorLabels:
     def fine(self, p, d):
         """The portrait on the least grid holding it and 1/(48 d), and its sectors."""
         q = scaled(p, lcm(p.grid, 48 * d) // p.grid)
-        return q, sectors(q, d)
+        return q, sectors(q)
 
     def test_side_labels_match_scan(self, meyer_result, jordan_result):
         for p, d in self.cases(meyer_result, jordan_result):
@@ -316,9 +316,9 @@ class TestSectorLabels:
     @example((TOY_DEGREE3, 3))
     @example((portrait("white", 4, [3], [0, 1]), 2))  # an arc starts at a vertex of one hull only
     def test_sectors_match_midpoint_oracle(self, drawn):
-        p, d = drawn
+        p, _ = drawn
         try:
-            sec = sectors(p, d)
+            sec = sectors(p)
         except PortraitError:
             assume(False)
         labels, lengths = sectors_by_midpoints([[Fraction(a, p.grid) for a in s.angles] for s in p.sets])
@@ -327,9 +327,9 @@ class TestSectorLabels:
 
     @given(random_portraits())
     def test_side_labels_match_scan_on_random_portraits(self, drawn):
-        p, d = drawn
+        p, _ = drawn
         try:
-            sec = sectors(p, d)
+            sec = sectors(p)
         except PortraitError:
             assume(False)
         for x in range(p.grid):
@@ -339,25 +339,25 @@ class TestSectorLabels:
 
 class TestItinerary:
     def test_shift_property(self):
-        sec = sectors(MEYER_WHITE, 2)
+        sec = sectors(MEYER_WHITE)
         full = itinerary(Fraction(5, 24), sec, 24, 2, 4, "left")
         shifted = itinerary(Fraction(5, 12), sec, 24, 2, 3, "left")
         assert full[1:] == shifted
 
     def test_boundary_sides_differ(self):
-        sec = sectors(MEYER_WHITE, 2)
+        sec = sectors(MEYER_WHITE)
         left = itinerary(Fraction(5, 24), sec, 24, 2, 4, "left")
         right = itinerary(Fraction(5, 24), sec, 24, 2, 4, "right")
         assert left[0] != right[0]
         assert left[1:] == right[1:]
 
     def test_fixed_zero_constant(self):
-        sec = sectors(portrait("white", 2, [0, 1]), 2)
+        sec = sectors(portrait("white", 2, [0, 1]))
         seq = itinerary(Fraction(0), sec, 2, 2, 6, "left")
         assert len(set(seq)) == 1
 
     def test_interior_angle_side_independent(self):
-        sec = sectors(MEYER_WHITE, 2)
+        sec = sectors(MEYER_WHITE)
         t = Fraction(1, 3)
         assert itinerary(t, sec, 24, 2, 5, "left") == itinerary(t, sec, 24, 2, 5, "right")
 
@@ -417,7 +417,7 @@ class TestCertify:
         # the refinement's classes over the participants' iterates against
         # literal left strings, 2 * grid symbols long, on every pair
         for p in (meyer_result.white, meyer_result.black, *(p for p, _ in C7_CLASHES)):
-            sec = sectors(p, 2)
+            sec = sectors(p)
             xs = {x for a in p.participants() for x in orbit(a, 2, p.grid)}
             cls = _left_sequence_classes(xs, sec, 2, p.grid)
             for a in xs:
@@ -463,12 +463,12 @@ class TestGridRefinement:
         fine = scaled(p, m)
         assert certify(fine, d) == certify(p, d)
         try:
-            sec = sectors(p, d)
+            sec = sectors(p)
         except PortraitError as e:
             with pytest.raises(PortraitError, match=f"^{re.escape(str(e))}$"):
-                sectors(fine, d)
+                sectors(fine)
             return
-        fine_sec = sectors(fine, d)
+        fine_sec = sectors(fine)
         assert fine_sec.sector_of_arc == sec.sector_of_arc
         assert fine_sec.boundary == tuple(m * b for b in sec.boundary)
         assert sector_lengths(fine_sec, fine.grid) == sector_lengths(sec, p.grid)
@@ -479,9 +479,9 @@ class TestGridRefinement:
             assert certify(scaled(p, 3), 2) == p.certificate
 
 
-def refused_as_linked(p: CriticalPortrait, d: int) -> bool:
+def refused_as_linked(p: CriticalPortrait) -> bool:
     try:
-        sectors(p, d)
+        sectors(p)
     except PortraitError as e:
         return str(e) == "portrait not unlinked"
     return False
@@ -508,11 +508,11 @@ class TestSharedAngles:
     @example((TOY_DEGREE3, 3))
     @example((portrait("white", 4, [0, 2], [1, 3]), 3))
     def test_disjoint_sets_refused_exactly_when_oracle_links(self, drawn):
-        p, d = drawn
+        p, _ = drawn
         hulls = [s.angles for s in p.sets]
         assume(len({x for h in hulls for x in h}) == sum(map(len, hulls)))
         linked = any(hulls_linked(a, b) for i, a in enumerate(hulls) for j, b in enumerate(hulls) if i != j)
-        assert refused_as_linked(p, d) == linked
+        assert refused_as_linked(p) == linked
 
 
 class TestHierarchicBookkeeping:

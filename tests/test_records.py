@@ -28,7 +28,7 @@ READ_ONLY = {
     "LengthVector": lambda r: r.lengths,
     "AngleClasses": lambda r: r.lamination_white,
     "Crossings": lambda r: r.moore["informational"],
-    "Sectors": lambda r: sectors(r.white, 2),
+    "Sectors": lambda r: sectors(r.white),
 }
 # the records without a hash, and why
 UNHASHABLE = {
@@ -140,11 +140,11 @@ class TestAngleClasses:
         monkeypatch.setattr(laminations, "sectors", counting)
         lam = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 6)
         assert lam.depth == 6
-        assert calls == [(meyer_result.white, 2)]
+        assert calls == [(meyer_result.white,)]
 
 
 def test_sectors_compare_by_value(meyer_result):
-    sec = sectors(meyer_result.white, 2)
+    sec = sectors(meyer_result.white)
     assert sec == Sectors(sec.boundary, sec.sector_of_arc)
     assert sec != Sectors(sec.boundary[::-1], sec.sector_of_arc)
     assert sec != Sectors(sec.boundary, sec.sector_of_arc[::-1])
