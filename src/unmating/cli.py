@@ -41,6 +41,7 @@ from .svg import SvgScene, render_svg, write_svg
 
 # the JSON text of a str, an int or a bool, by exact type
 _SPELL = {str: quote, int: repr, bool: {False: "false", True: "true"}.__getitem__}
+_LISTS = {list, tuple}  # the sequences json writes as arrays
 
 
 def _dumps(obj) -> str:
@@ -54,6 +55,9 @@ def _dumps(obj) -> str:
     level.  Keying by ``id`` is sound because ``obj`` keeps every sub-object
     alive until the call returns, so no id is reused for another object
     meanwhile; equal lists that are distinct objects render separately.
+    One helper renders a batch of such lists: a single list is a batch of
+    one, and a list of such lists (the report's class lists) is one batch,
+    written in one loop with no call per list.
 
     A `Crossings` is written from its columns, building no entry: each
     class's text and row head (``{"a": <text>, "b": ``) and each sides
@@ -63,17 +67,25 @@ def _dumps(obj) -> str:
     pads = ["\n"]  # pads[level] = newline + indentation at that level
     rendered: dict[tuple[int, int], str] = {}  # rendered[level, id of a scalar list] = its text
 
-    def scalars(o, level: int) -> str | None:
-        """The memoized text of ``o`` at ``level`` if it is a non-empty list
-        of ``str``s, of ``int``s or of ``bool``s, else None."""
-        text = rendered.get((level, id(o)))
-        if text is None and o:
-            kind = type(o[0])
-            spell = _SPELL.get(kind)
-            if spell is not None and set(map(type, o)) == {kind}:
-                inner = pads[level + 1]
-                text = rendered[level, id(o)] = "[" + inner + ("," + inner).join(map(spell, o)) + pads[level] + "]"
-        return text
+    def batch(lists, level: int) -> list[str] | None:
+        """The memoized texts of ``lists`` at ``level`` if each is a non-empty
+        list or tuple and all their items are ``str``s, all ``int``s or all
+        ``bool``s, else None."""
+        if not (all(lists) and set(map(type, lists)) <= _LISTS):
+            return None
+        kinds = set(map(type, chain.from_iterable(lists)))
+        spell = _SPELL.get(kinds.pop()) if len(kinds) == 1 else None
+        if spell is None:
+            return None
+        head, sep, end = "[" + pads[level + 1], "," + pads[level + 1], pads[level] + "]"
+        texts = []
+        for o in lists:
+            key = level, id(o)
+            text = rendered.get(key)
+            if text is None:
+                text = rendered[key] = head + sep.join(map(spell, o)) + end
+            texts.append(text)
+        return texts
 
     def write(o, level: int) -> None:
         spell = _SPELL.get(type(o))
@@ -99,21 +111,23 @@ def _dumps(obj) -> str:
             return
         if type(o) is Crossings:
             a, b, sides, note = (pads[level + 2] + quote(key) + ": " for key in Crossings.KEYS)
-            cells = [scalars(words, level + 2) for words in o.text]
+            cells = batch(o.text, level + 2)
             heads = ["{" + a + text + "," + b for text in cells]
             note = "" if o.note is None else "," + note + quote(o.note)
             # a row's tail closes it; the tail of any row but the last also opens the next
             distinct = dict(zip(map(id, o.sides), o.sides))
-            ends = {key: "," + sides + scalars(words, level + 2) + note + inner + "}" for key, words in distinct.items()}
+            texts = zip(distinct, batch(list(distinct.values()), level + 2))
+            ends = {key: "," + sides + text + note + inner + "}" for key, text in texts}
             tails = {key: end + "," + inner for key, end in ends.items()}
             parts.append("[" + inner)
             rows = zip(map(heads.__getitem__, o.a), map(cells.__getitem__, o.b), map(tails.__getitem__, map(id, o.sides)))
             parts.extend(chain.from_iterable(rows))
             parts[-1] = ends[id(o.sides[-1])] + pads[level] + "]"
             return
-        text = scalars(o, level)
-        if text is not None:
-            parts.append(text)
+        nested = type(o[0]) in _LISTS
+        texts = batch(o, level + 1) if nested else batch([o], level)
+        if texts is not None:
+            parts.append("[" + inner + ("," + inner).join(texts) + pads[level] + "]" if nested else texts[0])
         else:
             sep = "[" + inner
             for x in o:
@@ -196,10 +210,11 @@ def _run(args) -> PipelineResult:
 
 def _scene(result: PipelineResult, side: str, text: dict | None = None) -> SvgScene:
     """Chords of one side; "join" overlays the white and black sides.  Scenes
-    built with one ``text`` table share the text of each angle."""
+    built with one ``text`` table share the text of each angle, and every
+    label reads its ``p/q`` from the run's class text."""
     if side == "join":
-        return SvgScene.from_classes([result.lamination_white, result.lamination_black], text)
-    return SvgScene.from_classes([lamination_for_side(result, side)], text)
+        return SvgScene.from_classes([result.lamination_white, result.lamination_black], text, result.texts)
+    return SvgScene.from_classes([lamination_for_side(result, side)], text, result.texts)
 
 
 def _write_sides(result: PipelineResult, path: str) -> None:

@@ -4,8 +4,10 @@ Chords are straight segments between circle points (cos 2*pi*t, sin 2*pi*t);
 coordinates are the only place floating point appears, fixed to six decimals
 so identical scenes render byte-identically.  Each scene formats, in one
 batch, the angles its shared text table lacks: one ``%`` spells all their
-coordinates, quoted, and one more all their label lines.  A coordinate that
-rounds to -0.000000 is written 0.000000.
+coordinates, quoted, and one more all their label lines.  Each label's
+``p/q`` comes with the scene, from the class text of its classes
+(`AngleClasses.text`).  A coordinate that rounds to -0.000000 is written
+0.000000.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from itertools import chain, repeat
 
-from .circle import frac
 from .errors import LaminationError
 from .laminations import BLACK, JOIN, WHITE, AngleClasses
 
@@ -36,10 +37,11 @@ class SvgScene:
     coordinates, to six decimals and never -0.000000, and its label line.
     Rendering adds the angles of ``labels`` it lacks, all in one batch.
     Scenes of one run on one grid may share it, so that each angle is
-    formatted once however many files draw it.
+    formatted once however many files draw it.  ``names`` gives the ``p/q``
+    of each label that ``text`` lacks.
     """
 
-    __slots__ = ("grid", "chords", "labels", "text")
+    __slots__ = ("grid", "chords", "labels", "text", "names")
 
     def __init__(
         self,
@@ -47,19 +49,24 @@ class SvgScene:
         chords: list[tuple[int, int, str]] | None = None,
         labels: list[int] | None = None,
         text: dict[int, tuple[str, str, str]] | None = None,
+        names: dict[int, str] | None = None,
     ):
         self.grid = grid
         self.chords = [] if chords is None else chords  # (a, b, side), a < b
         self.labels = [] if labels is None else labels  # every chord end, sorted
         self.text = {} if text is None else text
+        self.names = {} if names is None else names
 
     @classmethod
     def from_classes(
-        cls, class_sets: list[AngleClasses], text: dict[int, tuple[str, str, str]] | None = None
+        cls, class_sets: list[AngleClasses], text: dict[int, tuple[str, str, str]] | None = None,
+        words: dict[tuple[int, ...], list[str]] | None = None,
     ) -> "SvgScene":
         """The chords of each class: consecutive angles, and the closing chord
         of a polygon.  The class sets must share one grid; ``text`` is the
-        shared table of the run's scenes.
+        shared table of the run's scenes, and ``words`` the run's table for
+        `AngleClasses.text`, so a run spells each class once for its report
+        and its drawings.
 
         The classes of one AngleClasses are disjoint and every chord carries
         its side, so no chord is made twice and one sort orders them all.
@@ -81,8 +88,12 @@ class SvgScene:
                     if len(xs) >= 3:
                         chords.append((xs[0], xs[-1], side))
         chords.sort()
-        labels = sorted({x for a, b, _ in chords for x in (a, b)})
-        return cls(grid=grid, chords=chords, labels=labels, text=text)
+        ends = {x for a, b, _ in chords for x in (a, b)}
+        names = {}
+        if text is None or not text.keys() >= ends:  # else every label is formatted already
+            for classes in class_sets:
+                names.update(zip(chain.from_iterable(classes.classes), chain.from_iterable(classes.text(words))))
+        return cls(grid=grid, chords=chords, labels=sorted(ends), text=text, names=names)
 
 
 def render_svg(scene: SvgScene) -> str:
@@ -95,7 +106,7 @@ def render_svg(scene: SvgScene) -> str:
     values = cos + sin + [1.10 * c for c in cos] + [1.10 * s for s in sin]
     quoted = ('"%.6f"' * (4 * n) % tuple(values)).replace('"-0.000000"', '"0.000000"')  # whole values only
     spelled = quoted[1:-1].split('""')  # x, y, label x, label y: n each
-    label_args = chain.from_iterable(zip(spelled[2 * n : 3 * n], spelled[3 * n :], map(frac, new, repeat(grid))))
+    label_args = chain.from_iterable(zip(spelled[2 * n : 3 * n], spelled[3 * n :], map(scene.names.__getitem__, new)))
     label_lines = ("\n".join(repeat(_LABEL, n)) % tuple(label_args)).split("\n")
     text.update(zip(new, zip(spelled[:n], spelled[n : 2 * n], label_lines)))
     lines = [

@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from unmating import cli, errors, spectral
+from unmating.circle import frac
 from unmating.cli import _dumps, main
-from unmating.laminations import Crossings, pullback_to_depth
+from unmating.laminations import AngleClasses, Crossings, pullback_to_depth
 from unmating.pipeline import run_pipeline
 from unmating.svg import SvgScene, render_svg
 
@@ -310,8 +311,6 @@ def test_unwritable_svg_path_exit_two(capsys, tmp_path, command, target):
 
 class TestSvgScene:
     def test_empty_scene_outline_only(self):
-        from unmating.laminations import AngleClasses
-
         empty = AngleClasses(depth=1, color="white", grid=1, classes=())
         data = render_svg(SvgScene.from_classes([empty]))
         assert data.count("<line") == 0
@@ -329,6 +328,15 @@ class TestSvgScene:
         data = render_svg(scene)
         assert ">5/24</text>" in data and ">17/24</text>" in data
 
+    @pytest.mark.parametrize("xs", [(1, 4, 9), (0, 2, 5, 11)], ids=["three", "four"])
+    def test_polygon_chords_close_at_its_ends(self, xs):
+        """A class of three or more angles draws its consecutive chords and one
+        closing chord from its first angle to its last, and nothing else."""
+        scene = SvgScene.from_classes([AngleClasses(depth=1, color="white", grid=12, classes=(xs,))])
+        assert scene.chords == sorted([(a, b, "white") for a, b in zip(xs, xs[1:])] + [(xs[0], xs[-1], "white")])
+        assert scene.labels == list(xs)
+        assert scene.names == {x: frac(x, 12) for x in xs}
+
     @given(
         st.integers(1, 10**6).flatmap(
             lambda grid: st.tuples(
@@ -345,7 +353,8 @@ class TestSvgScene:
         per-angle oracle spells it; entries already in the table stay."""
         grid, labels, known = drawn
         kept = {x: (f"x{x}", f"y{x}", f"label {x}") for x in known}
-        scene = SvgScene(grid=grid, labels=sorted(labels), text=dict(kept))
+        names = {x: frac(x, grid) for x in labels}
+        scene = SvgScene(grid=grid, labels=sorted(labels), text=dict(kept), names=names)
         render_svg(scene)
         assert scene.text.keys() == labels | known
         for x in labels | known:
@@ -355,7 +364,7 @@ class TestSvgScene:
         """cos(2*pi*3/4) is -1.8e-16, which %.6f spells -0.000000; only such
         whole values become 0.000000, and other negatives keep their sign."""
         assert f"{math.cos(2 * math.pi * (3 / 4)):.6f}" == "-0.000000"
-        scene = SvgScene(grid=12, labels=[3, 4, 9])
+        scene = SvgScene(grid=12, labels=[3, 4, 9], names={3: "1/4", 4: "1/3", 9: "3/4"})
         data = render_svg(scene)
         assert scene.text[9][:2] == ("0.000000", "-1.000000")
         assert ' x="0.000000" y="-1.100000" ' in scene.text[9][2] and scene.text[9][2].endswith(">3/4</text>")
@@ -437,8 +446,40 @@ def record_lists(draw):
     return draw(st.permutations([rows, shared[0], [shared], {"deeper": [rows]}]))
 
 
+@st.composite
+def class_sections(draw):
+    """Sections like the report's class lists: lists of string lists drawn
+    from one pool, so that one list object recurs within a section, across
+    sections and at several levels.  An item may be one that the one-pass
+    path does not take: an int list (after string lists), an empty list, a
+    tuple, or a word or a dict, which iterate as strings."""
+    pool = draw(st.lists(st.lists(json_text, min_size=1, max_size=3), min_size=1, max_size=4))
+    odd = (
+        st.lists(st.integers(), min_size=1, max_size=2) | st.just([]) | st.sampled_from(pool).map(tuple)
+        | json_text | st.dictionaries(json_text, json_text, min_size=1, max_size=2)
+    )
+    item = st.sampled_from(pool) | st.lists(json_text, min_size=1, max_size=3) | odd
+    white, black, join = (draw(st.lists(item, min_size=1, max_size=6)) for _ in range(3))
+    return {
+        "white": {"classes": white},
+        "black": {"classes": black},
+        "join": {"classes": join, "again": [white, pool]},
+        "deeper": [{"classes": [white, join]}, pool[0]],
+    }
+
+
 class TestDumps:
     """cli._dumps against its oracle, json.dumps(indent=2)."""
+
+    @given(class_sections())
+    @example({"classes": [["1/3", "2/3"], [1, 2]]})
+    @example({"classes": [["1/3", "2/3"], []]})
+    @example({"classes": [["1/3", "2/3"], ("1/6", "5/6")]})
+    @example({"classes": [["1/3", "2/3"], "1/6", {"5/6": "1/2"}]})
+    @example({"classes": [["\u00e9", "\x00\x1f"], ["\U0001f600", '"\\/\t\n']]})
+    @example({"a": [_WORDS, _WORDS], "b": [[_WORDS, [1]], [_WORDS, _WORDS]]})
+    def test_class_lists(self, tree):
+        assert _dumps(tree) == json.dumps(tree, indent=2)
 
     @given(json_trees)
     def test_matches_json_dumps(self, tree):
@@ -642,6 +683,37 @@ def test_unmate_svg_calls_and_run_state(capsys, tmp_path, monkeypatch):
     expected = outputs([MEYER, JORDAN], "fresh", fresh=True)
     assert outputs([MEYER, JORDAN], "a") == expected
     assert outputs([JORDAN, MEYER], "b") == expected
+
+
+def test_svg_labels_spell_no_angle_again(capsys, tmp_path, monkeypatch):
+    """The labels of ``unmate --svg`` read each ``p/q`` from the run's class
+    text, so the run calls `circle.frac` as often as the same run without
+    ``--svg``: counted through every module that imports it."""
+    from unmating import circle
+
+    frac = circle.frac
+    importers = [
+        m for name, m in sorted(sys.modules.items())
+        if name.split(".")[0] == "unmating" and getattr(m, "frac", None) is frac
+    ]
+    assert {"unmating.circle", "unmating.laminations", "unmating.pipeline"} <= {m.__name__ for m in importers}
+    calls = []
+
+    def counting(x, grid):
+        calls.append(x)
+        return frac(x, grid)
+
+    def count(*svg):
+        calls.clear()
+        with monkeypatch.context() as patch:
+            for module in importers:
+                patch.setattr(module, "frac", counting)
+            assert run(capsys, "unmate", MEYER, "--depth", "4", *svg)[0] == 0
+        return len(calls)
+
+    bare = count()
+    assert bare > 0
+    assert count("--svg", tmp_path / "out.svg") == bare
 
 
 def test_closed_stdout_exit_two():

@@ -265,6 +265,17 @@ class TestPullbackStep:
         with pytest.raises(LaminationError, match="depth 13 is beyond the work limit"):
             pullback_to_depth(deepest, meyer_result.white, 2, 13)
 
+    def test_work_limit_admits_a_step_of_exactly_the_limit(self, meyer_result, monkeypatch):
+        """A step whose d * count equals MAX_PREIMAGES runs; one over it is
+        refused.  Meyer's white depth 3 has 14 angles, so its step makes 28."""
+        depth3 = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 3)
+        assert sum(map(len, depth3.classes)) == 14
+        monkeypatch.setattr(laminations, "MAX_PREIMAGES", 28)
+        assert pullback_to_depth(depth3, meyer_result.white, 2, 4).depth == 4
+        monkeypatch.setattr(laminations, "MAX_PREIMAGES", 27)
+        with pytest.raises(LaminationError, match="makes 28 preimages, over the limit of 27"):
+            pullback_to_depth(depth3, meyer_result.white, 2, 4)
+
     @pytest.mark.parametrize("sets", [[], [[F(1, 7)]]], ids=["empty", "one-angle"])
     def test_long_chain_ends_where_single_steps_end(self, sets):
         # only a chain that stays under the work limit runs past one grid's

@@ -156,5 +156,5 @@ def test_defaults_are_fresh_per_instance():
     assert second.findings == [] and second.passed
     assert first.levels is not second.levels
     a, b = SvgScene(grid=4), SvgScene(grid=4)
-    assert (a.chords, a.labels, a.text) == ([], [], {})
-    assert a.chords is not b.chords and a.labels is not b.labels and a.text is not b.text
+    assert (a.chords, a.labels, a.text, a.names) == ([], [], {}, {})
+    assert a.chords is not b.chords and a.labels is not b.labels and a.text is not b.text and a.names is not b.names
