@@ -13,11 +13,11 @@ every output is checked planar.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import compress, repeat
+from itertools import compress
 from math import lcm
-from operator import eq, floordiv, mod, not_
+from operator import add, eq, not_
 
-from .circle import crossing_keys, frac
+from .circle import crossing_pairs, frac
 from .errors import LaminationError
 from .mapspec import BLACK, WHITE, CriticalVertex, Record, set_field
 from .parameterize import PullbackParameters
@@ -79,13 +79,12 @@ class AngleClasses(Record):
 
 def check_planar(classes: Iterable[AngleSet]) -> tuple[AngleSet, AngleSet] | None:
     """The first pair of classes whose hulls share an angle or cross, in the
-    order of the keys of `circle.crossing_keys`, or None."""
+    pair order of `circle.crossing_pairs`, or None."""
     cl = list(classes)
-    keys, n = crossing_keys(cl)
-    if not keys:
+    first, second = crossing_pairs(cl)
+    if not first:
         return None
-    i, j = divmod(keys[0], n)
-    return (cl[i], cl[j])
+    return (cl[first[0]], cl[second[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +295,9 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
 
 
 class Crossings(Record, Sequence):
-    """One list of Moore entries as index columns.
+    """One list of Moore entries as index columns: the columns of
+    `circle.crossing_pairs`, whole when no entry is a violation and split by
+    kind otherwise.
 
     Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": sides[k]}``,
     plus ``"note": note`` unless it is None (keys ``KEYS``): ``a`` and ``b``
@@ -337,10 +338,14 @@ def moore_check(joined: AngleClasses, table: dict | None = None) -> dict:
     ``table``, the run's text table, if given).  A class's kind is its sides
     tuple; each pair of kinds (at most 9) gets one sides list, shared by
     value, and two classes lie on one side only when that list has one side.
+    A pair's kind code is read from two per-class tables, with no Python
+    step per crossing; when no code is one-sided, the walk's columns are the
+    informational list as they are.
     """
     kinds = sorted(set(joined.sides))
     m = len(kinds)
     kind = list(map(kinds.index, joined.sides))
+    row = [p * m for p in kind]  # row[i] + kind[j]: the code of a pair of classes i, j
     lists: dict[tuple[str, ...], list[str]] = {}
     union = []  # union[p*m + q]: the sides list of a class of kind p linked with one of kind q
     for p in kinds:
@@ -349,18 +354,20 @@ def moore_check(joined: AngleClasses, table: dict | None = None) -> dict:
             union.append(lists.setdefault(value, list(value)))
     same = [len(sides) == 1 for sides in union]
     text = joined.text(table)  # one list per class, shared by its entries
-    keys, n = crossing_keys(joined.classes)
-    first, second = list(map(floordiv, keys, repeat(n))), list(map(mod, keys, repeat(n)))
-    codes = [kind[i] * m + kind[j] for i, j in zip(first, second)]
-    bad = list(map(same.__getitem__, codes))
+    first, second = crossing_pairs(joined.classes)
+    codes = list(map(add, map(row.__getitem__, first), map(kind.__getitem__, second)))
+    note = "two-sided crossing (informational)"
+    if not any(same) or not any(map(same.__getitem__, codes)):
+        # no violation, as in every run that reaches this check: every crossing is informational
+        violations = Crossings([], [], text, [], None)
+        informational = Crossings(first, second, text, list(map(union.__getitem__, codes)), note)
+    else:
+        bad = list(map(same.__getitem__, codes))
 
-    def crossings(keep: list[bool], note: str | None) -> Crossings:
-        a, b = list(compress(first, keep)), list(compress(second, keep))
-        return Crossings(a, b, text, list(map(union.__getitem__, compress(codes, keep))), note)
+        def crossings(keep: list[bool], note: str | None) -> Crossings:
+            a, b = list(compress(first, keep)), list(compress(second, keep))
+            return Crossings(a, b, text, list(map(union.__getitem__, compress(codes, keep))), note)
 
-    violations = crossings(bad, None)
-    return {
-        "passed": not violations,
-        "violations": violations,
-        "informational": crossings(list(map(not_, bad)), "two-sided crossing (informational)"),
-    }
+        violations = crossings(bad, None)
+        informational = crossings(list(map(not_, bad)), note)
+    return {"passed": not violations, "violations": violations, "informational": informational}

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 
-from .circle import crossing_keys
+from .circle import crossing_pairs
 from .errors import MapfileError, ValidationFailure
 
 IN = "in"
@@ -590,7 +590,7 @@ def validate(spec: MapSpec) -> ValidationReport:
             )
         for v, spans in lm.chords.items():
             # visit chords share no rotation slot, so they are disjoint 2-sets
-            if crossing_keys(spans)[0]:
+            if crossing_pairs(spans)[0]:
                 report.add("curve not oriented", f"crossing chords at vertex {v!r} (level {level})")
         try:
             _color_level(spec, lm, report.levels.get(0))

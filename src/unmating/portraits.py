@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
 
-from .circle import crossing_keys, frac, orbit, q_apply
+from .circle import crossing_pairs, frac, orbit, q_apply
 from .errors import PortraitError
 from .mapspec import BLACK, WHITE, CriticalVertex, MapSpec, Record, set_field
 from .parameterize import PullbackParameters
@@ -213,7 +213,7 @@ def sectors(portrait: CriticalPortrait) -> Sectors:
     boundary = sorted({a for h in hulls for a in h})
     if len(boundary) < 2:
         raise PortraitError("portrait has fewer than two marked angles; no sectors")
-    if crossing_keys(hulls)[0]:
+    if crossing_pairs(hulls)[0]:
         raise PortraitError("portrait not unlinked")
 
     gaps = [tuple((bisect_right(h, lo) - 1) % len(h) for h in hulls) for lo in boundary]

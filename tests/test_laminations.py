@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import lcm
+from operator import lt
+from random import Random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from unmating import laminations
-from unmating.circle import crossing_keys
+from unmating import circle, laminations
 from unmating.cli import _dumps
 from unmating.errors import LaminationError
 from unmating.laminations import (
@@ -53,9 +54,11 @@ def classes(depth, color, *sets, grid=None) -> AngleClasses:
 
 
 def crossing_pairs(family) -> list[tuple[int, int]]:
-    """The index pairs i < j of crossing classes, in order, decoded from `crossing_keys`."""
-    keys, n = crossing_keys(family)
-    return [divmod(key, n) for key in keys]
+    """The index pairs i < j of crossing classes, in order, read from the
+    columns of `circle.crossing_pairs`."""
+    first, second = circle.crossing_pairs(family)
+    assert len(first) == len(second)
+    return list(zip(first, second))
 
 
 def chord_count(lam: AngleClasses) -> int:
@@ -621,17 +624,25 @@ class TestLinkedPairs:
     @given(disjoint_families())
     # two interleaved hexagons: one class pair, met by every chord of each
     @example([(0, 8, 16, 24, 32, 40), (4, 12, 20, 28, 36, 44)])
-    # four diameters, all crossing: a pair key i*m + j with m one off from n decodes wrongly
+    # four diameters, all crossing: every class is above each earlier one
     @example([(0, 24), (6, 30), (12, 36), (18, 42)])
     # a class closes in the middle of the stack; all three pairs cross
     @example([(0, 20), (10, 30), (15, 40)])
-    # one pair met at five angles of the earlier-opened class gives one key
+    # one pair met at five angles of the earlier-opened class gives one pair
     @example([(0, 4, 8, 12, 16, 20), (2, 46)])
     # a nested class closes inside a gap while a crossing class stays open
     @example([(0, 10, 20), (2, 46), (3, 5)])
     # a class that closes above another leaves the stack, or the outer one
     # would report a false crossing at its last angle
     @example([(0, 40), (5, 20), (10, 30)])
+    # out of least-angle order with a crossing: walked sorted, pairs mapped back
+    @example([(10, 30), (0, 20)])
+    # a class crossed at two of its angles, listed after the class that
+    # opens inside it
+    @example([(15, 35), (0, 10, 20, 30, 40)])
+    # a class crossed at two angles joins its slices: (2, 30) at 20, then
+    # (25, 45) at 40
+    @example([(0, 20, 40), (2, 30), (25, 45)])
     def test_matches_scan(self, family):
         assert crossing_pairs(family) == linked_pairs_by_scan(family)
 
@@ -642,10 +653,24 @@ class TestLinkedPairs:
     @example([(3,), (10, 20), (15,), (47,), (25,)])
     # the only crossing comes last in circle order, listed first
     @example([(42, 46), (0, 2), (40, 44), (4, 6), (8, 30)])
+    # the first pair of an out-of-order family is the least pair mapped back
+    @example([(20, 40), (30, 45), (0, 25), (5, 10)])
     def test_check_planar_is_first_scanned_pair(self, family):
         scan = linked_pairs_by_scan(family)
         expected = (family[scan[0][0]], family[scan[0][1]]) if scan else None
         assert check_planar(family) == expected
+
+    @given(disjoint_families(), st.randoms())
+    @example([(10, 30), (0, 20)], Random(0))
+    def test_columns_are_increasing_pairs(self, family, rnd):
+        shuffled = list(family)
+        rnd.shuffle(shuffled)
+        for listed in (family, shuffled, sorted(family)):
+            first, second = circle.crossing_pairs(listed)
+            assert len(first) == len(second)
+            assert all(map(lt, first, second))
+            pairs = list(zip(first, second))
+            assert all(map(lt, pairs, pairs[1:]))
 
     @given(families_with_sides)
     def test_moore_matches_scan(self, family_sides):
@@ -660,6 +685,14 @@ class TestLinkedPairs:
         [(0, 24), (6, 30), (12, 36), (18, 42), (3, 27)],
         [("white",), ("black",), ("white",), ("black",), ("black", "white")],
     ))  # five diameters: violations on each side, crossings of every mixed kind
+    @example((
+        [(0, 24), (6, 30), (12, 36), (3, 27)],
+        [("black", "white"), ("black", "white"), ("white",), ("black",)],
+    ))  # every crossing across the sides, so no violation among four kinds of pair
+    @example((
+        [(0, 24, 40), (6, 30), (12, 36), (1, 2)],
+        [("black", "white")] * 4,
+    ))  # every class two-sided: one kind, so no pair can be a violation
     def test_moore_report_text_matches_scan(self, family_sides):
         family, sides = family_sides
         joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
