@@ -26,7 +26,7 @@ from json.encoder import encode_basestring_ascii as quote
 
 from . import mapspec
 from .errors import MapfileError, UnmatingError, ValidationFailure
-from .laminations import Crossings
+from .laminations import BLACK, WHITE, Crossings
 from .pipeline import (
     PipelineResult,
     certified_lengths,
@@ -60,8 +60,9 @@ def _dumps(obj) -> str:
     written in one loop with no call per list.
 
     A `Crossings` is written from its columns, building no entry: each
-    class's text and row head (``{"a": <text>, "b": ``) and each sides
-    list's row tail are spelled once, and a row is three of those parts.
+    class's text and row head (``{"a": <text>, "b": ``) and the row tail of
+    each entry of its sides table are spelled once, and a row is three of
+    those parts, its tail picked by its code.
     """
     parts: list[str] = []
     pads = ["\n"]  # pads[level] = newline + indentation at that level
@@ -115,14 +116,12 @@ def _dumps(obj) -> str:
             heads = ["{" + a + text + "," + b for text in cells]
             note = "" if o.note is None else "," + note + quote(o.note)
             # a row's tail closes it; the tail of any row but the last also opens the next
-            distinct = dict(zip(map(id, o.sides), o.sides))
-            texts = zip(distinct, batch(list(distinct.values()), level + 2))
-            ends = {key: "," + sides + text + note + inner + "}" for key, text in texts}
-            tails = {key: end + "," + inner for key, end in ends.items()}
+            ends = ["," + sides + text + note + inner + "}" for text in batch(o.sides, level + 2)]
+            tails = [end + "," + inner for end in ends]
             parts.append("[" + inner)
-            rows = zip(map(heads.__getitem__, o.a), map(cells.__getitem__, o.b), map(tails.__getitem__, map(id, o.sides)))
+            rows = zip(map(heads.__getitem__, o.a), map(cells.__getitem__, o.b), map(tails.__getitem__, o.code))
             parts.extend(chain.from_iterable(rows))
-            parts[-1] = ends[id(o.sides[-1])] + pads[level] + "]"
+            parts[-1] = ends[o.code[-1]] + pads[level] + "]"
             return
         nested = type(o[0]) in _LISTS
         texts = batch(o, level + 1) if nested else batch([o], level)
@@ -208,24 +207,24 @@ def _run(args) -> PipelineResult:
     return run_pipeline(spec, branch=args.branch, depth=args.depth)
 
 
-def _scene(result: PipelineResult, side: str, text: dict | None = None) -> SvgScene:
-    """Chords of one side; "join" overlays the white and black sides.  Scenes
-    built with one ``text`` table share the text of each angle, and every
+def _scene(result: PipelineResult, side: str) -> SvgScene:
+    """Chords of one side; "join" overlays the white and black sides.  Every
     label reads its ``p/q`` from the run's class text."""
     if side == "join":
-        return SvgScene.from_classes([result.lamination_white, result.lamination_black], text, result.texts)
-    return SvgScene.from_classes([lamination_for_side(result, side)], text, result.texts)
+        return SvgScene.from_classes([result.lamination_white, result.lamination_black], result.texts)
+    return SvgScene.from_classes([lamination_for_side(result, side)], result.texts)
 
 
 def _write_sides(result: PipelineResult, path: str) -> None:
-    """The two-sided overlay at ``path``, plus one file per side.  The three
-    lie on one grid and share one table, so each angle is formatted once; it
-    is freed on return, before the report is built."""
+    """The two-sided overlay at ``path``, plus one file per side: the
+    overlay's chords of that side, drawn from its text, so each angle is
+    formatted once.  The scene is freed on return, before the report is
+    built."""
     base = path[:-4] if path.endswith(".svg") else path
-    text: dict = {}
-    _write_svg(_scene(result, "join", text), path)
-    _write_svg(_scene(result, "w", text), f"{base}.white.svg")
-    _write_svg(_scene(result, "b", text), f"{base}.black.svg")
+    scene = _scene(result, "join")
+    _write_svg(scene, path)
+    _write_svg(scene.side(WHITE), f"{base}.white.svg")
+    _write_svg(scene.side(BLACK), f"{base}.black.svg")
 
 
 def cmd_unmate(args) -> int:

@@ -57,24 +57,20 @@ class AngleClasses(Record):
         set_field(self, "classes", classes)
         set_field(self, "sides", sides)
 
-    def text(self, table: dict | None = None) -> list[list[str]]:
+    def text(self, table: dict) -> list[list[str]]:
         """One list of "p/q" strings per class.
 
         ``table`` maps each class tuple to its list and is filled on first
         use; it holds the classes of one grid.  The texts of one run, given
         one table, spell each distinct class once and share the list, so a
         class that occurs on several sides is one object wherever it is
-        written.  Without a table the lists are new.
+        written.
         """
         grid = self.grid
-        known = {} if table is None else table
-        out = []
         for c in self.classes:
-            words = known.get(c)
-            if words is None:
-                words = known[c] = [frac(x, grid) for x in c]
-            out.append(words)
-        return out
+            if c not in table:
+                table[c] = [frac(x, grid) for x in c]
+        return list(map(table.__getitem__, self.classes))
 
 
 def check_planar(classes: Iterable[AngleSet]) -> tuple[AngleSet, AngleSet] | None:
@@ -299,19 +295,21 @@ class Crossings(Record, Sequence):
     `circle.crossing_pairs`, whole when no entry is a violation and split by
     kind otherwise.
 
-    Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": sides[k]}``,
+    Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": sides[code[k]]}``,
     plus ``"note": note`` unless it is None (keys ``KEYS``): ``a`` and ``b``
-    hold class indices, ``text`` one list per class and ``sides`` a shared
-    list per entry.  It reads as, and equals, the sequence of those dicts.
+    hold class indices, ``text`` one list per class, ``code`` a pair kind
+    code per entry and ``sides`` one list per code.  It reads as, and
+    equals, the sequence of those dicts.
     """
 
-    __slots__ = ("a", "b", "text", "sides", "note")
+    __slots__ = ("a", "b", "text", "code", "sides", "note")
     KEYS = ("a", "b", "sides", "note")  # an entry's keys, in order; `cli._dumps` writes them too
 
-    def __init__(self, a: list[int], b: list[int], text: list, sides: list, note: str | None):
+    def __init__(self, a: list[int], b: list[int], text: list, code: list[int], sides: list, note: str | None):
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "text", text)
+        set_field(self, "code", code)
         set_field(self, "sides", sides)
         set_field(self, "note", note)
 
@@ -320,27 +318,27 @@ class Crossings(Record, Sequence):
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return Crossings(self.a[k], self.b[k], self.text, self.sides[k], self.note)
-        values = (self.text[self.a[k]], self.text[self.b[k]], self.sides[k], self.note)
+            return Crossings(self.a[k], self.b[k], self.text, self.code[k], self.sides, self.note)
+        values = (self.text[self.a[k]], self.text[self.b[k]], self.sides[self.code[k]], self.note)
         return dict(zip(self.KEYS, values if self.note is not None else values[:3]))
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and len(self) == len(other) and all(map(eq, self, other))
 
 
-def moore_check(joined: AngleClasses, table: dict | None = None) -> dict:
+def moore_check(joined: AngleClasses, table: dict) -> dict:
     """Flag linked class hulls: same-side links are violations of the finite
     Moore criterion, links across the two sides are expected and reported as
     informational.  The classes must come from `join`, which records their
     sides.
 
-    Both lists are `Crossings` over the classes' `text` (read through
-    ``table``, the run's text table, if given).  A class's kind is its sides
-    tuple; each pair of kinds (at most 9) gets one sides list, shared by
-    value, and two classes lie on one side only when that list has one side.
-    A pair's kind code is read from two per-class tables, with no Python
-    step per crossing; when no code is one-sided, the walk's columns are the
-    informational list as they are.
+    Both lists are `Crossings` over the classes' `text`, read through
+    ``table``, the run's text table.  A class's kind is its sides tuple; a
+    pair's kind code p*m + q (m kinds, at most 3) indexes one table of sides
+    lists, shared by value, and two classes lie on one side only when that
+    list has one side.  The codes are read from two per-class tables, with
+    no Python step per crossing; when no code is one-sided, the walk's
+    columns are the informational list as they are.
     """
     kinds = sorted(set(joined.sides))
     m = len(kinds)
@@ -359,14 +357,14 @@ def moore_check(joined: AngleClasses, table: dict | None = None) -> dict:
     note = "two-sided crossing (informational)"
     if not any(same) or not any(map(same.__getitem__, codes)):
         # no violation, as in every run that reaches this check: every crossing is informational
-        violations = Crossings([], [], text, [], None)
-        informational = Crossings(first, second, text, list(map(union.__getitem__, codes)), note)
+        violations = Crossings([], [], text, [], union, None)
+        informational = Crossings(first, second, text, codes, union, note)
     else:
         bad = list(map(same.__getitem__, codes))
 
         def crossings(keep: list[bool], note: str | None) -> Crossings:
-            a, b = list(compress(first, keep)), list(compress(second, keep))
-            return Crossings(a, b, text, list(map(union.__getitem__, compress(codes, keep))), note)
+            a, b, code = (list(compress(column, keep)) for column in (first, second, codes))
+            return Crossings(a, b, text, code, union, note)
 
         violations = crossings(bad, None)
         informational = crossings(list(map(not_, bad)), note)

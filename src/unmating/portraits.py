@@ -289,14 +289,12 @@ def certify(portrait: CriticalPortrait, d: int) -> dict:
         else "periodic participants: " + ", ".join(frac(a, grid) for a in periodic),
     }
 
-    sec = None
-    unlinked = True
     try:
         sec = sectors(portrait)
     except PortraitError as e:
-        unlinked = False
+        sec = None
         cert["unlinked"] = {"passed": False, "detail": str(e)}
-    if unlinked:
+    else:
         cert["unlinked"] = {"passed": True, "detail": "hulls pairwise unlinked"}
 
     # hierarchic: inbound orbit hits on a set all land on one element

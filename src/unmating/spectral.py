@@ -73,6 +73,17 @@ def _integer_row_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]
 
     Returns the echelon rows and the pivot columns; every intermediate value
     stays an integer, with growth bounded by minors of the input.
+
+    Every division is exact.  After k pivots in the columns c_1 < ... < c_k,
+    entry (i, j), i >= k and j > c_k, is the minor of the input on the rows
+    of the first k pivots and row i, and the columns c_1, ..., c_k, j.  Its
+    update reads only the pivot columns and column j, so skipped columns,
+    zero below the pivots, play no part: the values are those of Bareiss
+    without skips on the input's columns c_1, ..., c_k, j, whose leading
+    minors are the pivots.  There the quotient is that minor (Sylvester's
+    identity; Bareiss 1968), an integer, so ``//`` loses nothing.  Row
+    swaps exchange rows no pivot has used yet, so they act as a permutation
+    of the input rows.
     """
     a = [row[:] for row in m]
     n_rows, n_cols = len(a), len(a[0])
@@ -86,11 +97,7 @@ def _integer_row_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]
         a[r], a[piv] = a[piv], a[r]
         for i in range(r + 1, n_rows):
             for j in range(c + 1, n_cols):
-                num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise SpectralError("fraction-free elimination lost exactness")
-                a[i][j] = q
+                a[i][j] = (a[r][c] * a[i][j] - a[i][c] * a[r][j]) // prev
             a[i][c] = 0
         prev = a[r][c]
         pivots.append(c)

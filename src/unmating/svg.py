@@ -2,12 +2,11 @@
 
 Chords are straight segments between circle points (cos 2*pi*t, sin 2*pi*t);
 coordinates are the only place floating point appears, fixed to six decimals
-so identical scenes render byte-identically.  Each scene formats, in one
-batch, the angles its shared text table lacks: one ``%`` spells all their
-coordinates, quoted, and one more all their label lines.  Each label's
-``p/q`` comes with the scene, from the class text of its classes
-(`AngleClasses.text`).  A coordinate that rounds to -0.000000 is written
-0.000000.
+so identical scenes render byte-identically.  A scene formats its angles in
+one batch when it is built: one ``%`` spells all their coordinates, quoted,
+and one more all their label lines.  Each label's ``p/q`` comes from the
+class text of its classes (`AngleClasses.text`).  A coordinate that rounds
+to -0.000000 is written 0.000000.
 """
 
 from __future__ import annotations
@@ -35,38 +34,24 @@ class SvgScene:
 
     ``text`` maps an angle to the text that draws it: its x and y
     coordinates, to six decimals and never -0.000000, and its label line.
-    Rendering adds the angles of ``labels`` it lacks, all in one batch.
-    Scenes of one run on one grid may share it, so that each angle is
-    formatted once however many files draw it.  ``names`` gives the ``p/q``
-    of each label that ``text`` lacks.
+    It holds every label; the scenes `side` makes share it, so each angle
+    is formatted once however many files draw it.
     """
 
-    __slots__ = ("grid", "chords", "labels", "text", "names")
+    __slots__ = ("grid", "chords", "labels", "text")
 
-    def __init__(
-        self,
-        grid: int,
-        chords: list[tuple[int, int, str]] | None = None,
-        labels: list[int] | None = None,
-        text: dict[int, tuple[str, str, str]] | None = None,
-        names: dict[int, str] | None = None,
-    ):
+    def __init__(self, grid: int, chords: list[tuple[int, int, str]], labels: list[int], text: dict):
         self.grid = grid
-        self.chords = [] if chords is None else chords  # (a, b, side), a < b
-        self.labels = [] if labels is None else labels  # every chord end, sorted
-        self.text = {} if text is None else text
-        self.names = {} if names is None else names
+        self.chords = chords  # (a, b, side), a < b, sorted
+        self.labels = labels  # every chord end, sorted
+        self.text = text
 
     @classmethod
-    def from_classes(
-        cls, class_sets: list[AngleClasses], text: dict[int, tuple[str, str, str]] | None = None,
-        words: dict[tuple[int, ...], list[str]] | None = None,
-    ) -> "SvgScene":
+    def from_classes(cls, class_sets: list[AngleClasses], words: dict[tuple[int, ...], list[str]]) -> "SvgScene":
         """The chords of each class: consecutive angles, and the closing chord
-        of a polygon.  The class sets must share one grid; ``text`` is the
-        shared table of the run's scenes, and ``words`` the run's table for
-        `AngleClasses.text`, so a run spells each class once for its report
-        and its drawings.
+        of a polygon.  The class sets must share one grid; ``words`` is the
+        run's table for `AngleClasses.text`, so a run spells each class once
+        for its report and its drawings.
 
         The classes of one AngleClasses are disjoint and every chord carries
         its side, so no chord is made twice and one sort orders them all.
@@ -78,6 +63,7 @@ class SvgScene:
                 + " and ".join(f"1/{classes.grid}" for classes in class_sets)
             )
         chords = []
+        names = {}
         for classes in class_sets:
             side = classes.color
             for xs in classes.classes:
@@ -87,28 +73,38 @@ class SvgScene:
                     chords.extend(zip(xs, xs[1:], repeat(side)))
                     if len(xs) >= 3:
                         chords.append((xs[0], xs[-1], side))
+            names.update(zip(chain.from_iterable(classes.classes), chain.from_iterable(classes.text(words))))
         chords.sort()
-        ends = {x for a, b, _ in chords for x in (a, b)}
-        names = {}
-        if text is None or not text.keys() >= ends:  # else every label is formatted already
-            for classes in class_sets:
-                names.update(zip(chain.from_iterable(classes.classes), chain.from_iterable(classes.text(words))))
-        return cls(grid=grid, chords=chords, labels=sorted(ends), text=text, names=names)
+        labels = _ends(chords)
+        return cls(grid, chords, labels, angle_text(grid, labels, names))
+
+    def side(self, color: str) -> "SvgScene":
+        """The chords of one side and their ends, sharing this scene's text."""
+        chords = [chord for chord in self.chords if chord[2] == color]
+        return SvgScene(self.grid, chords, _ends(chords), self.text)
 
 
-def render_svg(scene: SvgScene) -> str:
-    """Serialize the scene; output is stable across runs."""
-    text, grid = scene.text, scene.grid
-    new = [x for x in scene.labels if x not in text]
-    n = len(new)
-    theta = [2 * math.pi * (x / grid) for x in new]  # int / int is correctly rounded: x/grid turns
+def _ends(chords: list[tuple[int, int, str]]) -> list[int]:
+    return sorted({x for a, b, _ in chords for x in (a, b)})
+
+
+def angle_text(grid: int, xs: list[int], names: dict[int, str]) -> dict[int, tuple[str, str, str]]:
+    """The `SvgScene.text` entry of each angle x/grid of ``xs``, its label
+    reading ``names[x]``, all spelled in one batch."""
+    n = len(xs)
+    theta = [2 * math.pi * (x / grid) for x in xs]  # int / int is correctly rounded: x/grid turns
     cos, sin = list(map(math.cos, theta)), list(map(math.sin, theta))
     values = cos + sin + [1.10 * c for c in cos] + [1.10 * s for s in sin]
     quoted = ('"%.6f"' * (4 * n) % tuple(values)).replace('"-0.000000"', '"0.000000"')  # whole values only
     spelled = quoted[1:-1].split('""')  # x, y, label x, label y: n each
-    label_args = chain.from_iterable(zip(spelled[2 * n : 3 * n], spelled[3 * n :], map(scene.names.__getitem__, new)))
+    label_args = chain.from_iterable(zip(spelled[2 * n : 3 * n], spelled[3 * n :], map(names.__getitem__, xs)))
     label_lines = ("\n".join(repeat(_LABEL, n)) % tuple(label_args)).split("\n")
-    text.update(zip(new, zip(spelled[:n], spelled[n : 2 * n], label_lines)))
+    return dict(zip(xs, zip(spelled[:n], spelled[n : 2 * n], label_lines)))
+
+
+def render_svg(scene: SvgScene) -> str:
+    """Serialize the scene; output is stable across runs."""
+    text = scene.text
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">',

@@ -144,13 +144,13 @@ class TestAcceptance:
         ):
             sec = sectors(portrait)
             cur = cls
-            leaf_counts = [len(SvgScene.from_classes([cur]).chords)]
+            leaf_counts = [len(SvgScene.from_classes([cur], {}).chords)]
             for depth in range(2, 7):
                 nxt = pullback_to_depth(cur, portrait, 2, cur.depth + 1)
                 oracle = brute_force_pullback(cur, sec, portrait.grid, 2)
                 assert as_fractions(nxt) == oracle, (portrait.color, depth)
                 assert check_planar(nxt.classes) is None
-                leaf_counts.append(len(SvgScene.from_classes([nxt]).chords))
+                leaf_counts.append(len(SvgScene.from_classes([nxt], {}).chords))
                 cur = nxt
             assert leaf_counts == sorted(leaf_counts)
         report(6, "depths 2-6 match brute-force lift enumeration; planar; counts nondecreasing")

@@ -28,7 +28,6 @@ import ast
 import json
 import re
 import traceback
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -331,10 +330,6 @@ ROWS: dict[str, Row] = {
         ]),
 
     # the Perron certificate: no mapfile is known to reach these
-    # a half-integer entry takes the elimination off the integers
-    "spectral._integer_row_echelon: fraction-free elimination lost exactness": Row(
-        lambda: certify_perron(tm([[Fraction(1, 2), 1], [1, 1]]), 2), SpectralError,
-        "fraction-free elimination lost exactness"),
     "spectral.certify_perron: d is not an eigenvalue: nullspace of (A - …I) is trivial": Row(
         lambda: certify_perron(tm([[1]]), 2), SpectralError,
         "d is not an eigenvalue: nullspace of (A - 2I) is trivial"),
@@ -391,7 +386,7 @@ ROWS: dict[str, Row] = {
         lambda: join((r := meyer()).lamination_white, r.depth1_black), LaminationError,
         "join needs equal depths and grids, got depth 2 on 1/48 and depth 1 on 1/24"),
     "svg.from_classes: a scene needs one grid, got …": Row(
-        lambda: SvgScene.from_classes([(r := meyer()).depth1_white, r.lamination_black]), LaminationError,
+        lambda: SvgScene.from_classes([(r := meyer()).depth1_white, r.lamination_black], {}), LaminationError,
         "a scene needs one grid, got 1/24 and 1/48"),
 }
 

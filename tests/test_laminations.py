@@ -62,7 +62,7 @@ def crossing_pairs(family) -> list[tuple[int, int]]:
 
 
 def chord_count(lam: AngleClasses) -> int:
-    return len(SvgScene.from_classes([lam]).chords)
+    return len(SvgScene.from_classes([lam], {}).chords)
 
 
 def portrait(color, grid, *angle_sets) -> CriticalPortrait:
@@ -115,9 +115,9 @@ class TestAngleClasses:
         assert set(lam.classes) == expected and len(lam.classes) == len(expected)
         fractions = as_fractions(lam)
         assert list(fractions) == sorted(fractions, key=lambda c: (c[0], len(c), c))
-        assert lam.text() == [[p_q(f) for f in c] for c in fractions]
+        assert lam.text({}) == [[p_q(f) for f in c] for c in fractions]
         table: dict = {}
-        assert lam.text(table) == lam.text() == lam.text(table)
+        assert lam.text(table) == lam.text({}) == lam.text(table)
 
     @pytest.mark.parametrize("fixture", ["meyer_result", "jordan_result"])
     def test_lifting_builds_no_fraction(self, request, monkeypatch, fixture):
@@ -132,7 +132,7 @@ class TestAngleClasses:
         monkeypatch.setattr(Fraction, "__new__", counting)
         white = pullback_to_depth(result.depth1_white, result.white, 2, 6)
         black = pullback_to_depth(result.depth1_black, result.black, 2, 6)
-        moore_check(join(white, black))
+        moore_check(join(white, black), {})
         monkeypatch.undo()
         assert len(built) == 0
 
@@ -168,8 +168,8 @@ class TestTextTable:
                 return set().union(*map(list_ids, o.values()))
             if isinstance(o, list):
                 return {id(o)}.union(*map(list_ids, o))
-            if isinstance(o, Crossings):  # its columns, the class texts and each sides list
-                return {id(o.a), id(o.b), id(o.text), id(o.sides)}.union(*map(list_ids, o.text), *map(list_ids, o.sides))
+            if isinstance(o, Crossings):  # its columns, the class texts and its sides table
+                return {id(o.a), id(o.b), id(o.text), id(o.code), id(o.sides)}.union(*map(list_ids, o.text), *map(list_ids, o.sides))
             return set()
 
         assert first == second
@@ -557,7 +557,7 @@ class TestMergeOracle:
 
 class TestMoore:
     def test_meyer_depth1_cross_side_informational(self, meyer_result):
-        report = moore_check(meyer_result.lamination_join)
+        report = moore_check(meyer_result.lamination_join, {})
         assert report["passed"]
         assert report["violations"] == []
         assert report["informational"]
@@ -570,7 +570,7 @@ class TestMoore:
         joined = AngleClasses(
             depth=1, color="join", grid=4, classes=((0, 2),), sides=(("white",),)
         )
-        assert moore_check(joined)["passed"]
+        assert moore_check(joined, {})["passed"]
 
     def test_same_side_crossing_fails(self):
         joined = AngleClasses(
@@ -580,14 +580,14 @@ class TestMoore:
             classes=((0, 2), (1, 3)),
             sides=(("white",), ("white",)),
         )
-        report = moore_check(joined)
+        report = moore_check(joined, {})
         assert not report["passed"]
         assert len(report["violations"]) == 1
         assert report["violations"][0]["a"] == ["0/1", "1/2"]
 
     def test_crossings_read_as_entries(self, meyer_result):
         joined = meyer_result.lamination_join
-        crossings = moore_check(joined)["informational"]
+        crossings = moore_check(joined, {})["informational"]
         entries = moore_by_scan(joined)["informational"]
         assert isinstance(crossings, Crossings) and len(crossings) == len(entries) > 1
         assert list(crossings) == entries and crossings == tuple(entries)
@@ -596,7 +596,7 @@ class TestMoore:
         for part in (slice(1, None), slice(None, None, -1), slice(-3, 1, -2), slice(5, 2)):
             assert isinstance(crossings[part], Crossings) and crossings[part] == entries[part]
             assert list(crossings[part]) == entries[part]
-        assert crossings != "ab" and crossings != {} and crossings != moore_check(joined)["violations"]
+        assert crossings != "ab" and crossings != {} and crossings != moore_check(joined, {})["violations"]
 
 
 @st.composite
@@ -676,7 +676,7 @@ class TestLinkedPairs:
     def test_moore_matches_scan(self, family_sides):
         family, sides = family_sides
         joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
-        assert moore_check(joined) == moore_by_scan(joined)
+        assert moore_check(joined, {}) == moore_by_scan(joined)
 
     @given(families_with_sides)
     @example(([(0, 24), (1, 2)], [("white",), ("black",)]))  # no crossing
@@ -696,7 +696,7 @@ class TestLinkedPairs:
     def test_moore_report_text_matches_scan(self, family_sides):
         family, sides = family_sides
         joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
-        assert _dumps(moore_check(joined)) == json.dumps(moore_by_scan(joined), indent=2)
+        assert _dumps(moore_check(joined, {})) == json.dumps(moore_by_scan(joined), indent=2)
 
     def test_shared_angle_is_a_pair(self):
         assert crossing_pairs([(F(0), F(1, 4)), (F(1, 4), F(1, 2))]) == [(0, 1)]

@@ -12,8 +12,7 @@ import unmating
 from unmating import laminations
 from unmating.laminations import AngleClasses, pullback_to_depth
 from unmating.mapspec import Finding, Record, ValidationReport
-from unmating.portraits import PreargumentSet, Sectors, sectors
-from unmating.svg import SvgScene
+from unmating.portraits import PreargumentSet, sectors
 
 # one instance of each read-only record, from the Meyer pipeline at depth 3
 READ_ONLY = {
@@ -109,12 +108,6 @@ def test_repr_names_each_field():
 
 
 class TestAngleClasses:
-    def test_every_slot_is_compared(self):
-        values = [object() for _ in AngleClasses.__slots__]
-        key = AngleClasses(*values)._key()
-        assert len(key) == len(values)
-        assert all(any(v is k for k in key) for v in values)
-
     def test_other_fields_compare(self, meyer_result):
         lam = meyer_result.lamination_white
         same = AngleClasses(lam.depth, lam.color, lam.grid, lam.classes)
@@ -143,18 +136,8 @@ class TestAngleClasses:
         assert calls == [(meyer_result.white,)]
 
 
-def test_sectors_compare_by_value(meyer_result):
-    sec = sectors(meyer_result.white)
-    assert sec == Sectors(sec.boundary, sec.sector_of_arc)
-    assert sec != Sectors(sec.boundary[::-1], sec.sector_of_arc)
-    assert sec != Sectors(sec.boundary, sec.sector_of_arc[::-1])
-
-
 def test_defaults_are_fresh_per_instance():
     first, second = ValidationReport(), ValidationReport()
     first.add("check", "detail")
     assert second.findings == [] and second.passed
     assert first.levels is not second.levels
-    a, b = SvgScene(grid=4), SvgScene(grid=4)
-    assert (a.chords, a.labels, a.text, a.names) == ([], [], {}, {})
-    assert a.chords is not b.chords and a.labels is not b.labels and a.text is not b.text and a.names is not b.names
