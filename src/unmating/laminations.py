@@ -5,9 +5,12 @@ vertices of the pullback curve; the identifications at the curve's other
 self-intersections are not read yet (ROADMAP direction 1).  Deeper relations
 are generated by lifting classes through the sectors of the certified
 portrait, keeping everything from lower depths (the relation is a join over
-levels).  `pullback_to_depth` runs a chain of steps on one grid and passes
-each step only the classes that are new at its depth.  Within one color
-every output is checked planar.
+levels).  `pullback_to_depth` runs a chain of steps on one grid and carries
+one state through it: the map from each angle to its class, the classes new
+at the last depth, which are all a step lifts, and the outputs no planarity
+walk has checked yet.  So a step looks up and adds only its new angles.
+Within one color every output is checked planar, with one walk per nested
+run of outputs.  `join` merges the two colors by union-find over class indices.
 """
 
 from __future__ import annotations
@@ -109,48 +112,76 @@ def depth1(
 # ---------------------------------------------------------------------------
 # pullback of classes through portrait sectors
 
+def _merge(sets: Sequence[AngleSet], tags: Sequence[str], owner: dict) -> list[tuple[AngleSet, tuple[str, ...]]]:
+    """The connected components of ``sets``, two sets being connected when
+    they share an angle: each a sorted tuple of its angles, with the sorted
+    tuple of the tags of its member sets, in the order of their first sets.
+
+    ``owner`` maps every angle to the index of the last set holding it, so
+    linking each set to the owners of its angles connects every set that
+    holds an angle to that angle's last holder.  Union-find runs over the
+    set indices (Tarjan 1975) and always hangs the higher root under the
+    lower, so every set's parent has an index at most its own, and one pass
+    in index order points every set at its root and gathers the components.
+    """
+    parent = list(range(len(sets)))
+    for i, s in enumerate(sets):
+        for j in map(owner.__getitem__, s):
+            while parent[i] != i:  # path halving
+                parent[i] = i = parent[parent[i]]
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = i = j
+    components: dict[int, tuple[set, set]] = {}  # a root: the angles and tags of its sets
+    for i, p in enumerate(parent):
+        parent[i] = root = parent[p]
+        if root == i:
+            components[i] = (set(sets[i]), {tags[i]})
+        else:
+            members, seen = components[root]
+            members.update(sets[i])
+            seen.add(tags[i])
+    return [(tuple(sorted(members)), tuple(sorted(seen))) for members, seen in components.values()]
+
+
 def merge_tagged(tagged: Iterable[tuple[Iterable, str]]) -> list[tuple[AngleSet, tuple[str, ...]]]:
     """Connected components of non-empty angle sets, two sets being connected
     when they share an angle: each a sorted tuple of its angles, with the
-    sorted tuple of the tags of its member sets.
-
-    When no angle occurs twice in the input, each set is its own component,
-    in input order, and nothing is merged.  Otherwise union-find over the
-    angles (Tarjan 1975) finds the components; their order is then
-    unspecified.
+    sorted tuple of the tags of its member sets, in the order of their first
+    member sets (`_merge`).  Sets that share no angle are each their own
+    component, in input order.
     """
-    tagged = [(tuple(angles), tag) for angles, tag in tagged]
-    count = 0
-    seen: set = set()
-    for angles, _ in tagged:
-        count += len(angles)
-        seen.update(angles)
-    if len(seen) == count:
-        return [(tuple(sorted(angles)), (tag,)) for angles, tag in tagged]
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for angles, _ in tagged:
-        for a in angles:
-            parent.setdefault(a, a)
-        root = find(angles[0])
-        for a in angles[1:]:
-            parent[find(a)] = root
-    components: dict = {}
+    sets, tags = [], []
     for angles, tag in tagged:
-        members, tags = components.setdefault(find(angles[0]), (set(), set()))
-        members.update(angles)
-        tags.add(tag)
-    return [(tuple(sorted(members)), tuple(sorted(tags))) for members, tags in components.values()]
+        sets.append(tuple(angles))
+        tags.append(tag)
+    return _merge(sets, tags, {x: i for i, s in enumerate(sets) for x in s})
+
+
+class _Chain:
+    """What one pullback chain carries from step to step.
+
+    ``owner`` maps every angle of the last output to its class; the classes
+    are disjoint, so ``len(owner)`` is the output's angle count, the work
+    limit's count.  ``frontier`` holds the classes new at the last depth,
+    ``pending`` the outputs of the current nested run that no planarity walk
+    has checked yet, and ``depth`` is the chain's last depth.
+    """
+
+    __slots__ = ("depth", "owner", "frontier", "pending")
+
+    def __init__(self, classes: AngleClasses, frontier: list[AngleSet], depth: int, pending: list[AngleClasses]):
+        self.depth = depth
+        self.owner = {x: c for c in classes.classes for x in c}
+        self.frontier = frontier
+        self.pending = pending
 
 
 def pullback_step(
-    classes: AngleClasses, new: Iterable[AngleSet], sec: Sectors, d: int
+    classes: AngleClasses, new: Iterable[AngleSet], sec: Sectors, d: int, chain: _Chain
 ) -> AngleClasses:
     """One inductive step: depth-(n+1) classes from depth-n classes, on the
     grid of ``classes``, which `pullback_to_depth` picks.
@@ -170,6 +201,27 @@ def pullback_step(
     and Ramakrishnan 1986): a class that was already a class at depth n-1
     has the same lifts as then, so each of its lifts already lies in one
     retained class and adding it again merges nothing.
+
+    ``chain`` is the state of the `pullback_to_depth` call that runs the
+    step, and the step updates it.  The step looks up only its lifts'
+    angles in ``chain.owner``: when the lifts share no angle with each other
+    or with a retained class, they are the new classes as they are;
+    otherwise `merge_tagged` merges them with the retained classes they
+    touch.  It then adds only the new classes to the map and makes them the
+    next frontier.
+
+    Planarity is walked once per nested run of outputs.  A step that merges
+    no retained class keeps every class of its input and only adds classes,
+    so its output contains its input, and a run of such steps gives outputs
+    out_1 <= out_2 <= ... <= out_k as sets of classes: a pair of classes
+    that links in out_j links in out_k, so out_k is planar only if every
+    output of the run is.  The step that ends a run walks it: the chain's
+    last step, the last step the work limit admits, or a step that merges a
+    retained class, which walks the run ending at its input before its own
+    output starts the next.  A walk checks the run's last output and, only
+    when that one fails, each output in order, so the raise names the first
+    depth that crosses and the first crossing pair there, as a walk of every
+    output would.
     """
     grid = classes.grid
     step = grid // d
@@ -190,19 +242,39 @@ def pullback_step(
                     candidates.append(xs)
         candidates.extend(xs for xs in lifts.values() if len(xs) >= 2)
 
-    # lower depths are retained; the classes are disjoint (depth 1, a join and
-    # a step all make disjoint classes), so only those the lifts touch merge
-    retained, color = classes.classes, classes.color
-    owner = {x: i for i, c in enumerate(retained) for x in c}
-    touched = {owner[x] for xs in candidates for x in xs if x in owner}
-    merged = merge_tagged([(c, color) for c in candidates] + [(retained[i], color) for i in touched])
-    out = tuple(sorted([c for i, c in enumerate(retained) if i not in touched] + [c for c, _ in merged]))
+    # lower depths are retained; the classes are disjoint, so only those
+    # whose angles the lifts meet can merge
+    owner, color = chain.owner, classes.color
+    added = [tuple(sorted(xs)) for xs in candidates]
+    fresh = {x: c for c in added for x in c}
+    gone: set[AngleSet] = set()  # the retained classes that merge into bigger ones
+    if len(fresh) < sum(map(len, added)) or not owner.keys().isdisjoint(fresh):
+        touched = {owner[x] for x in fresh.keys() & owner.keys()}
+        merged = [c for c, _ in merge_tagged((c, color) for c in [*added, *touched])]
+        added = [c for c in merged if c not in touched]
+        gone = touched.difference(merged)
+        fresh = {x: c for c in added for x in c}
+    owner.update(fresh)
+    chain.frontier = added
+    runs = []  # the nested runs this step ends, in order
+    retained = classes.classes
+    if gone:
+        runs.append(chain.pending)
+        chain.pending = []
+        retained = [c for c in retained if c not in gone]
+    out = AngleClasses(depth=classes.depth + 1, color=color, grid=grid, classes=tuple(sorted([*retained, *added])))
+    chain.pending.append(out)
+    if out.depth == chain.depth or d * len(owner) > MAX_PREIMAGES:
+        runs.append(chain.pending)
 
-    crossing = check_planar(out)
-    if crossing is not None:
-        a, b = (", ".join(frac(x, grid) for x in c) for c in crossing)
-        raise LaminationError(f"pullback produced crossing: {{{a}}} links {{{b}}}")
-    return AngleClasses(depth=classes.depth + 1, color=color, grid=grid, classes=out)
+    for run in runs:
+        if run and check_planar(run[-1].classes) is not None:
+            for lam in run:
+                crossing = check_planar(lam.classes)
+                if crossing is not None:
+                    a, b = (", ".join(frac(x, lam.grid) for x in c) for c in crossing)
+                    raise LaminationError(f"pullback produced crossing: {{{a}}} links {{{b}}}")
+    return out
 
 
 # Bound on the size of the next depth.  A step from depth n keeps the count
@@ -210,12 +282,12 @@ def pullback_step(
 # step whose d * count is over the bound is refused.  Both fixtures double
 # their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes 1.2 s and 523 MiB on the Jordan
-# fixture (223 MB of stdout; Python 3.11, 2-vCPU Xeon), and each depth costs
-# 3.1-4 times the one before, so depth 13 would pass 1.5 GiB.  Its bit
-# length, 14, caps the steps run on one grid: a chain whose angles at least
-# double per step meets the bound within 14 steps, so an admitted run refines
-# its grid once.
+# accepted.  Its CLI `unmate` run takes about 0.47 s and 466 MiB on the Jordan
+# fixture (223 MB of stdout to /dev/null; median of five, Python 3.11.7,
+# 2-vCPU Xeon), and each depth costs 3.1-4 times the one before, so depth 13
+# would pass 1.4 GiB.  Its bit length, 14, caps the steps run on one grid: a
+# chain whose angles at least double per step meets the bound within 14
+# steps, so an admitted run refines its grid once.
 MAX_PREIMAGES = 10_000
 
 
@@ -233,7 +305,11 @@ def pullback_to_depth(
     depth: at first every class, then the output classes of the step before
     that are not among its input classes.
 
-    A step from a depth whose angles have more than MAX_PREIMAGES preimages
+    One `_Chain` carries the angle map, the frontier and the unwalked
+    outputs from step to step; a new grid rescales the map and the
+    frontier, and the unwalked outputs stay, since a rescaled class links
+    exactly where it linked before.  The map's size is the angle count: a
+    step from a depth whose angles have more than MAX_PREIMAGES preimages
     is refused, so every run does bounded work.
 
     Precondition: the portrait's sets are preargument sets, which `certify`
@@ -241,10 +317,10 @@ def pullback_to_depth(
     """
     if start.color != portrait.color:
         raise LaminationError(f"cannot lift {start.color} classes through a {portrait.color} portrait")
-    cur, old = start, set()  # old: the classes one depth lower, on the grid of cur
+    cur, chain = start, _Chain(start, list(start.classes), depth, [])
     base, left = None, 0  # left: the steps still to run on this grid
     while cur.depth < depth:
-        count = sum(map(len, cur.classes))
+        count = len(chain.owner)
         if d * count > MAX_PREIMAGES:
             raise LaminationError(
                 f"depth {depth} is beyond the work limit: lifting the {count} angles "
@@ -259,10 +335,8 @@ def pullback_to_depth(
             sec = base.scaled(grid // portrait.grid)
             k = grid // cur.grid
             cur = AngleClasses(cur.depth, cur.color, grid, tuple(tuple(x * k for x in c) for c in cur.classes))
-            old = {tuple(x * k for x in c) for c in old}
-        new = [c for c in cur.classes if c not in old]
-        old = set(cur.classes)
-        cur, left = pullback_step(cur, new, sec, d), left - 1
+            chain = _Chain(cur, [tuple(x * k for x in c) for c in chain.frontier], depth, chain.pending)
+        cur, left = pullback_step(cur, chain.frontier, sec, d, chain), left - 1
     return cur
 
 
@@ -270,17 +344,29 @@ def pullback_to_depth(
 # join and the Moore condition
 
 def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
-    """Smallest common refinement: merge classes across colors through shared
-    angles; each joined class records the sides it came from."""
+    """Smallest common refinement: merge classes through shared angles; each
+    joined class records the sides it came from.
+
+    One map sends each angle to the last class holding it.  When it has as
+    many angles as the classes hold, no angle lies in two classes and each
+    class is its own joined class; otherwise `_merge` runs union-find over
+    the class indices, which also fuses two classes of one side that share
+    an angle.
+    """
     if (white.depth, white.grid) != (black.depth, black.grid):
         raise LaminationError(
             "join needs equal depths and grids, got depth "
             f"{white.depth} on 1/{white.grid} and depth {black.depth} on 1/{black.grid}"
         )
+    classes = white.classes + black.classes
+    tags = [WHITE] * len(white.classes) + [BLACK] * len(black.classes)
+    owner = {x: i for i, c in enumerate(classes) for x in c}  # the last class holding x
+    if len(owner) == sum(map(len, classes)):
+        merged = zip(classes, zip(tags))  # no angle in two classes: nothing merges
+    else:
+        merged = _merge(classes, tags, owner)
     # the components are disjoint, so sorting orders them by their least angles
-    order = sorted(
-        merge_tagged([(c, WHITE) for c in white.classes] + [(c, BLACK) for c in black.classes])
-    )
+    order = sorted(merged)
     return AngleClasses(
         depth=white.depth,
         color=JOIN,

@@ -5,9 +5,10 @@ from fractions import Fraction
 from math import lcm
 from operator import lt
 from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unmating import circle, laminations
@@ -92,6 +93,42 @@ def relift_start(request, case: str) -> tuple[AngleClasses, CriticalPortrait]:
     else:
         result = request.getfixturevalue(f"{name}_result")
     return getattr(result, f"depth1_{color}"), getattr(result, color)
+
+
+# the diameter {1/4, 3/4} lifts into {1/8, 3/8}, which crosses it
+CROSSING_START = AngleClasses(1, "white", 4, ((1, 3),))
+CROSSING_PORTRAIT = portrait("white", 4, [0, 2])
+
+
+@st.composite
+def chains(draw):
+    """A start, a degree-2 portrait of one diameter and a depth: the start's
+    classes are disjoint sets of angles x/grid in the form of the ``sets``
+    of `test_long_chain_ends_where_single_steps_end`, and may cross."""
+    grid = draw(st.integers(2, 12))
+    angles = draw(st.lists(st.integers(0, grid - 1), unique=True, max_size=6))
+    groups: dict[int, list] = {}
+    for x in angles:
+        groups.setdefault(draw(st.integers(0, 2)), []).append(F(x, grid))
+    start = classes(1, "white", *groups.values(), grid=grid)
+    p_grid = draw(st.sampled_from([2, 4, 6, 8, 12]))
+    a = draw(st.integers(0, p_grid // 2 - 1))
+    return start, portrait("white", p_grid, [a, a + p_grid // 2]), draw(st.integers(2, 6)), None
+
+
+def outcome(pull):
+    """The classes ``pull()`` returns, or the text of its `LaminationError`."""
+    try:
+        return pull()
+    except LaminationError as e:
+        return str(e)
+
+
+def one_depth_at_a_time(start: AngleClasses, p: CriticalPortrait, depth: int) -> AngleClasses:
+    cur = start
+    while cur.depth < depth:
+        cur = pullback_to_depth(cur, p, 2, cur.depth + 1)
+    return cur
 
 
 def fixture_degree(request, case: str) -> int:
@@ -291,6 +328,69 @@ class TestPullbackStep:
             cur = pullback_to_depth(cur, MEYER_WHITE, 2, cur.depth + 1)
         assert pullback_to_depth(start, MEYER_WHITE, 2, last) == cur
         assert cur.grid == 7 * 24 * 2 ** (last - 2)
+
+    @settings(deadline=None)
+    @given(chains())
+    @example((CROSSING_START, CROSSING_PORTRAIT, 3, None))
+    @example((CROSSING_START, CROSSING_PORTRAIT, 4, None))
+    @example((CROSSING_START, CROSSING_PORTRAIT, 5, None))
+    # the step from depth 2 is refused (2 * 6 angles > 11): the crossing at
+    # depth 2 is still the error
+    @example((CROSSING_START, CROSSING_PORTRAIT, 4, 11))
+    @example((classes(1, "white", [F(0), F(1, 2)]), portrait("white", 2, [0, 1]), 6, None))  # critical-value-square
+    @example((classes(1, "white", [F(0), F(1, 3)]), portrait("white", 2, [0, 1]), 6, None))  # boundary-preimages
+    def test_deferred_walk_matches_one_depth_at_a_time(self, chain):
+        # a chain walks planarity once per nested run; one depth at a time
+        # walks every output, so both end alike, or fail with the same text
+        start, p, depth, limit = chain
+        with mock.patch.object(laminations, "MAX_PREIMAGES", limit or MAX_PREIMAGES):
+            expected = outcome(lambda: one_depth_at_a_time(start, p, depth))
+            assert outcome(lambda: pullback_to_depth(start, p, 2, depth)) == expected
+        if limit is not None:
+            assert expected.startswith("pullback produced crossing")
+
+    @pytest.mark.parametrize("fixture", ["meyer", "jordan"])
+    def test_depth_nine_walks_each_chain_once(self, request, monkeypatch, fixture):
+        # no step of either fixture merges a retained class, so each chain's
+        # outputs are one nested run, walked once, at its last step
+        walked = []
+        planar = laminations.check_planar
+        monkeypatch.setattr(laminations, "check_planar", lambda cl: walked.append(len(cl)) or planar(cl))
+        result = run_pipeline(request.getfixturevalue(f"{fixture}_spec"), depth=9)
+        assert walked == [len(result.lamination_white.classes), len(result.lamination_black.classes)]
+
+    def test_merging_step_walks_its_pending_run_first(self, request, monkeypatch):
+        # every step of this case merges the retained class into a bigger one,
+        # so each step after the first ends the run its input closes
+        start, p = relift_start(request, "critical-value-square")
+        events = []
+        planar, step = laminations.check_planar, laminations.pullback_step
+
+        def walking(cl):
+            events.append(("walk", cl))
+            return planar(cl)
+
+        def stepping(cl, *args):
+            events.append(("step", cl.classes))
+            out = step(cl, *args)
+            events.append(("out", out.classes))
+            return out
+
+        monkeypatch.setattr(laminations, "check_planar", walking)
+        monkeypatch.setattr(laminations, "pullback_step", stepping)
+        pullback_to_depth(start, p, 2, 6)
+        steps = []
+        for kind, cl in events:
+            if kind == "step":
+                steps.append((cl, []))
+            elif kind == "walk":
+                steps[-1][1].append(cl)
+            else:
+                steps[-1] += (cl,)
+        assert len(steps) == 5
+        for k, (lifted, walks, out) in enumerate(steps):
+            assert not set(lifted) <= set(out)  # a retained class merged
+            assert walks == ([lifted] if k else []) + ([out] if k == 4 else [])
 
     @pytest.mark.parametrize(
         "case",
@@ -511,8 +611,8 @@ def naive_components(tagged) -> dict[frozenset, frozenset]:
     }
 
 
-# both sides of merge_tagged's disjointness test: pairwise-disjoint sets (as
-# in Meyer's join), one angle shared by two sets, an angle repeated in one set
+# both sides of join's disjointness test: pairwise-disjoint sets (as in
+# Meyer's join), one angle shared by two sets, an angle repeated in one set
 DISJOINT = [(frozenset({1, 13}), "white"), (frozenset({5, 9}), "black"), (frozenset({2}), "white")]
 SHARED = [(frozenset({1, 3}), "white"), (frozenset({3, 7}), "black"), (frozenset({10, 12}), "black")]
 
@@ -531,6 +631,11 @@ class TestMergeOracle:
     @example(SHARED)
     # the angle 3 twice within the white side
     @example([(frozenset({1, 3}), "white"), (frozenset({3, 5}), "white"), (frozenset({8}), "black")])
+    # two white sets that share 3, bridged to a third white set by a black set
+    @example([
+        (frozenset({1, 3}), "white"), (frozenset({3, 5}), "white"), (frozenset({9, 11}), "white"),
+        (frozenset({5, 9}), "black"),
+    ])
     def test_join_matches_naive(self, tagged):
         white = AngleClasses(1, "white", 16, _canon(a for a, t in tagged if t == "white"))
         black = AngleClasses(1, "black", 16, _canon(a for a, t in tagged if t == "black"))
