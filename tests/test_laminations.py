@@ -363,30 +363,22 @@ class TestPullbackStep:
         # every step of this case merges the retained class into a bigger one,
         # so each step after the first ends the run its input closes
         start, p = relift_start(request, "critical-value-square")
-        events = []
+        steps = []  # per step: its input, the classes it walked, its output
         planar, step = laminations.check_planar, laminations.pullback_step
 
         def walking(cl):
-            events.append(("walk", cl))
+            steps[-1][1].append(cl)
             return planar(cl)
 
         def stepping(cl, *args):
-            events.append(("step", cl.classes))
+            steps.append((cl.classes, []))
             out = step(cl, *args)
-            events.append(("out", out.classes))
+            steps[-1] += (out.classes,)
             return out
 
         monkeypatch.setattr(laminations, "check_planar", walking)
         monkeypatch.setattr(laminations, "pullback_step", stepping)
         pullback_to_depth(start, p, 2, 6)
-        steps = []
-        for kind, cl in events:
-            if kind == "step":
-                steps.append((cl, []))
-            elif kind == "walk":
-                steps[-1][1].append(cl)
-            else:
-                steps[-1] += (cl,)
         assert len(steps) == 5
         for k, (lifted, walks, out) in enumerate(steps):
             assert not set(lifted) <= set(out)  # a retained class merged
