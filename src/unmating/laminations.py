@@ -282,12 +282,11 @@ def pullback_step(
 # step whose d * count is over the bound is refused.  Both fixtures double
 # their angles per depth: depth n+1 holds d * count + 2 = 2^(n+2) - 2 angles,
 # so depth 12 (8,190 angles, from d * count = 8,188) is the deepest run
-# accepted.  Its CLI `unmate` run takes about 0.47 s and 466 MiB on the Jordan
-# fixture (223 MB of stdout to /dev/null; median of five, Python 3.11.7,
-# 2-vCPU Xeon), and each depth costs 3.1-4 times the one before, so depth 13
-# would pass 1.4 GiB.  Its bit length, 14, caps the steps run on one grid: a
-# chain whose angles at least double per step meets the bound within 14
-# steps, so an admitted run refines its grid once.
+# accepted.  README (`--depth`, under "Command line") gives what a depth-12
+# `unmate` process costs, as measured by tests/clitime.py, and why depth 13
+# would cost too much.  The bound's bit length, 14, caps the steps run on one
+# grid: a chain whose angles at least double per step meets the bound within
+# 14 steps, so an admitted run refines its grid once.
 MAX_PREIMAGES = 10_000
 
 

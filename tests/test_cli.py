@@ -740,6 +740,144 @@ def test_closed_stdout_exit_two():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
+def _call(argv, stdout=None) -> int:
+    """``main(argv)``'s exit code, argparse's ``SystemExit`` included, with
+    stdout and stderr captured."""
+    with redirect_stdout(stdout or io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return main([str(a) for a in argv])
+        except SystemExit as e:
+            return e.code
+
+
+def _broken_pipe():
+    """A text stream whose reader is gone: flushing it raises BrokenPipeError."""
+    read, write = os.pipe()
+    os.close(read)
+    return open(write, "w")
+
+
+class TestCollector:
+    """`main` pauses the cyclic collector for the whole call; that is safe
+    because a run leaves no reference cycle, whatever its exit."""
+
+    @staticmethod
+    def runs(tmp_path):
+        """(argv, exit code) over every subcommand, reaching exits 0-3 and 7
+        from mapfiles, an unwritable ``--svg`` path included."""
+        bad = tmp_path / "malformed.json"
+        bad.write_text("{")
+        svg, unwritable = tmp_path / "out.svg", tmp_path / "missing" / "x.svg"
+        return [
+            (["validate", MEYER], 0),
+            (["validate", REVERSED], 1),
+            (["validate", tmp_path / "does_not_exist.json"], 2),
+            (["validate", bad], 2),
+            (["matrix", JORDAN], 0),
+            (["matrix", bad], 2),
+            (["parameters", MEYER], 0),
+            (["parameters", MEYER, "--branch", "1"], 2),
+            (["parameters", REVERSED], 3),
+            (["unmate", MEYER, "--depth", "6", "--svg", svg], 0),
+            (["unmate", JORDAN, "--depth", "6"], 0),
+            (["unmate", MEYER, "--depth", "2", "--svg", unwritable], 2),
+            (["unmate", REVERSED], 3),
+            (["unmate", JORDAN, "--depth", "40"], 7),
+            (["lamination", JORDAN, "--side", "w", "--svg", svg], 0),
+            (["lamination", MEYER, "--svg", unwritable], 2),
+            (["lamination", REVERSED], 3),
+            (["render", MEYER, "--depth", "4"], 0),
+            (["render", JORDAN, "--side", "b", "--svg", svg], 0),
+            (["render", MEYER, "--svg", unwritable], 2),
+            (["render", MEYER, "--depth", "40"], 7),
+        ]
+
+    def test_runs_leave_no_reference_cycle(self, tmp_path, monkeypatch):
+        cli.build_parser()  # built once per process; argparse's own garbage is checked below
+        gc.collect()
+        gc.disable()
+        try:
+            for argv, code in self.runs(tmp_path):
+                assert (_call(argv), gc.collect()) == (code, 0), argv
+            for patch, code in [(zero_transition_matrix, 4), (failing_certificate, 6)]:
+                with monkeypatch.context() as m:  # no mapfile reaches these stages' exits
+                    patch(m)
+                    assert (_call(["unmate", MEYER]), gc.collect()) == (code, 0), code
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("argv", [
+        None,  # building the parser
+        ["unmate", MEYER, "--depth", "0"],
+        ["render", MEYER, "--side", "x"],
+        ["matrix"],
+    ], ids=["build", "depth", "side", "no-mapfile"])
+    def test_argparse_leaves_only_its_formatters(self, argv):
+        """argparse leaves its help formatters in cycles when it builds the
+        parser and when it rejects the arguments; those, and nothing of
+        ours, wait for the collector to be back on."""
+        if argv is None:
+            cli.build_parser.cache_clear()
+        else:
+            cli.build_parser()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert _call(argv or ["matrix", MEYER]) == (2 if argv else 0)
+            gc.collect()
+            assert {"HelpFormatter", "_Section"} <= {type(o).__name__ for o in gc.garbage}
+            assert {type(o).__module__ for o in gc.garbage} == {"argparse", "builtins"}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+
+    def test_first_run_starts_no_collector_pass(self, tmp_path):
+        """A fresh interpreter's first `main` call, which also builds the
+        parser, runs no collector pass through a depth-9 ``unmate --svg``.
+        The lowest threshold makes any allocation while the collector is on
+        start a pass."""
+        script = (
+            "import gc, sys\n"
+            "from unmating.cli import main\n"
+            "starts = []\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and starts.append(info))\n"
+            "gc.set_threshold(1)\n"
+            "code = main(sys.argv[1:])\n"
+            "passes = len(starts)  # counted before print allocates\n"
+            "print(code, passes, gc.isenabled(), file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "unmate", str(MEYER), "--depth", "9", "--svg", str(tmp_path / "o.svg")],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert proc.stderr == "0 0 True\n"
+        assert (tmp_path / "o.black.svg").stat().st_size > 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv, code, broken", [
+        (["matrix", MEYER], 0, False),
+        (["unmate", MEYER, "--depth", "0"], 2, False),  # argparse's SystemExit
+        (["validate", "does_not_exist.json"], 2, False),
+        (["unmate", REVERSED], 3, False),
+        (["unmate", MEYER, "--depth", "40"], 7, False),
+        (["matrix", MEYER], 2, True),
+    ], ids=["exit0", "usage", "unreadable", "exit3", "exit7", "broken-pipe"])
+    def test_caller_state_survives(self, argv, code, broken, enabled):
+        stdout = _broken_pipe() if broken else None
+        if not enabled:
+            gc.disable()
+        try:
+            assert _call(argv, stdout) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+            if stdout is not None:
+                stdout.close()
+
+
 def _exit_table(text, row):
     """{code: stage} of the lines of `text` that the pattern `row` matches,
     with None for a code that names no stage ("-" or "—")."""
