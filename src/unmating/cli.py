@@ -33,7 +33,7 @@ import gc
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as quote
 
 from . import mapspec
@@ -62,27 +62,22 @@ def _dumps(obj) -> str:
     ``str``, and a `Crossings` is the only object that needs ``default``.
 
     Built as one list of parts joined once.  A non-empty list of ``str``s,
-    of ``int``s or of ``bool``s renders with one join, memoized per call by
-    its level and ``id``, so a list the report shares is spelled once per
-    level.  Keying by ``id`` is sound because ``obj`` keeps every sub-object
-    alive until the call returns, so no id is reused for another object
-    meanwhile; equal lists that are distinct objects render separately.
-    One helper renders a batch of such lists: a single list is a batch of
-    one, and a list of such lists (the report's class lists) is one batch,
-    written in one loop with no call per list.
+    of ``int``s or of ``bool``s renders with one join.  One helper renders
+    a batch of such lists: a single list is a batch of one, and a list of
+    such lists (the report's class lists) is one batch, written in one loop
+    with no call per list.
 
     A `Crossings` is written from its columns, building no entry: each
-    class's text and row head (``{"a": <text>, "b": ``) and the row tail of
-    each entry of its sides table are spelled once, and a row is three of
-    those parts, its tail picked by its code.
+    class's text and row head (``{"a": <text>, "b": ``) are spelled once,
+    and so is the one row tail that every entry shares, its sides and note;
+    a row is three of those parts.
     """
     parts: list[str] = []
     pads = ["\n"]  # pads[level] = newline + indentation at that level
-    rendered: dict[tuple[int, int], str] = {}  # rendered[level, id of a scalar list] = its text
 
     def batch(lists, level: int) -> list[str] | None:
-        """The memoized texts of ``lists`` at ``level`` if each is a non-empty
-        list or tuple and all their items are ``str``s, all ``int``s or all
+        """The texts of ``lists`` at ``level`` if each is a non-empty list or
+        tuple and all their items are ``str``s, all ``int``s or all
         ``bool``s, else None."""
         if not (all(lists) and set(map(type, lists)) <= _LISTS):
             return None
@@ -91,14 +86,7 @@ def _dumps(obj) -> str:
         if spell is None:
             return None
         head, sep, end = "[" + pads[level + 1], "," + pads[level + 1], pads[level] + "]"
-        texts = []
-        for o in lists:
-            key = level, id(o)
-            text = rendered.get(key)
-            if text is None:
-                text = rendered[key] = head + sep.join(map(spell, o)) + end
-            texts.append(text)
-        return texts
+        return [head + sep.join(map(spell, o)) + end for o in lists]
 
     def write(o, level: int) -> None:
         spell = _SPELL.get(type(o))
@@ -126,14 +114,13 @@ def _dumps(obj) -> str:
             a, b, sides, note = (pads[level + 2] + quote(key) + ": " for key in Crossings.KEYS)
             cells = batch(o.text, level + 2)
             heads = ["{" + a + text + "," + b for text in cells]
-            note = "" if o.note is None else "," + note + quote(o.note)
-            # a row's tail closes it; the tail of any row but the last also opens the next
-            ends = ["," + sides + text + note + inner + "}" for text in batch(o.sides, level + 2)]
-            tails = [end + "," + inner for end in ends]
+            # the row tail closes a row; the tail of any row but the last also opens the next
+            end = "," + sides + batch([Crossings.SIDES], level + 2)[0]
+            end += "," + note + quote(Crossings.NOTE) + inner + "}"
             parts.append("[" + inner)
-            rows = zip(map(heads.__getitem__, o.a), map(cells.__getitem__, o.b), map(tails.__getitem__, o.code))
+            rows = zip(map(heads.__getitem__, o.a), map(cells.__getitem__, o.b), repeat(end + "," + inner))
             parts.extend(chain.from_iterable(rows))
-            parts[-1] = ends[o.code[-1]] + pads[level] + "]"
+            parts[-1] = end + pads[level] + "]"
             return
         nested = type(o[0]) in _LISTS
         texts = batch(o, level + 1) if nested else batch([o], level)
@@ -148,7 +135,7 @@ def _dumps(obj) -> str:
             parts.append(pads[level] + "]")
 
     write(obj, 0)
-    del write  # break write's self-reference, so parts and the memo are freed on return
+    del write  # break write's self-reference, so parts is freed on return
     return "".join(parts)
 
 
@@ -326,7 +313,9 @@ def _main(argv) -> int:
     except BrokenPipeError as e:
         # the reader closed stdout: point it at devnull so the interpreter's
         # final flush stays quiet (Python's signal docs, "Note on SIGPIPE")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
         print(f"error: cannot write stdout: {e}", file=sys.stderr)
         return 2
 

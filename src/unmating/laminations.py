@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import lcm
-from operator import add, eq, not_
+from operator import eq, not_
 
 from .circle import crossing_pairs, frac
 from .errors import LaminationError
@@ -65,9 +65,8 @@ class AngleClasses(Record):
 
         ``table`` maps each class tuple to its list and is filled on first
         use; it holds the classes of one grid.  The texts of one run, given
-        one table, spell each distinct class once and share the list, so a
-        class that occurs on several sides is one object wherever it is
-        written.
+        one table, spell each distinct class once: the JSON sections, the
+        Moore report and the SVG labels read the same list.
         """
         grid = self.grid
         for c in self.classes:
@@ -376,36 +375,35 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
 
 
 class Crossings(Record, Sequence):
-    """One list of Moore entries as index columns: the columns of
-    `circle.crossing_pairs`, whole when no entry is a violation and split by
-    kind otherwise.
+    """The informational list of a Moore report as index columns: the
+    columns of `circle.crossing_pairs`, whole when no entry is a violation
+    and without the violations otherwise.
 
-    Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": sides[code[k]]}``,
-    plus ``"note": note`` unless it is None (keys ``KEYS``): ``a`` and ``b``
-    hold class indices, ``text`` one list per class, ``code`` a pair kind
-    code per entry and ``sides`` one list per code.  It reads as, and
-    equals, the sequence of those dicts.
+    Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": list(SIDES),
+    "note": NOTE}`` (keys ``KEYS``): ``a`` and ``b`` hold class indices and
+    ``text`` one list per class.  A linked pair that is no violation has
+    both sides, so every entry shares the sides and the note.  It reads as,
+    and equals, the sequence of those dicts, each with a sides list of its
+    own.
     """
 
-    __slots__ = ("a", "b", "text", "code", "sides", "note")
+    __slots__ = ("a", "b", "text")
     KEYS = ("a", "b", "sides", "note")  # an entry's keys, in order; `cli._dumps` writes them too
+    SIDES = (BLACK, WHITE)
+    NOTE = "two-sided crossing (informational)"
 
-    def __init__(self, a: list[int], b: list[int], text: list, code: list[int], sides: list, note: str | None):
+    def __init__(self, a: list[int], b: list[int], text: list):
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "text", text)
-        set_field(self, "code", code)
-        set_field(self, "sides", sides)
-        set_field(self, "note", note)
 
     def __len__(self) -> int:
         return len(self.a)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return Crossings(self.a[k], self.b[k], self.text, self.code[k], self.sides, self.note)
-        values = (self.text[self.a[k]], self.text[self.b[k]], self.sides[self.code[k]], self.note)
-        return dict(zip(self.KEYS, values if self.note is not None else values[:3]))
+            return Crossings(self.a[k], self.b[k], self.text)
+        return dict(zip(self.KEYS, (self.text[self.a[k]], self.text[self.b[k]], list(self.SIDES), self.NOTE)))
 
     def __eq__(self, other):
         return isinstance(other, Sequence) and len(self) == len(other) and all(map(eq, self, other))
@@ -417,40 +415,23 @@ def moore_check(joined: AngleClasses, table: dict) -> dict:
     informational.  The classes must come from `join`, which records their
     sides.
 
-    Both lists are `Crossings` over the classes' `text`, read through
-    ``table``, the run's text table.  A class's kind is its sides tuple; a
-    pair's kind code p*m + q (m kinds, at most 3) indexes one table of sides
-    lists, shared by value, and two classes lie on one side only when that
-    list has one side.  The codes are read from two per-class tables, with
-    no Python step per crossing; when no code is one-sided, the walk's
-    columns are the informational list as they are.
+    A pair is a violation exactly when both classes have one side, the same
+    one; with two colors, every other linked pair has both sides.  So each
+    class is tagged with its side when it has one and with its own index
+    otherwise, and a pair is a violation when its tags are equal, read with
+    no Python step per crossing.  The violations are a list of entry dicts,
+    empty on every run that reaches this check; the informational entries
+    are a `Crossings` over the classes' `text`, read through ``table``, the
+    run's text table.
     """
-    kinds = sorted(set(joined.sides))
-    m = len(kinds)
-    kind = list(map(kinds.index, joined.sides))
-    row = [p * m for p in kind]  # row[i] + kind[j]: the code of a pair of classes i, j
-    lists: dict[tuple[str, ...], list[str]] = {}
-    union = []  # union[p*m + q]: the sides list of a class of kind p linked with one of kind q
-    for p in kinds:
-        for q in kinds:
-            value = tuple(sorted({*p, *q}))
-            union.append(lists.setdefault(value, list(value)))
-    same = [len(sides) == 1 for sides in union]
     text = joined.text(table)  # one list per class, shared by its entries
+    tag = [s[0] if len(s) == 1 else i for i, s in enumerate(joined.sides)]
     first, second = crossing_pairs(joined.classes)
-    codes = list(map(add, map(row.__getitem__, first), map(kind.__getitem__, second)))
-    note = "two-sided crossing (informational)"
-    if not any(same) or not any(map(same.__getitem__, codes)):
-        # no violation, as in every run that reaches this check: every crossing is informational
-        violations = Crossings([], [], text, [], union, None)
-        informational = Crossings(first, second, text, codes, union, note)
-    else:
-        bad = list(map(same.__getitem__, codes))
-
-        def crossings(keep: list[bool], note: str | None) -> Crossings:
-            a, b, code = (list(compress(column, keep)) for column in (first, second, codes))
-            return Crossings(a, b, text, code, union, note)
-
-        violations = crossings(bad, None)
-        informational = crossings(list(map(not_, bad)), note)
-    return {"passed": not violations, "violations": violations, "informational": informational}
+    bad = list(map(eq, map(tag.__getitem__, first), map(tag.__getitem__, second)))
+    violations = []
+    if any(bad):
+        violations = [
+            {"a": text[i], "b": text[j], "sides": [tag[i]]} for i, j in compress(zip(first, second), bad)
+        ]
+        first, second = (list(compress(column, map(not_, bad))) for column in (first, second))
+    return {"passed": not violations, "violations": violations, "informational": Crossings(first, second, text)}

@@ -321,6 +321,19 @@ def vertex_census(spec: MapSpec, depth: int) -> list[int]:
     return sorted([*posts.values(), *others])
 
 
+def euler_count(spec: MapSpec, depth: int) -> int:
+    """The sum of visits(v) - 1 over the vertices v of the depth-n pullback
+    curve, by Euler's formula, from three numbers of the mapfile.
+
+    gamma0 is a connected graph on the sphere with |post| vertices and k
+    edges, so it has F0 = 2 - |post| + k faces.  No face holds a post, so
+    each has d disjoint lifts, and gamma_n has k*d^n edges and F0*d^n faces
+    (n-tiles; Bonk-Meyer 2017).  Its vertex count is then 2 - F0*d^n +
+    k*d^n, and its k*d^n visits leave F0*d^n - 2.
+    """
+    return (2 - len(spec.post) + spec.k) * spec.degree**depth - 2
+
+
 def itinerary_equal_to_horizon(
     u: Fraction, v: Fraction, sec: Sectors, grid: int, d: int, horizon: int
 ) -> bool:

@@ -499,7 +499,7 @@ class TestDumps:
         assert _dumps(tree) == json.dumps(tree, indent=2)
 
     def test_leaves_no_reference_cycle(self):
-        # the parts list and the memo must be freed on return, not at a later gc pass
+        # the parts list must be freed on return, not at a later gc pass
         gc.collect()
         gc.disable()
         try:
@@ -527,37 +527,33 @@ class TestDumps:
         same = _dumps(report) == expected
         assert same  # not the texts themselves: pytest's diff of them takes minutes
 
-    def test_moore_report_written_by_identity(self, jordan_spec, monkeypatch):
-        """Moore entries share one sides list per value, and the writer spells
-        the items of each str or int list once per level, however often the
-        list occurs there."""
+    def test_moore_report_spells_each_class_once(self, jordan_spec, monkeypatch):
+        """The writer quotes each key and spells each str or int item once
+        where it occurs, and each class text of a `Crossings` once, with the
+        one row tail its entries share, however many rows read it."""
         report = run_pipeline(jordan_spec, depth=6).to_json()
-        moore = report["laminations"]["moore"]
-        entries = list(moore["violations"]) + list(moore["informational"])
-        assert len(entries) > 2
-        assert len({id(e["sides"]) for e in entries}) <= len({tuple(e["sides"]) for e in entries})
+        crossings = report["laminations"]["moore"]["informational"]
+        cells = sum(map(len, crossings.text))
+        assert sum(len(crossings.text[i]) for i in crossings.a + crossings.b) > 2 * cells  # rows share texts
 
-        keys, lists, scalars = 0, {}, 0
+        keys, values = 0, 0
 
-        def walk(o, level):
-            nonlocal keys, scalars
+        def walk(o):
+            nonlocal keys, values
             if type(o) in (str, int):
-                scalars += 1
+                values += 1
             elif isinstance(o, Crossings):
-                for entry in o:  # the entries it reads as, each built anew
-                    walk(entry, level + 1)
+                keys += len(Crossings.KEYS) + 1  # the keys and the note, quoted once
+                values += sum(map(len, o.text)) + len(Crossings.SIDES)
             elif isinstance(o, dict):
                 keys += len(o)
                 for value in o.values():
-                    walk(value, level + 1)
+                    walk(value)
             elif isinstance(o, (list, tuple)):
-                if o and len(set(map(type, o))) == 1 and type(o[0]) in (str, int):
-                    lists[level, id(o)] = len(o)
-                else:
-                    for x in o:
-                        walk(x, level + 1)
+                for x in o:
+                    walk(x)
 
-        walk(report, 0)
+        walk(report)
         calls = {"key": 0, "value": 0}
 
         def counting(spell, kind):
@@ -574,8 +570,7 @@ class TestDumps:
         monkeypatch.undo()
         same = text == json.dumps(report, indent=2, default=list)
         assert same
-        assert calls["key"] <= keys
-        assert calls["value"] <= sum(lists.values()) + scalars
+        assert calls == {"key": keys, "value": values}
 
 
 @pytest.mark.parametrize(
@@ -876,6 +871,25 @@ class TestCollector:
             gc.enable()
             if stdout is not None:
                 stdout.close()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to count descriptors")
+    def test_broken_pipe_leaves_no_descriptor_open(self):
+        """A broken stdout is pointed at devnull, and the devnull descriptor
+        that took its place is closed again."""
+
+        def open_descriptors() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        before = open_descriptors()
+        counts = []
+        for _ in range(4):
+            stdout = _broken_pipe()
+            try:
+                assert _call(["matrix", MEYER], stdout) == 2
+            finally:
+                stdout.close()
+            counts.append(open_descriptors())
+        assert counts == [before] * 4
 
 
 def _exit_table(text, row):
