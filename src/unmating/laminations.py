@@ -7,14 +7,18 @@ are generated by lifting classes through the sectors of the certified
 portrait, keeping everything from lower depths (the relation is a join over
 levels).  `pullback_to_depth` runs a chain of steps on one grid and carries
 one state through it: the map from each angle to its class, the classes new
-at the last depth, which are all a step lifts, and the outputs no planarity
-walk has checked yet.  So a step looks up and adds only its new angles.
-Within one color every output is checked planar, with one walk per nested
-run of outputs.  `join` merges the two colors by union-find over class indices.
+at the last depth, which are all a step lifts, the outputs no planarity
+walk has checked yet, and a lift table.  So a step looks up and adds only
+its new angles, and reads their preimages, grouped by the closed sectors
+that hold them, from the table: one row per segment of the grid that no
+sector boundary's preimage cuts, filled on first use.  Within one color
+every output is checked planar, with one walk per nested run of outputs.
+`join` merges the two colors by union-find over class indices.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from itertools import compress
 from math import lcm
@@ -168,15 +172,32 @@ class _Chain:
     limit's count.  ``frontier`` holds the classes new at the last depth,
     ``pending`` the outputs of the current nested run that no planarity walk
     has checked yet, and ``depth`` is the chain's last depth.
+
+    ``bounds`` and ``rows`` are the lift table of the chain's grid.  The
+    preimages of the angle d*y are y + m*step, 0 <= m < d, step = grid/d,
+    and their closed-sector labels change only where one of them meets a
+    sector boundary b, which happens exactly when y = b mod step.  So
+    ``bounds`` cuts [0, step) at b mod step and b mod step + 1 for every
+    boundary angle b: each such y is a one-integer segment of its own, and
+    on every other segment each preimage stays inside one arc.  The angles
+    y of segment i = bisect_right(bounds, y) share ``rows[i]``: the offsets
+    m*step of their preimages, grouped by label, as (label, offsets) pairs
+    in the order the labels first appear.  A row is None until a step first
+    lifts an angle of its segment, so a chain labels d preimages per segment
+    it meets, not per angle it lifts.
     """
 
-    __slots__ = ("depth", "owner", "frontier", "pending")
+    __slots__ = ("depth", "owner", "frontier", "pending", "bounds", "rows")
 
-    def __init__(self, classes: AngleClasses, frontier: list[AngleSet], depth: int, pending: list[AngleClasses]):
+    def __init__(
+        self, classes: AngleClasses, frontier: list[AngleSet], depth: int, pending: list[AngleClasses], bounds: list[int]
+    ):
         self.depth = depth
         self.owner = {x: c for c in classes.classes for x in c}
         self.frontier = frontier
         self.pending = pending
+        self.bounds = bounds
+        self.rows: list = [None] * (len(bounds) + 1)
 
 
 def pullback_step(
@@ -188,6 +209,9 @@ def pullback_step(
     ``new`` holds the classes new at depth n and ``sec`` the portrait's
     sectors, both on that grid.  Every angle x of ``new`` is a multiple of d,
     so its preimages (x + m*grid)/d are the integers x//d + m*(grid//d).
+    The step reads them, grouped by the closed sectors that hold them, from
+    the row of x//d in the chain's lift table (`_Chain`); the first angle of
+    a segment fills its row, with d `Sectors.closed_labels` lookups.
 
     New classes are the sector-consistent lifts: preimages of a class that
     lie in a common closed sector, plus preimage sets of single angles of
@@ -223,21 +247,28 @@ def pullback_step(
     output would.
     """
     grid = classes.grid
-    step = grid // d
+    bounds, rows = chain.bounds, chain.rows
     candidates = []
     for cls in new:
         # distinct angles have distinct preimages, so no list below holds an
         # angle twice
         lifts: dict[int, list[int]] = {}
         for u in cls:
-            hits: dict[int, list[int]] = {}
-            for x in range(u // d, grid, step):
-                for label in sec.closed_labels(x):
-                    hits.setdefault(label, []).append(x)
-            for label, xs in hits.items():
-                lifts.setdefault(label, []).extend(xs)
-                # preimage sets of single angles, when a sector holds several
-                if len(xs) >= 2:
+            y = u // d
+            i = bisect_right(bounds, y)
+            row = rows[i]
+            if row is None:  # the first angle of this segment: label its preimages
+                groups: dict[int, list[int]] = {}
+                for offset in range(0, grid, grid // d):
+                    for label in sec.closed_labels(y + offset):
+                        groups.setdefault(label, []).append(offset)
+                rows[i] = row = list(groups.items())
+            for label, offsets in row:
+                if len(offsets) == 1:
+                    lifts.setdefault(label, []).append(y + offsets[0])
+                else:  # a preimage set of a single angle, when a sector holds several
+                    xs = [y + offset for offset in offsets]
+                    lifts.setdefault(label, []).extend(xs)
                     candidates.append(xs)
         candidates.extend(xs for xs in lifts.values() if len(xs) >= 2)
 
@@ -303,19 +334,20 @@ def pullback_to_depth(
     depth: at first every class, then the output classes of the step before
     that are not among its input classes.
 
-    One `_Chain` carries the angle map, the frontier and the unwalked
-    outputs from step to step; a new grid rescales the map and the
-    frontier, and the unwalked outputs stay, since a rescaled class links
-    exactly where it linked before.  The map's size is the angle count: a
-    step from a depth whose angles have more than MAX_PREIMAGES preimages
-    is refused, so every run does bounded work.
+    One `_Chain` carries the angle map, the frontier, the unwalked outputs
+    and the lift table from step to step; a new grid rescales the map and
+    the frontier and cuts a new, empty table, and the unwalked outputs
+    stay, since a rescaled class links exactly where it linked before.  The
+    map's size is the angle count: a step from a depth whose angles have
+    more than MAX_PREIMAGES preimages is refused, so every run does bounded
+    work.
 
     Precondition: the portrait's sets are preargument sets, which `certify`
     checks; `sectors` relies on it.
     """
     if start.color != portrait.color:
         raise LaminationError(f"cannot lift {start.color} classes through a {portrait.color} portrait")
-    cur, chain = start, _Chain(start, list(start.classes), depth, [])
+    cur, chain = start, _Chain(start, list(start.classes), depth, [], [])
     base, left = None, 0  # left: the steps still to run on this grid
     while cur.depth < depth:
         count = len(chain.owner)
@@ -333,7 +365,9 @@ def pullback_to_depth(
             sec = base.scaled(grid // portrait.grid)
             k = grid // cur.grid
             cur = AngleClasses(cur.depth, cur.color, grid, tuple(tuple(x * k for x in c) for c in cur.classes))
-            chain = _Chain(cur, [tuple(x * k for x in c) for c in chain.frontier], depth, chain.pending)
+            step = grid // d
+            bounds = sorted({c for b in sec.boundary for c in (b % step, b % step + 1)})
+            chain = _Chain(cur, [tuple(x * k for x in c) for c in chain.frontier], depth, chain.pending, bounds)
         cur, left = pullback_step(cur, chain.frontier, sec, d, chain), left - 1
     return cur
 

@@ -4,9 +4,9 @@ Chords are straight segments between circle points (cos 2*pi*t, sin 2*pi*t);
 coordinates are the only place floating point appears, fixed to six decimals
 so identical scenes render byte-identically.  A scene formats its angles in
 one batch when it is built: one ``%`` spells all their coordinates, quoted,
-and one more all their label lines.  Each label's ``p/q`` comes from the
-class text of its classes (`AngleClasses.text`).  A coordinate that rounds
-to -0.000000 is written 0.000000.
+and one f-string comprehension all their label lines.  Each label's ``p/q``
+comes from the class text of its classes (`AngleClasses.text`).  A
+coordinate that rounds to -0.000000 is written 0.000000.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ _STYLES = {
     BLACK: 'stroke="#3050b0" stroke-width="0.010" stroke-dasharray="0.04,0.02"',
     JOIN: 'stroke="#444444" stroke-width="0.010"',
 }
-_LABEL = (
-    '  <text x="%s" y="%s" font-size="0.07" text-anchor="middle" '
-    'dominant-baseline="middle" fill="#222222">%s</text>'
-)
 
 
 class SvgScene:
@@ -90,15 +86,20 @@ def _ends(chords: list[tuple[int, int, str]]) -> list[int]:
 
 def angle_text(grid: int, xs: list[int], names: dict[int, str]) -> dict[int, tuple[str, str, str]]:
     """The `SvgScene.text` entry of each angle x/grid of ``xs``, its label
-    reading ``names[x]``, all spelled in one batch."""
+    reading ``names[x]``: one ``%`` spells every coordinate, which measured
+    faster than an f-string per float, and one comprehension every label
+    line."""
     n = len(xs)
     theta = [2 * math.pi * (x / grid) for x in xs]  # int / int is correctly rounded: x/grid turns
     cos, sin = list(map(math.cos, theta)), list(map(math.sin, theta))
     values = cos + sin + [1.10 * c for c in cos] + [1.10 * s for s in sin]
     quoted = ('"%.6f"' * (4 * n) % tuple(values)).replace('"-0.000000"', '"0.000000"')  # whole values only
     spelled = quoted[1:-1].split('""')  # x, y, label x, label y: n each
-    label_args = chain.from_iterable(zip(spelled[2 * n : 3 * n], spelled[3 * n :], map(names.__getitem__, xs)))
-    label_lines = ("\n".join(repeat(_LABEL, n)) % tuple(label_args)).split("\n")
+    label_lines = [
+        f'  <text x="{x}" y="{y}" font-size="0.07" text-anchor="middle" '
+        f'dominant-baseline="middle" fill="#222222">{name}</text>'
+        for x, y, name in zip(spelled[2 * n : 3 * n], spelled[3 * n :], map(names.__getitem__, xs))
+    ]
     return dict(zip(xs, zip(spelled[:n], spelled[n : 2 * n], label_lines)))
 
 

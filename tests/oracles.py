@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
@@ -18,8 +18,9 @@ import numpy as np
 from unmating.circle import frac
 from unmating.errors import LaminationError, ParameterizationError, PortraitError, SpectralError
 from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge_tagged
-from unmating.mapspec import MapSpec, local_degree, validate
+from unmating.mapspec import BLACK, WHITE, MapSpec, local_degree, validate
 from unmating.parameterize import PullbackParameters
+from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, Sectors, sectors
 from unmating.spectral import TransitionMatrix, _integer_row_echelon
 
@@ -191,18 +192,18 @@ def _common_sector(xs, sec: Sectors, grid: int) -> bool:
 def brute_force_pullback(
     classes: AngleClasses, sec: Sectors, grid: int, d: int
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """All endpoint-lift combinations of size-2 classes, filtered by sector
-    consistency (sectors on the portrait's grid), merged, and checked planar;
-    the classes as Fraction tuples."""
+    """Every pair of preimages of one class's angles that lie in a common
+    closed sector (sectors on the portrait's grid; two preimages of one
+    angle are a pair too), with the classes, merged and checked planar; the
+    classes as Fraction tuples.  Classes of any size lift alike: a closed
+    sector's preimages of one class are joined pairwise, so they merge
+    into one set."""
     candidates = []
     for cls in as_fractions(classes):
-        assert len(cls) == 2, "oracle only handles leaves"
-        a, b = cls
-        lifts_a = [(a + m) / d for m in range(d)]
-        lifts_b = [(b + m) / d for m in range(d)]
-        for a2, b2 in product(lifts_a, lifts_b):
-            if a2 != b2 and _common_sector((a2, b2), sec, grid):
-                candidates.append({a2, b2})
+        lifts = [(a + m) / d for a in cls for m in range(d)]
+        for x, y in combinations(lifts, 2):
+            if _common_sector((x, y), sec, grid):
+                candidates.append({x, y})
     candidates.extend(set(c) for c in as_fractions(classes))
     merged = merge_overlapping(candidates)
     out = tuple(sorted({tuple(sorted(s)) for s in merged}, key=lambda s: (s[0], len(s), s)))
@@ -257,6 +258,53 @@ def pullback_by_relift(
         a, b = (", ".join(frac(x, grid) for x in c) for c in crossing)
         raise LaminationError(f"pullback produced crossing: {{{a}}} links {{{b}}}")
     return AngleClasses(depth=classes.depth + 1, color=classes.color, grid=grid, classes=out)
+
+
+def admitted(start: AngleClasses, portrait: CriticalPortrait, d: int, bound: int, last: float) -> list[AngleClasses]:
+    """``start`` and its relifts (`pullback_by_relift`), one per depth, as
+    deep as the work limit's rule admits under ``bound``, and not past depth
+    ``last``: the step from classes of count angles runs when d * count <=
+    bound.  The classes are disjoint, so count is their total size."""
+    chain = [start]
+    while chain[-1].depth < last and d * sum(map(len, chain[-1].classes)) <= bound:
+        chain.append(pullback_by_relift(chain[-1], portrait, d))
+    return chain
+
+
+class WorkLimit:
+    """What the work limit ``bound`` admits on a mapfile, read off its rule
+    (`admitted`), with no depth taken from the code under test.
+
+    ``chains`` holds, per side in the order `run_pipeline` pulls back (white,
+    then black), the depth-1 classes and their relifts at every depth the
+    rule admits; ``deepest`` is the deepest depth that both sides reach, and
+    ``tightest`` the largest d * count that a run to it lifts, so a bound of
+    exactly ``tightest`` admits the same depths with its last step at the
+    limit.
+    """
+
+    def __init__(self, spec: MapSpec, bound: int):
+        result = run_pipeline(spec, depth=1)
+        self.d, self.bound = spec.degree, bound
+        self.chains = [
+            admitted(getattr(result, f"depth1_{color}"), getattr(result, color), self.d, bound, math.inf)
+            for color in (WHITE, BLACK)
+        ]
+        self.deepest = min(chain[-1].depth for chain in self.chains)
+        self.tightest = max(self.d * sum(map(len, chain[self.deepest - 2].classes)) for chain in self.chains)
+
+    def refusal(self, depth: int, chain: list[AngleClasses] | None = None) -> str:
+        """The message that refuses a run to ``depth``: it names the last
+        classes of ``chain``, by default of the first side whose chain stops
+        short of ``depth``."""
+        if chain is None:
+            chain = next(chain for chain in self.chains if chain[-1].depth < depth)
+        last = chain[-1]
+        count = sum(map(len, last.classes))
+        return (
+            f"depth {depth} is beyond the work limit: lifting the {count} angles of depth {last.depth} "
+            f"makes {self.d * count} preimages, over the limit of {self.bound}"
+        )
 
 
 def kneading_classes(portrait: CriticalPortrait, d: int, grid: int) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from unmating import cli, errors, spectral
+from unmating import cli, errors, parse_file, spectral
 from unmating.circle import frac
 from unmating.cli import _dumps, main
 from unmating.laminations import AngleClasses, Crossings, pullback_to_depth
@@ -26,7 +26,7 @@ from unmating.pipeline import run_pipeline
 from unmating.svg import SvgScene, angle_text, render_svg
 
 from .conftest import JORDAN, MEYER, REVERSED, failing_certificate, meyer_raw, replaced
-from .oracles import svg_text
+from .oracles import WorkLimit, svg_text
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -168,10 +168,22 @@ class TestUnmateCommand:
         patch(monkeypatch)
         assert run(capsys, "unmate", MEYER) == (code, "", line)
 
+    @pytest.mark.parametrize("bound", ["limit", "tightest"])
     @pytest.mark.parametrize("fixture", [MEYER, JORDAN], ids=["meyer", "jordan"])
-    def test_depth_beyond_work_limit_exit_seven(self, capsys, monkeypatch, fixture):
+    def test_depth_beyond_work_limit_exit_seven(self, capsys, monkeypatch, fixture, bound):
+        """The depth after the deepest one the work limit's rule admits
+        exits 7 with the message that names its count, once each side has
+        run every step the rule admits.  At the tightest bound that admits
+        the same depths, the last step runs at exactly the limit.  README
+        gives the cost of Jordan's deepest run, depth 12."""
         from unmating import laminations
 
+        limit = WorkLimit(parse_file(fixture), laminations.MAX_PREIMAGES)
+        if bound == "tightest":
+            limit = WorkLimit(parse_file(fixture), limit.tightest)
+            monkeypatch.setattr(laminations, "MAX_PREIMAGES", limit.bound)
+        if fixture == JORDAN:
+            assert limit.deepest == 12
         steps = 0
         step = laminations.pullback_step
 
@@ -181,30 +193,39 @@ class TestUnmateCommand:
             return step(*args)
 
         monkeypatch.setattr(laminations, "pullback_step", counting)
-        code, out, err = run(capsys, "unmate", fixture, "--depth", "40")
-        assert code == 7
-        assert out == ""
-        assert err == (
-            "error: depth 40 is beyond the work limit: lifting the 8190 angles of depth 12 "
-            "makes 16380 preimages, over the limit of 10000 (stage: laminations)\n"
+        depth = limit.deepest + 1
+        assert run(capsys, "unmate", fixture, "--depth", depth) == (
+            7, "", f"error: {limit.refusal(depth)} (stage: laminations)\n"
         )
-        assert steps == 11  # the white side stops at the first step over the limit
+        refused = next(i for i, chain in enumerate(limit.chains) if chain[-1].depth < depth)
+        assert steps == refused * (depth - 1) + limit.chains[refused][-1].depth - 1
 
+    @pytest.mark.parametrize("bound", ["limit", "tightest"])
     @pytest.mark.parametrize("fixture", [MEYER, JORDAN], ids=["meyer", "jordan"])
-    def test_huge_depth_stops_at_work_limit(self, fixture):
-        # the limit trips at depth 12 whatever depth is asked for, so a grid
-        # sized from the requested depth would show here as a timeout
+    def test_huge_depth_stops_at_work_limit(self, fixture, bound):
+        # the limit trips at the deepest depth its rule admits whatever depth
+        # is asked for, so a grid sized from the requested depth would show
+        # here as a timeout; a tightest bound is set before the CLI runs
+        from unmating.laminations import MAX_PREIMAGES
+
+        limit = WorkLimit(parse_file(fixture), MAX_PREIMAGES)
+        command = ["-m", "unmating.cli"]
+        if bound == "tightest":
+            limit = WorkLimit(parse_file(fixture), limit.tightest)
+            command = [
+                "-c",
+                "import sys; from unmating import cli, laminations; "
+                "laminations.MAX_PREIMAGES = int(sys.argv.pop(1)); sys.exit(cli.main())",
+                str(limit.bound),
+            ]
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
-            [sys.executable, "-m", "unmating.cli", "unmate", str(fixture), "--depth", "100000000"],
+            [sys.executable, *command, "unmate", str(fixture), "--depth", "100000000"],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 7
         assert proc.stdout == ""
-        assert proc.stderr == (
-            "error: depth 100000000 is beyond the work limit: lifting the 8190 angles of "
-            "depth 12 makes 16380 preimages, over the limit of 10000 (stage: laminations)\n"
-        )
+        assert proc.stderr == f"error: {limit.refusal(100000000)} (stage: laminations)\n"
 
     def test_jordan_certified_with_svg(self, capsys, tmp_path):
         svg = tmp_path / "jordan.svg"

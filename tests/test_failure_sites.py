@@ -52,6 +52,7 @@ from unmating.spectral import TransitionMatrix, certify_perron
 from unmating.svg import SvgScene
 
 from .conftest import MEYER, REVERSED, failing_certificate, meyer_raw, toy_raw
+from .oracles import WorkLimit
 
 SRC = Path(unmating.__file__).resolve().parent
 ERRORS = {
@@ -207,6 +208,15 @@ def patch_swapped_depth1(monkeypatch):
     """depth1 hands the black classes to the white side and back."""
     depth1 = laminations.depth1
     monkeypatch.setattr(laminations, "depth1", lambda *args: depth1(*args)[::-1])
+
+
+# the tightest work limit that admits the deepest depth the rule admits on
+# the Meyer fixture: the last step it admits runs at exactly the limit
+TIGHTEST = WorkLimit(parse_file(MEYER), WorkLimit(parse_file(MEYER), laminations.MAX_PREIMAGES).tightest)
+
+
+def patch_tightest_limit(monkeypatch):
+    monkeypatch.setattr(laminations, "MAX_PREIMAGES", TIGHTEST.bound)
 
 
 def patch_wrong_nullspace(monkeypatch):
@@ -379,9 +389,8 @@ ROWS: dict[str, Row] = {
         "cannot lift white classes through a black portrait"),
     "laminations.pullback_to_depth: depth … is beyond the work limit: lifting the … angles of depth … makes … "
     "preimages, over the limit of …": Row(
-        unmate(None, "--depth", "40"), 7,
-        "depth 40 is beyond the work limit: lifting the 8190 angles of depth 12 makes 16380 preimages, "
-        "over the limit of 10000"),
+        unmate(None, "--depth", str(TIGHTEST.deepest + 1)), 7, TIGHTEST.refusal(TIGHTEST.deepest + 1),
+        patch_tightest_limit),
     "laminations.join: join needs equal depths and grids, got depth … on 1/… and depth … on 1/…": Row(
         lambda: join((r := meyer()).lamination_white, r.depth1_black), LaminationError,
         "join needs equal depths and grids, got depth 2 on 1/48 and depth 1 on 1/24"),

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
+from contextlib import suppress
 from fractions import Fraction
 from math import lcm
 from operator import lt
@@ -8,12 +11,12 @@ from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from unmating import circle, laminations
 from unmating.cli import _dumps
-from unmating.errors import LaminationError
+from unmating.errors import LaminationError, PortraitError
 from unmating.laminations import (
     MAX_PREIMAGES,
     AngleClasses,
@@ -28,15 +31,18 @@ from unmating.laminations import (
 )
 from unmating.mapspec import critical_vertices, faces
 from unmating.pipeline import run_pipeline
-from unmating.portraits import CriticalPortrait, PreargumentSet, sectors
+from unmating.portraits import CriticalPortrait, PreargumentSet, Sectors, sectors
 from unmating.svg import SvgScene
 
 from .conftest import replaced, spec_with
 from .oracles import (
+    WorkLimit,
+    admitted,
     as_fractions,
     brute_force_pullback,
     euler_count,
     kneading_classes,
+    label_by_scan,
     linked_pairs_by_scan,
     merge_overlapping,
     moore_by_scan,
@@ -115,6 +121,26 @@ def chains(draw):
     p_grid = draw(st.sampled_from([2, 4, 6, 8, 12]))
     a = draw(st.integers(0, p_grid // 2 - 1))
     return start, portrait("white", p_grid, [a, a + p_grid // 2]), draw(st.integers(2, 6)), None
+
+
+@st.composite
+def lift_tables(draw):
+    """A portrait of degree 2 or 3 on a grid d*M, M <= 6, of one or two sets
+    of d-fold preimages of one angle (linked ones included, for the test to
+    discard), and a grid for the step: a multiple of the portrait's."""
+    d = draw(st.sampled_from([2, 3]))
+    step = draw(st.integers(1, 6))
+    sets = [
+        [x + j * step for j in js]
+        for x, js in draw(
+            st.lists(
+                st.tuples(st.integers(0, step - 1), st.sets(st.integers(0, d - 1), min_size=2)),
+                min_size=1,
+                max_size=2,
+            )
+        )
+    ]
+    return portrait("white", d * step, *sets), d, d * step * draw(st.integers(1, 3))
 
 
 def outcome(pull):
@@ -259,6 +285,18 @@ class TestPullbackStep:
                     assert as_fractions(nxt) == brute_force(cur, p, 2), (p.color, cur.depth)
                     cur = nxt
 
+    @pytest.mark.parametrize("case", ["critical-value-square", "boundary-preimages"])
+    def test_polygons_match_brute_force(self, request, case):
+        # both starts lift polygons: the square one class of 4, 8 and 16 angles at depths 2-4
+        start, p = relift_start(request, case)
+        cur = start
+        for _ in range(4):  # depths 2..5
+            nxt = pullback_to_depth(cur, p, 2, cur.depth + 1)
+            assert as_fractions(nxt) == brute_force(cur, p, 2), (case, cur.depth)
+            cur = nxt
+        if case == "critical-value-square":
+            assert [len(c) for c in cur.classes] == [32]
+
     def test_planar_at_all_depths(self, meyer_result):
         cur = meyer_result.depth1_white
         for _ in range(5):
@@ -303,12 +341,27 @@ class TestPullbackStep:
         with pytest.raises(LaminationError, match="cannot lift"):
             pullback_to_depth(meyer_result.depth1_white, meyer_result.black, 2, 2)
 
-    def test_work_limit_admits_depth_twelve_only(self, meyer_result):
-        # the last step to depth n lifts 2 * (2^n - 2) angles on this fixture
-        deepest = pullback_to_depth(meyer_result.depth1_white, meyer_result.white, 2, 12)
-        assert 2 * sum(map(len, deepest.classes)) == 16380 > MAX_PREIMAGES
-        with pytest.raises(LaminationError, match="depth 13 is beyond the work limit"):
-            pullback_to_depth(deepest, meyer_result.white, 2, 13)
+    @pytest.mark.parametrize("bound", ["limit", "tightest"])
+    @pytest.mark.parametrize("fixture", ["meyer", "jordan"])
+    def test_work_limit_admits_the_deepest_depth_only(self, request, monkeypatch, fixture, bound):
+        """Each side's chain reaches the deepest depth that the work limit's
+        rule admits, and the next depth is refused with the message that
+        names its count.  At the tightest bound that admits the same depths
+        the last step runs at exactly the limit.  README gives the cost of
+        Jordan's deepest run, depth 12."""
+        spec, result = request.getfixturevalue(f"{fixture}_spec"), request.getfixturevalue(f"{fixture}_result")
+        limit = WorkLimit(spec, MAX_PREIMAGES)
+        if bound == "tightest":
+            limit = WorkLimit(spec, limit.tightest)
+            monkeypatch.setattr(laminations, "MAX_PREIMAGES", limit.bound)
+        if fixture == "jordan":
+            assert limit.deepest == 12
+        for color, chain in zip(("white", "black"), limit.chains):
+            start, p = getattr(result, f"depth1_{color}"), getattr(result, color)
+            assert pullback_to_depth(start, p, spec.degree, chain[-1].depth) == chain[-1]
+            with pytest.raises(LaminationError) as info:
+                pullback_to_depth(start, p, spec.degree, chain[-1].depth + 1)
+            assert str(info.value) == limit.refusal(chain[-1].depth + 1, chain)
 
     def test_work_limit_admits_a_step_of_exactly_the_limit(self, meyer_result, monkeypatch):
         """A step whose d * count equals MAX_PREIMAGES runs; one over it is
@@ -353,6 +406,71 @@ class TestPullbackStep:
             assert outcome(lambda: pullback_to_depth(start, p, 2, depth)) == expected
         if limit is not None:
             assert expected.startswith("pullback produced crossing")
+
+    @settings(deadline=None)
+    @given(lift_tables())
+    @example((portrait("white", 2, [0, 1]), 2, 4))  # the critical value's preimages bound both sectors
+    @example((portrait("white", 6, [0, 2], [3, 5]), 3, 12))
+    def test_lift_table_matches_label_scan(self, drawn):
+        """The step reads the preimages y + m*grid/d of each angle d*y from
+        the table row of y's segment, grouped by the closed sectors that
+        hold them; for every y in [0, grid/d), boundary points included,
+        that row is the grouping by the Fraction scan, both labels at a
+        boundary point.  A start of one class per angle on the grid grid/d
+        makes the step lift every y."""
+        p, d, grid = drawn
+        try:
+            sec = sectors(p)
+        except PortraitError:
+            assume(False)
+        step = grid // d
+        start = AngleClasses(1, "white", step, tuple((y,) for y in range(step)))
+        chains = []
+        pull = laminations.pullback_step
+
+        def stepping(*args):
+            chains.append(args[-1])
+            return pull(*args)
+
+        with mock.patch.object(laminations, "pullback_step", stepping), suppress(LaminationError):
+            pullback_to_depth(start, p, d, 2)  # the rows are filled before the output is walked
+        (chain,) = chains
+        for y in range(step):
+            row = chain.rows[bisect_right(chain.bounds, y)]
+            expected: dict[int, list[int]] = {}
+            for x in range(y, grid, step):
+                for side in ("left", "right"):
+                    label = label_by_scan(F(x, grid), sec, p.grid, side)
+                    if x not in expected.setdefault(label, []):
+                        expected[label].append(x)
+            assert {label: [y + offset for offset in offsets] for label, offsets in row} == expected, y
+
+    @pytest.mark.parametrize("fixture", ["meyer", "jordan"])
+    def test_depth_nine_labels_once_per_filled_row(self, request, monkeypatch, fixture):
+        """A chain looks up sector labels only to fill a table row, d
+        lookups per row, and not once per preimage: 4 per depth-9 chain on
+        both fixtures."""
+        result, d = request.getfixturevalue(f"{fixture}_result"), fixture_degree(request, fixture)
+        calls, chains = [], []
+        labels, pull = Sectors.closed_labels, laminations.pullback_step
+
+        def labelling(sec, t):
+            calls.append(t)
+            return labels(sec, t)
+
+        def stepping(*args):
+            if args[-1] not in chains:
+                chains.append(args[-1])
+            return pull(*args)
+
+        monkeypatch.setattr(Sectors, "closed_labels", labelling)
+        monkeypatch.setattr(laminations, "pullback_step", stepping)
+        for color in ("white", "black"):
+            calls.clear()
+            chains.clear()
+            pullback_to_depth(getattr(result, f"depth1_{color}"), getattr(result, color), d, 9)
+            (chain,) = chains  # eight steps, on one grid
+            assert len(calls) == d * sum(row is not None for row in chain.rows) == 4, color
 
     @pytest.mark.parametrize("case", ["meyer", "jordan", "critical-value-square"])
     def test_depth_nine_walks_once_per_nested_run(self, request, monkeypatch, case):
@@ -435,11 +553,20 @@ class TestPullbackStep:
             "empty",
         ],
     )
-    def test_matches_relift_to_depth_twelve(self, request, monkeypatch, case):
-        # lifting only the new classes gives what lifting every class gives,
-        # and the classes each step is given as new are those not already one
-        # depth lower
+    def test_matches_relift_to_the_work_limit(self, request, monkeypatch, case):
+        """Lifting only the new classes gives what lifting every class
+        gives, at every depth the work limit's rule admits, and the classes
+        each step is given as new are those not already one depth lower.
+        The bound is the tightest that admits the same depths, so the last
+        step runs at exactly the limit, and the next depth is refused with
+        the message that names its count.  A start without angles never
+        meets the limit, and runs to depth 12."""
         start, p = relift_start(request, case)
+        refs = admitted(start, p, 2, MAX_PREIMAGES, 12 if not start.classes else math.inf)
+        angles = [sum(map(len, ref.classes)) for ref in refs]
+        if angles[-1]:  # the same depths at the tightest bound
+            monkeypatch.setattr(laminations, "MAX_PREIMAGES", 2 * angles[-2])
+            assert 2 * angles[-1] > laminations.MAX_PREIMAGES
         given = []
         step = laminations.pullback_step
 
@@ -448,16 +575,21 @@ class TestPullbackStep:
             return step(classes, new, *args)
 
         monkeypatch.setattr(laminations, "pullback_step", recording)
-        ref = start
-        for depth in range(2, 13):
+        for ref in refs[1:]:
             given.clear()
-            cur, ref = pullback_to_depth(start, p, 2, depth), pullback_by_relift(ref, p, 2)
-            assert cur == ref, (case, depth)
-            assert len(given) == depth - 1
+            assert pullback_to_depth(start, p, 2, ref.depth) == ref, (case, ref.depth)
+            assert len(given) == ref.depth - 1
             older: set = set()
             for classes, new in given:
                 assert sorted(new) == sorted(set(classes.classes) - older), (case, classes.depth)
                 older = set(classes.classes)
+        if angles[-1]:
+            with pytest.raises(LaminationError) as info:
+                pullback_to_depth(start, p, 2, refs[-1].depth + 1)
+            assert str(info.value) == (
+                f"depth {refs[-1].depth + 1} is beyond the work limit: lifting the {angles[-1]} angles of depth "
+                f"{refs[-1].depth} makes {2 * angles[-1]} preimages, over the limit of {laminations.MAX_PREIMAGES}"
+            )
 
     def test_class_growth_rate(self, meyer_result):
         # one new lift per sector per class, so counts follow 2^n - 1 here
