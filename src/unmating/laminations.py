@@ -1,19 +1,21 @@
 """Finite-depth lamination approximations by leaf pullback.
 
-Depth 1 reads the equivalence classes off the chord diagrams at the critical
-vertices of the pullback curve; the identifications at the curve's other
+Depth 1 reads the equivalence classes off the connections that validation
+keeps on the level-1 map, from one chord diagram per vertex of the pullback
+curve with two or more visits.  The pipeline passes only the critical
+vertices' connections; the identifications at the curve's other
 self-intersections are not read yet (ROADMAP direction 1).  Deeper relations
 are generated by lifting classes through the sectors of the certified
 portrait, keeping everything from lower depths (the relation is a join over
 levels).  `pullback_to_depth` runs a chain of steps on one grid and carries
 one state through it: the map from each angle to its class, the classes new
-at the last depth, which are all a step lifts, the outputs no planarity
-walk has checked yet, and a lift table.  So a step looks up and adds only
-its new angles, and reads their preimages, grouped by the closed sectors
-that hold them, from the table: one row per segment of the grid that no
-sector boundary's preimage cuts, filled on first use.  Within one color
-every output is checked planar, with one walk per nested run of outputs.
-`join` merges the two colors by union-find over class indices.
+at the last depth, which are all a step lifts, the outputs no planarity walk
+has checked yet, and a lift table.  So a step looks up and adds only its new
+angles, and reads their preimages, grouped by the closed sectors that hold
+them, from the table: one row per segment of the grid that no sector
+boundary's preimage cuts, filled on first use.  Within one color every
+output is checked planar, with one walk per nested run of outputs.  `join`
+merges the two colors by union-find over class indices.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from operator import eq, not_
 
 from .circle import crossing_pairs, frac
 from .errors import LaminationError
-from .mapspec import BLACK, WHITE, CriticalVertex, Record, set_field
+from .mapspec import BLACK, WHITE, Record, set_field
 from .parameterize import PullbackParameters
 from .portraits import CriticalPortrait, Sectors, sectors
 
@@ -90,22 +92,23 @@ def check_planar(classes: Iterable[AngleSet]) -> tuple[AngleSet, AngleSet] | Non
 
 
 # ---------------------------------------------------------------------------
-# depth 1: connection classes at critical vertices
+# depth 1: connection classes
 
 def depth1(
-    pullback: PullbackParameters, criticals: list[CriticalVertex]
+    pullback: PullbackParameters, connections: Iterable[tuple[str, tuple[int, ...]]]
 ) -> tuple[AngleClasses, AngleClasses]:
-    """White and black depth-1 classes from connections at critical vertices.
+    """White and black depth-1 classes from chord-diagram connections.
 
-    Only the critical vertices, where the map folds, are read: their
-    connections generate the portraits.  The connections at the curve's other
-    self-intersections are identifications too, and are not read yet (ROADMAP
-    direction 1).
+    Each connection is a (color, visits) pair of the level-1 map
+    (`mapspec.LevelMap.connections`), and its class is the pullback
+    parameters of its visits.  The caller chooses the vertices:
+    `pipeline.run_pipeline` passes the critical vertices' connections, which
+    generate the portraits, and not yet those at the curve's other
+    self-intersections (ROADMAP direction 1).
     """
     out: dict[str, list[set[int]]] = {WHITE: [], BLACK: []}
-    for cv in criticals:
-        for color, visits in cv.connections:
-            out[color].append({pullback.s[j] for j in visits})
+    for color, visits in connections:
+        out[color].append({pullback.s[j] for j in visits})
     return (
         AngleClasses(1, WHITE, pullback.grid, _canon(out[WHITE])),
         AngleClasses(1, BLACK, pullback.grid, _canon(out[BLACK])),

@@ -333,9 +333,17 @@ def _visit_index(names: Iterable[str], word) -> Visits:
 
 
 class LevelMap:
-    """Rotation-system view of the curve complex at one level."""
+    """Rotation-system view of the curve complex at one level.
 
-    __slots__ = ("level", "n_edges", "rotations", "visits", "chords", "faces", "face_of", "colors")
+    Once level 1 is colored and every check has passed, `validate` reads
+    the chord diagram of each of its vertices with two or more visits
+    once, and keeps the diagram's connections: the (color, visits) regions
+    that two or more visits border.  These are the identifications the
+    curve makes where it meets itself.  Level 0, and the level 1 of a spec
+    that fails validation, have none (``connections`` stays None).
+    """
+
+    __slots__ = ("level", "n_edges", "rotations", "visits", "chords", "faces", "face_of", "colors", "connections")
 
     def __init__(
         self,
@@ -356,6 +364,7 @@ class LevelMap:
         self.faces = faces  # orbits of the face permutation
         self.face_of = face_of
         self.colors = colors  # per face, once coloring succeeds
+        self.connections = None  # vertex -> its connections, level 1 only
 
     def left_face(self, pos: int) -> int:
         return self.face_of[(pos, OUT)]
@@ -490,24 +499,16 @@ def _color_level(spec: MapSpec, lm: LevelMap, lm0: LevelMap | None) -> None:
 # critical vertices
 
 class CriticalVertex:
-    __slots__ = ("vertex", "local_degree", "visits", "connections")
+    """A 1-vertex of local degree >= 2, its visits, and the sorted colors of
+    its connections, which the level-1 map keeps (`LevelMap.connections`)."""
 
-    def __init__(
-        self,
-        vertex: str,
-        local_degree: int,
-        visits: tuple[int, ...],
-        connections: tuple[tuple[str, tuple[int, ...]], ...],
-    ):
+    __slots__ = ("vertex", "local_degree", "visits", "colors")
+
+    def __init__(self, vertex: str, local_degree: int, visits: tuple[int, ...], colors: tuple[str, ...]):
         self.vertex = vertex
         self.local_degree = local_degree
         self.visits = visits
-        # (color, visits) of each chord-diagram region that two or more visits border
-        self.connections = connections
-
-    @property
-    def colors(self) -> tuple[str, ...]:
-        return tuple(sorted({color for color, _ in self.connections}))
+        self.colors = colors
 
 
 def local_degree(spec: MapSpec, vertex: str, visits0: Visits, visits1: Visits) -> int:
@@ -521,14 +522,13 @@ def local_degree(spec: MapSpec, vertex: str, visits0: Visits, visits1: Visits) -
 
 def critical_vertices(spec: MapSpec, lm0: LevelMap, lm1: LevelMap) -> list[CriticalVertex]:
     """All 1-vertices of local degree >= 2 (read off the visit indices of
-    lm0 and lm1), with the connections of their chord diagrams on the
-    colored level-1 map lm1."""
+    lm0 and lm1), with the colors of their connections on the validated,
+    colored level-1 map lm1; no chord diagram is built here."""
     out = []
     for v, visits in lm1.visits.items():
         deg = local_degree(spec, v, lm0.visits, lm1.visits)
         if deg >= 2:
-            connections = tuple(r for r in chord_diagram(lm1, v) if len(r[1]) >= 2)
-            out.append(CriticalVertex(v, deg, visits, connections))
+            out.append(CriticalVertex(v, deg, visits, tuple(sorted({c for c, _ in lm1.connections[v]}))))
     return out
 
 
@@ -598,6 +598,11 @@ def validate(spec: MapSpec) -> ValidationReport:
             report.add("not checkerboard-colorable", str(e))
         else:
             report.levels[level] = lm
+            if level and report.passed:  # each vertex's connections, from its one chord diagram
+                lm.connections = {
+                    v: tuple(r for r in chord_diagram(lm, v) if len(r[1]) >= 2)
+                    for v, js in visits.items() if len(js) >= 2
+                }
 
     return report
 

@@ -150,7 +150,8 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
             )
             raise PortraitError(f"{portrait.color} portrait certificate failed: {failed}")
 
-    d1w, d1b = lam.depth1(pullback, criticals)
+    connections = report.levels[1].connections
+    d1w, d1b = lam.depth1(pullback, [c for cv in criticals for c in connections[cv.vertex]])
 
     # cross-stage consistency: depth-1 classes are exactly the portrait sets
     for classes, portrait in ((d1w, white), (d1b, black)):

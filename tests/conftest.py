@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from unmating import parse, parse_file, portraits
+from unmating import critical_vertices, faces, parse, parse_file, portraits
 from unmating.pipeline import run_pipeline
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -58,6 +58,21 @@ def replaced(record, **changes):
     fields = type(record).__slots__
     assert changes.keys() <= set(fields), changes.keys() - set(fields)
     return type(record)(**{name: changes.get(name, getattr(record, name)) for name in fields})
+
+
+def census_spec(request, case: str):
+    """A fixture's spec, or its spec with the white anchor on the other side:
+    "meyer", "meyer-flipped", "jordan" or "jordan-flipped"."""
+    name, _, flipped = case.partition("-")
+    spec = request.getfixturevalue(f"{name}_spec")
+    return replaced(spec, white_anchor=(0, "right")) if flipped else spec
+
+
+def critical_connections(spec) -> list:
+    """The connections of the critical vertices, read off the level-1 map:
+    what the pipeline passes to `laminations.depth1`."""
+    lm1 = faces(spec, 1)
+    return [c for cv in critical_vertices(spec, faces(spec, 0), lm1) for c in lm1.connections[cv.vertex]]
 
 
 def failing_certificate(monkeypatch) -> None:

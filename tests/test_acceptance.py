@@ -15,14 +15,13 @@ import pytest
 from unmating import parse_file, validate
 from unmating.circle import frac
 from unmating.laminations import check_planar, depth1, pullback_to_depth
-from unmating.mapspec import critical_vertices, faces
 from unmating.parameterize import pullback_parameters, solve_for_spec
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, certify, sectors
 from unmating.spectral import certify_perron, transition_matrix
 from unmating.svg import SvgScene
 
-from .conftest import MEYER, REVERSED, VALID_FIXTURES, meyer_raw
+from .conftest import MEYER, REVERSED, VALID_FIXTURES, critical_connections, meyer_raw
 from .oracles import as_fractions, brute_force_pullback, power_iteration
 
 F = Fraction
@@ -128,7 +127,7 @@ class TestAcceptance:
         for path in VALID_FIXTURES:
             spec = parse_file(path)
             result = run_pipeline(spec)
-            white, black = depth1(result.pullback, critical_vertices(spec, faces(spec, 0), faces(spec, 1)))
+            white, black = depth1(result.pullback, critical_connections(spec))
             for classes, portrait in ((white, result.white), (black, result.black)):
                 assert {frozenset(c) for c in as_fractions(classes)} == {
                     frozenset(F(a, portrait.grid) for a in s.angles) for s in portrait.sets

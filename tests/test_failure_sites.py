@@ -200,7 +200,7 @@ def lifting_into_a_crossing():
 
 def marking_two_criticals_on_one_cycle():
     # 1/3 and 2/3 reach each other, so neither vertex can start the marking
-    criticals = [CriticalVertex(v, 2, (j,), (("white", (j,)),)) for j, v in enumerate(("v1", "v2"))]
+    criticals = [CriticalVertex(v, 2, (j,), ("white",)) for j, v in enumerate(("v1", "v2"))]
     extract_portraits(parse_file(MEYER), PullbackParameters(3, (1, 2)), criticals)
 
 

@@ -29,12 +29,11 @@ from unmating.laminations import (
     moore_check,
     pullback_to_depth,
 )
-from unmating.mapspec import critical_vertices, faces
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, Sectors, sectors
 from unmating.svg import SvgScene
 
-from .conftest import replaced, spec_with
+from .conftest import census_spec, critical_connections, spec_with
 from .oracles import (
     WorkLimit,
     admitted,
@@ -246,15 +245,13 @@ class TestTextTable:
 
 class TestDepth1:
     def test_meyer_matches_portraits(self, meyer_spec, meyer_result):
-        criticals = critical_vertices(meyer_spec, faces(meyer_spec, 0), faces(meyer_spec, 1))
-        white, black = depth1(meyer_result.pullback, criticals)
+        white, black = depth1(meyer_result.pullback, critical_connections(meyer_spec))
         assert white.classes == ((5, 17),)
         assert black.classes == ((1, 13),)
         assert white.grid == black.grid == 24
 
     def test_jordan_matches_portraits(self, jordan_spec, jordan_result):
-        criticals = critical_vertices(jordan_spec, faces(jordan_spec, 0), faces(jordan_spec, 1))
-        white, black = depth1(jordan_result.pullback, criticals)
+        white, black = depth1(jordan_result.pullback, critical_connections(jordan_spec))
         assert as_fractions(white) == ((F(1, 4), F(3, 4)),)
         assert as_fractions(black) == ((F(1, 8), F(5, 8)),)
         assert white.grid == black.grid == 8
@@ -374,6 +371,26 @@ class TestPullbackStep:
         with pytest.raises(LaminationError, match=f"makes {made} preimages, over the limit of {made - 1}"):
             pullback_to_depth(depth3, meyer_result.white, 2, 4)
 
+    def test_step_at_exactly_the_limit_walks_no_extra_run(self, meyer_result, monkeypatch):
+        """A step whose output's d * count equals MAX_PREIMAGES does not end
+        its nested run: the chain walks planarity as it does under the
+        default bound (on Meyer white, once, at depth 4)."""
+        start, p = meyer_result.depth1_white, meyer_result.white
+        depth3 = pullback_to_depth(start, p, 2, 3)
+        walks, planar = [], laminations.check_planar
+
+        def walking(cl):
+            walks.append(len(cl))
+            return planar(cl)
+
+        monkeypatch.setattr(laminations, "check_planar", walking)
+        out = pullback_to_depth(start, p, 2, 4)
+        expected = walks[:]
+        walks.clear()
+        monkeypatch.setattr(laminations, "MAX_PREIMAGES", 2 * sum(map(len, depth3.classes)))
+        assert pullback_to_depth(start, p, 2, 4) == out
+        assert walks == expected and walks[-1] == len(out.classes)
+
     @pytest.mark.parametrize("sets", [[], [[F(1, 7)]]], ids=["empty", "one-angle"])
     def test_long_chain_ends_where_single_steps_end(self, sets):
         # only a chain that stays under the work limit runs past one grid's
@@ -448,29 +465,36 @@ class TestPullbackStep:
     @pytest.mark.parametrize("fixture", ["meyer", "jordan"])
     def test_depth_nine_labels_once_per_filled_row(self, request, monkeypatch, fixture):
         """A chain looks up sector labels only to fill a table row, d
-        lookups per row, and not once per preimage: 4 per depth-9 chain on
-        both fixtures."""
+        lookups per row, and not once per preimage: it fills at most one
+        row per segment of its table, and looks up fewer labels than it
+        lifts preimages."""
         result, d = request.getfixturevalue(f"{fixture}_result"), fixture_degree(request, fixture)
-        calls, chains = [], []
+        calls, chains, lifted = [], [], []
         labels, pull = Sectors.closed_labels, laminations.pullback_step
 
         def labelling(sec, t):
             calls.append(t)
             return labels(sec, t)
 
-        def stepping(*args):
+        def stepping(classes, new, *args):
             if args[-1] not in chains:
                 chains.append(args[-1])
-            return pull(*args)
+            new = list(new)
+            lifted.append(d * sum(map(len, new)))
+            return pull(classes, new, *args)
 
         monkeypatch.setattr(Sectors, "closed_labels", labelling)
         monkeypatch.setattr(laminations, "pullback_step", stepping)
         for color in ("white", "black"):
             calls.clear()
             chains.clear()
+            lifted.clear()
             pullback_to_depth(getattr(result, f"depth1_{color}"), getattr(result, color), d, 9)
             (chain,) = chains  # eight steps, on one grid
-            assert len(calls) == d * sum(row is not None for row in chain.rows) == 4, color
+            filled = sum(row is not None for row in chain.rows)
+            assert len(calls) == d * filled, color
+            assert filled <= len(chain.bounds) + 1, color
+            assert len(calls) < sum(lifted), color
 
     @pytest.mark.parametrize("case", ["meyer", "jordan", "critical-value-square"])
     def test_depth_nine_walks_once_per_nested_run(self, request, monkeypatch, case):
@@ -674,13 +698,6 @@ MEYER_MISSES_RAY_CLASSES = pytest.mark.xfail(
     "(ROADMAP direction 1), so Meyer's join has 2/6/14/... classes at depths 1-9 "
     "where its curve has 6/10/18/... vertices of two or more visits",
 )
-
-
-def census_spec(request, case: str):
-    """A fixture's spec, or its spec with the white anchor on the other side."""
-    name, _, flipped = case.partition("-")
-    spec = request.getfixturevalue(f"{name}_spec")
-    return replaced(spec, white_anchor=(0, "right")) if flipped else spec
 
 
 MEYER_MISSES_IDENTIFICATIONS = pytest.mark.xfail(

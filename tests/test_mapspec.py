@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from unmating import mapspec
+from unmating.circle import frac
 from unmating.errors import MapfileError, ValidationFailure
 from unmating.mapspec import (
     BLACK,
@@ -21,7 +22,8 @@ from unmating.mapspec import (
 )
 from unmating.pipeline import run_pipeline
 
-from .conftest import JORDAN, MEYER, meyer_raw, spec_with
+from .conftest import JORDAN, MEYER, census_spec, meyer_raw, spec_with
+from .oracles import euler_count
 
 
 def _container(raw, path):
@@ -228,6 +230,8 @@ class TestFaces:
 
     @pytest.mark.parametrize("fixture", ["meyer_spec", "jordan_spec"])
     def test_pipeline_builds_and_colors_each_level_once(self, monkeypatch, request, fixture):
+        spec = request.getfixturevalue(fixture)
+        multi = sum(len(js) >= 2 for js in faces(spec, 1).visits.values())  # 6 on Meyer, 2 on Jordan
         calls = {"_visit_index": 0, "_build_level": 0, "_two_color": 0, "chord_diagram": 0}
         for name in calls:
             original = getattr(mapspec, name)
@@ -237,9 +241,9 @@ class TestFaces:
                 return _original(*args)
 
             monkeypatch.setattr(mapspec, name, counted)
-        run_pipeline(request.getfixturevalue(fixture), depth=2)
-        # one visit index per level; both fixtures have two critical vertices: one chord diagram each
-        assert calls == {"_visit_index": 2, "_build_level": 2, "_two_color": 2, "chord_diagram": 2}
+        run_pipeline(spec, depth=2)
+        # one visit index per level, and one chord diagram per level-1 vertex of two or more visits
+        assert calls == {"_visit_index": 2, "_build_level": 2, "_two_color": 2, "chord_diagram": multi}
 
     def test_invalid_spec_has_no_faces(self, reversed_spec):
         with pytest.raises(ValidationFailure, match="fully invariant condition violated"):
@@ -302,8 +306,19 @@ class TestCriticalVertices:
         assert crits["c1"].local_degree == crits["c2"].local_degree == 2
         assert crits["c1"].visits == (3, 9)
         assert crits["c2"].visits == (0, 6)
-        assert crits["c1"].connections == ((WHITE, (3, 9)),)
-        assert crits["c2"].connections == ((BLACK, (0, 6)),)
+        connections = faces(meyer_spec, 1).connections
+        assert connections["c1"] == ((WHITE, (3, 9)),)
+        assert connections["c2"] == ((BLACK, (0, 6)),)
+
+    def test_builds_no_chord_diagram(self, monkeypatch, meyer_spec, jordan_spec):
+        # the colors are read off the level-1 map's connections
+        for spec in (meyer_spec, jordan_spec):
+            levels = validate(spec).levels
+            with monkeypatch.context() as m:
+                m.setattr(mapspec, "chord_diagram", None)
+                crits = critical_vertices(spec, levels[0], levels[1])
+            for c in crits:
+                assert c.colors == tuple(sorted({color for color, _ in levels[1].connections[c.vertex]}))
 
     def test_jordan_criticals(self, jordan_spec):
         crits = {c.vertex: c for c in _criticals(jordan_spec)}
@@ -321,6 +336,53 @@ class TestCriticalVertices:
         spec = spec_with(lambda raw: raw["word1"][10].__setitem__("to", "p3"))
         report = validate(spec)
         assert "local degree not integral" in [f.check for f in report.findings]
+
+
+class TestConnections:
+    """The level-1 map keeps the connections of each vertex with two or more
+    visits, read off its chord diagram once by validation."""
+
+    @pytest.mark.parametrize("case", ["meyer", "meyer-flipped", "jordan", "jordan-flipped"])
+    def test_identifications_follow_euler(self, request, case):
+        # at a vertex of m visits the m chords and the m + 1 regions form a
+        # tree, so its connections identify m - 1 pairs; the sum over the
+        # vertices is Euler's F0*d - 2
+        spec = census_spec(request, case)
+        connections = faces(spec, 1).connections
+        identified = sum(len(visits) - 1 for regions in connections.values() for _, visits in regions)
+        assert identified == euler_count(spec, 1) == {"meyer": 6, "jordan": 2}[case.split("-")[0]]
+
+    @pytest.mark.parametrize("fixture", ["meyer", "jordan"])
+    def test_kept_for_every_multi_visit_vertex_of_level_one_only(self, request, fixture):
+        spec = request.getfixturevalue(f"{fixture}_spec")
+        assert faces(spec, 0).connections is None
+        lm = faces(spec, 1)
+        assert set(lm.connections) == {v for v, js in lm.visits.items() if len(js) >= 2}
+        for v, regions in lm.connections.items():
+            assert regions == tuple(r for r in chord_diagram(lm, v) if len(r[1]) >= 2)
+
+    def test_rejected_spec_builds_no_chord_diagram(self, monkeypatch, reversed_spec):
+        # only a validated map is read; faces() raises for any other
+        monkeypatch.setattr(mapspec, "chord_diagram", None)
+        report = validate(reversed_spec)
+        assert not report.passed and report.levels[1].connections is None
+
+    def test_meyer_non_critical_white_connections(self, meyer_spec, meyer_result):
+        s, grid = meyer_result.pullback.s, meyer_result.pullback.grid
+        connections = faces(meyer_spec, 1).connections
+        assert {
+            v: [(color, [frac(s[j], grid) for j in visits]) for color, visits in connections[v]]
+            for v in ("p0", "p1", "p2", "p3")
+        } == {
+            "p0": [(WHITE, ["1/3", "2/3"])],
+            "p1": [(WHITE, ["5/12", "7/12"])],
+            "p2": [(WHITE, ["1/12", "11/12"])],
+            "p3": [(WHITE, ["1/6", "5/6"])],
+        }
+
+    def test_jordan_multi_visit_vertices_are_its_criticals(self, jordan_spec):
+        # so its depth 1, which reads the critical vertices, is exact
+        assert set(faces(jordan_spec, 1).connections) == {c.vertex for c in _criticals(jordan_spec)} == {"b", "o"}
 
 
 class TestCoveringStructure:
