@@ -13,15 +13,16 @@ downstream (marking, periodicity, landings, itineraries) reads its list.
 `crossing_pairs` is the one walk over angles in circle order: every hull
 question (oriented visits at a curve vertex, an unlinked critical portrait,
 planar and Moore-checked laminations) reads its two index columns, which it
-builds from one slice of its stack per visit that meets a crossing.
+builds from one slice of its stack per visit that meets a crossing.  It
+takes pairwise-disjoint classes in least-angle order, and each caller
+passes them so.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from math import gcd
-from operator import lt
 
 
 def frac(x: int, grid: int) -> str:
@@ -52,43 +53,35 @@ def orbit(x: int, d: int, grid: int) -> list[int]:
 
 def crossing_pairs(classes: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """The index columns (first, second) of the pairs i < j of classes whose
-    hulls share an angle or cross, in pair order.
+    hulls cross, in pair order.
 
-    Each class is sorted, with no repeats.  When some classes share an
-    angle, the pairs are those that share one, and nothing is walked.
-    Otherwise one walk over the angles in circle order keeps a stack of the
-    open classes: a class is pushed at its first angle and leaves at its
-    last.  Disjoint classes are non-crossing exactly when every angle met
-    belongs to the class on top (a non-crossing partition nests like
-    parentheses; Kreweras 1972).  When an angle of class i comes while other
-    classes sit above i, each of them opened inside the gap of i that this
-    angle closes and is still open, so it crosses i.  Every crossing pair is
-    met this way, at an angle of the earlier-opened class.
+    Precondition: the classes are pairwise disjoint, each sorted with no
+    repeats, and listed in least-angle order, which for disjoint classes is
+    tuple order.  Every lamination's classes come so; `mapspec.validate`
+    and `portraits.sectors` sort theirs, and `sectors` refuses a shared
+    angle before it walks.
 
-    When the classes come sorted, which for disjoint classes is by their
-    least angles, as every lamination's are, they open in index order and
-    the stack stays sorted: one bisection finds i, and the classes above it
-    are one slice, already in order.  A class met at several angles extends
-    its list by the part of each later slice past the list's last class:
-    any class of the slice up to that one opened before it and is still
-    open, so the visit that added it met that class too.  The columns are
-    read off the lists in index order.  So for N angles the walk costs
-    N log N, plus a bisection per visit that meets a crossing, plus the
-    crossings.  Classes in any other order are walked sorted once a
-    crossing is met, and their pairs mapped back.
+    One walk over the angles in circle order keeps a stack of the open
+    classes: a class is pushed at its first angle and leaves at its last.
+    Disjoint classes are non-crossing exactly when every angle met belongs
+    to the class on top (a non-crossing partition nests like parentheses;
+    Kreweras 1972).  When an angle of class i comes while other classes sit
+    above i, each of them opened inside the gap of i that this angle closes
+    and is still open, so it crosses i.  Every crossing pair is met this
+    way, at an angle of the earlier-opened class.
+
+    The classes open in index order, so the stack stays sorted: one
+    bisection finds i, and the classes above it are one slice, already in
+    order.  A class met at several angles extends its list by the part of
+    each later slice past the list's last class: any class of the slice up
+    to that one opened before it and is still open, so the visit that added
+    it met that class too.  The columns are read off the lists in index
+    order.  So for N angles the walk costs N log N, plus a bisection per
+    visit that meets a crossing, plus the crossings.
     """
-    n = len(classes)
-    if n < 2:
+    if len(classes) < 2:  # no pair: a vertex of one visit, a portrait of one set
         return [], []
-    owner: dict = {}
-    sharing: dict[int, list[int]] = {}  # a shared angle: the classes holding it, in order
-    for i, c in enumerate(classes):
-        for x in c:
-            if owner.setdefault(x, i) != i:
-                sharing.setdefault(x, [owner[x]]).append(i)
-    if sharing:
-        return _columns({(a, b) for ids in sharing.values() for k, b in enumerate(ids) for a in ids[:k]})
-
+    owner = {x: i for i, c in enumerate(classes) for x in c}
     above: dict[int, list[int]] = {}  # a crossed class: the later classes that cross it, in order
     stack: list[int] = []  # the open classes, in the order they opened
     for x in sorted(owner):
@@ -99,12 +92,6 @@ def crossing_pairs(classes: Sequence[Sequence[int]]) -> tuple[list[int], list[in
                 if x == c[-1]:
                     del stack[-1]
                 continue
-            # the bisections need the classes to open in index order: checked
-            # once, at the first crossing
-            if not above and not all(map(lt, classes, classes[1:])):
-                order = sorted(range(n), key=classes.__getitem__)
-                first, second = crossing_pairs([classes[k] for k in order])
-                return _columns(sorted((order[a], order[b])) for a, b in zip(first, second))
             k = bisect_left(stack, i)
             met = above.get(i)
             if met is None:
@@ -115,8 +102,6 @@ def crossing_pairs(classes: Sequence[Sequence[int]]) -> tuple[list[int], list[in
                 del stack[k]
         elif x != c[-1]:  # a class of one angle never opens
             stack.append(i)
-    if not above:
-        return [], []
     first: list[int] = []
     second: list[int] = []
     for i in sorted(above):
@@ -124,12 +109,6 @@ def crossing_pairs(classes: Sequence[Sequence[int]]) -> tuple[list[int], list[in
         first += [i] * len(later)
         second += later
     return first, second
-
-
-def _columns(pairs: Iterable[Sequence[int]]) -> tuple[list[int], list[int]]:
-    """The two columns of the sorted pairs."""
-    ordered = sorted(pairs)
-    return [a for a, _ in ordered], [b for _, b in ordered]
 
 
 def arc_sum(lengths: Sequence[int], frm: int, to: int) -> int:

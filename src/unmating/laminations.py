@@ -81,14 +81,14 @@ class AngleClasses(Record):
         return list(map(table.__getitem__, self.classes))
 
 
-def check_planar(classes: Iterable[AngleSet]) -> tuple[AngleSet, AngleSet] | None:
-    """The first pair of classes whose hulls share an angle or cross, in the
-    pair order of `circle.crossing_pairs`, or None."""
-    cl = list(classes)
-    first, second = crossing_pairs(cl)
+def check_planar(classes: Sequence[AngleSet]) -> tuple[AngleSet, AngleSet] | None:
+    """The first pair of classes whose hulls cross, in the pair order of
+    `circle.crossing_pairs`, or None.  The classes must be disjoint and in
+    least-angle order, as every lamination's are."""
+    first, second = crossing_pairs(classes)
     if not first:
         return None
-    return (cl[first[0]], cl[second[0]])
+    return (classes[first[0]], classes[second[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -589,8 +589,9 @@ def validate(spec: MapSpec) -> ValidationReport:
                 f"level {level}: V-E+F = {len(visits)}-{lm.n_edges}+{len(lm.faces)}",
             )
         for v, spans in lm.chords.items():
-            # visit chords share no rotation slot, so they are disjoint 2-sets
-            if crossing_pairs(spans)[0]:
+            # visit chords share no rotation slot, so sorted they are disjoint
+            # 2-sets in least-angle order, as the walk takes them
+            if crossing_pairs(sorted(spans))[0]:
                 report.add("curve not oriented", f"crossing chords at vertex {v!r} (level {level})")
         try:
             _color_level(spec, lm, report.levels.get(0))

@@ -213,7 +213,8 @@ def sectors(portrait: CriticalPortrait) -> Sectors:
     boundary = sorted({a for h in hulls for a in h})
     if len(boundary) < 2:
         raise PortraitError("portrait has fewer than two marked angles; no sectors")
-    if crossing_pairs(hulls)[0]:
+    # hulls that share an angle are linked; disjoint ones are walked sorted
+    if len(boundary) < sum(map(len, hulls)) or crossing_pairs(sorted(hulls))[0]:
         raise PortraitError("portrait not unlinked")
 
     gaps = [tuple((bisect_right(h, lo) - 1) % len(h) for h in hulls) for lo in boundary]

@@ -7,14 +7,13 @@ from contextlib import suppress
 from fractions import Fraction
 from math import lcm
 from operator import lt
-from random import Random
 from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from unmating import circle, laminations
+from unmating import circle, laminations, mapspec, portraits
 from unmating.cli import _dumps
 from unmating.errors import LaminationError, PortraitError
 from unmating.laminations import (
@@ -921,7 +920,8 @@ class TestMoore:
 @st.composite
 def disjoint_families(draw):
     """Pairwise-disjoint classes of 1-5 angles x/48, given as the integers x,
-    in any order; most classes straddle 0, where the walk cuts the circle."""
+    in least-angle order, as `circle.crossing_pairs` takes them; most
+    classes straddle 0, where the walk cuts the circle."""
     pool = draw(st.permutations(range(48)))
     sizes = draw(st.lists(st.integers(1, 5), max_size=14))
     family, used = [], 0
@@ -930,7 +930,7 @@ def disjoint_families(draw):
             break
         family.append(tuple(sorted(pool[used : used + size])))
         used += size
-    return family
+    return sorted(family)
 
 
 side_tags = st.sampled_from([("white",), ("black",), ("black", "white")])
@@ -954,11 +954,10 @@ class TestLinkedPairs:
     # a class that closes above another leaves the stack, or the outer one
     # would report a false crossing at its last angle
     @example([(0, 40), (5, 20), (10, 30)])
-    # out of least-angle order with a crossing: walked sorted, pairs mapped back
-    @example([(10, 30), (0, 20)])
-    # a class crossed at two of its angles, listed after the class that
-    # opens inside it
-    @example([(15, 35), (0, 10, 20, 30, 40)])
+    # two classes that cross once
+    @example([(0, 20), (10, 30)])
+    # a class crossed at two of its angles by one class gives one pair
+    @example([(0, 10, 20, 30, 40), (15, 35)])
     # a class crossed at two angles joins its slices: (2, 30) at 20, then
     # (25, 45) at 40
     @example([(0, 20, 40), (2, 30), (25, 45)])
@@ -967,29 +966,28 @@ class TestLinkedPairs:
 
     @given(disjoint_families())
     # a class inside the gap of another that runs through 0
-    @example([(10, 40), (0, 45, 47)])
+    @example([(0, 45, 47), (10, 40)])
     # single-angle classes, inside a hull, in its gap through 0 and alone
-    @example([(3,), (10, 20), (15,), (47,), (25,)])
-    # the only crossing comes last in circle order, listed first
-    @example([(42, 46), (0, 2), (40, 44), (4, 6), (8, 30)])
-    # the first pair of an out-of-order family is the least pair mapped back
-    @example([(20, 40), (30, 45), (0, 25), (5, 10)])
+    @example([(3,), (10, 20), (15,), (25,), (47,)])
+    # the only crossing comes last in circle order
+    @example([(0, 2), (4, 6), (8, 30), (40, 44), (42, 46)])
+    # two crossings, with a nested class between them
+    @example([(0, 25), (5, 10), (20, 40), (30, 45)])
+    # the least pair (0, 3) is met after the pair (1, 2) in circle order
+    @example([(0, 30, 40), (5, 15), (10, 20), (25, 35)])
     def test_check_planar_is_first_scanned_pair(self, family):
         scan = linked_pairs_by_scan(family)
         expected = (family[scan[0][0]], family[scan[0][1]]) if scan else None
         assert check_planar(family) == expected
 
-    @given(disjoint_families(), st.randoms())
-    @example([(10, 30), (0, 20)], Random(0))
-    def test_columns_are_increasing_pairs(self, family, rnd):
-        shuffled = list(family)
-        rnd.shuffle(shuffled)
-        for listed in (family, shuffled, sorted(family)):
-            first, second = circle.crossing_pairs(listed)
-            assert len(first) == len(second)
-            assert all(map(lt, first, second))
-            pairs = list(zip(first, second))
-            assert all(map(lt, pairs, pairs[1:]))
+    @given(disjoint_families())
+    @example([(0, 20), (10, 30)])
+    def test_columns_are_increasing_pairs(self, family):
+        first, second = circle.crossing_pairs(family)
+        assert len(first) == len(second)
+        assert all(map(lt, first, second))
+        pairs = list(zip(first, second))
+        assert all(map(lt, pairs, pairs[1:]))
 
     @given(families_with_sides)
     def test_moore_matches_scan(self, family_sides):
@@ -1001,15 +999,15 @@ class TestLinkedPairs:
     @example(([(0, 24), (1, 2)], [("white",), ("black",)]))  # no crossing
     @example(([(0, 24), (12, 36)], [("white",), ("white",)]))  # violations only, so no note
     @example((
-        [(0, 24), (6, 30), (12, 36), (18, 42), (3, 27)],
-        [("white",), ("black",), ("white",), ("black",), ("black", "white")],
+        [(0, 24), (3, 27), (6, 30), (12, 36), (18, 42)],
+        [("white",), ("black", "white"), ("black",), ("white",), ("black",)],
     ))  # five diameters: violations on each side, crossings of every mixed kind
     @example((
-        [(0, 24), (6, 30), (12, 36), (3, 27)],
-        [("black", "white"), ("black", "white"), ("white",), ("black",)],
+        [(0, 24), (3, 27), (6, 30), (12, 36)],
+        [("black", "white"), ("black",), ("black", "white"), ("white",)],
     ))  # every crossing across the sides, so no violation among four kinds of pair
     @example((
-        [(0, 24, 40), (6, 30), (12, 36), (1, 2)],
+        [(0, 24, 40), (1, 2), (6, 30), (12, 36)],
         [("black", "white")] * 4,
     ))  # every class two-sided: one kind, so no pair can be a violation
     def test_moore_report_text_matches_scan(self, family_sides):
@@ -1017,24 +1015,30 @@ class TestLinkedPairs:
         joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
         assert _dumps(moore_check(joined, {})) == json.dumps(moore_by_scan(joined), indent=2)
 
-    def test_shared_angle_is_a_pair(self):
-        assert crossing_pairs([(F(0), F(1, 4)), (F(1, 4), F(1, 2))]) == [(0, 1)]
-        # every pair holding the shared angle 12, and no walk: the crossing
-        # of (0, 12) and (6, 30) is not reported
-        assert crossing_pairs([(0, 12), (12, 24), (6, 30), (12, 40)]) == [(0, 1), (0, 3), (1, 3)]
+    @pytest.mark.parametrize("case", ["meyer", "meyer-flipped", "jordan", "jordan-flipped"])
+    def test_every_caller_meets_the_precondition(self, request, monkeypatch, case):
+        # each call site passes classes that are sorted, pairwise disjoint and
+        # in least-angle order, the only input the walk takes
+        walk, calls, bad = circle.crossing_pairs, [], []
 
-    def test_check_planar_returns_sharing_pair(self):
-        assert check_planar([(0, 12), (12, 24)]) == ((0, 12), (12, 24))
+        def checked(module):
+            def walking(classes):
+                calls.append(module)
+                if not (
+                    all(all(map(lt, c, c[1:])) for c in classes)
+                    and all(map(lt, classes, classes[1:]))
+                    and len({x for c in classes for x in c}) == sum(map(len, classes))
+                ):
+                    bad.append((module, classes))
+                return walk(classes)
 
-    @given(st.lists(st.sets(st.integers(0, 11), min_size=1, max_size=4), max_size=5), st.randoms())
-    def test_keys_follow_a_permutation(self, sets, rnd):
-        # the pairs found do not depend on the order of the classes
-        family = [tuple(sorted(s)) for s in sets]
-        order = list(range(len(family)))
-        rnd.shuffle(order)
-        moved = [family[k] for k in order]
-        found = {frozenset((order[i], order[j])) for i, j in crossing_pairs(moved)}
-        assert found == {frozenset(pair) for pair in crossing_pairs(family)}
+            return walking
+
+        for module in (mapspec, portraits, laminations):
+            monkeypatch.setattr(module, "crossing_pairs", checked(module.__name__))
+        run_pipeline(census_spec(request, case), depth=6)
+        assert set(calls) == {"unmating.mapspec", "unmating.portraits", "unmating.laminations"}
+        assert bad == []
 
     def test_fixtures_at_depth_seven_match_scan(self, meyer_spec, jordan_spec):
         for spec in (meyer_spec, jordan_spec):
