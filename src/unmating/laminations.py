@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from itertools import compress
 from math import lcm
-from operator import eq, not_
+from operator import eq
 
 from .circle import crossing_pairs, frac
 from .errors import LaminationError
@@ -50,21 +49,13 @@ class AngleClasses(Record):
     returns its classes on that grid.
     """
 
-    __slots__ = ("depth", "color", "grid", "classes", "sides")
+    __slots__ = ("depth", "color", "grid", "classes")
 
-    def __init__(
-        self,
-        depth: int,
-        color: str,
-        grid: int,
-        classes: tuple[AngleSet, ...],
-        sides: tuple[tuple[str, ...], ...] | None = None,  # per class, join only
-    ):
+    def __init__(self, depth: int, color: str, grid: int, classes: tuple[AngleSet, ...]):
         set_field(self, "depth", depth)
         set_field(self, "color", color)
         set_field(self, "grid", grid)
         set_field(self, "classes", classes)
-        set_field(self, "sides", sides)
 
     def text(self, table: dict) -> list[list[str]]:
         """One list of "p/q" strings per class.
@@ -118,10 +109,10 @@ def depth1(
 # ---------------------------------------------------------------------------
 # pullback of classes through portrait sectors
 
-def _merge(sets: Sequence[AngleSet], tags: Sequence[str], owner: dict) -> list[tuple[AngleSet, tuple[str, ...]]]:
+def _merge(sets: Sequence[AngleSet], owner: dict) -> list[AngleSet]:
     """The connected components of ``sets``, two sets being connected when
-    they share an angle: each a sorted tuple of its angles, with the sorted
-    tuple of the tags of its member sets, in the order of their first sets.
+    they share an angle: each a sorted tuple of its angles, in the order of
+    their first sets.
 
     ``owner`` maps every angle to the index of the last set holding it, so
     linking each set to the owners of its angles connects every set that
@@ -141,30 +132,24 @@ def _merge(sets: Sequence[AngleSet], tags: Sequence[str], owner: dict) -> list[t
                 parent[j] = i
             elif j < i:
                 parent[i] = i = j
-    components: dict[int, tuple[set, set]] = {}  # a root: the angles and tags of its sets
+    components: dict[int, set] = {}  # a root: the angles of its sets
     for i, p in enumerate(parent):
         parent[i] = root = parent[p]
         if root == i:
-            components[i] = (set(sets[i]), {tags[i]})
+            components[i] = set(sets[i])
         else:
-            members, seen = components[root]
-            members.update(sets[i])
-            seen.add(tags[i])
-    return [(tuple(sorted(members)), tuple(sorted(seen))) for members, seen in components.values()]
+            components[root].update(sets[i])
+    return [tuple(sorted(members)) for members in components.values()]
 
 
-def merge_tagged(tagged: Iterable[tuple[Iterable, str]]) -> list[tuple[AngleSet, tuple[str, ...]]]:
+def merge(sets: Iterable[Iterable]) -> list[AngleSet]:
     """Connected components of non-empty angle sets, two sets being connected
-    when they share an angle: each a sorted tuple of its angles, with the
-    sorted tuple of the tags of its member sets, in the order of their first
-    member sets (`_merge`).  Sets that share no angle are each their own
-    component, in input order.
+    when they share an angle: each a sorted tuple of its angles, in the order
+    of their first member sets (`_merge`).  Sets that share no angle are each
+    their own component, in input order.
     """
-    sets, tags = [], []
-    for angles, tag in tagged:
-        sets.append(tuple(angles))
-        tags.append(tag)
-    return _merge(sets, tags, {x: i for i, s in enumerate(sets) for x in s})
+    sets = [tuple(s) for s in sets]
+    return _merge(sets, {x: i for i, s in enumerate(sets) for x in s})
 
 
 class _Chain:
@@ -232,7 +217,7 @@ def pullback_step(
     step, and the step updates it.  The step looks up only its lifts'
     angles in ``chain.owner``: when the lifts share no angle with each other
     or with a retained class, they are the new classes as they are;
-    otherwise `merge_tagged` merges them with the retained classes they
+    otherwise `merge` merges them with the retained classes they
     touch.  It then adds only the new classes to the map and makes them the
     next frontier.
 
@@ -283,7 +268,7 @@ def pullback_step(
     gone: set[AngleSet] = set()  # the retained classes that merge into bigger ones
     if len(fresh) < sum(map(len, added)) or not owner.keys().isdisjoint(fresh):
         touched = {owner[x] for x in fresh.keys() & owner.keys()}
-        merged = [c for c, _ in merge_tagged((c, color) for c in [*added, *touched])]
+        merged = merge([*added, *touched])
         added = [c for c in merged if c not in touched]
         gone = touched.difference(merged)
         fresh = {x: c for c in added for x in c}
@@ -379,8 +364,7 @@ def pullback_to_depth(
 # join and the Moore condition
 
 def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
-    """Smallest common refinement: merge classes through shared angles; each
-    joined class records the sides it came from.
+    """Smallest common refinement: merge classes through shared angles.
 
     One map sends each angle to the last class holding it.  When it has as
     many angles as the classes hold, no angle lies in two classes and each
@@ -394,34 +378,23 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
             f"{white.depth} on 1/{white.grid} and depth {black.depth} on 1/{black.grid}"
         )
     classes = white.classes + black.classes
-    tags = [WHITE] * len(white.classes) + [BLACK] * len(black.classes)
     owner = {x: i for i, c in enumerate(classes) for x in c}  # the last class holding x
-    if len(owner) == sum(map(len, classes)):
-        merged = zip(classes, zip(tags))  # no angle in two classes: nothing merges
-    else:
-        merged = _merge(classes, tags, owner)
-    # the components are disjoint, so sorting orders them by their least angles
-    order = sorted(merged)
-    return AngleClasses(
-        depth=white.depth,
-        color=JOIN,
-        grid=white.grid,
-        classes=tuple(c for c, _ in order),
-        sides=tuple(s for _, s in order),
-    )
+    if len(owner) < sum(map(len, classes)):  # an angle in two classes
+        classes = _merge(classes, owner)
+    # the classes are disjoint, so sorting orders them by their least angles
+    return AngleClasses(depth=white.depth, color=JOIN, grid=white.grid, classes=tuple(sorted(classes)))
 
 
 class Crossings(Record, Sequence):
     """The informational list of a Moore report as index columns: the
-    columns of `circle.crossing_pairs`, whole when no entry is a violation
-    and without the violations otherwise.
+    columns of `circle.crossing_pairs`, whole.
 
     Entry k is ``{"a": text[a[k]], "b": text[b[k]], "sides": list(SIDES),
     "note": NOTE}`` (keys ``KEYS``): ``a`` and ``b`` hold class indices and
-    ``text`` one list per class.  A linked pair that is no violation has
-    both sides, so every entry shares the sides and the note.  It reads as,
-    and equals, the sequence of those dicts, each with a sides list of its
-    own.
+    ``text`` one list per class.  Every linked pair of a pipeline join has
+    both sides (`moore_check`), so every entry shares the sides and the
+    note.  It reads as, and equals, the sequence of those dicts, each with a
+    sides list of its own.
     """
 
     __slots__ = ("a", "b", "text")
@@ -447,28 +420,29 @@ class Crossings(Record, Sequence):
 
 
 def moore_check(joined: AngleClasses, table: dict) -> dict:
-    """Flag linked class hulls: same-side links are violations of the finite
-    Moore criterion, links across the two sides are expected and reported as
-    informational.  The classes must come from `join`, which records their
-    sides.
+    """The Moore report of a pipeline join: no violations, and every linked
+    pair of classes as an informational crossing across the two sides.
 
-    A pair is a violation exactly when both classes have one side, the same
-    one; with two colors, every other linked pair has both sides.  So each
-    class is tagged with its side when it has one and with its own index
-    otherwise, and a pair is a violation when its tags are equal, read with
-    no Python step per crossing.  The violations are a list of entry dicts,
-    empty on every run that reaches this check; the informational entries
-    are a `Crossings` over the classes' `text`, read through ``table``, the
-    run's text table.
+    The sides of a joined class are the colors of the classes `join` fused
+    into it.  A violation of the finite Moore criterion would be two linked
+    joined classes with one side each, the same one.  A join of the
+    pipeline's two laminations has none:
+
+    * a lamination's classes are pairwise disjoint, so a joined class with
+      one side is exactly one class of that side, and two such classes that
+      cross would be two crossing classes of one lamination;
+    * at depth 1 the classes are the portrait's sets (`run_pipeline` checks
+      it), and the certificate `run_pipeline` requires is valid only when
+      "unlinked" passes: `portraits.sectors` refuses a shared angle and a
+      crossing pair of hulls;
+    * from depth 2 on, every step output's classes are disjoint, and the
+      step that ends a chain walks the chain's last output and raises
+      "pullback produced crossing" on a crossing pair (`pullback_step`).
+
+    So every linked pair has both sides, and the report is the crossing
+    walk's columns, whole, as a `Crossings` over the classes' `text`, read
+    through ``table``, the run's text table.  The classes must come from
+    `join` of two such laminations; no side is read.
     """
     text = joined.text(table)  # one list per class, shared by its entries
-    tag = [s[0] if len(s) == 1 else i for i, s in enumerate(joined.sides)]
-    first, second = crossing_pairs(joined.classes)
-    bad = list(map(eq, map(tag.__getitem__, first), map(tag.__getitem__, second)))
-    violations = []
-    if any(bad):
-        violations = [
-            {"a": text[i], "b": text[j], "sides": [tag[i]]} for i, j in compress(zip(first, second), bad)
-        ]
-        first, second = (list(compress(column, map(not_, bad))) for column in (first, second))
-    return {"passed": not violations, "violations": violations, "informational": Crossings(first, second, text)}
+    return {"passed": True, "violations": [], "informational": Crossings(*crossing_pairs(joined.classes), text)}

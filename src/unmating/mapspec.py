@@ -193,6 +193,16 @@ def _array(value, key: str, kind: type, item: str) -> list:
     return value
 
 
+def _first_repeat(items: list):
+    """The first item of `items` that equals an earlier one, or None."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
+
+
 def _rows(raw: dict, key: str, fields: tuple[str, ...]) -> list[tuple[str, ...]]:
     """The string fields of each object in the array raw[key]."""
     items = _array(raw[key], key, dict, f"{key} entry")
@@ -243,11 +253,10 @@ def parse(data: bytes | str | dict) -> MapSpec:
         raise MapfileError(f"degree must be >= 2, got {degree}")
     for name, items in (("post", post), ("edges0", edges0)):
         if len(set(items)) != len(items):
-            raise MapfileError(f"duplicate ids in {name}")
-    ids = [v for v, _ in vertices1_items]
-    if len(set(ids)) != len(ids):
-        raise MapfileError("duplicate ids in vertices1")
+            raise MapfileError(f"duplicate ids in {name}: {_first_repeat(items)!r}")
     vertices1 = dict(vertices1_items)
+    if len(vertices1) != len(vertices1_items):
+        raise MapfileError(f"duplicate ids in vertices1: {_first_repeat([v for v, _ in vertices1_items])!r}")
 
     k = len(word0)
     if k == 0:
@@ -279,8 +288,11 @@ def parse(data: bytes | str | dict) -> MapSpec:
     for m in markers:
         if not 0 <= m < len(word1):
             raise MapfileError(f"marker {m} out of range")
-    if sorted(set(markers)) != markers:
-        raise MapfileError("markers must be strictly increasing")
+    for i in range(1, k):
+        if markers[i] <= markers[i - 1]:
+            raise MapfileError(
+                f"markers must be strictly increasing, but markers[{i}] = {markers[i]} follows {markers[i - 1]}"
+            )
 
     if not 0 <= anchor[0] < k or anchor[1] not in ("left", "right"):
         raise MapfileError(f"bad white_anchor {anchor}")

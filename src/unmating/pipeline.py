@@ -155,9 +155,13 @@ def run_pipeline(spec: MapSpec, branch: int = 0, depth: int = 3) -> PipelineResu
 
     # cross-stage consistency: depth-1 classes are exactly the portrait sets
     for classes, portrait in ((d1w, white), (d1b, black)):
-        if set(classes.classes) != {s.angles for s in portrait.sets}:
+        odd = set(classes.classes) ^ {s.angles for s in portrait.sets}  # found on one side only
+        if odd:
+            c = min(odd)
+            where = "depth-1 classes" if c in classes.classes else "portrait"
             raise LaminationError(
-                f"depth-1 {portrait.color} classes disagree with the {portrait.color} portrait"
+                f"depth-1 {portrait.color} classes disagree with the {portrait.color} portrait: "
+                f"{{{', '.join(frac(x, classes.grid) for x in c)}}} is only in the {where}"
             )
 
     lam_w = lam.pullback_to_depth(d1w, white, spec.degree, depth)

@@ -17,7 +17,7 @@ import numpy as np
 
 from unmating.circle import frac
 from unmating.errors import LaminationError, ParameterizationError, PortraitError, SpectralError
-from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge_tagged
+from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge
 from unmating.mapspec import BLACK, WHITE, MapSpec, local_degree, validate
 from unmating.parameterize import PullbackParameters
 from unmating.pipeline import run_pipeline
@@ -83,10 +83,15 @@ def linked_pairs_by_scan(classes) -> list[tuple[int, int]]:
     ]
 
 
-def moore_by_scan(joined: AngleClasses) -> dict:
-    """The Moore report built pair by pair from the all-pairs scan."""
-    sides = joined.sides
-    cl = as_fractions(joined)
+def moore_by_scan(white: AngleClasses, black: AngleClasses) -> dict:
+    """The Moore report of the join of two families, built pair by pair from
+    the all-pairs scan: the joined classes are the components of the naive
+    merge, and each has the sides of the families whose classes it holds."""
+    assert (white.depth, white.grid) == (black.depth, black.grid)
+    tagged = [(set(c), side) for side, lam in ((WHITE, white), (BLACK, black)) for c in lam.classes]
+    joined = sorted(tuple(sorted(m)) for m in merge_overlapping([angles for angles, _ in tagged]))
+    sides = [tuple(sorted({side for angles, side in tagged if angles <= set(c)})) for c in joined]
+    cl = [tuple(Fraction(x, white.grid) for x in c) for c in joined]
     report = {"passed": True, "violations": [], "informational": []}
     for i, j in linked_pairs_by_scan(cl):
         entry = {
@@ -251,7 +256,7 @@ def pullback_by_relift(
                     candidates.append(xs)
         candidates.extend(xs for xs in lifts.values() if len(xs) >= 2)
 
-    out = _canon(angles for angles, _ in merge_tagged((c, classes.color) for c in candidates))
+    out = _canon(merge(candidates))
 
     crossing = check_planar(out)
     if crossing is not None:

@@ -257,10 +257,11 @@ ROWS: dict[str, Row] = {
     "mapspec.parse: malformed mapfile: missing key …": Row(
         unmate(lambda raw: raw.pop("markers")), 2, "malformed mapfile: missing key 'markers'"),
     "mapspec.parse: degree must be >= 2, got …": Row(unmate(setting("degree", 1)), 2, "degree must be >= 2, got 1"),
-    "mapspec.parse: duplicate ids in …": Row(
-        unmate(lambda raw: raw["post"].append("p1")), 2, "duplicate ids in post"),
-    "mapspec.parse: duplicate ids in vertices1": Row(
-        unmate(lambda raw: raw["vertices1"].append({"id": "c1", "image": "p1"})), 2, "duplicate ids in vertices1"),
+    "mapspec.parse: duplicate ids in …: …": Row(
+        unmate(lambda raw: raw["post"].append("p1")), 2, "duplicate ids in post: 'p1'"),
+    "mapspec.parse: duplicate ids in vertices1: …": Row(
+        unmate(lambda raw: raw["vertices1"].append({"id": "c1", "image": "p1"})), 2,
+        "duplicate ids in vertices1: 'c1'"),
     "mapspec.parse: word0 is empty": Row(unmate(setting("word0", [])), 2, "word0 is empty"),
     "mapspec.parse: word length mismatch: |word1| = …, expected degree*k = …": Row(
         unmate(lambda raw: raw["word1"].pop()), 2, "word length mismatch: |word1| = 11, expected degree*k = 12"),
@@ -281,8 +282,9 @@ ROWS: dict[str, Row] = {
         unmate(setting("markers", [1, 2, 4, 5, 8])), 2, "expected 6 markers, got 5"),
     "mapspec.parse: marker … out of range": Row(
         unmate(setting("markers", [1, 2, 4, 5, 8, 12])), 2, "marker 12 out of range"),
-    "mapspec.parse: markers must be strictly increasing": Row(
-        unmate(setting("markers", [2, 1, 4, 5, 8, 10])), 2, "markers must be strictly increasing"),
+    "mapspec.parse: markers must be strictly increasing, but markers[…] = … follows …": Row(
+        unmate(setting("markers", [2, 1, 4, 5, 8, 10])), 2,
+        "markers must be strictly increasing, but markers[1] = 1 follows 2"),
     "mapspec.parse: bad white_anchor …": Row(
         unmate(setting("white_anchor", [6, "left"])), 2, "bad white_anchor (6, 'left')"),
     "mapspec.parse: marker … points at 1-vertex … but gamma0 marks post point …": Row(
@@ -380,8 +382,10 @@ ROWS: dict[str, Row] = {
         PortraitError, "portrait not unlinked"),
 
     # laminations
-    "pipeline.run_pipeline: depth-1 … classes disagree with the … portrait": Row(
-        unmate(), 7, "depth-1 white classes disagree with the white portrait", patch_swapped_depth1),
+    "pipeline.run_pipeline: depth-1 … classes disagree with the … portrait: {…} is only in the …": Row(
+        unmate(), 7,
+        "depth-1 white classes disagree with the white portrait: {1/24, 13/24} is only in the depth-1 classes",
+        patch_swapped_depth1),
     "laminations.pullback_step: pullback produced crossing: {…} links {…}": Row(
         lifting_into_a_crossing, LaminationError, "pullback produced crossing: {1/8, 3/8} links {1/4, 3/4}"),
     "laminations.pullback_to_depth: cannot lift … classes through a … portrait": Row(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from unmating import circle, laminations, mapspec, portraits
+from unmating import circle, cli, laminations, mapspec, portraits
 from unmating.cli import _dumps
 from unmating.errors import LaminationError, PortraitError
 from unmating.laminations import (
@@ -24,7 +24,7 @@ from unmating.laminations import (
     check_planar,
     depth1,
     join,
-    merge_tagged,
+    merge,
     moore_check,
     pullback_to_depth,
 )
@@ -32,13 +32,14 @@ from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, Sectors, sectors
 from unmating.svg import SvgScene
 
-from .conftest import census_spec, critical_connections, spec_with
+from .conftest import JORDAN, MEYER, census_spec, critical_connections, spec_with
 from .oracles import (
     WorkLimit,
     admitted,
     as_fractions,
     brute_force_pullback,
     euler_count,
+    hulls_linked,
     kneading_classes,
     label_by_scan,
     linked_pairs_by_scan,
@@ -770,16 +771,17 @@ class TestVertexCensus:
 
 class TestJoin:
     def test_meyer_depth1_disjoint(self, meyer_result):
-        joined = join(meyer_result.depth1_white, meyer_result.depth1_black)
+        white, black = meyer_result.depth1_white, meyer_result.depth1_black
+        joined = join(white, black)
         assert len(joined.classes) == 2
-        assert joined.sides == (("black",), ("white",))
+        # each side's one class, in least-angle order: the black one first
+        assert joined.classes == black.classes + white.classes
 
     def test_transitive_merge(self):
         white = classes(1, "white", [F(1, 8), F(3, 8)])
         black = classes(1, "black", [F(3, 8), F(7, 8)])
         joined = join(white, black)
         assert as_fractions(joined) == ((F(1, 8), F(3, 8), F(7, 8)),)
-        assert joined.sides == (("black", "white"),)
 
     def test_join_with_empty_is_identity(self, meyer_result):
         empty = classes(1, "black", grid=meyer_result.depth1_white.grid)
@@ -807,21 +809,13 @@ class TestJoin:
 
 
 # small angle pool so random sets overlap often; sizes from singletons up
-tagged_families = st.lists(
-    st.tuples(
-        st.frozensets(st.integers(0, 15), min_size=1, max_size=4),  # angles x/16
-        st.sampled_from(["white", "black"]),
-    ),
-    max_size=10,
-)
+angle_sets = st.frozensets(st.integers(0, 15), min_size=1, max_size=4)  # angles x/16
+colored_families = st.lists(st.tuples(angle_sets, st.sampled_from(["white", "black"])), max_size=10)
 
 
-def naive_components(tagged) -> dict[frozenset, frozenset]:
-    """Oracle components with the tags of the sets inside each."""
-    return {
-        frozenset(m): frozenset(tag for angles, tag in tagged if set(angles) <= m)
-        for m in merge_overlapping([set(angles) for angles, _ in tagged])
-    }
+def naive_components(sets) -> set[frozenset]:
+    """Oracle components of the sets, by repeated pairwise merging."""
+    return {frozenset(m) for m in merge_overlapping([set(angles) for angles in sets])}
 
 
 # both sides of join's disjointness test: pairwise-disjoint sets (as in
@@ -831,15 +825,16 @@ SHARED = [(frozenset({1, 3}), "white"), (frozenset({3, 7}), "black"), (frozenset
 
 
 class TestMergeOracle:
-    @given(tagged_families)
-    @example(DISJOINT)
-    @example(SHARED)
-    @example([((4, 9, 4), "white"), ((2,), "black")])
-    def test_merge_tagged_matches_naive(self, tagged):
-        got = {frozenset(m): frozenset(tags) for m, tags in merge_tagged(tagged)}
-        assert got == naive_components(tagged)
+    @given(st.lists(angle_sets, max_size=10))
+    @example([angles for angles, _ in DISJOINT])
+    @example([angles for angles, _ in SHARED])
+    @example([(4, 9, 4), (2,)])
+    def test_merge_matches_naive(self, sets):
+        merged, naive = merge(sets), naive_components(sets)
+        assert all(list(m) == sorted(set(m)) for m in merged)
+        assert set(map(frozenset, merged)) == naive and len(merged) == len(naive)
 
-    @given(tagged_families)
+    @given(colored_families)
     @example(DISJOINT)
     @example(SHARED)
     # the angle 3 twice within the white side
@@ -852,25 +847,17 @@ class TestMergeOracle:
     def test_join_matches_naive(self, tagged):
         white = AngleClasses(1, "white", 16, _canon(a for a, t in tagged if t == "white"))
         black = AngleClasses(1, "black", 16, _canon(a for a, t in tagged if t == "black"))
-        joined = join(white, black)
-        got = {frozenset(c): frozenset(s) for c, s in zip(joined.classes, joined.sides)}
-        assert got == naive_components(tagged)
+        joined, naive = join(white, black), naive_components(a for a, _ in tagged)
+        assert all(list(c) == sorted(set(c)) for c in joined.classes)
+        assert set(map(frozenset, joined.classes)) == naive and len(joined.classes) == len(naive)
         assert list(joined.classes) == sorted(joined.classes, key=lambda c: (c[0], len(c)))
 
     def test_disjoint_sets_are_their_own_components_in_order(self):
-        assert merge_tagged([((13, 1), "white"), ({9, 5}, "black"), ([2], "white")]) == [
-            ((1, 13), ("white",)),
-            ((5, 9), ("black",)),
-            ((2,), ("white",)),
-        ]
+        assert merge([(13, 1), {9, 5}, [2]]) == [(1, 13), (5, 9), (2,)]
 
     def test_chain_in_reverse_order_is_one_component(self):
         links = [(i, i + 1) for i in range(8)][::-1]
-        merged = merge_tagged([(pair, "white") for pair in links] + [((15,), "black")])
-        assert sorted((sorted(m), sorted(t)) for m, t in merged) == [
-            (list(range(9)), ["white"]),
-            ([15], ["black"]),
-        ]
+        assert sorted(merge([*links, (15,)])) == [tuple(range(9)), (15,)]
 
 
 class TestMoore:
@@ -885,28 +872,13 @@ class TestMoore:
         )
 
     def test_single_class_passes(self):
-        joined = AngleClasses(
-            depth=1, color="join", grid=4, classes=((0, 2),), sides=(("white",),)
-        )
+        joined = AngleClasses(depth=1, color="join", grid=4, classes=((0, 2),))
         assert moore_check(joined, {})["passed"]
-
-    def test_same_side_crossing_fails(self):
-        joined = AngleClasses(
-            depth=1,
-            color="join",
-            grid=4,
-            classes=((0, 2), (1, 3)),
-            sides=(("white",), ("white",)),
-        )
-        report = moore_check(joined, {})
-        assert not report["passed"]
-        assert len(report["violations"]) == 1
-        assert report["violations"][0]["a"] == ["0/1", "1/2"]
 
     def test_crossings_read_as_entries(self, meyer_result):
         joined = meyer_result.lamination_join
         crossings = moore_check(joined, {})["informational"]
-        entries = moore_by_scan(joined)["informational"]
+        entries = moore_by_scan(meyer_result.lamination_white, meyer_result.lamination_black)["informational"]
         assert isinstance(crossings, Crossings) and len(crossings) == len(entries) > 1
         assert list(crossings) == entries and crossings == tuple(entries)
         assert crossings[-1] == entries[-1] and crossings.index(entries[1]) == 1
@@ -933,10 +905,21 @@ def disjoint_families(draw):
     return sorted(family)
 
 
-side_tags = st.sampled_from([("white",), ("black",), ("black", "white")])
-families_with_sides = disjoint_families().flatmap(
-    lambda f: st.tuples(st.just(f), st.lists(side_tags, min_size=len(f), max_size=len(f)))
-)
+@st.composite
+def planar_families(draw):
+    """A lamination's classes, as `join` takes them: a `disjoint_families`
+    draw, keeping each class that crosses no class kept before it."""
+    planar = []
+    for c in draw(disjoint_families()):
+        if not any(hulls_linked(c, kept) for kept in planar):
+            planar.append(c)
+    return planar
+
+
+def laminations_of(white, black) -> tuple[AngleClasses, AngleClasses]:
+    """Two planar families as the white and black classes of depth 1 on the
+    grid 1/48."""
+    return AngleClasses(1, "white", 48, tuple(white)), AngleClasses(1, "black", 48, tuple(black))
 
 
 class TestLinkedPairs:
@@ -989,31 +972,27 @@ class TestLinkedPairs:
         pairs = list(zip(first, second))
         assert all(map(lt, pairs, pairs[1:]))
 
-    @given(families_with_sides)
-    def test_moore_matches_scan(self, family_sides):
-        family, sides = family_sides
-        joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
-        assert moore_check(joined, {}) == moore_by_scan(joined)
+    @given(planar_families(), planar_families())
+    def test_moore_matches_scan(self, white, black):
+        white, black = laminations_of(white, black)
+        scan = moore_by_scan(white, black)
+        assert scan["violations"] == []  # moore_check's proof, as a property
+        assert moore_check(join(white, black), {}) == scan
 
-    @given(families_with_sides)
-    @example(([(0, 24), (1, 2)], [("white",), ("black",)]))  # no crossing
-    @example(([(0, 24), (12, 36)], [("white",), ("white",)]))  # violations only, so no note
-    @example((
-        [(0, 24), (3, 27), (6, 30), (12, 36), (18, 42)],
-        [("white",), ("black", "white"), ("black",), ("white",), ("black",)],
-    ))  # five diameters: violations on each side, crossings of every mixed kind
-    @example((
-        [(0, 24), (3, 27), (6, 30), (12, 36)],
-        [("black", "white"), ("black",), ("black", "white"), ("white",)],
-    ))  # every crossing across the sides, so no violation among four kinds of pair
-    @example((
-        [(0, 24, 40), (1, 2), (6, 30), (12, 36)],
-        [("black", "white")] * 4,
-    ))  # every class two-sided: one kind, so no pair can be a violation
-    def test_moore_report_text_matches_scan(self, family_sides):
-        family, sides = family_sides
-        joined = AngleClasses(1, "join", 48, tuple(family), tuple(sides))
-        assert _dumps(moore_check(joined, {})) == json.dumps(moore_by_scan(joined), indent=2)
+    @given(planar_families(), planar_families())
+    @example([(0, 24), (1, 2)], [])  # no crossing
+    @example([(0, 24)], [(12, 36)])  # one crossing, one class of each side
+    # white (1, 2) and black (2, 40) fuse into a two-sided class: one-sided
+    # classes of the two sides cross, and a white one crosses the fused one
+    @example([(0, 24), (1, 2), (6, 18)], [(2, 40), (12, 36)])
+    # two two-sided classes, (0, 12, 24) and (6, 30, 36), cross, though no
+    # class crosses one of its own side
+    @example([(0, 12), (30, 36)], [(6, 36), (12, 24)])
+    def test_moore_report_text_matches_scan(self, white, black):
+        white, black = laminations_of(white, black)
+        scan = moore_by_scan(white, black)
+        assert scan["violations"] == []
+        assert _dumps(moore_check(join(white, black), {})) == json.dumps(scan, indent=2)
 
     @pytest.mark.parametrize("case", ["meyer", "meyer-flipped", "jordan", "jordan-flipped"])
     def test_every_caller_meets_the_precondition(self, request, monkeypatch, case):
@@ -1038,6 +1017,39 @@ class TestLinkedPairs:
             monkeypatch.setattr(module, "crossing_pairs", checked(module.__name__))
         run_pipeline(census_spec(request, case), depth=6)
         assert set(calls) == {"unmating.mapspec", "unmating.portraits", "unmating.laminations"}
+        assert bad == []
+
+    @pytest.mark.parametrize("case", ["meyer", "meyer-flipped", "jordan", "jordan-flipped"])
+    def test_every_join_takes_two_laminations(self, monkeypatch, capsys, tmp_path, case):
+        # moore_check reads no sides: it relies on both inputs of every join
+        # being a lamination, its classes sorted, pairwise disjoint and
+        # uncrossed
+        name, _, flipped = case.partition("-")
+        raw = json.loads({"meyer": MEYER, "jordan": JORDAN}[name].read_text())
+        if flipped:
+            raw["white_anchor"] = [0, "right"]
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(raw))
+        fuse, calls, bad = laminations.join, [], []
+
+        def checked(white, black):
+            calls.append(white.depth)
+            for lam in (white, black):
+                cl = lam.classes
+                if not (
+                    all(all(map(lt, c, c[1:])) for c in cl)
+                    and all(map(lt, cl, cl[1:]))
+                    and len({x for c in cl for x in c}) == sum(map(len, cl))
+                    and check_planar(cl) is None
+                ):
+                    bad.append((lam.depth, lam.color))
+            return fuse(white, black)
+
+        monkeypatch.setattr(laminations, "join", checked)
+        for depth in range(1, 7):
+            assert cli.main(["unmate", str(path), "--depth", str(depth)]) == 0
+        capsys.readouterr()
+        assert calls == list(range(1, 7))
         assert bad == []
 
     def test_fixtures_at_depth_seven_match_scan(self, meyer_spec, jordan_spec):

@@ -116,7 +116,6 @@ class TestAngleClasses:
             AngleClasses(lam.depth, "black", lam.grid, lam.classes),
             AngleClasses(lam.depth, lam.color, 2 * lam.grid, lam.classes),
             AngleClasses(lam.depth, lam.color, lam.grid, lam.classes[1:]),
-            AngleClasses(lam.depth, lam.color, lam.grid, lam.classes, ()),
         ):
             assert other != lam and not other == lam
         assert same == lam and hash(same) == hash(lam)
