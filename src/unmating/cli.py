@@ -48,7 +48,7 @@ from .pipeline import (
     parameters_json,
     run_pipeline,
 )
-from .svg import SvgScene, render_svg, write_svg
+from .svg import SvgScene, label_grid, render_svg, write_svg
 
 
 # the JSON text of a str, an int or a bool, by exact type
@@ -208,17 +208,22 @@ def _run(args) -> PipelineResult:
 
 def _scene(result: PipelineResult, side: str) -> SvgScene:
     """Chords of one side; "join" overlays the white and black sides.  Every
-    label reads its ``p/q`` from the run's class text."""
+    label reads its ``p/q`` from the run's class text, and only the chord
+    ends on the run's `label_grid` are labelled."""
+    labels = label_grid(result.pullback.grid, result.spec.degree)
     if side == "join":
-        return SvgScene.from_classes([result.lamination_white, result.lamination_black], result.texts)
-    return SvgScene.from_classes([lamination_for_side(result, side)], result.texts)
+        return SvgScene.from_classes([result.lamination_white, result.lamination_black], result.texts, labels)
+    return SvgScene.from_classes([lamination_for_side(result, side)], result.texts, labels)
 
 
 def _write_sides(result: PipelineResult, path: str) -> None:
     """The two-sided overlay at ``path``, plus one file per side: the
-    overlay's chords of that side, drawn from its text, so each angle is
-    formatted once.  The scene is freed on return, before the report is
-    built."""
+    overlay's chords of that side and the labels at their ends, drawn from
+    its coordinates, so each angle is formatted once.  Only angles a label
+    apart are labelled (`svg.label_grid`): at depth 9, 28 on the Meyer
+    fixture and 62 on the symmetric Jordan one, where the JSON report
+    carries every angle's ``p/q``.  The scene is freed on return, before
+    the report is built."""
     base = path[:-4] if path.endswith(".svg") else path
     scene = _scene(result, "join")
     _write_svg(scene, path)

@@ -265,10 +265,17 @@ def parse(data: bytes | str | dict) -> MapSpec:
         raise MapfileError(
             f"word length mismatch: |word1| = {len(word1)}, expected degree*k = {degree * k}"
         )
-    if sorted(w.edge for w in word0) != sorted(edges0):
-        raise MapfileError("word0 must traverse each 0-edge exactly once")
-    if set(w.to for w in word0) != set(post):
-        raise MapfileError("word0 must visit every postcritical point")
+    # each message names the first 0-edge or point at fault, else the first stray one of word0
+    edges = [w.edge for w in word0]
+    if sorted(edges) != sorted(edges0):
+        place = next((f"{e!r} is traversed {edges.count(e)} times" for e in edges0 if edges.count(e) != 1), None)
+        place = place or next(f"{e!r} is not a 0-edge" for e in edges if e not in edges0)
+        raise MapfileError(f"word0 must traverse each 0-edge exactly once: {place}")
+    visited = [w.to for w in word0]
+    if set(visited) != set(post):
+        place = next((f"{p!r} is not visited" for p in post if p not in visited), None)
+        place = place or next(f"{p!r} is not a postcritical point" for p in visited if p not in post)
+        raise MapfileError(f"word0 must visit every postcritical point: {place}")
 
     post_set, edge_set = set(post), set(edges0)
     for w in word1:

@@ -105,7 +105,7 @@ def _mark_color(
                 start = v
                 break
         if start is None:
-            raise PortraitError("marking procedure stuck: cyclic critical orbits")
+            raise PortraitError(f"marking procedure stuck: cyclic critical orbits through {', '.join(remaining)}")
 
         alpha = min(params[start])
         mark(start, alpha)
@@ -214,8 +214,14 @@ def sectors(portrait: CriticalPortrait) -> Sectors:
     if len(boundary) < 2:
         raise PortraitError("portrait has fewer than two marked angles; no sectors")
     # hulls that share an angle are linked; disjoint ones are walked sorted
-    if len(boundary) < sum(map(len, hulls)) or crossing_pairs(sorted(hulls))[0]:
-        raise PortraitError("portrait not unlinked")
+    if len(boundary) < sum(map(len, hulls)):
+        shared = min(a for i, h in enumerate(hulls) for g in hulls[i + 1 :] for a in set(h) & set(g))
+        raise PortraitError(f"portrait not unlinked: {frac(shared, portrait.grid)} is in two sets")
+    walked = sorted(hulls)
+    first, second = crossing_pairs(walked)
+    if first:
+        a, b = (", ".join(frac(x, portrait.grid) for x in walked[i]) for i in (first[0], second[0]))
+        raise PortraitError(f"portrait not unlinked: {{{a}}} links {{{b}}}")
 
     gaps = [tuple((bisect_right(h, lo) - 1) % len(h) for h in hulls) for lo in boundary]
     order: dict[tuple, int] = {}

@@ -159,7 +159,11 @@ def certify_perron(matrix: TransitionMatrix, d: int) -> LengthVector:
         )
     v = basis[0]  # its free coordinate is positive
     if not all(x > 0 for x in v):
-        raise SpectralError("Perron certification failed: no strictly positive eigenvector")
+        i = next(i for i, x in enumerate(v) if x <= 0)
+        raise SpectralError(
+            f"Perron certification failed: no strictly positive eigenvector: v[{i}] = {v[i]}, "
+            f"the entry of the 0-edge at word0 position {i}"
+        )
 
     # entrywise exactness check of A v = d v
     for i in range(n):

@@ -2,11 +2,22 @@
 
 Chords are straight segments between circle points (cos 2*pi*t, sin 2*pi*t);
 coordinates are the only place floating point appears, fixed to six decimals
-so identical scenes render byte-identically.  A scene formats its angles in
-one batch when it is built: one ``%`` spells all their coordinates, quoted,
-and one f-string comprehension all their label lines.  Each label's ``p/q``
-comes from the class text of its classes (`AngleClasses.text`).  A
-coordinate that rounds to -0.000000 is written 0.000000.
+so identical scenes render byte-identically.  A coordinate that rounds to
+-0.000000 is written 0.000000.
+
+A label is FONT_SIZE tall at radius LABEL_RADIUS, about 0.0101 turn, so
+labels closer than that overlap and none can be read.  A scene labels only
+the chord ends on its label grid (`label_grid`): the finest D*d^j, j >= 0,
+whose spacing is at least a label's height, with D the depth-1 grid and d
+the degree.  That keeps every depth-1 angle, and at depth 9 labels 28
+angles of 2,044 on the Meyer fixture (grid 1/96) and 62 of 1,534 on the
+symmetric Jordan fixture (grid 1/64).  The JSON report still carries every
+angle's ``p/q``.
+
+A scene formats its angles in one batch when it is built: one ``%`` spells
+the coordinates of every chord end, another those of every label, and one
+f-string comprehension the label lines.  Each label's ``p/q`` comes from the
+class text of its classes (`AngleClasses.text`).
 """
 
 from __future__ import annotations
@@ -17,6 +28,9 @@ from itertools import chain, repeat
 from .errors import LaminationError
 from .laminations import BLACK, JOIN, WHITE, AngleClasses
 
+FONT_SIZE = 0.07
+LABEL_RADIUS = 1.10
+
 _STYLES = {
     WHITE: 'stroke="#b03030" stroke-width="0.010"',
     BLACK: 'stroke="#3050b0" stroke-width="0.010" stroke-dasharray="0.04,0.02"',
@@ -24,33 +38,63 @@ _STYLES = {
 }
 
 
+def label_grid(grid: int, degree: int) -> int:
+    """The finest grid D*d^j, j >= 0, whose spacing 1/(D*d^j) turn is at
+    least a label's height FONT_SIZE / (2*pi*LABEL_RADIUS); D is the
+    depth-1 grid ``grid`` and d the degree."""
+    while grid * degree * FONT_SIZE <= 2 * math.pi * LABEL_RADIUS:
+        grid *= degree
+    return grid
+
+
+def class_chords(class_sets: list[AngleClasses]) -> list[tuple[int, int, str]]:
+    """The chords (a, b, side), a < b, sorted, of each class: consecutive
+    angles, and the closing chord of a polygon.
+
+    The classes of one AngleClasses are disjoint and every chord carries
+    its side, so no chord is made twice and one sort orders them all.
+    """
+    chords = []
+    for classes in class_sets:
+        side = classes.color
+        for xs in classes.classes:
+            if len(xs) == 2:
+                chords.append((*xs, side))
+            else:
+                chords.extend(zip(xs, xs[1:], repeat(side)))
+                if len(xs) >= 3:
+                    chords.append((xs[0], xs[-1], side))
+    chords.sort()
+    return chords
+
+
 class SvgScene:
-    """Chords and their labelled endpoints, the angles given as integers x
+    """Chords and their labelled ends, the angles given as integers x
     meaning x/grid.
 
-    ``text`` maps an angle to the text that draws it: its x and y
-    coordinates, to six decimals and never -0.000000, and its label line.
-    It holds every label; the scenes `side` makes share it, so each angle
-    is formatted once however many files draw it.
+    ``labels`` maps each labelled chord end, in angle order, to its label
+    line.  ``coords`` maps every chord end to its x and y coordinates, to
+    six decimals and never -0.000000; the scenes `side` makes share it, so
+    each angle is formatted once however many files draw it.
     """
 
-    __slots__ = ("grid", "chords", "labels", "text")
+    __slots__ = ("grid", "chords", "labels", "coords")
 
-    def __init__(self, grid: int, chords: list[tuple[int, int, str]], labels: list[int], text: dict):
+    def __init__(self, grid: int, chords: list[tuple[int, int, str]], labels: dict, coords: dict):
         self.grid = grid
         self.chords = chords  # (a, b, side), a < b, sorted
-        self.labels = labels  # every chord end, sorted
-        self.text = text
+        self.labels = labels
+        self.coords = coords
 
     @classmethod
-    def from_classes(cls, class_sets: list[AngleClasses], words: dict[tuple[int, ...], list[str]]) -> "SvgScene":
-        """The chords of each class: consecutive angles, and the closing chord
-        of a polygon.  The class sets must share one grid; ``words`` is the
-        run's table for `AngleClasses.text`, so a run spells each class once
-        for its report and its drawings.
-
-        The classes of one AngleClasses are disjoint and every chord carries
-        its side, so no chord is made twice and one sort orders them all.
+    def from_classes(
+        cls, class_sets: list[AngleClasses], words: dict[tuple[int, ...], list[str]], label_grid: int
+    ) -> "SvgScene":
+        """The chords of the classes (`class_chords`), with a label at each
+        end x/grid that lies on the label grid, x * label_grid = 0 mod grid.
+        The class sets must share one grid; ``words`` is the run's table for
+        `AngleClasses.text`, so a run spells each class once for its report
+        and its drawings.
         """
         grid = class_sets[0].grid
         if any(classes.grid != grid for classes in class_sets):
@@ -58,54 +102,62 @@ class SvgScene:
                 "a scene needs one grid, got "
                 + " and ".join(f"1/{classes.grid}" for classes in class_sets)
             )
-        chords = []
+        chords = class_chords(class_sets)
+        ends = _ends(chords)
+        labelled = sorted(x for x in ends if x * label_grid % grid == 0)
         names = {}
         for classes in class_sets:
-            side = classes.color
-            for xs in classes.classes:
-                if len(xs) == 2:
-                    chords.append((*xs, side))
-                else:
-                    chords.extend(zip(xs, xs[1:], repeat(side)))
-                    if len(xs) >= 3:
-                        chords.append((xs[0], xs[-1], side))
             names.update(zip(chain.from_iterable(classes.classes), chain.from_iterable(classes.text(words))))
-        chords.sort()
-        labels = _ends(chords)
-        return cls(grid, chords, labels, angle_text(grid, labels, names))
+        coords, labels = angle_text(grid, list(ends), labelled, names)
+        return cls(grid, chords, labels, coords)
 
     def side(self, color: str) -> "SvgScene":
-        """The chords of one side and their ends, sharing this scene's text."""
+        """The chords of one side and the labels at their ends, sharing this
+        scene's coordinates."""
         chords = [chord for chord in self.chords if chord[2] == color]
-        return SvgScene(self.grid, chords, _ends(chords), self.text)
+        ends = _ends(chords)
+        labels = {x: line for x, line in self.labels.items() if x in ends}
+        return SvgScene(self.grid, chords, labels, self.coords)
 
 
-def _ends(chords: list[tuple[int, int, str]]) -> list[int]:
-    return sorted({x for a, b, _ in chords for x in (a, b)})
+def _ends(chords: list[tuple[int, int, str]]) -> set[int]:
+    return {x for a, b, _ in chords for x in (a, b)}
 
 
-def angle_text(grid: int, xs: list[int], names: dict[int, str]) -> dict[int, tuple[str, str, str]]:
-    """The `SvgScene.text` entry of each angle x/grid of ``xs``, its label
-    reading ``names[x]``: one ``%`` spells every coordinate, which measured
-    faster than an f-string per float, and one comprehension every label
-    line."""
-    n = len(xs)
+def _spell(values: list[float]) -> list[str]:
+    """Each value as ``%.6f``, -0.000000 written 0.000000: one ``%`` spells
+    them all quoted, which measured faster than an f-string per float, so
+    one replace matches whole values only."""
+    quoted = ('"%.6f"' * len(values) % tuple(values)).replace('"-0.000000"', '"0.000000"')
+    return quoted[1:-1].split('""')
+
+
+def _cos_sin(grid: int, xs: list[int]) -> tuple[list[float], list[float]]:
     theta = [2 * math.pi * (x / grid) for x in xs]  # int / int is correctly rounded: x/grid turns
-    cos, sin = list(map(math.cos, theta)), list(map(math.sin, theta))
-    values = cos + sin + [1.10 * c for c in cos] + [1.10 * s for s in sin]
-    quoted = ('"%.6f"' * (4 * n) % tuple(values)).replace('"-0.000000"', '"0.000000"')  # whole values only
-    spelled = quoted[1:-1].split('""')  # x, y, label x, label y: n each
-    label_lines = [
-        f'  <text x="{x}" y="{y}" font-size="0.07" text-anchor="middle" '
-        f'dominant-baseline="middle" fill="#222222">{name}</text>'
-        for x, y, name in zip(spelled[2 * n : 3 * n], spelled[3 * n :], map(names.__getitem__, xs))
-    ]
-    return dict(zip(xs, zip(spelled[:n], spelled[n : 2 * n], label_lines)))
+    return list(map(math.cos, theta)), list(map(math.sin, theta))
+
+
+def angle_text(
+    grid: int, xs: list[int], labelled: list[int], names: dict[int, str]
+) -> tuple[dict[int, tuple[str, str]], dict[int, str]]:
+    """The `SvgScene` coordinates of each angle x/grid of ``xs``, and the
+    label line of each angle of ``labelled``, reading ``names[x]``."""
+    n, m = len(xs), len(labelled)
+    cos, sin = _cos_sin(grid, xs)
+    spelled = _spell(cos + sin)
+    cos, sin = _cos_sin(grid, labelled)
+    at = _spell([LABEL_RADIUS * c for c in cos] + [LABEL_RADIUS * s for s in sin])
+    labels = {
+        x: f'  <text x="{lx}" y="{ly}" font-size="{FONT_SIZE}" text-anchor="middle" '
+        f'dominant-baseline="middle" fill="#222222">{names[x]}</text>'
+        for x, lx, ly in zip(labelled, at[:m], at[m:])
+    }
+    return dict(zip(xs, zip(spelled[:n], spelled[n:]))), labels
 
 
 def render_svg(scene: SvgScene) -> str:
     """Serialize the scene; output is stable across runs."""
-    text = scene.text
+    coords = scene.coords
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-1.25 -1.25 2.5 2.5">',
@@ -113,10 +165,10 @@ def render_svg(scene: SvgScene) -> str:
     ]
     style, join = _STYLES.get, _STYLES[JOIN]
     for a, b, side in scene.chords:
-        x1, y1, _ = text[a]
-        x2, y2, _ = text[b]
+        x1, y1 = coords[a]
+        x2, y2 = coords[b]
         lines.append(f'  <line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style(side, join)}/>')
-    lines.extend([text[x][2] for x in scene.labels])
+    lines.extend(scene.labels.values())
     lines.append("</svg>\n")
     return "\n".join(lines)
 

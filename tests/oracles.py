@@ -526,7 +526,7 @@ def mark_color_by_iteration(
             None,
         )
         if start is None:
-            raise PortraitError("marking procedure stuck: cyclic critical orbits")
+            raise PortraitError(f"marking procedure stuck: cyclic critical orbits through {', '.join(remaining)}")
         alpha = min(params[start])
         mark(start, alpha)
         progress = True
@@ -597,8 +597,12 @@ def certify_perron_by_fractions(
     v = primitive_integers(basis[0])
     if all(x < 0 for x in v):
         v = [-x for x in v]
-    if not all(x > 0 for x in v):
-        raise SpectralError("Perron certification failed: no strictly positive eigenvector")
+    bad = [i for i, x in enumerate(v) if x <= 0]
+    if bad:
+        raise SpectralError(
+            f"Perron certification failed: no strictly positive eigenvector: v[{bad[0]}] = {v[bad[0]]}, "
+            f"the entry of the 0-edge at word0 position {bad[0]}"
+        )
     for i in range(n):
         if sum(matrix.entries[i][j] * v[j] for j in range(n)) != d * v[i]:
             raise SpectralError("Perron certification failed: A v != d v")

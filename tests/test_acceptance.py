@@ -19,7 +19,7 @@ from unmating.parameterize import pullback_parameters, solve_for_spec
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, certify, sectors
 from unmating.spectral import certify_perron, transition_matrix
-from unmating.svg import SvgScene
+from unmating.svg import class_chords
 
 from .conftest import MEYER, REVERSED, VALID_FIXTURES, critical_connections, meyer_raw
 from .oracles import as_fractions, brute_force_pullback, power_iteration
@@ -143,13 +143,13 @@ class TestAcceptance:
         ):
             sec = sectors(portrait)
             cur = cls
-            leaf_counts = [len(SvgScene.from_classes([cur], {}).chords)]
+            leaf_counts = [len(class_chords([cur]))]
             for depth in range(2, 7):
                 nxt = pullback_to_depth(cur, portrait, 2, cur.depth + 1)
                 oracle = brute_force_pullback(cur, sec, portrait.grid, 2)
                 assert as_fractions(nxt) == oracle, (portrait.color, depth)
                 assert check_planar(nxt.classes) is None
-                leaf_counts.append(len(SvgScene.from_classes([nxt], {}).chords))
+                leaf_counts.append(len(class_chords([nxt])))
                 cur = nxt
             assert leaf_counts == sorted(leaf_counts)
         report(6, "depths 2-6 match brute-force lift enumeration; planar; counts nondecreasing")

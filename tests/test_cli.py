@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 from unmating import cli, errors, parse_file, spectral
 from unmating.circle import frac
 from unmating.cli import _dumps, main
-from unmating.laminations import AngleClasses, Crossings, pullback_to_depth
+from unmating.laminations import BLACK, WHITE, AngleClasses, Crossings, pullback_to_depth
 from unmating.pipeline import run_pipeline
-from unmating.svg import SvgScene, angle_text, render_svg
+from unmating.svg import FONT_SIZE, LABEL_RADIUS, SvgScene, angle_text, label_grid, render_svg
 
 from .conftest import JORDAN, MEYER, REVERSED, failing_certificate, meyer_raw, replaced
 from .oracles import WorkLimit, svg_text
@@ -333,19 +333,19 @@ def test_unwritable_svg_path_exit_two(capsys, tmp_path, command, target):
 class TestSvgScene:
     def test_empty_scene_outline_only(self):
         empty = AngleClasses(depth=1, color="white", grid=1, classes=())
-        data = render_svg(SvgScene.from_classes([empty], {}))
+        data = render_svg(SvgScene.from_classes([empty], {}, 1))
         assert data.count("<line") == 0
         assert data.count("<circle") == 1
 
     def test_sides_styled_distinctly(self, meyer_result):
         scene = SvgScene.from_classes(
-            [meyer_result.depth1_white, meyer_result.depth1_black], {}
+            [meyer_result.depth1_white, meyer_result.depth1_black], {}, 24
         )
         data = render_svg(scene)
         assert "#b03030" in data and "#3050b0" in data
 
     def test_labels_are_fractions(self, meyer_result):
-        scene = SvgScene.from_classes([meyer_result.depth1_white], {})
+        scene = SvgScene.from_classes([meyer_result.depth1_white], {}, 24)
         data = render_svg(scene)
         assert ">5/24</text>" in data and ">17/24</text>" in data
 
@@ -353,39 +353,97 @@ class TestSvgScene:
     def test_polygon_chords_close_at_its_ends(self, xs):
         """A class of three or more angles draws its consecutive chords and one
         closing chord from its first angle to its last, and nothing else."""
-        scene = SvgScene.from_classes([AngleClasses(depth=1, color="white", grid=12, classes=(xs,))], {})
+        scene = SvgScene.from_classes([AngleClasses(depth=1, color="white", grid=12, classes=(xs,))], {}, 12)
         assert scene.chords == sorted([(a, b, "white") for a, b in zip(xs, xs[1:])] + [(xs[0], xs[-1], "white")])
-        assert scene.labels == list(xs)
-        assert scene.text == {x: svg_text(x, 12) for x in xs}
+        assert list(scene.labels) == list(xs)
+        assert scene.coords == {x: svg_text(x, 12)[:2] for x in xs}
+        assert scene.labels == {x: svg_text(x, 12)[2] for x in xs}
+
+    def test_label_grid_keeps_only_its_angles(self):
+        """On grid 1/12 with label grid 4, only the multiples of 3 get a label,
+        and every chord end keeps its coordinates."""
+        scene = SvgScene.from_classes([AngleClasses(depth=1, color="white", grid=12, classes=((1, 4, 9),))], {}, 4)
+        assert list(scene.labels) == [9]
+        assert scene.coords.keys() == {1, 4, 9}
 
     @given(
         st.integers(1, 10**6).flatmap(
             lambda grid: st.tuples(
                 st.just(grid),
                 st.sets(st.integers(0, grid - 1) | st.sampled_from([q * grid // 4 for q in range(4)]), max_size=40),
+                st.integers(0, 2**40 - 1),
             )
         )
     )
-    @example((4, {0, 1, 2, 3}))
-    @example((1_000_000, {250_000, 750_000, 999_999}))
+    @example((4, {0, 1, 2, 3}, 0b1111))
+    @example((4, {0, 1, 2, 3}, 0b1010))
+    @example((1_000_000, {250_000, 750_000, 999_999}, 0b101))
     def test_batched_text_matches_per_angle_oracle(self, drawn):
-        """The batch spells each angle as the per-angle oracle spells it."""
-        grid, labels = drawn
-        text = angle_text(grid, sorted(labels), {x: frac(x, grid) for x in labels})
-        assert text.keys() == labels
-        for x in labels:
-            assert text[x] == svg_text(x, grid), x
+        """The batch spells each angle, and the label of each labelled one, as
+        the per-angle oracle spells them; ``mask`` picks the labelled angles."""
+        grid, xs, mask = drawn
+        labelled = [x for i, x in enumerate(sorted(xs)) if mask >> i & 1]
+        coords, labels = angle_text(grid, sorted(xs), labelled, {x: frac(x, grid) for x in labelled})
+        assert coords.keys() == xs and list(labels) == labelled
+        for x in xs:
+            assert coords[x] == svg_text(x, grid)[:2], x
+        for x in labelled:
+            assert labels[x] == svg_text(x, grid)[2], x
 
     def test_negative_zero_is_written_zero(self):
         """cos(2*pi*3/4) is -1.8e-16, which %.6f spells -0.000000; only such
         whole values become 0.000000, and other negatives keep their sign."""
         assert f"{math.cos(2 * math.pi * (3 / 4)):.6f}" == "-0.000000"
-        scene = SvgScene(12, [], [3, 4, 9], angle_text(12, [3, 4, 9], {3: "1/4", 4: "1/3", 9: "3/4"}))
-        data = render_svg(scene)
-        assert scene.text[9][:2] == ("0.000000", "-1.000000")
-        assert ' x="0.000000" y="-1.100000" ' in scene.text[9][2] and scene.text[9][2].endswith(">3/4</text>")
-        assert scene.text[4][:2] == ("-0.500000", "0.866025")
+        xs = [3, 4, 9]
+        coords, labels = angle_text(12, xs, xs, {3: "1/4", 4: "1/3", 9: "3/4"})
+        data = render_svg(SvgScene(12, [], labels, coords))
+        assert coords[9] == ("0.000000", "-1.000000")
+        assert ' x="0.000000" y="-1.100000" ' in labels[9] and labels[9].endswith(">3/4</text>")
+        assert coords[4] == ("-0.500000", "0.866025")
         assert "-0.000000" not in data
+
+
+# a label's height in turns: FONT_SIZE tall at radius LABEL_RADIUS
+LABEL_HEIGHT = FONT_SIZE / (2 * math.pi * LABEL_RADIUS)
+# the deepest depth L whose grid is still a label apart, and the label count at depth 9
+LABELS = {MEYER: (3, 28), JORDAN: (4, 62)}
+
+
+def test_label_grid():
+    """The finest D*d^j, j >= 0, a label's height apart: j = 0 even when D
+    itself is finer."""
+    assert [label_grid(24, 2), label_grid(8, 2), label_grid(1, 3), label_grid(100, 2)] == [96, 64, 81, 100]
+    for grid, degree in [(24, 2), (8, 2), (1, 3), (12, 5), (3, 7)]:
+        labels = label_grid(grid, degree)
+        assert labels % grid == 0 and 1 / labels >= LABEL_HEIGHT > 1 / (labels * degree)
+
+
+@pytest.mark.parametrize("depth", range(1, 10))
+@pytest.mark.parametrize("fixture", [MEYER, JORDAN], ids=["meyer", "jordan"])
+def test_labels_a_reader_can_tell_apart(fixture, depth):
+    """The drawings of ``unmate --svg`` at each depth: labels at chord ends
+    only, never two closer than a label's height, every depth-1 class angle
+    among them, and through depth L every chord end."""
+    result = run_pipeline(parse_file(fixture), depth=depth)
+    scene = cli._scene(result, "join")
+    grid, labels = scene.grid, list(scene.labels)
+    ends = {x for a, b, _ in scene.chords for x in (a, b)}
+    assert labels == sorted(labels) and set(labels) <= ends
+    assert scene.coords.keys() == ends
+    gaps = [(b - a) / grid for a, b in zip(labels, labels[1:] + [labels[0] + grid])]
+    assert min(gaps) >= LABEL_HEIGHT
+    scale = grid // result.pullback.grid
+    depth1 = {x * scale for classes in (result.depth1_white, result.depth1_black) for c in classes.classes for x in c}
+    assert depth1 <= set(labels)
+    deepest, at_nine = LABELS[fixture]
+    if depth <= deepest:
+        assert set(labels) == ends
+    if depth == 9:
+        assert len(labels) == at_nine
+    for color in (WHITE, BLACK):
+        side = scene.side(color)
+        side_ends = {x for a, b, _ in side.chords for x in (a, b)}
+        assert list(side.labels) == [x for x in labels if x in side_ends]
 
 
 # JSON trees of the kinds json.dumps accepts; text covers non-ASCII and control characters
@@ -617,15 +675,15 @@ def test_depth9_stdout_bytes(fixture, sha256):
     [
         (
             MEYER,
-            "b3ed68522ebfeef4f6e895117f003d3cd4169981d1fffbb8b3c3eb8bde2fcb73",
-            "0386dc69b5db1184d0ec24212d5854b8a4604ef98c498be5ba7f96ca5a81516c",
-            "6fa7ef75a90f60ad98ba27d5f1e17b09f17f42a291bd7a3437d031dfc05e326c",
+            "dd8be008037ea4aa1d94bfd36474da7537f009d91bf1217111b9700223971719",
+            "e80b257502ece823dae7cbe419114f792120f6059792671a89e21dc914e68143",
+            "23e66df24c55e932ec303e401b3be4ad697b1853665eec169877ecfc79b92314",
         ),
         (
             JORDAN,
-            "7855a7df01501f46326acc0215fe6a7fe076a2a53b62a62bd0e677edc4d19b2e",
-            "d3c3fdd090e42f61093ae482455730ac593cff039932175649a54a871a4de74a",
-            "1be307a98d6826abf98dfc74c4e00cbba255f457125ac4d566aabc12a13f384e",
+            "553af651aea293e7e22b054d842c5a7bbdda163d40cf5820649eb54ebe177ab1",
+            "d23d3364f0af67331cda1b7f5bb39165795e7a9294d19fc3263bfafe021fb8b5",
+            "668433dd7541913394968c55ed2a92ea9fa5682a01f3e5628b9c8ce525304c80",
         ),
     ],
     ids=["meyer", "jordan"],
@@ -641,15 +699,17 @@ def test_depth9_svg_bytes(capsys, tmp_path, fixture, overlay, white, black):
     assert digests == [overlay, white, black]
 
 
+@pytest.mark.parametrize("depth", ["4", "9"])
 @pytest.mark.parametrize("fixture", [MEYER, JORDAN], ids=["meyer", "jordan"])
-def test_unmate_side_files_are_the_side_renders(capsys, tmp_path, fixture):
+def test_unmate_side_files_are_the_side_renders(capsys, tmp_path, fixture, depth):
     """The per-side files of ``unmate --svg``, cut from its one overlay scene,
-    are the bytes ``render`` draws for that side alone."""
-    assert run(capsys, "unmate", fixture, "--depth", "4", "--svg", tmp_path / "out.svg")[0] == 0
-    code, white, _ = run(capsys, "render", fixture, "--depth", "4", "--side", "w")
+    are the bytes ``render`` draws for that side alone: the same chords and
+    the same labels."""
+    assert run(capsys, "unmate", fixture, "--depth", depth, "--svg", tmp_path / "out.svg")[0] == 0
+    code, white, _ = run(capsys, "render", fixture, "--depth", depth, "--side", "w")
     assert code == 0
     assert (tmp_path / "out.white.svg").read_bytes() == white.encode("utf-8")
-    assert run(capsys, "render", fixture, "--depth", "4", "--side", "b", "--svg", tmp_path / "b.svg")[0] == 0
+    assert run(capsys, "render", fixture, "--depth", depth, "--side", "b", "--svg", tmp_path / "b.svg")[0] == 0
     assert (tmp_path / "out.black.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
 

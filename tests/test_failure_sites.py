@@ -232,6 +232,7 @@ class Row(NamedTuple):
     outcome: Union[int, type]  # the exit code of a mapfile trigger, or a call's exception type
     message: Union[str, list[tuple[str, str]]]  # "{tmp}" is the directory; findings as (check, detail)
     patch: Optional[Callable] = None  # given monkeypatch, before the trigger runs
+    place: Optional[str] = None  # the first offending item, as the message must name it
 
 
 ROWS: dict[str, Row] = {
@@ -265,10 +266,12 @@ ROWS: dict[str, Row] = {
     "mapspec.parse: word0 is empty": Row(unmate(setting("word0", [])), 2, "word0 is empty"),
     "mapspec.parse: word length mismatch: |word1| = …, expected degree*k = …": Row(
         unmate(lambda raw: raw["word1"].pop()), 2, "word length mismatch: |word1| = 11, expected degree*k = 12"),
-    "mapspec.parse: word0 must traverse each 0-edge exactly once": Row(
-        unmate(setting("word0", 0, "edge", "E2")), 2, "word0 must traverse each 0-edge exactly once"),
-    "mapspec.parse: word0 must visit every postcritical point": Row(
-        unmate(setting("word0", 2, "to", "zz")), 2, "word0 must visit every postcritical point"),
+    "mapspec.parse: word0 must traverse each 0-edge exactly once: …": Row(
+        unmate(setting("word0", 0, "edge", "E2")), 2,
+        "word0 must traverse each 0-edge exactly once: 'E1' is traversed 0 times", place="'E1'"),
+    "mapspec.parse: word0 must visit every postcritical point: …": Row(
+        unmate(setting("word0", 2, "to", "zz")), 2, "word0 must visit every postcritical point: 'p1' is not visited",
+        place="'p1'"),
     "mapspec.parse: word1 references unknown 0-edge …": Row(
         unmate(setting("word1", 0, "image_edge", "E9")), 2, "word1 references unknown 0-edge 'E9'"),
     "mapspec.parse: word1 references unknown 1-vertex …": Row(
@@ -348,9 +351,11 @@ ROWS: dict[str, Row] = {
     "spectral.certify_perron: Perron certification failed: nullspace dimension … > 1": Row(
         lambda: certify_perron(tm([[2, 0], [0, 2]]), 2), SpectralError,
         "Perron certification failed: nullspace dimension 2 > 1"),
-    "spectral.certify_perron: Perron certification failed: no strictly positive eigenvector": Row(
+    "spectral.certify_perron: Perron certification failed: no strictly positive eigenvector: "
+    "v[…] = …, the entry of the 0-edge at word0 position …": Row(
         lambda: certify_perron(tm([[2, 1], [0, 1]]), 2), SpectralError,
-        "Perron certification failed: no strictly positive eigenvector"),
+        "Perron certification failed: no strictly positive eigenvector: v[1] = 0, "
+        "the entry of the 0-edge at word0 position 1", place="word0 position 1"),
     "spectral.certify_perron: Perron certification failed: A v != d v": Row(
         lambda: certify_perron(tm([[1, 1], [1, 1]]), 2), SpectralError,
         "Perron certification failed: A v != d v", patch_wrong_nullspace),
@@ -372,14 +377,18 @@ ROWS: dict[str, Row] = {
     # portraits
     "pipeline.run_pipeline: … portrait certificate failed: …": Row(
         unmate(), 6, "white portrait certificate failed: c5 (periodic participants: 1/3)", failing_certificate),
-    "portraits._mark_color: marking procedure stuck: cyclic critical orbits": Row(
-        marking_two_criticals_on_one_cycle, PortraitError, "marking procedure stuck: cyclic critical orbits"),
+    "portraits._mark_color: marking procedure stuck: cyclic critical orbits through …": Row(
+        marking_two_criticals_on_one_cycle, PortraitError,
+        "marking procedure stuck: cyclic critical orbits through v1, v2", place="v1, v2"),
     "portraits.sectors: portrait has fewer than two marked angles; no sectors": Row(
         lambda: sectors(CriticalPortrait("white", 2, [PreargumentSet.of([0])])), PortraitError,
         "portrait has fewer than two marked angles; no sectors"),
-    "portraits.sectors: portrait not unlinked": Row(
+    "portraits.sectors: portrait not unlinked: … is in two sets": Row(
+        lambda: sectors(CriticalPortrait("white", 8, [PreargumentSet.of([1, 3, 7]), PreargumentSet.of([1, 5])])),
+        PortraitError, "portrait not unlinked: 1/8 is in two sets", place="1/8"),
+    "portraits.sectors: portrait not unlinked: {…} links {…}": Row(
         lambda: sectors(CriticalPortrait("white", 4, [PreargumentSet.of([0, 2]), PreargumentSet.of([1, 3])])),
-        PortraitError, "portrait not unlinked"),
+        PortraitError, "portrait not unlinked: {0/1, 1/2} links {1/4, 3/4}", place="{0/1, 1/2} links {1/4, 3/4}"),
 
     # laminations
     "pipeline.run_pipeline: depth-1 … classes disagree with the … portrait: {…} is only in the …": Row(
@@ -399,7 +408,7 @@ ROWS: dict[str, Row] = {
         lambda: join((r := meyer()).lamination_white, r.depth1_black), LaminationError,
         "join needs equal depths and grids, got depth 2 on 1/48 and depth 1 on 1/24"),
     "svg.from_classes: a scene needs one grid, got …": Row(
-        lambda: SvgScene.from_classes([(r := meyer()).depth1_white, r.lamination_black], {}), LaminationError,
+        lambda: SvgScene.from_classes([(r := meyer()).depth1_white, r.lamination_black], {}, 24), LaminationError,
         "a scene needs one grid, got 1/24 and 1/48"),
 }
 
@@ -461,6 +470,8 @@ def test_trigger_ends_at_its_site(key, tmp_path, capsys, monkeypatch):
         exc = info.value
         assert type(exc) is row.outcome
 
+    if row.place is not None:
+        assert row.place in str(exc)
     site = SITES[key]
     if site.finding:
         findings = [(f.check, f.detail) for f in exc.report.findings]

@@ -5,7 +5,8 @@ masked) and the bytes of every SVG file the command wrote, in file-name
 order.  The digests in ``golden_cli.json`` pin the CLI's observable output,
 so a refactor that changes any byte fails here.  To rewrite the file after a
 deliberate output change, run ``PYTHONPATH=src python3 -m tests.test_golden``
-from the repository root.
+from the repository root: it prints the id of every case whose digest
+changed (or that is new), one a line.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -92,5 +94,23 @@ def test_cli_output_unchanged(case, golden):
     assert digest(case) == golden[case_id(case)]
 
 
+def rewrite(path: Path) -> list[str]:
+    """Write every case's digest to ``path``; the ids whose digest changed or is new."""
+    old = json.loads(path.read_text())
+    new = {case_id(c): digest(c) for c in cases()}
+    path.write_text(json.dumps(new, indent=1) + "\n")
+    return [key for key, value in new.items() if old.get(key) != value]
+
+
+def test_rewrite_names_the_moved_cases(tmp_path, monkeypatch, golden):
+    kept, moved, added = ("meyer", "validate"), ("jordan", "matrix"), ("reversed", "validate")
+    monkeypatch.setattr(sys.modules[__name__], "cases", lambda: [kept, moved, added])
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps({case_id(kept): golden[case_id(kept)], case_id(moved): "0" * 64}))
+    assert rewrite(path) == [case_id(moved), case_id(added)]
+    assert json.loads(path.read_text()) == {case_id(c): golden[case_id(c)] for c in (kept, moved, added)}
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({case_id(c): digest(c) for c in cases()}, indent=1) + "\n")
+    for key in rewrite(GOLDEN):
+        print(key)

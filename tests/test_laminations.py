@@ -30,7 +30,7 @@ from unmating.laminations import (
 )
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, Sectors, sectors
-from unmating.svg import SvgScene
+from unmating.svg import class_chords
 
 from .conftest import JORDAN, MEYER, census_spec, critical_connections, spec_with
 from .oracles import (
@@ -69,7 +69,7 @@ def crossing_pairs(family) -> list[tuple[int, int]]:
 
 
 def chord_count(lam: AngleClasses) -> int:
-    return len(SvgScene.from_classes([lam], {}).chords)
+    return len(class_chords([lam]))
 
 
 def portrait(color, grid, *angle_sets) -> CriticalPortrait:

@@ -58,6 +58,30 @@ class TestParse:
         with pytest.raises(MapfileError, match="unknown 0-edge"):
             parse(raw)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw["word0"][1].update(edge="E1"),
+             "word0 must traverse each 0-edge exactly once: 'E1' is traversed 2 times"),
+            (lambda raw: raw["word0"][4].update(edge="E9"),
+             "word0 must traverse each 0-edge exactly once: 'E5' is traversed 0 times"),
+            (lambda raw: (raw["word0"].append({"edge": "E9", "to": "p0"}), raw["word1"].extend(raw["word1"][:2])),
+             "word0 must traverse each 0-edge exactly once: 'E9' is not a 0-edge"),
+            (lambda raw: raw["word0"][5].update(to="p1"), "word0 must visit every postcritical point: 'p2' is not visited"),
+            (lambda raw: raw["word0"][3].update(to="zz"),
+             "word0 must visit every postcritical point: 'zz' is not a postcritical point"),
+        ],
+        ids=["repeated-edge", "missing-edge", "stray-edge", "missing-point", "stray-point"],
+    )
+    def test_word0_failure_names_its_place(self, edit, message):
+        """The first 0-edge or point at fault, in ``edges0`` or ``post`` order,
+        else the first stray one of word0."""
+        raw = meyer_raw()
+        edit(raw)
+        with pytest.raises(MapfileError) as info:
+            parse(raw)
+        assert str(info.value) == message
+
     def test_duplicate_vertex_id(self):
         raw = meyer_raw()
         raw["vertices1"].append({"id": "c1", "image": "p1"})

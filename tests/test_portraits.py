@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from unmating.circle import orbit, q_apply
+from unmating.circle import frac, orbit, q_apply
 from unmating.errors import PortraitError
 from unmating.portraits import (
     CriticalPortrait,
@@ -479,12 +479,16 @@ class TestGridRefinement:
             assert certify(scaled(p, 3), 2) == p.certificate
 
 
-def refused_as_linked(p: CriticalPortrait) -> bool:
+def linked_pair_named(p: CriticalPortrait) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The two hulls that `sectors` names in its refusal, as angles x meaning
+    x/grid, or None if it refuses none."""
     try:
         sectors(p)
     except PortraitError as e:
-        return str(e) == "portrait not unlinked"
-    return False
+        named = re.fullmatch(r"portrait not unlinked: \{(.*)\} links \{(.*)\}", str(e))
+        if named:
+            return tuple(tuple(int(Fraction(t) * p.grid) for t in hull.split(", ")) for hull in named.groups())
+    return None
 
 
 class TestSharedAngles:
@@ -492,8 +496,11 @@ class TestSharedAngles:
 
     @pytest.mark.parametrize("p, d", SHARED_ANGLE)
     def test_shared_angle_is_not_unlinked(self, p, d):
+        """The refusal names the least angle that two sets share."""
+        shared = min(x for x in range(p.grid) if sum(x in s.angles for s in p.sets) >= 2)
+        detail = f"portrait not unlinked: {frac(shared, p.grid)} is in two sets"
         cert = certify(p, d)
-        assert cert["unlinked"] == {"passed": False, "detail": "portrait not unlinked"}
+        assert cert["unlinked"] == {"passed": False, "detail": detail}
         assert not cert["valid"]
 
     @given(random_portraits(), st.randoms())
@@ -512,7 +519,11 @@ class TestSharedAngles:
         hulls = [s.angles for s in p.sets]
         assume(len({x for h in hulls for x in h}) == sum(map(len, hulls)))
         linked = any(hulls_linked(a, b) for i, a in enumerate(hulls) for j, b in enumerate(hulls) if i != j)
-        assert refused_as_linked(p) == linked
+        named = linked_pair_named(p)
+        assert (named is not None) == linked
+        if named is not None:
+            a, b = named
+            assert a in hulls and b in hulls and hulls_linked(a, b)
 
 
 class TestHierarchicBookkeeping:
