@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, repeat
+from operator import itemgetter
 
 from .errors import LaminationError
 from .laminations import BLACK, JOIN, WHITE, AngleClasses
@@ -104,7 +105,8 @@ class SvgScene:
             )
         chords = class_chords(class_sets)
         ends = _ends(chords)
-        labelled = sorted(x for x in ends if x * label_grid % grid == 0)
+        # x * label_grid = 0 mod grid exactly when x is a multiple of grid / gcd(grid, label_grid)
+        labelled = sorted(ends.intersection(range(0, grid, grid // math.gcd(grid, label_grid))))
         names = {}
         for classes in class_sets:
             names.update(zip(chain.from_iterable(classes.classes), chain.from_iterable(classes.text(words))))
@@ -121,7 +123,7 @@ class SvgScene:
 
 
 def _ends(chords: list[tuple[int, int, str]]) -> set[int]:
-    return {x for a, b, _ in chords for x in (a, b)}
+    return set(map(itemgetter(0), chords)).union(map(itemgetter(1), chords))
 
 
 def _spell(values: list[float]) -> list[str]:
