@@ -193,6 +193,19 @@ def _array(value, key: str, kind: type, item: str) -> list:
     return value
 
 
+def _first_fault(seen: list, expected: list, verb: str, noun: str) -> str:
+    """Where ``seen`` (word0's edges or points, in order) fails to be
+    ``expected`` once each: the first expected item missing from it, else
+    its first item that is not expected, else its first repeat."""
+    for x in expected:
+        if x not in seen:
+            return f"{x!r} is not {verb}"
+    for x in seen:
+        if x not in expected:
+            return f"{x!r} is not {noun}"
+    return f"{_first_repeat(seen)!r} is {verb} more than once"
+
+
 def _first_repeat(items: list):
     """The first item of `items` that equals an earlier one, or None."""
     seen = set()
@@ -265,16 +278,13 @@ def parse(data: bytes | str | dict) -> MapSpec:
         raise MapfileError(
             f"word length mismatch: |word1| = {len(word1)}, expected degree*k = {degree * k}"
         )
-    # each message names the first 0-edge or point at fault, else the first stray one of word0
     edges = [w.edge for w in word0]
     if sorted(edges) != sorted(edges0):
-        place = next((f"{e!r} is traversed {edges.count(e)} times" for e in edges0 if edges.count(e) != 1), None)
-        place = place or next(f"{e!r} is not a 0-edge" for e in edges if e not in edges0)
+        place = _first_fault(edges, edges0, "traversed", "a 0-edge")
         raise MapfileError(f"word0 must traverse each 0-edge exactly once: {place}")
     visited = [w.to for w in word0]
     if set(visited) != set(post):
-        place = next((f"{p!r} is not visited" for p in post if p not in visited), None)
-        place = place or next(f"{p!r} is not a postcritical point" for p in visited if p not in post)
+        place = _first_fault(visited, post, "visited", "a postcritical point")
         raise MapfileError(f"word0 must visit every postcritical point: {place}")
 
     post_set, edge_set = set(post), set(edges0)

@@ -268,7 +268,7 @@ ROWS: dict[str, Row] = {
         unmate(lambda raw: raw["word1"].pop()), 2, "word length mismatch: |word1| = 11, expected degree*k = 12"),
     "mapspec.parse: word0 must traverse each 0-edge exactly once: …": Row(
         unmate(setting("word0", 0, "edge", "E2")), 2,
-        "word0 must traverse each 0-edge exactly once: 'E1' is traversed 0 times", place="'E1'"),
+        "word0 must traverse each 0-edge exactly once: 'E1' is not traversed", place="'E1'"),
     "mapspec.parse: word0 must visit every postcritical point: …": Row(
         unmate(setting("word0", 2, "to", "zz")), 2, "word0 must visit every postcritical point: 'p1' is not visited",
         place="'p1'"),

@@ -61,21 +61,21 @@ class TestParse:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda raw: raw["word0"][1].update(edge="E1"),
-             "word0 must traverse each 0-edge exactly once: 'E1' is traversed 2 times"),
             (lambda raw: raw["word0"][4].update(edge="E9"),
-             "word0 must traverse each 0-edge exactly once: 'E5' is traversed 0 times"),
+             "word0 must traverse each 0-edge exactly once: 'E5' is not traversed"),
             (lambda raw: (raw["word0"].append({"edge": "E9", "to": "p0"}), raw["word1"].extend(raw["word1"][:2])),
              "word0 must traverse each 0-edge exactly once: 'E9' is not a 0-edge"),
+            (lambda raw: (raw["word0"].append({"edge": "E3", "to": "p0"}), raw["word1"].extend(raw["word1"][:2])),
+             "word0 must traverse each 0-edge exactly once: 'E3' is traversed more than once"),
             (lambda raw: raw["word0"][5].update(to="p1"), "word0 must visit every postcritical point: 'p2' is not visited"),
             (lambda raw: raw["word0"][3].update(to="zz"),
              "word0 must visit every postcritical point: 'zz' is not a postcritical point"),
         ],
-        ids=["repeated-edge", "missing-edge", "stray-edge", "missing-point", "stray-point"],
+        ids=["missing-edge", "stray-edge", "repeated-edge", "missing-point", "stray-point"],
     )
     def test_word0_failure_names_its_place(self, edit, message):
-        """The first 0-edge or point at fault, in ``edges0`` or ``post`` order,
-        else the first stray one of word0."""
+        """The first 0-edge or point missing, in ``edges0`` or ``post`` order,
+        else the first stray one of word0, else its first repeat."""
         raw = meyer_raw()
         edit(raw)
         with pytest.raises(MapfileError) as info:
