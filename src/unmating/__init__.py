@@ -6,11 +6,10 @@ for the white and black polynomials of the mating, and finite-depth
 lamination approximations with validity certificates.
 """
 
-from .circle import arc_sum, frac, orbit, q_apply
+from .circle import frac, orbit, q_apply
 from .errors import (
     LaminationError,
     MapfileError,
-    ParameterizationError,
     PortraitError,
     SpectralError,
     UnmatingError,

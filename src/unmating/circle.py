@@ -32,9 +32,8 @@ def frac(x: int, grid: int) -> str:
 
 
 def q_apply(x: int, d: int, grid: int) -> int:
-    """The d-fold map t -> d*t mod 1 on the angle x/grid."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
+    """The d-fold map t -> d*t mod 1 on the angle x/grid; d is a spec's
+    degree, which `mapspec.parse` makes at least 2."""
     return d * x % grid
 
 
@@ -110,15 +109,3 @@ def crossing_pairs(classes: Sequence[Sequence[int]]) -> tuple[list[int], list[in
         second += later
     return first, second
 
-
-def arc_sum(lengths: Sequence[int], frm: int, to: int) -> int:
-    """Sum of interval lengths walked from marker `frm` to marker `to`.
-
-    Marker i sits at the start of interval i, so the walk crosses intervals
-    frm, frm+1, ..., to-1 cyclically; frm == to is the empty walk.
-    """
-    k = len(lengths)
-    if not (0 <= frm < k and 0 <= to < k):
-        raise IndexError(f"marker index out of range for {k} intervals")
-    steps = (to - frm) % k
-    return sum(lengths[(frm + i) % k] for i in range(steps))

@@ -9,7 +9,6 @@ with the stage that `errors` gives each code:
     2  -             parse/usage failure, or an unwritable --svg or stdout
     3  complex       validation failed (pipeline commands)
     4  spectral      Perron certificate failed
-    5  parameterize  reserved: no mapfile reaches it (see `parameterize`)
     6  portraits     portrait extraction failed
     7  laminations   lamination failed
 
@@ -19,10 +18,9 @@ it.  A depth-9 run holds thousands of live classes, texts and chords, which
 the collector would walk four or five times and find no garbage in.  Pausing
 it is safe because no run leaves a reference cycle, so reference counting
 frees what a run allocates: `tests/test_cli.py::TestCollector` checks this
-for every subcommand and every exit but the unreachable 5.  Only argparse
-leaves cycles, its help formatters, when it builds the parser (once per
-process) and when it rejects the arguments; the collector frees them once
-it is back on.
+for every subcommand and every exit.  Only argparse leaves cycles, its help
+formatters, when it builds the parser (once per process) and when it
+rejects the arguments; the collector frees them once it is back on.
 """
 
 from __future__ import annotations
@@ -207,13 +205,12 @@ def _run(args) -> PipelineResult:
 
 
 def _scene(result: PipelineResult, side: str) -> SvgScene:
-    """Chords of one side; "join" overlays the white and black sides.  Every
-    label reads its ``p/q`` from the run's class text, and only the chord
-    ends on the run's `label_grid` are labelled."""
+    """Chords of one side; "join" overlays the white and black sides.  Only
+    the chord ends on the run's `label_grid` are labelled."""
     labels = label_grid(result.pullback.grid, result.spec.degree)
     if side == "join":
-        return SvgScene.from_classes([result.lamination_white, result.lamination_black], result.texts, labels)
-    return SvgScene.from_classes([lamination_for_side(result, side)], result.texts, labels)
+        return SvgScene.from_classes([result.lamination_white, result.lamination_black], labels)
+    return SvgScene.from_classes([lamination_for_side(result, side)], labels)
 
 
 def _write_sides(result: PipelineResult, path: str) -> None:

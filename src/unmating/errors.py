@@ -1,7 +1,9 @@
 """Exception types, one per pipeline stage.
 
 Each class names its stage and the CLI exit code for a failure there; the
-command line reads both from the caught error.
+command line reads both from the caught error.  Code 5 belongs to no class:
+the parameterization stage raises nothing, since the Perron certificate
+makes its parameters consistent (`parameterize`).
 """
 
 
@@ -32,11 +34,6 @@ class ValidationFailure(UnmatingError):
 class SpectralError(UnmatingError):
     stage = "spectral"
     exit_code = 4
-
-
-class ParameterizationError(UnmatingError):
-    stage = "parameterize"
-    exit_code = 5
 
 
 class PortraitError(UnmatingError):

@@ -16,6 +16,11 @@ them, from the table: one row per segment of the grid that no sector
 boundary's preimage cuts, filled on first use.  Within one color every
 output is checked planar, with one walk per nested run of outputs.  `join`
 merges the two colors by union-find over class indices.
+
+`pullback_to_depth` and `join` state what their caller guarantees and do
+not check it: a chain lifts the classes of its portrait's color, and a
+join takes two chains run to one depth from one pullback grid.
+`pipeline.run_pipeline` builds both chains so.
 """
 
 from __future__ import annotations
@@ -62,8 +67,8 @@ class AngleClasses(Record):
 
         ``table`` maps each class tuple to its list and is filled on first
         use; it holds the classes of one grid.  The texts of one run, given
-        one table, spell each distinct class once: the JSON sections, the
-        Moore report and the SVG labels read the same list.
+        one table, spell each distinct class once: the JSON sections and
+        the Moore report read the same list.
         """
         grid = self.grid
         for c in self.classes:
@@ -330,11 +335,11 @@ def pullback_to_depth(
     more than MAX_PREIMAGES preimages is refused, so every run does bounded
     work.
 
-    Precondition: the portrait's sets are preargument sets, which `certify`
-    checks; `sectors` relies on it.
+    Precondition: ``start`` holds the depth-1 classes of the portrait's
+    color, and the portrait's sets are preargument sets, which `certify`
+    checks; `sectors` relies on it.  `run_pipeline` passes each color's
+    depth-1 classes with its certified portrait.
     """
-    if start.color != portrait.color:
-        raise LaminationError(f"cannot lift {start.color} classes through a {portrait.color} portrait")
     cur, chain = start, _Chain(start, list(start.classes), depth, [], [])
     base, left = None, 0  # left: the steps still to run on this grid
     while cur.depth < depth:
@@ -371,12 +376,12 @@ def join(white: AngleClasses, black: AngleClasses) -> AngleClasses:
     class is its own joined class; otherwise `_merge` runs union-find over
     the class indices, which also fuses two classes of one side that share
     an angle.
+
+    Precondition: both laminations have one depth and one grid, as two
+    `pullback_to_depth` chains to one depth from the depth-1 classes of one
+    pullback grid have: each chain picks its grids from its depth and the
+    pullback grid alone (the portraits share that grid).
     """
-    if (white.depth, white.grid) != (black.depth, black.grid):
-        raise LaminationError(
-            "join needs equal depths and grids, got depth "
-            f"{white.depth} on 1/{white.grid} and depth {black.depth} on 1/{black.grid}"
-        )
     classes = white.classes + black.classes
     owner = {x: i for i, c in enumerate(classes) for x in c}  # the last class holding x
     if len(owner) < sum(map(len, classes)):  # an angle in two classes

@@ -150,13 +150,9 @@ class Finding(Record):
 class ValidationReport:
     __slots__ = ("findings", "levels")
 
-    def __init__(
-        self,
-        findings: list[Finding] | None = None,
-        levels: dict[int, LevelMap] | None = None,
-    ):
-        self.findings = [] if findings is None else findings
-        self.levels = {} if levels is None else levels  # each level once it is colored
+    def __init__(self):
+        self.findings: list[Finding] = []
+        self.levels: dict[int, LevelMap] = {}  # each level once it is colored
 
     @property
     def passed(self) -> bool:

@@ -1,7 +1,7 @@
 """Solve for the circle parameters of the marked postcritical visits.
 
 Marker i sits at the start of 0-edge i, so consecutive parameters differ by
-the certified interval lengths.  The parameter of the base marker comes from
+the certified interval lengths.  The parameter of marker 0 comes from
 equating the two routes to its image parameter: multiplying by the degree,
 or walking the intervening arc.  The pullback curve inherits parameters by
 lifting: matched visits keep their gamma0 parameter and successive visits
@@ -11,15 +11,23 @@ parameters on total*(d - 1), and the pullback parameters on their least
 common grid, which every later stage reads.
 
 Both functions take lengths certified for a validated spec: the v with
-A v = d v that `spectral.certify_perron` returns.  Full invariance of the
-parameterized curve follows, and is not checked again.  Let C(a -> b) be
-the arc from marker a to marker b, and W(a -> b) the length of word1 from
-matched visit m_a to m_b (position j has length lengths[j mod k]).  Block
-i of word1 has length (A v)_i = d*v_i, so W(a -> b) = d*C(a -> b); and as
-m_i = image[i] mod k, W(a -> b) = C(image[a] -> image[b]) mod 1.  So
-d*t[i] = d*t[base] + W(base -> i) = t[image[base]] + C(image[base] ->
-image[i]) = t[image[i]] mod 1, and the pullback walk puts m_i at
-t[0] + W(0 -> i)/d = t[i].
+A v = d v that `spectral.certify_perron` returns, so the lengths are
+positive and sum to `total`.  `marker_images` gives one image per marker,
+and the caller passes 0 <= branch < d - 1 (`cli._check_branch` refuses
+any other).  Nothing of this is checked again, nor is full invariance of
+the parameterized curve, which follows.  Let C(a -> b) be the arc from
+marker a to marker b, and W(a -> b) the length of word1 from matched visit
+m_a to m_b (position j has length lengths[j mod k]).  Block i of word1 has
+length (A v)_i = d*v_i, so W(a -> b) = d*C(a -> b); and as m_i = image[i]
+mod k, W(a -> b) = C(image[a] -> image[b]) mod 1.  So d*t[i] = d*t[0] +
+W(0 -> i) = t[image[0]] + C(image[0] -> image[i]) = t[image[i]] mod 1, and
+the pullback walk puts m_i at t[0] + W(0 -> i)/d = t[i].
+
+Solving at marker 0 loses nothing.  Solving at marker b gives the d - 1
+parameter lists whose consecutive differences are the lengths and whose
+t[b] satisfies d*t[b] = t[image[b]].  Each of the d - 1 lists solved at
+marker 0 is fully invariant, so it is one of them, and both sets have
+d - 1 members.  For d >= 3 marker b may number them by other branches.
 """
 
 from __future__ import annotations
@@ -27,21 +35,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import gcd
 
-from .circle import arc_sum, frac
-from .errors import ParameterizationError
 from .mapspec import MapSpec, Record, set_field
 from .spectral import LengthVector
 
 
 class MarkerParameters(Record):
-    __slots__ = ("grid", "t", "image", "lengths", "branch")
+    __slots__ = ("grid", "t", "lengths", "branch")
 
-    def __init__(
-        self, grid: int, t: tuple[int, ...], image: tuple[int, ...], lengths: tuple[int, ...], branch: int
-    ):
+    def __init__(self, grid: int, t: tuple[int, ...], lengths: tuple[int, ...], branch: int):
         set_field(self, "grid", grid)
         set_field(self, "t", t)  # marker i at the angle t[i]/grid, 0 <= t[i] < grid
-        set_field(self, "image", image)
         set_field(self, "lengths", lengths)  # interval i has length lengths[i]/grid
         set_field(self, "branch", branch)
 
@@ -63,52 +66,27 @@ def marker_images(spec: MapSpec) -> list[int]:
 
 
 def solve_parameters(
-    lengths: Sequence[int],
-    total: int,
-    image: Sequence[int],
-    d: int,
-    base: int = 0,
-    branch: int = 0,
+    lengths: Sequence[int], total: int, image: Sequence[int], d: int, branch: int = 0
 ) -> MarkerParameters:
     """Find all marker parameters from the lengths and the image map.
 
     Interval i has length lengths[i]/total.  With L/total the arc from
-    `base` to its image marker, d*t = t + L/total mod 1 gives
+    marker 0 to its image marker, d*t = t + L/total mod 1 gives
     t = (L + branch*total)/(total*(d - 1)): the parameters live on the grid
     total*(d - 1), and the remaining markers follow by adding lengths.
-
     With certified lengths every marker satisfies q_d(t[i]) = t[image[i]]
-    (module docstring), so only the arguments are checked.
+    (module docstring).
     """
-    k = len(lengths)
-    if len(image) != k:
-        raise ParameterizationError(f"expected {k} marker images, got {len(image)}")
-    if not 0 <= branch < d - 1:
-        raise ParameterizationError(f"branch must satisfy 0 <= branch < d-1 = {d - 1}")
-    if not 0 <= base < k:
-        raise ParameterizationError(f"base marker {base} out of range")
-    if sum(lengths) != total:
-        raise ParameterizationError(f"lengths must sum to 1, got {frac(sum(lengths), total)}")
-
     grid = total * (d - 1)
     steps = [x * (d - 1) for x in lengths]
-    t = [0] * k
-    t[base] = (arc_sum(lengths, base, image[base]) + branch * total) % grid
-    for step in range(1, k):
-        i = (base + step) % k
-        prev = (base + step - 1) % k
-        t[i] = (t[prev] + steps[prev]) % grid
-    return MarkerParameters(
-        grid=grid, t=tuple(t), image=tuple(image), lengths=tuple(steps), branch=branch
-    )
+    t = [(sum(lengths[: image[0]]) + branch * total) % grid]
+    for step in steps[:-1]:
+        t.append((t[-1] + step) % grid)
+    return MarkerParameters(grid=grid, t=tuple(t), lengths=tuple(steps), branch=branch)
 
 
-def solve_for_spec(
-    spec: MapSpec, lengths: LengthVector, base: int = 0, branch: int = 0
-) -> MarkerParameters:
-    return solve_parameters(
-        lengths.eigenvector, lengths.total, marker_images(spec), spec.degree, base, branch
-    )
+def solve_for_spec(spec: MapSpec, lengths: LengthVector, branch: int = 0) -> MarkerParameters:
+    return solve_parameters(lengths.eigenvector, lengths.total, marker_images(spec), spec.degree, branch)
 
 
 def pullback_parameters(params: MarkerParameters, spec: MapSpec) -> PullbackParameters:

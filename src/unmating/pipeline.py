@@ -129,7 +129,7 @@ def marker_parameters(
     spec: MapSpec, lengths: spectral.LengthVector, branch: int
 ) -> tuple[parameterize.MarkerParameters, parameterize.PullbackParameters]:
     """Circle parameters of the markers and of every pullback position."""
-    params = parameterize.solve_for_spec(spec, lengths, base=0, branch=branch)
+    params = parameterize.solve_for_spec(spec, lengths, branch)
     return params, parameterize.pullback_parameters(params, spec)
 
 

@@ -16,17 +16,19 @@ angle's ``p/q``.
 
 A scene formats its angles in one batch when it is built: one ``%`` spells
 the coordinates of every chord end, another those of every label, and one
-f-string comprehension the label lines.  Each label's ``p/q`` comes from the
-class text of its classes (`AngleClasses.text`).
+f-string comprehension the label lines, each label's ``p/q`` spelled by
+`circle.frac`.  The class sets of a scene share one grid: `cli._scene`
+draws one side, or the two sides of one run, whose chains run to one depth
+from one pullback grid (`laminations.join` states why their grids agree).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 
-from .errors import LaminationError
+from .circle import frac
 from .laminations import BLACK, JOIN, WHITE, AngleClasses
 
 FONT_SIZE = 0.07
@@ -88,29 +90,16 @@ class SvgScene:
         self.coords = coords
 
     @classmethod
-    def from_classes(
-        cls, class_sets: list[AngleClasses], words: dict[tuple[int, ...], list[str]], label_grid: int
-    ) -> "SvgScene":
+    def from_classes(cls, class_sets: list[AngleClasses], label_grid: int) -> "SvgScene":
         """The chords of the classes (`class_chords`), with a label at each
         end x/grid that lies on the label grid, x * label_grid = 0 mod grid.
-        The class sets must share one grid; ``words`` is the run's table for
-        `AngleClasses.text`, so a run spells each class once for its report
-        and its drawings.
-        """
+        The class sets share one grid (module docstring)."""
         grid = class_sets[0].grid
-        if any(classes.grid != grid for classes in class_sets):
-            raise LaminationError(
-                "a scene needs one grid, got "
-                + " and ".join(f"1/{classes.grid}" for classes in class_sets)
-            )
         chords = class_chords(class_sets)
         ends = _ends(chords)
         # x * label_grid = 0 mod grid exactly when x is a multiple of grid / gcd(grid, label_grid)
         labelled = sorted(ends.intersection(range(0, grid, grid // math.gcd(grid, label_grid))))
-        names = {}
-        for classes in class_sets:
-            names.update(zip(chain.from_iterable(classes.classes), chain.from_iterable(classes.text(words))))
-        coords, labels = angle_text(grid, list(ends), labelled, names)
+        coords, labels = angle_text(grid, list(ends), labelled)
         return cls(grid, chords, labels, coords)
 
     def side(self, color: str) -> "SvgScene":
@@ -140,10 +129,10 @@ def _cos_sin(grid: int, xs: list[int]) -> tuple[list[float], list[float]]:
 
 
 def angle_text(
-    grid: int, xs: list[int], labelled: list[int], names: dict[int, str]
+    grid: int, xs: list[int], labelled: list[int]
 ) -> tuple[dict[int, tuple[str, str]], dict[int, str]]:
     """The `SvgScene` coordinates of each angle x/grid of ``xs``, and the
-    label line of each angle of ``labelled``, reading ``names[x]``."""
+    label line of each angle of ``labelled``, reading ``frac(x, grid)``."""
     n, m = len(xs), len(labelled)
     cos, sin = _cos_sin(grid, xs)
     spelled = _spell(cos + sin)
@@ -151,7 +140,7 @@ def angle_text(
     at = _spell([LABEL_RADIUS * c for c in cos] + [LABEL_RADIUS * s for s in sin])
     labels = {
         x: f'  <text x="{lx}" y="{ly}" font-size="{FONT_SIZE}" text-anchor="middle" '
-        f'dominant-baseline="middle" fill="#222222">{names[x]}</text>'
+        f'dominant-baseline="middle" fill="#222222">{frac(x, grid)}</text>'
         for x, lx, ly in zip(labelled, at[:m], at[m:])
     }
     return dict(zip(xs, zip(spelled[:n], spelled[n:]))), labels

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from unmating.circle import frac
-from unmating.errors import LaminationError, ParameterizationError, PortraitError, SpectralError
+from unmating.errors import LaminationError, PortraitError, SpectralError
 from unmating.laminations import JOIN, AngleClasses, _canon, check_planar, merge
 from unmating.mapspec import BLACK, WHITE, MapSpec, local_degree, validate
 from unmating.parameterize import PullbackParameters
@@ -610,6 +610,12 @@ def certify_perron_by_fractions(
     return tuple(v), tuple(Fraction(x, total) for x in v)
 
 
+class ParameterRefusal(Exception):
+    """A refusal of the Fraction parameterization oracle: an argument out of
+    range, or parameters that are not consistent.  The package raises no
+    such error; its inputs are certified (`parameterize` docstring)."""
+
+
 class FractionParameters(NamedTuple):
     t: tuple[Fraction, ...]
     image: tuple[int, ...]
@@ -620,18 +626,21 @@ class FractionParameters(NamedTuple):
 def solve_parameters_by_fractions(
     lengths: Sequence[Fraction], image: Sequence[int], d: int, base: int = 0, branch: int = 0
 ) -> FractionParameters:
-    """`parameterize.solve_parameters` in Fractions: t[base] = (L + branch)/(d - 1)
-    for the arc L from base to its image, the rest by adding lengths."""
+    """`parameterize.solve_parameters` in Fractions, solved at any marker
+    ``base`` where the code solves at marker 0: t[base] = (L + branch)/(d - 1)
+    for the arc L from base to its image, the rest by adding lengths.  It
+    checks its arguments and the consistency of its result, which the code
+    leaves to its certified inputs."""
     k = len(lengths)
     if len(image) != k:
-        raise ParameterizationError(f"expected {k} marker images, got {len(image)}")
+        raise ParameterRefusal(f"expected {k} marker images, got {len(image)}")
     if not 0 <= branch < d - 1:
-        raise ParameterizationError(f"branch must satisfy 0 <= branch < d-1 = {d - 1}")
+        raise ParameterRefusal(f"branch must satisfy 0 <= branch < d-1 = {d - 1}")
     if not 0 <= base < k:
-        raise ParameterizationError(f"base marker {base} out of range")
+        raise ParameterRefusal(f"base marker {base} out of range")
     total = sum(lengths, Fraction(0))
     if total != 1:
-        raise ParameterizationError(f"lengths must sum to 1, got {p_q(total)}")
+        raise ParameterRefusal(f"lengths must sum to 1, got {p_q(total)}")
 
     steps = (image[base] - base) % k
     big_l = sum((lengths[(base + i) % k] for i in range(steps)), Fraction(0))
@@ -644,7 +653,7 @@ def solve_parameters_by_fractions(
     for i in range(k):
         got, want = d * t[i] % 1, t[image[i]]
         if got != want:
-            raise ParameterizationError(
+            raise ParameterRefusal(
                 f"parameterization inconsistent: q_d(t[{i}]) = {p_q(got)} "
                 f"but t[image[{i}]] = {p_q(want)}"
             )
@@ -664,7 +673,7 @@ def pullback_parameters_by_fractions(
     s = [(params.t[0] + (cum[j] - cum[m0]) / d) % 1 for j in range(n1)]
     for i, m in enumerate(spec.markers):
         if s[m] != params.t[i]:
-            raise ParameterizationError(
+            raise ParameterRefusal(
                 f"parameterization inconsistent: matched visit {m} carries "
                 f"{p_q(s[m])}, marker {i} has {p_q(params.t[i])}"
             )

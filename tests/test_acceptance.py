@@ -15,14 +15,14 @@ import pytest
 from unmating import parse_file, validate
 from unmating.circle import frac
 from unmating.laminations import check_planar, depth1, pullback_to_depth
-from unmating.parameterize import pullback_parameters, solve_for_spec
+from unmating.parameterize import marker_images, pullback_parameters, solve_for_spec
 from unmating.pipeline import run_pipeline
 from unmating.portraits import CriticalPortrait, PreargumentSet, certify, sectors
 from unmating.spectral import certify_perron, transition_matrix
 from unmating.svg import class_chords
 
 from .conftest import MEYER, REVERSED, VALID_FIXTURES, critical_connections, meyer_raw
-from .oracles import as_fractions, brute_force_pullback, power_iteration
+from .oracles import as_fractions, brute_force_pullback, power_iteration, solve_parameters_by_fractions
 
 F = Fraction
 
@@ -86,18 +86,23 @@ class TestAcceptance:
             spec = parse_file(path)
             matrix = transition_matrix(spec)
             lengths = certify_perron(matrix, spec.degree)
-            d = spec.degree
-            for branch in range(max(1, d - 1)):
-                params = solve_for_spec(spec, lengths, base=0, branch=branch)
+            d, image = spec.degree, marker_images(spec)
+            solved = []
+            for branch in range(d - 1):
+                params = solve_for_spec(spec, lengths, branch)
                 for i, t in enumerate(params.t):
-                    assert d * t % params.grid == params.t[params.image[i]]
+                    assert d * t % params.grid == params.t[image[i]]
                 assert sum(params.lengths) == params.grid
                 t_set = set(params.t)
                 assert {d * t % params.grid for t in t_set} <= t_set
                 pullback_parameters(params, spec)
-                # base independence over all k bases
-                for base in range(spec.k):
-                    assert solve_for_spec(spec, lengths, base=base, branch=branch).t == params.t
+                solved.append(tuple(F(t, params.grid) for t in params.t))
+            # base independence: the oracle, solved at each of the k markers,
+            # finds the d - 1 solutions the code finds at marker 0
+            fractions = [F(x, lengths.total) for x in lengths.eigenvector]
+            for base in range(spec.k):
+                found = [solve_parameters_by_fractions(fractions, image, d, base, b).t for b in range(d - 1)]
+                assert sorted(found) == sorted(solved)
         report(3, "q_d(t_i) = t_image(i), unit total, forward-invariant, base-independent")
 
     def test_criterion_4_portrait_certification(self):

@@ -2,18 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from unmating.circle import (
-    arc_sum,
-    frac,
-    orbit,
-    q_apply,
-)
-
-MEYER_LENGTHS = [1, 2, 1, 3, 2, 3]  # twelfths: 1/12, 1/6, 1/12, 1/4, 1/6, 1/4
+from unmating.circle import frac, orbit, q_apply
 
 # (x, grid): the angle x/grid
 angles = st.integers(min_value=1, max_value=97).flatmap(
@@ -32,10 +24,6 @@ class TestQApply:
 
     def test_wraps(self):
         assert q_apply(2, 2, 3) == 1
-
-    def test_rejects_degree_one(self):
-        with pytest.raises(ValueError):
-            q_apply(1, 1, 2)
 
 
 class TestQPreimages:
@@ -105,18 +93,3 @@ class TestFrac:
         f = Fraction(x, grid)
         assert frac(m * x, m * grid) == f"{f.numerator}/{f.denominator}"
 
-
-class TestArcSum:
-    def test_meyer_p2_to_p1(self):
-        # p2 marker is index 0, p1 marker is index 3: crosses l1+l2+l3
-        assert frac(arc_sum(MEYER_LENGTHS, 0, 3), 12) == "1/3"
-
-    def test_empty_walk(self):
-        assert arc_sum(MEYER_LENGTHS, 2, 2) == 0
-
-    def test_wraps(self):
-        assert arc_sum(MEYER_LENGTHS, 4, 1) == 2 + 3 + 1  # 1/6 + 1/4 + 1/12
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            arc_sum(MEYER_LENGTHS, 0, 6)

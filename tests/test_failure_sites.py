@@ -9,7 +9,10 @@ finding's head is its check name, `` / `` and the head of its detail.
 tests fail when a site has no row, and when a row's trigger ends at another
 site: for a raise, the innermost ``src`` frame of the traceback; for a
 finding, the site whose check name and detail head match.  A new check
-comes with its row.
+comes with its row.  Each row names its place, the first offending item as
+the message must contain it (for a finding, its detail), or says in
+``exempt`` why the message names no item.  Every error class is raised by
+a site with a row, so none is left that no input reaches.
 
 Triggers, in order of preference:
 
@@ -37,19 +40,16 @@ import unmating
 from unmating import cli, errors, laminations, parse_file, spectral
 from unmating.errors import (
     LaminationError,
-    ParameterizationError,
     PortraitError,
     SpectralError,
     UnmatingError,
     ValidationFailure,
 )
-from unmating.laminations import AngleClasses, join, pullback_to_depth
+from unmating.laminations import AngleClasses, pullback_to_depth
 from unmating.mapspec import CriticalVertex
-from unmating.parameterize import PullbackParameters, solve_parameters
-from unmating.pipeline import run_pipeline
+from unmating.parameterize import PullbackParameters
 from unmating.portraits import CriticalPortrait, PreargumentSet, extract_portraits, sectors
 from unmating.spectral import TransitionMatrix, certify_perron
-from unmating.svg import SvgScene
 
 from .conftest import MEYER, REVERSED, failing_certificate, meyer_raw, toy_raw
 from .oracles import WorkLimit
@@ -67,6 +67,7 @@ class Site(NamedTuple):
     lines: range  # the lines of the statement
     finding: bool
     pattern: re.Pattern  # matches its messages; a finding's is "check / detail"
+    error: Optional[str]  # the error class a raise names; None for a finding
 
 
 def _parts(node: ast.expr) -> list[Optional[str]]:
@@ -112,8 +113,11 @@ def find_sites() -> dict[str, Site]:
                 key = f"{module}.{function}: {head}"
                 assert key not in sites, f"two failure sites share the key {key!r}"
                 pattern = re.compile("".join(".*" if p is None else re.escape(p) for p in parts), re.S)
+                error = None
+                if isinstance(child, ast.Raise):
+                    error = (child.exc.func if isinstance(child.exc, ast.Call) else child.exc).id
                 sites[key] = Site(
-                    module, range(child.lineno, child.end_lineno + 1), isinstance(child, ast.Call), pattern
+                    module, range(child.lineno, child.end_lineno + 1), isinstance(child, ast.Call), pattern, error
                 )
             visit(child, module, inner)
 
@@ -188,10 +192,6 @@ def tm(rows) -> TransitionMatrix:
     return TransitionMatrix(tuple(map(tuple, rows)))
 
 
-def meyer():
-    return run_pipeline(parse_file(MEYER), depth=2)
-
-
 def lifting_into_a_crossing():
     # the diameter {1/4, 3/4} lifts into {1/8, 3/8}, which crosses it
     start = AngleClasses(1, "white", 4, ((1, 3),))
@@ -232,40 +232,48 @@ class Row(NamedTuple):
     outcome: Union[int, type]  # the exit code of a mapfile trigger, or a call's exception type
     message: Union[str, list[tuple[str, str]]]  # "{tmp}" is the directory; findings as (check, detail)
     patch: Optional[Callable] = None  # given monkeypatch, before the trigger runs
-    place: Optional[str] = None  # the first offending item, as the message must name it
+    place: Optional[str] = None  # the first offending item, as the message (a finding's detail) must name it
+    exempt: Optional[str] = None  # why the message names no item, for a row with no place
 
 
 ROWS: dict[str, Row] = {
     # the command line
     "cli._load: cannot read …: …": Row(
         lambda tmp: ["unmate", str(tmp / "missing.json")], 2,
-        "cannot read {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'"),
+        "cannot read {tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'",
+        place="missing.json"),
     "cli._write_svg: cannot write …: …": Row(
         lambda tmp: ["unmate", str(MEYER), "--svg", str(tmp / "missing" / "out.svg")], 2,
-        "cannot write {tmp}/missing/out.svg: [Errno 2] No such file or directory: '{tmp}/missing/out.svg'"),
+        "cannot write {tmp}/missing/out.svg: [Errno 2] No such file or directory: '{tmp}/missing/out.svg'",
+        place="missing/out.svg"),
     "cli._check_branch: --branch … out of range for degree … (need 0 <= branch < …)": Row(
         unmate(None, "--branch", "1"), 2,
-        "--branch 1 out of range for degree 2 (need 0 <= branch < 1)"),
+        "--branch 1 out of range for degree 2 (need 0 <= branch < 1)", place="--branch 1"),
 
     # parse
     "mapspec._typed: malformed mapfile: … … is not …": Row(
-        unmate(setting("degree", 2.7)), 2, "malformed mapfile: degree 2.7 is not an integer"),
+        unmate(setting("degree", 2.7)), 2, "malformed mapfile: degree 2.7 is not an integer", place="degree 2.7"),
     "mapspec._pairs: malformed mapfile: … … is not an [integer, string] pair": Row(
         unmate(setting("white_anchor", [0.5, "left"])), 2,
-        "malformed mapfile: white_anchor [0.5, 'left'] is not an [integer, string] pair"),
+        "malformed mapfile: white_anchor [0.5, 'left'] is not an [integer, string] pair",
+        place="white_anchor [0.5, 'left']"),
     "mapspec.parse: malformed JSON: …": Row(
-        lambda tmp: ["unmate", write(tmp, "")], 2, "malformed JSON: Expecting value: line 1 column 1 (char 0)"),
+        lambda tmp: ["unmate", write(tmp, "")], 2, "malformed JSON: Expecting value: line 1 column 1 (char 0)",
+        place="line 1 column 1"),
     "mapspec.parse: malformed mapfile: missing key …": Row(
-        unmate(lambda raw: raw.pop("markers")), 2, "malformed mapfile: missing key 'markers'"),
-    "mapspec.parse: degree must be >= 2, got …": Row(unmate(setting("degree", 1)), 2, "degree must be >= 2, got 1"),
+        unmate(lambda raw: raw.pop("markers")), 2, "malformed mapfile: missing key 'markers'", place="'markers'"),
+    "mapspec.parse: degree must be >= 2, got …": Row(
+        unmate(setting("degree", 1)), 2, "degree must be >= 2, got 1", place="got 1"),
     "mapspec.parse: duplicate ids in …: …": Row(
-        unmate(lambda raw: raw["post"].append("p1")), 2, "duplicate ids in post: 'p1'"),
+        unmate(lambda raw: raw["post"].append("p1")), 2, "duplicate ids in post: 'p1'", place="'p1'"),
     "mapspec.parse: duplicate ids in vertices1: …": Row(
         unmate(lambda raw: raw["vertices1"].append({"id": "c1", "image": "p1"})), 2,
-        "duplicate ids in vertices1: 'c1'"),
-    "mapspec.parse: word0 is empty": Row(unmate(setting("word0", [])), 2, "word0 is empty"),
+        "duplicate ids in vertices1: 'c1'", place="'c1'"),
+    "mapspec.parse: word0 is empty": Row(
+        unmate(setting("word0", [])), 2, "word0 is empty", exempt="an empty word0 has no item to name"),
     "mapspec.parse: word length mismatch: |word1| = …, expected degree*k = …": Row(
-        unmate(lambda raw: raw["word1"].pop()), 2, "word length mismatch: |word1| = 11, expected degree*k = 12"),
+        unmate(lambda raw: raw["word1"].pop()), 2, "word length mismatch: |word1| = 11, expected degree*k = 12",
+        place="|word1| = 11"),
     "mapspec.parse: word0 must traverse each 0-edge exactly once: …": Row(
         unmate(setting("word0", 0, "edge", "E2")), 2,
         "word0 must traverse each 0-edge exactly once: 'E1' is not traversed", place="'E1'"),
@@ -273,84 +281,91 @@ ROWS: dict[str, Row] = {
         unmate(setting("word0", 2, "to", "zz")), 2, "word0 must visit every postcritical point: 'p1' is not visited",
         place="'p1'"),
     "mapspec.parse: word1 references unknown 0-edge …": Row(
-        unmate(setting("word1", 0, "image_edge", "E9")), 2, "word1 references unknown 0-edge 'E9'"),
+        unmate(setting("word1", 0, "image_edge", "E9")), 2, "word1 references unknown 0-edge 'E9'", place="'E9'"),
     "mapspec.parse: word1 references unknown 1-vertex …": Row(
-        unmate(setting("word1", 0, "to", "zz")), 2, "word1 references unknown 1-vertex 'zz'"),
+        unmate(setting("word1", 0, "to", "zz")), 2, "word1 references unknown 1-vertex 'zz'", place="'zz'"),
     "mapspec.parse: 1-vertex … has unknown image …": Row(
-        unmate(setting("vertices1", 4, "image", "zz")), 2, "1-vertex 'c1' has unknown image 'zz'"),
+        unmate(setting("vertices1", 4, "image", "zz")), 2, "1-vertex 'c1' has unknown image 'zz'", place="'c1'"),
     "mapspec.parse: post point … missing from vertices1 (post is forward-invariant)": Row(
         unmate(rename_vertex("p1", "q1")), 2,
-        "post point 'p1' missing from vertices1 (post is forward-invariant)"),
+        "post point 'p1' missing from vertices1 (post is forward-invariant)", place="'p1'"),
     "mapspec.parse: expected … markers, got …": Row(
-        unmate(setting("markers", [1, 2, 4, 5, 8])), 2, "expected 6 markers, got 5"),
+        unmate(setting("markers", [1, 2, 4, 5, 8])), 2, "expected 6 markers, got 5",
+        exempt="a list of the wrong length has no marker at fault; the message gives both lengths"),
     "mapspec.parse: marker … out of range": Row(
-        unmate(setting("markers", [1, 2, 4, 5, 8, 12])), 2, "marker 12 out of range"),
+        unmate(setting("markers", [1, 2, 4, 5, 8, 12])), 2, "marker 12 out of range", place="marker 12"),
     "mapspec.parse: markers must be strictly increasing, but markers[…] = … follows …": Row(
         unmate(setting("markers", [2, 1, 4, 5, 8, 10])), 2,
-        "markers must be strictly increasing, but markers[1] = 1 follows 2"),
+        "markers must be strictly increasing, but markers[1] = 1 follows 2", place="markers[1] = 1"),
     "mapspec.parse: bad white_anchor …": Row(
-        unmate(setting("white_anchor", [6, "left"])), 2, "bad white_anchor (6, 'left')"),
+        unmate(setting("white_anchor", [6, "left"])), 2, "bad white_anchor (6, 'left')", place="(6, 'left')"),
     "mapspec.parse: marker … points at 1-vertex … but gamma0 marks post point …": Row(
         unmate(setting("markers", [1, 2, 4, 5, 8, 11])), 2,
-        "marker 5 points at 1-vertex 'p2' but gamma0 marks post point 'p3'"),
+        "marker 5 points at 1-vertex 'p2' but gamma0 marks post point 'p3'", place="marker 5"),
 
-    # validation
+    # validation: a finding's place is in its detail
     "mapspec.validate_or_raise: …": Row(
-        lambda tmp: ["unmate", str(REVERSED)], 3, "fully invariant condition violated"),
+        lambda tmp: ["unmate", str(REVERSED)], 3, "fully invariant condition violated",
+        exempt="the message lists the findings' check names; each finding's detail, in the report on stdout, "
+        "names its place"),
     "mapspec.validate: fully invariant condition violated / word1 image labels disagree with word0 at positions ……":
         Row(unmate(swap_image_edges(0, 1)), 3, [
             ("fully invariant condition violated", "word1 image labels disagree with word0 at positions [0, 1]"),
-        ]),
+        ], place="positions [0, 1]"),
     "mapspec.validate: vertex image inconsistency / 1-vertex … at word1 position … has image …, expected …": Row(
         unmate(rename_image("p3", "p1")), 3, [
             ("vertex image inconsistency", "1-vertex 'p3' at word1 position 1 has image 'p1', expected 'p0'"),
             ("Riemann-Hurwitz violated", "sum of (local degree - 1) = 3, expected 2"),
-        ]),
+        ], place="'p3' at word1 position 1"),
     "mapspec.validate: Riemann-Hurwitz violated / sum of (local degree - 1) = …, expected …": Row(
-        unmate(raw=toy_raw), 3, [("Riemann-Hurwitz violated", "sum of (local degree - 1) = 1, expected 2")]),
+        unmate(raw=toy_raw), 3, [("Riemann-Hurwitz violated", "sum of (local degree - 1) = 1, expected 2")],
+        exempt="the sum runs over every 1-vertex, and no one vertex is at fault"),
     "mapspec.validate: local degree not integral / …": Row(
         unmate(setting("word1", 10, "to", "p3")), 3, [
             ("vertex image inconsistency", "1-vertex 'p3' at word1 position 10 has image 'p0', expected 'p3'"),
             ("local degree not integral", "local degree not integral at 'p2': 1 visits over 2"),
             ("rotation system incomplete", "level 1: rotation at 'p2' does not list its edge-ends exactly once"),
             ("rotation system incomplete", "level 1: rotation at 'p3' does not list its edge-ends exactly once"),
-        ]),
+        ], place="at 'p2'"),
     "mapspec._check_rotations: rotation system incomplete / level …: no rotation for vertex …": Row(
         unmate(lambda raw: raw["rotation1"].pop("c2")), 3, [
             ("rotation system incomplete", "level 1: no rotation for vertex 'c2'"),
-        ]),
+        ], place="'c2'"),
     "mapspec._check_rotations: rotation system incomplete / level …: rotation at … does not list its edge-ends exactly once":
         Row(unmate(lambda raw: raw["rotation1"]["p1"].append([4, "in"])), 3, [
             ("rotation system incomplete", "level 1: rotation at 'p1' does not list its edge-ends exactly once"),
-        ]),
+        ], place="'p1'"),
     "mapspec._check_rotations: rotation system incomplete / level …: rotation for unused vertex …": Row(
         unmate(setting("rotation1", "zz", [])), 3, [
             ("rotation system incomplete", "level 1: rotation for unused vertex 'zz'"),
-        ]),
+        ], place="'zz'"),
     "mapspec.validate: Euler formula violated / level …: V-E+F = …-…+…": Row(
         unmate(setting("rotation1", "p3", [[1, "in"], [2, "out"], [10, "out"], [9, "in"]])), 3, [
             ("Euler formula violated", "level 1: V-E+F = 6-12+6"),
             ("not checkerboard-colorable", "level 1 tiles admit no 2-coloring"),
-        ]),
+        ], exempt="the counts are of the whole level, which the detail names; no one vertex, edge or face "
+        "is at fault"),
     "mapspec.validate: curve not oriented / crossing chords at vertex … (level …)": Row(
         unmate(setting("rotation1", "p0", [[3, "in"], [7, "in"], [4, "out"], [8, "out"]])), 3, [
             ("Euler formula violated", "level 1: V-E+F = 6-12+6"),
             ("curve not oriented", "crossing chords at vertex 'p0' (level 1)"),
             ("not checkerboard-colorable", "level 1 tiles admit no 2-coloring"),
-        ]),
+        ], place="'p0'"),
     "mapspec.validate: not checkerboard-colorable / …": Row(
         unmate(lambda raw: raw["rotation0"].pop("p1")), 3, [
             ("rotation system incomplete", "level 0: no rotation for vertex 'p1'"),
             ("not checkerboard-colorable", "level 1 is uncolored because level 0 has no coloring"),
-        ]),
+        ], exempt="a 2-coloring is of the whole level, which the detail names; no one tile is at fault"),
 
     # the Perron certificate: no mapfile is known to reach these
     "spectral.certify_perron: d is not an eigenvalue: nullspace of (A - …I) is trivial": Row(
         lambda: certify_perron(tm([[1]]), 2), SpectralError,
-        "d is not an eigenvalue: nullspace of (A - 2I) is trivial"),
+        "d is not an eigenvalue: nullspace of (A - 2I) is trivial",
+        exempt="the nullspace is of the whole matrix; no one entry is at fault"),
     "spectral.certify_perron: Perron certification failed: nullspace dimension … > 1": Row(
         lambda: certify_perron(tm([[2, 0], [0, 2]]), 2), SpectralError,
-        "Perron certification failed: nullspace dimension 2 > 1"),
+        "Perron certification failed: nullspace dimension 2 > 1",
+        exempt="the nullspace is of the whole matrix; no one entry is at fault"),
     "spectral.certify_perron: Perron certification failed: no strictly positive eigenvector: "
     "v[…] = …, the entry of the 0-edge at word0 position …": Row(
         lambda: certify_perron(tm([[2, 1], [0, 1]]), 2), SpectralError,
@@ -358,31 +373,20 @@ ROWS: dict[str, Row] = {
         "the entry of the 0-edge at word0 position 1", place="word0 position 1"),
     "spectral.certify_perron: Perron certification failed: A v != d v": Row(
         lambda: certify_perron(tm([[1, 1], [1, 1]]), 2), SpectralError,
-        "Perron certification failed: A v != d v", patch_wrong_nullspace),
-
-    # parameters: only the argument checks raise, on hand-built calls; the
-    # CLI refuses a bad branch first, and certified lengths make the
-    # parameters consistent (the proof is in the `parameterize` docstring)
-    "parameterize.solve_parameters: expected … marker images, got …": Row(
-        lambda: solve_parameters([1, 1], 2, [0], 2), ParameterizationError, "expected 2 marker images, got 1"),
-    "parameterize.solve_parameters: branch must satisfy 0 <= branch < d-1 = …": Row(
-        lambda: solve_parameters([1, 1], 2, [0, 0], 2, branch=1), ParameterizationError,
-        "branch must satisfy 0 <= branch < d-1 = 1"),
-    "parameterize.solve_parameters: base marker … out of range": Row(
-        lambda: solve_parameters([1, 1], 2, [0, 0], 2, base=2), ParameterizationError,
-        "base marker 2 out of range"),
-    "parameterize.solve_parameters: lengths must sum to 1, got …": Row(
-        lambda: solve_parameters([1, 2], 2, [0, 0], 2), ParameterizationError, "lengths must sum to 1, got 3/2"),
+        "Perron certification failed: A v != d v", patch_wrong_nullspace,
+        exempt="only a broken nullspace routine reaches it, and no input item is at fault"),
 
     # portraits
     "pipeline.run_pipeline: … portrait certificate failed: …": Row(
-        unmate(), 6, "white portrait certificate failed: c5 (periodic participants: 1/3)", failing_certificate),
+        unmate(), 6, "white portrait certificate failed: c5 (periodic participants: 1/3)", failing_certificate,
+        place="c5 (periodic participants: 1/3)"),
     "portraits._mark_color: marking procedure stuck: cyclic critical orbits through …": Row(
         marking_two_criticals_on_one_cycle, PortraitError,
         "marking procedure stuck: cyclic critical orbits through v1, v2", place="v1, v2"),
     "portraits.sectors: portrait has fewer than two marked angles; no sectors": Row(
         lambda: sectors(CriticalPortrait("white", 2, [PreargumentSet.of([0])])), PortraitError,
-        "portrait has fewer than two marked angles; no sectors"),
+        "portrait has fewer than two marked angles; no sectors",
+        exempt="a count of the whole portrait's angles; no one angle is at fault"),
     "portraits.sectors: portrait not unlinked: … is in two sets": Row(
         lambda: sectors(CriticalPortrait("white", 8, [PreargumentSet.of([1, 3, 7]), PreargumentSet.of([1, 5])])),
         PortraitError, "portrait not unlinked: 1/8 is in two sets", place="1/8"),
@@ -394,22 +398,14 @@ ROWS: dict[str, Row] = {
     "pipeline.run_pipeline: depth-1 … classes disagree with the … portrait: {…} is only in the …": Row(
         unmate(), 7,
         "depth-1 white classes disagree with the white portrait: {1/24, 13/24} is only in the depth-1 classes",
-        patch_swapped_depth1),
+        patch_swapped_depth1, place="{1/24, 13/24}"),
     "laminations.pullback_step: pullback produced crossing: {…} links {…}": Row(
-        lifting_into_a_crossing, LaminationError, "pullback produced crossing: {1/8, 3/8} links {1/4, 3/4}"),
-    "laminations.pullback_to_depth: cannot lift … classes through a … portrait": Row(
-        lambda: pullback_to_depth((r := meyer()).depth1_white, r.black, 2, 2), LaminationError,
-        "cannot lift white classes through a black portrait"),
+        lifting_into_a_crossing, LaminationError, "pullback produced crossing: {1/8, 3/8} links {1/4, 3/4}",
+        place="{1/8, 3/8} links {1/4, 3/4}"),
     "laminations.pullback_to_depth: depth … is beyond the work limit: lifting the … angles of depth … makes … "
     "preimages, over the limit of …": Row(
         unmate(None, "--depth", str(TIGHTEST.deepest + 1)), 7, TIGHTEST.refusal(TIGHTEST.deepest + 1),
-        patch_tightest_limit),
-    "laminations.join: join needs equal depths and grids, got depth … on 1/… and depth … on 1/…": Row(
-        lambda: join((r := meyer()).lamination_white, r.depth1_black), LaminationError,
-        "join needs equal depths and grids, got depth 2 on 1/48 and depth 1 on 1/24"),
-    "svg.from_classes: a scene needs one grid, got …": Row(
-        lambda: SvgScene.from_classes([(r := meyer()).depth1_white, r.lamination_black], {}, 24), LaminationError,
-        "a scene needs one grid, got 1/24 and 1/48"),
+        patch_tightest_limit, place=f"depth {TIGHTEST.deepest + 1} is beyond"),
 }
 
 
@@ -435,6 +431,18 @@ def _finding_site(check: str, detail: str) -> str:
 def test_every_site_has_one_row():
     assert sorted(set(SITES) - set(ROWS)) == [], "failure sites without a trigger"
     assert sorted(set(ROWS) - set(SITES)) == [], "rows for no failure site"
+
+
+def test_every_row_names_its_place_or_why_not():
+    """A row gives the place its message names, or the reason it names none."""
+    assert [key for key, row in ROWS.items() if (row.place is None) == (row.exempt is None)] == []
+
+
+def test_every_error_class_is_raised_where_a_row_reaches():
+    """Each `UnmatingError` subclass is raised by a site that has a row;
+    the base class is raised nowhere."""
+    raised = {SITES[key].error for key in ROWS} - {None}
+    assert raised == ERRORS - {"UnmatingError"}
 
 
 def _run_cli(argv: list[str], capsys) -> tuple[UnmatingError, int, str, str]:
@@ -470,13 +478,13 @@ def test_trigger_ends_at_its_site(key, tmp_path, capsys, monkeypatch):
         exc = info.value
         assert type(exc) is row.outcome
 
-    if row.place is not None:
-        assert row.place in str(exc)
-    site = SITES[key]
-    if site.finding:
+    if SITES[key].finding:
         findings = [(f.check, f.detail) for f in exc.report.findings]
         assert findings == row.message
-        assert key in {_finding_site(*f) for f in findings}
+        text, *_ = [detail for check, detail in findings if _finding_site(check, detail) == key]
     else:
-        assert str(exc) == row.message.replace("{tmp}", str(tmp_path))
+        text = str(exc)
+        assert text == row.message.replace("{tmp}", str(tmp_path))
         assert _ends(exc) == key
+    if row.place is not None:
+        assert row.place in text

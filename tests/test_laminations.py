@@ -334,10 +334,6 @@ class TestPullbackStep:
         step = pullback_to_depth(classes(1, "white", [F(0), F(1, 3)]), p, 2, 2)
         assert as_fractions(step) == ((F(0), F(1, 6), F(1, 3), F(1, 2), F(2, 3)),)
 
-    def test_color_mismatch_rejected(self, meyer_result):
-        with pytest.raises(LaminationError, match="cannot lift"):
-            pullback_to_depth(meyer_result.depth1_white, meyer_result.black, 2, 2)
-
     @pytest.mark.parametrize("bound", ["limit", "tightest"])
     @pytest.mark.parametrize("fixture", ["meyer", "jordan"])
     def test_work_limit_admits_the_deepest_depth_only(self, request, monkeypatch, fixture, bound):
@@ -787,17 +783,6 @@ class TestJoin:
         empty = classes(1, "black", grid=meyer_result.depth1_white.grid)
         joined = join(meyer_result.depth1_white, empty)
         assert joined.classes == meyer_result.depth1_white.classes
-
-    def test_depth_mismatch(self, meyer_result):
-        deeper = pullback_to_depth(meyer_result.depth1_black, meyer_result.black, 2, 2)
-        with pytest.raises(LaminationError, match="equal depths"):
-            join(meyer_result.depth1_white, deeper)
-
-    def test_grid_mismatch(self):
-        white = classes(1, "white", [F(1, 4), F(3, 4)])
-        black = classes(1, "black", [F(1, 8), F(5, 8)])
-        with pytest.raises(LaminationError, match="equal depths and grids"):
-            join(white, black)
 
     def test_jordan_depth2_cross_side_merge(self, jordan_result):
         # 1/8 and 5/8 appear on both sides at depth 2: the join fuses them

@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from unmating.circle import frac
-from unmating.errors import MapfileError, ParameterizationError, SpectralError
+from unmating.errors import MapfileError, SpectralError
 from unmating.mapspec import Word0Entry, Word1Entry, faces, parse
 from unmating.parameterize import (
     MarkerParameters,
@@ -23,6 +23,7 @@ from unmating.spectral import certify_perron, transition_matrix
 from .conftest import meyer_raw, replaced, toy_raw
 from .oracles import (
     FractionParameters,
+    ParameterRefusal,
     pullback_parameters_by_fractions,
     solve_parameters_by_fractions,
 )
@@ -69,20 +70,19 @@ class TestSolveParameters:
     def test_consistency_holds_everywhere(self, meyer_result, jordan_result):
         for result in (meyer_result, jordan_result):
             params = result.params
-            d = result.spec.degree
+            d, image = result.spec.degree, marker_images(result.spec)
             for i, t in enumerate(params.t):
-                assert d * t % params.grid == params.t[params.image[i]]
+                assert d * t % params.grid == params.t[image[i]]
             assert sum(params.lengths) == params.grid
 
     def test_base_independence(self, meyer_spec, meyer_result):
-        expected = meyer_result.params.t
+        """The code solves at marker 0; the Fraction oracle, solved at every
+        marker, finds the same parameters (degree 2 has one branch)."""
+        lengths, image = meyer_result.lengths, marker_images(meyer_spec)
+        fractions = [Fraction(x, lengths.total) for x in lengths.eigenvector]
+        want = _as_fractions(meyer_result.params, image)
         for base in range(meyer_spec.k):
-            params = solve_for_spec(meyer_spec, meyer_result.lengths, base=base)
-            assert params.t == expected
-
-    def test_branch_out_of_range(self):
-        with pytest.raises(ParameterizationError, match="branch"):
-            solve_parameters(*HALF, [0, 0], d=2, branch=1)
+            assert solve_parameters_by_fractions(fractions, image, 2, base) == want
 
     def test_branch_rigid_rotation_degree_three(self):
         # two fixed markers under the 3-fold map admit two parameter branches
@@ -96,10 +96,6 @@ class TestSolveParameters:
         gaps0 = [(base0.t[(i + 1) % 2] - base0.t[i]) % grid for i in range(2)]
         gaps1 = [(base1.t[(i + 1) % 2] - base1.t[i]) % grid for i in range(2)]
         assert gaps0 == gaps1
-
-    def test_lengths_must_sum_to_one(self):
-        with pytest.raises(ParameterizationError, match="sum to 1"):
-            solve_parameters([6, 4], 12, [0, 0], d=2)  # 1/2 + 1/3
 
 
 class TestPullbackParameters:
@@ -173,11 +169,12 @@ def test_two_marker_toy_quarter_points():
     assert (pullback.grid, pullback.s) == (4, (0, 1, 2, 3))
 
 
-def _as_fractions(params: MarkerParameters) -> FractionParameters:
-    """The integer parameters read as the Fraction record of the oracle."""
+def _as_fractions(params: MarkerParameters, image) -> FractionParameters:
+    """The integer parameters, for the marker images ``image``, read as the
+    Fraction record of the oracle."""
     return FractionParameters(
         tuple(Fraction(t, params.grid) for t in params.t),
-        params.image,
+        tuple(image),
         tuple(Fraction(x, params.grid) for x in params.lengths),
         params.branch,
     )
@@ -186,7 +183,7 @@ def _as_fractions(params: MarkerParameters) -> FractionParameters:
 def _outcome(f, *args):
     try:
         return f(*args)
-    except ParameterizationError as exc:
+    except ParameterRefusal as exc:
         return str(exc)
 
 
@@ -233,36 +230,46 @@ def length_problems(draw):
 class TestFractionOracle:
     """Parameters on integer grids against the Fraction code they replaced."""
 
-    def _check(self, lengths, total, image, d, base, branch, spec):
-        """Compare with the oracle wherever it accepts.  It keeps the
+    def _check(self, lengths, total, image, d, spec):
+        """Compare the code, solved at marker 0, with the oracle solved at
+        every marker, wherever the oracle accepts.  The oracle keeps the
         consistency checks that certified lengths make redundant, so on
-        uncertified lengths it may refuse what the code computes."""
-        got = solve_parameters(lengths, total, image, d, base, branch)
-        want = _outcome(
-            solve_parameters_by_fractions, [Fraction(x, total) for x in lengths], image, d, base, branch
-        )
-        if isinstance(want, str):
-            assert want.startswith("parameterization inconsistent: q_d(")
+        uncertified lengths it may refuse what the code computes.
+        Consistency is a property of the lengths and the image map, so it
+        refuses at every marker and branch or at none; where it accepts,
+        every marker gives the code's d - 1 solutions, at marker 0 under the
+        code's branch numbers."""
+        got = [solve_parameters(lengths, total, image, d, branch) for branch in range(d - 1)]
+        fractions = [Fraction(x, total) for x in lengths]
+        wants = [
+            [_outcome(solve_parameters_by_fractions, fractions, image, d, base, branch) for branch in range(d - 1)]
+            for base in range(len(lengths))
+        ]
+        refused = [want for row in wants for want in row if isinstance(want, str)]
+        if refused:
+            assert len(refused) == len(lengths) * (d - 1)
+            assert all(want.startswith("parameterization inconsistent: q_d(") for want in refused)
             return
-        assert _as_fractions(got) == want
-        assert got.grid == total * (d - 1)
-        pullback = pullback_parameters(got, spec)
-        oracle = _outcome(pullback_parameters_by_fractions, want, spec)
-        if isinstance(oracle, str):
-            assert oracle.startswith("parameterization inconsistent: matched visit")
-            return
-        assert pullback == oracle
-        # every visit maps onto its marker: d*s[j] = d*t[j mod k] on d*grid
-        fine, k = d * got.grid, len(lengths)
-        s = [x * (fine // pullback.grid) for x in pullback.s]
-        assert all(d * x % fine == d * got.t[j % k] for j, x in enumerate(s))
+        assert [_as_fractions(params, image) for params in got] == wants[0]
+        for row in wants:
+            assert sorted(want.t for want in row) == sorted(want.t for want in wants[0])
+        for params, want in zip(got, wants[0]):
+            assert params.grid == total * (d - 1)
+            pullback = pullback_parameters(params, spec)
+            oracle = _outcome(pullback_parameters_by_fractions, want, spec)
+            if isinstance(oracle, str):
+                assert oracle.startswith("parameterization inconsistent: matched visit")
+                continue
+            assert pullback == oracle
+            # every visit maps onto its marker: d*s[j] = d*t[j mod k] on d*grid
+            fine, k = d * params.grid, len(lengths)
+            s = [x * (fine // pullback.grid) for x in pullback.s]
+            assert all(d * x % fine == d * params.t[j % k] for j, x in enumerate(s))
 
     @given(length_problems())
     def test_random_lengths_every_base_and_branch(self, problem):
         lengths, image, d, shape = problem
-        for base in range(len(lengths)):
-            for branch in range(d - 1):
-                self._check(lengths, sum(lengths), image, d, base, branch, shape)
+        self._check(lengths, sum(lengths), image, d, shape)
 
     @pytest.mark.parametrize("name", ["meyer", "jordan"])
     def test_fixtures_under_flip_and_deck_shift(self, name, meyer_spec, jordan_spec):
@@ -280,11 +287,7 @@ class TestFractionOracle:
                     spec,
                     markers=tuple((m + shift * spec.k) % spec.n1 for m in spec.markers)
                 )
-                for base in range(spec.k):
-                    for branch in range(spec.degree - 1):
-                        self._check(
-                            lv.eigenvector, lv.total, image, spec.degree, base, branch, shifted
-                        )
+                self._check(lv.eigenvector, lv.total, image, spec.degree, shifted)
                 # another lift branch visits the same preimage angles
                 assert set(pullback_parameters(solve_for_spec(spec, lv), shifted).s) == angles
 
@@ -308,30 +311,34 @@ def certified_shapes(draw):
 @given(certified_shapes())
 def test_certified_lengths_make_parameters_consistent(problem):
     """A v = d v alone makes the markers fully invariant and puts each
-    matched visit on its marker, for every base and branch; the Fraction
-    oracle, which still checks both, agrees."""
+    matched visit on its marker, for every branch.  The Fraction oracle,
+    which still checks both, agrees at marker 0, branch by branch, and
+    solved at every other marker finds the same d - 1 solutions."""
     shape, lengths = problem
     d, image = shape.degree, marker_images(shape)
-    for base in range(shape.k):
-        for branch in range(d - 1):
-            params = solve_for_spec(shape, lengths, base, branch)
-            grid, t = params.grid, params.t
-            assert all(d * t[i] % grid == t[image[i]] for i in range(shape.k))
-            pullback = pullback_parameters(params, shape)
-            fine = d * grid
-            s = [x * (fine // pullback.grid) for x in pullback.s]
-            assert all(s[m] == d * t[i] for i, m in enumerate(shape.markers))
-            want = solve_parameters_by_fractions(
-                [Fraction(x, lengths.total) for x in lengths.eigenvector], image, d, base, branch
-            )
-            assert _as_fractions(params) == want
-            assert pullback == pullback_parameters_by_fractions(want, shape)
+    fractions = [Fraction(x, lengths.total) for x in lengths.eigenvector]
+    solved = []
+    for branch in range(d - 1):
+        params = solve_for_spec(shape, lengths, branch)
+        grid, t = params.grid, params.t
+        assert all(d * t[i] % grid == t[image[i]] for i in range(shape.k))
+        pullback = pullback_parameters(params, shape)
+        fine = d * grid
+        s = [x * (fine // pullback.grid) for x in pullback.s]
+        assert all(s[m] == d * t[i] for i, m in enumerate(shape.markers))
+        want = solve_parameters_by_fractions(fractions, image, d, 0, branch)
+        assert _as_fractions(params, image) == want
+        assert pullback == pullback_parameters_by_fractions(want, shape)
+        solved.append(want.t)
+    for base in range(1, shape.k):
+        found = [solve_parameters_by_fractions(fractions, image, d, base, branch).t for branch in range(d - 1)]
+        assert sorted(found) == sorted(solved)
 
 
-def test_meyer_marker_lists_reach_no_parameterization_error():
+def test_meyer_marker_lists_parse_or_run_to_the_end():
     """Every 6-marker list on the Meyer fixture's 12 visits: parse refuses
     all but the fixture's own and one other, and those two run the whole
-    pipeline without a parameterization error."""
+    pipeline."""
     accepted = []
     for markers in combinations(range(12), 6):
         try:
