@@ -2,10 +2,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from unmating.circle import frac, orbit, q_apply
+from unmating.errors import MapfileError
+from unmating.mapspec import parse
+
+from .conftest import meyer_raw
 
 # (x, grid): the angle x/grid
 angles = st.integers(min_value=1, max_value=97).flatmap(
@@ -24,6 +29,14 @@ class TestQApply:
 
     def test_wraps(self):
         assert q_apply(2, 2, 3) == 1
+
+    @pytest.mark.parametrize("degree", [-1, 0, 1])
+    def test_parse_refuses_the_degrees_it_leaves_out(self, degree):
+        """q_apply takes a spec's degree; `parse` refuses every degree < 2."""
+        raw = meyer_raw()
+        raw["degree"] = degree
+        with pytest.raises(MapfileError, match=f"degree must be >= 2, got {degree}"):
+            parse(raw)
 
 
 class TestQPreimages:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from unmating import cli, errors, parse_file, spectral
+from unmating import cli, errors, parameterize, parse_file, spectral
 from unmating.cli import _dumps, main
 from unmating.laminations import BLACK, WHITE, AngleClasses, Crossings, pullback_to_depth
 from unmating.pipeline import run_pipeline
@@ -150,6 +150,20 @@ class TestUnmateCommand:
         code, _, err = run(capsys, "unmate", MEYER, "--branch", "1")
         assert code == 2
         assert "branch" in err
+
+    @pytest.mark.parametrize("command", ["parameters", "unmate", "lamination", "render"])
+    @pytest.mark.parametrize("branch", ["-1", "1"])
+    def test_branch_checked_before_solving(self, capsys, monkeypatch, command, branch):
+        """`_check_branch` is the only branch check: every command that
+        solves the parameters refuses a branch outside 0 <= branch < d - 1
+        before it solves."""
+        def solve(*args):
+            raise AssertionError("solved with an unchecked branch")
+
+        monkeypatch.setattr(parameterize, "solve_parameters", solve)
+        code, out, err = run(capsys, command, MEYER, "--branch", branch)
+        assert (code, out) == (2, "")
+        assert err == f"error: --branch {branch} out of range for degree 2 (need 0 <= branch < 1)\n"
 
     def test_reversed_stage_exit(self, capsys):
         code, _, err = run(capsys, "unmate", REVERSED)
@@ -355,6 +369,20 @@ class TestSvgScene:
         assert list(scene.labels) == list(xs)
         assert scene.coords == {x: svg_text(x, 12)[:2] for x in xs}
         assert scene.labels == {x: svg_text(x, 12)[2] for x in xs}
+
+    @pytest.mark.parametrize("side", ["w", "b", "join"])
+    def test_cli_scenes_share_one_grid(self, monkeypatch, meyer_result, side):
+        """`cli._scene` meets the scene's precondition: the class sets it
+        draws share the grid of the run's laminations."""
+        seen, build = [], SvgScene.from_classes
+
+        def spy(class_sets, labels):
+            seen.append({classes.grid for classes in class_sets})
+            return build(class_sets, labels)
+
+        monkeypatch.setattr(SvgScene, "from_classes", spy)
+        cli._scene(meyer_result, side)
+        assert seen == [{meyer_result.lamination_join.grid}]
 
     def test_label_grid_keeps_only_its_angles(self):
         """On grid 1/12 with label grid 4, only the multiples of 3 get a label,

@@ -334,6 +334,20 @@ class TestPullbackStep:
         step = pullback_to_depth(classes(1, "white", [F(0), F(1, 3)]), p, 2, 2)
         assert as_fractions(step) == ((F(0), F(1, 6), F(1, 3), F(1, 2), F(2, 3)),)
 
+    @pytest.mark.parametrize("name", ["meyer", "jordan"])
+    def test_pipeline_lifts_each_color_through_its_portrait(self, request, monkeypatch, name):
+        """`run_pipeline` meets the chain's precondition: each color's
+        depth-1 classes start a chain through that color's portrait."""
+        seen = []
+
+        def spy(start, portrait, d, depth):
+            seen.append((start.depth, start.color, portrait.color))
+            return pullback_to_depth(start, portrait, d, depth)
+
+        monkeypatch.setattr(laminations, "pullback_to_depth", spy)
+        run_pipeline(request.getfixturevalue(f"{name}_spec"), depth=2)
+        assert sorted(seen) == [(1, "black", "black"), (1, "white", "white")]
+
     @pytest.mark.parametrize("bound", ["limit", "tightest"])
     @pytest.mark.parametrize("fixture", ["meyer", "jordan"])
     def test_work_limit_admits_the_deepest_depth_only(self, request, monkeypatch, fixture, bound):
@@ -783,6 +797,23 @@ class TestJoin:
         empty = classes(1, "black", grid=meyer_result.depth1_white.grid)
         joined = join(meyer_result.depth1_white, empty)
         assert joined.classes == meyer_result.depth1_white.classes
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    @pytest.mark.parametrize("name", ["meyer", "jordan"])
+    def test_pipeline_joins_one_depth_and_grid(self, request, monkeypatch, name, depth):
+        """`run_pipeline` meets join's precondition: both chains reach the
+        asked depth on one grid."""
+        seen = []
+
+        def spy(white, black):
+            seen.append((white.depth, white.grid, black.depth, black.grid))
+            return join(white, black)
+
+        monkeypatch.setattr(laminations, "join", spy)
+        run_pipeline(request.getfixturevalue(f"{name}_spec"), depth=depth)
+        [(white_depth, white_grid, black_depth, black_grid)] = seen
+        assert white_depth == black_depth == depth
+        assert white_grid == black_grid
 
     def test_jordan_depth2_cross_side_merge(self, jordan_result):
         # 1/8 and 5/8 appear on both sides at depth 2: the join fuses them

@@ -84,6 +84,20 @@ class TestSolveParameters:
         for base in range(meyer_spec.k):
             assert solve_parameters_by_fractions(fractions, image, 2, base) == want
 
+    def test_marker0_walks_the_arc_to_its_image(self):
+        # Meyer's twelfths 1/12, 1/6, 1/12, 1/4, 1/6, 1/4: the arc from
+        # marker 0 to marker 3 crosses the first three, so d*t = t + 1/3
+        params = solve_parameters([1, 2, 1, 3, 2, 3], 12, [3, 0, 0, 0, 0, 0], d=2)
+        assert frac(params.t[0], params.grid) == "1/3"
+
+    @pytest.mark.parametrize("name", ["meyer", "jordan"])
+    def test_parameters_wrap_back_to_marker0(self, request, name):
+        """Consecutive parameters differ by the lengths all the way round:
+        the last marker plus the last length is marker 0 again."""
+        params = request.getfixturevalue(f"{name}_result").params
+        k, grid = len(params.t), params.grid
+        assert all((params.t[i] + params.lengths[i]) % grid == params.t[(i + 1) % k] for i in range(k))
+
     def test_branch_rigid_rotation_degree_three(self):
         # two fixed markers under the 3-fold map admit two parameter branches
         base0 = solve_parameters(*HALF, [0, 1], d=3, branch=0)
